@@ -30,7 +30,7 @@ _REGRESSION_KINDS = ("linear_regression", "csv")
 
 _TOP_KEYS = {"dataset", "model", "strategy", "cycles", "budget",
              "initial_labeled", "noise", "train", "seeds", "retrain_mode",
-             "selector", "seed_from_labeled", "bald_samples", "workers"}
+             "selector", "seed_from_labeled", "bald_samples"}
 _MODEL_KEYS = {"hidden", "dropout"}
 _NOISE_KEYS = {"zeta", "samplings", "seed", "tap", "scope"}
 _TRAIN_KEYS = {"optimizer", "lr", "momentum", "weight_decay", "beta1", "beta2",
@@ -101,7 +101,6 @@ def experiment_from_dict(doc: dict) -> ExperimentConfig:
         selector=selector,
         seed_from_labeled=bool(doc.get("seed_from_labeled", False)),
         bald_samples=int(doc.get("bald_samples", 50)),
-        workers=doc.get("workers"),
     )
 
 
@@ -140,7 +139,6 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
         "selector": cfg.selector,
         "seed_from_labeled": cfg.seed_from_labeled,
         "bald_samples": cfg.bald_samples,
-        "workers": cfg.workers,
     }
 
 

@@ -17,6 +17,10 @@ class DataError(NoiseStabError, ValueError):
     """A dataset, file, or value fails a content-level validation."""
 
 
+class NonFiniteError(DataError):
+    """A computed value is NaN or infinite, e.g. after training diverged."""
+
+
 class FormatError(DataError):
     """A binary or text file does not conform to its declared format."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, data, nn, stability
-from .exceptions import ConfigError, DataError, InvalidStateError
+from .exceptions import ConfigError, DataError, InvalidStateError, NonFiniteError
 from .seeding import derive_seed, rng
 from .selection import SelectionRequest, select
 
@@ -103,7 +103,6 @@ class ExperimentConfig:
     selector: str = "k_center"
     seed_from_labeled: bool = False
     bald_samples: int = 50
-    workers: int | None = None
 
     def __post_init__(self):
         baselines.validate_strategy(self.strategy)
@@ -172,12 +171,11 @@ def evaluate(model, test: data.Dataset, task) -> float:
 def _noise_strategy_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
                           strategy_seed):
     noise_cfg = replace(cfg.noise, seed=noise_seed)
-    embs = stability.pool_embeddings(model, pool_x, noise_cfg, workers=cfg.workers)
+    embs = stability.pool_embeddings(model, pool_x, noise_cfg)
     matrix = np.vstack([e.vector for e in embs])
     seeds = None
     if cfg.seed_from_labeled and cfg.strategy == "noise_stability" and len(labeled_x):
-        labeled_embs = stability.pool_embeddings(model, labeled_x, noise_cfg,
-                                                 workers=cfg.workers)
+        labeled_embs = stability.pool_embeddings(model, labeled_x, noise_cfg)
         seeds = np.vstack([e.vector for e in labeled_embs])
     method = {"noise_stability": cfg.selector,
               "noise_stability_m": "top_magnitude",
@@ -240,8 +238,12 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
             budget = len(pool_state.unlabeled)
             warnings.append(f"budget clamped to {budget} remaining unlabeled examples")
         if budget > 0:
-            positions = _strategy_picks(cfg, model, train_pool, pool_state,
-                                        budget, run_seed, cycle)
+            try:
+                positions = _strategy_picks(cfg, model, train_pool, pool_state,
+                                            budget, run_seed, cycle)
+            except NonFiniteError as exc:
+                raise NonFiniteError(
+                    f"seed {run_seed}, cycle {cycle}, phase embed: {exc}") from exc
             picks = [pool_state.unlabeled[p] for p in positions]
         else:
             picks = []

@@ -52,15 +52,31 @@ class Linear:
     def n_params(self) -> int:
         return self.weight.size + (0 if self.bias is None else self.bias.size)
 
-    def forward(self, x, train, rng):
+    def _check_width(self, x):
         if x.shape[1] != self.weight.shape[1]:
             raise DimensionError(
                 f"input width {x.shape[1]} does not match layer width {self.weight.shape[1]}"
             )
+
+    def forward(self, x, train, rng):
+        self._check_width(x)
         y = x @ self.weight.T
         if self.bias is not None:
             y = y + self.bias
         return y, x
+
+    def infer(self, x):
+        """Eval forward ``y = b + sum_j x[:, j] * W[:, j]``, accumulated in j order."""
+        self._check_width(x)
+        # built transposed, (out, B), so every multiply-add runs over a
+        # contiguous row of the batch
+        out = np.empty((self.weight.shape[0], x.shape[0]))
+        out[...] = 0.0 if self.bias is None else self.bias[:, None]
+        term = np.empty_like(out)
+        for w_j, x_j in zip(self.weight.T[:, :, None], x.T):
+            np.multiply(w_j, x_j, out=term)
+            out += term
+        return out.T
 
     def backward(self, grad, cache):
         grad_w = grad.T @ cache
@@ -98,6 +114,9 @@ class ReLU:
         mask = x > 0.0
         return np.where(mask, x, 0.0), mask
 
+    def infer(self, x):
+        return np.where(x > 0.0, x, 0.0)
+
     def backward(self, grad, cache):
         return grad * cache, None
 
@@ -127,6 +146,9 @@ class Dropout:
         scale = (rng.random(x.shape) >= self.rate) / keep
         return x * scale, scale
 
+    def infer(self, x):
+        return x
+
     def backward(self, grad, cache):
         if cache is None:
             return grad, None
@@ -142,12 +164,25 @@ class Dropout:
 class Softmax:
     n_params = 0
 
-    def forward(self, x, train, rng):
+    @staticmethod
+    def _shifted_exp(x):
         shifted = x - x.max(axis=1, keepdims=True)
         np.clip(shifted, _SOFTMAX_MIN_SHIFTED, None, out=shifted)
-        e = np.exp(shifted)
+        return np.exp(shifted)
+
+    def forward(self, x, train, rng):
+        e = self._shifted_exp(x)
         p = e / e.sum(axis=1, keepdims=True)
         return p, p
+
+    def infer(self, x):
+        # the row max is exact in any order; the normalizer is summed column
+        # by column
+        e = self._shifted_exp(x)
+        total = e[:, 0].copy()
+        for column in e.T[1:]:
+            total += column
+        return e / total[:, None]
 
     def backward(self, grad, cache):
         p = cache
@@ -292,11 +327,22 @@ def forward(model, x, mode="eval", rng=None):
 
 
 def forward_to(model, x, boundary):
-    """Eval-mode activations after ``layers[:boundary]``."""
+    """Eval-mode activations after ``layers[:boundary]``.
+
+    Every row goes through the same floating-point operations whatever the
+    batch holds: each Linear adds its products ``x[:, j] * W[:, j]`` to the
+    bias one input column at a time in a fixed order, the Softmax normalizer
+    is summed one column at a time, and everything else is elementwise. A row's
+    output therefore depends only on (parameters, row), bit for bit, never on
+    the batch size or the row's position (BLAS GEMM gives no such promise), so
+    a whole pool can be evaluated in one call. ``forward`` and training use
+    BLAS and agree with this path to rounding.
+    """
     if not 0 < boundary <= len(model.layers):
         raise ConfigError(f"boundary {boundary} out of range")
-    batch, squeeze = _as_batch(x)
-    acts, _ = _forward_cached(model, batch, boundary)
+    acts, squeeze = _as_batch(x)
+    for layer in model.layers[:boundary]:
+        acts = layer.infer(acts)
     return acts[0] if squeeze else acts
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionError
+from .exceptions import ConfigError, DimensionError, NonFiniteError
 
-METHODS = ("k_center", "kmeans_pp", "top_magnitude", "k_center_normalized", "k_dpp")
+METHODS = ("k_center", "kmeans_pp", "top_magnitude", "k_center_normalized")
 
 
 @dataclass
@@ -29,12 +29,16 @@ class SelectionRequest:
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
         if self.embeddings.ndim != 2:
             raise DimensionError("embeddings must form an (N, L) matrix")
+        if not np.isfinite(self.embeddings).all():
+            raise NonFiniteError("embeddings contain NaN or infinite values")
         if self.seeds_from_labeled is not None:
             self.seeds_from_labeled = np.asarray(self.seeds_from_labeled, dtype=np.float64)
             if self.seeds_from_labeled.size == 0:
                 self.seeds_from_labeled = None
             elif self.seeds_from_labeled.shape[1] != self.embeddings.shape[1]:
                 raise DimensionError("labeled embeddings must match the pool embedding length")
+            elif not np.isfinite(self.seeds_from_labeled).all():
+                raise NonFiniteError("labeled embeddings contain NaN or infinite values")
         if not 0 <= self.budget <= self.embeddings.shape[0]:
             raise ConfigError(
                 f"budget {self.budget} outside [0, {self.embeddings.shape[0]}]"
@@ -144,6 +148,4 @@ def select(req: SelectionRequest):
         return kmeans_pp(req)
     if req.method == "top_magnitude":
         return top_magnitude(req)
-    if req.method == "k_center_normalized":
-        return k_center_normalized(req)
-    raise ConfigError("k_dpp is reserved but not supported (no kernel is defined)")
+    return k_center_normalized(req)

@@ -10,7 +10,6 @@ drives diverse batch selection.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,33 +136,19 @@ def deviation_block(model, x, pset: PerturbationSet, k) -> np.ndarray:
     return (perturbed - base) / pset.magnitude
 
 
-def _forward_rows(model, xs, boundary, width):
-    """Row-at-a-time eval forward over a pool.
-
-    Each example goes through the exact (1, D) arithmetic path regardless of
-    pool size, so an embedding depends only on (parameters, x) -- never on
-    what else happens to share the pool (batched GEMM kernels do not give
-    that bit-level guarantee).
-    """
-    out = np.empty((xs.shape[0], width))
-    for i in range(xs.shape[0]):
-        out[i] = nn.forward_to(model, xs[i:i + 1], boundary)[0]
-    return out
-
-
-def _pool_blocks(model, xs, pset, ks):
-    """Deviation blocks for direction indices ``ks`` over the whole pool."""
+def _pool_blocks(model, xs, pset):
+    """(K, N, d) deviation blocks: one ``nn.forward_to`` over the whole pool
+    for the base and one per direction."""
     boundary = model.tap_boundary(pset.tap)
-    width = nn.forward_to(model, xs[:1], boundary).shape[1]
-    base = _forward_rows(model, xs, boundary, width)
-    out = np.empty((len(ks), xs.shape[0], width))
-    for row, k in enumerate(ks):
+    base = nn.forward_to(model, xs, boundary)
+    out = np.empty((pset.samplings,) + base.shape)
+    for k in range(pset.samplings):
         nn.apply_perturbation(model, pset.delta(k), pset.scope)
         try:
-            perturbed = _forward_rows(model, xs, boundary, width)
+            perturbed = nn.forward_to(model, xs, boundary)
         finally:
             nn.remove_perturbation(model)
-        out[row] = (perturbed - base) / pset.magnitude
+        out[k] = (perturbed - base) / pset.magnitude
     return out
 
 
@@ -172,7 +157,7 @@ def embedding(model, x, pset: PerturbationSet) -> DeviationEmbedding:
     xs = np.asarray(x, dtype=np.float64)
     if xs.ndim != 1:
         raise DimensionError("embedding expects a single example vector")
-    blocks = _pool_blocks(model, xs[None, :], pset, range(pset.samplings))[:, 0, :]
+    blocks = _pool_blocks(model, xs[None, :], pset)[:, 0, :]
     return DeviationEmbedding.from_blocks(blocks, pset.n)
 
 
@@ -181,14 +166,12 @@ def uncertainty_score(emb: DeviationEmbedding) -> float:
     return float(np.linalg.norm(emb.vector))
 
 
-def pool_embeddings(model, pool, cfg: NoiseConfig, workers=None):
+def pool_embeddings(model, pool, cfg: NoiseConfig):
     """Embeddings for every example in the pool under one shared direction set.
 
     Directions are sampled once per call, so identical examples get identical
-    embeddings and the result is order-equivariant. With ``workers`` > 1 the
-    direction loop fans out across threads, each on its own parameter copy;
-    blocks are computed per direction independently, so scheduling cannot
-    change any value and parallel output is bit-identical to sequential.
+    embeddings, the result is order-equivariant, and an example's embedding
+    does not depend on what else is in the pool (see ``nn.forward_to``).
     """
     xs = np.asarray(pool, dtype=np.float64)
     if xs.size == 0:
@@ -196,21 +179,7 @@ def pool_embeddings(model, pool, cfg: NoiseConfig, workers=None):
     if xs.ndim == 1:
         xs = xs[None, :]
     pset = perturbation_set(model, cfg)
-    k_total = pset.samplings
-    if workers is None or workers <= 1:
-        blocks = _pool_blocks(model.copy(), xs, pset, range(k_total))
-    else:
-        chunks = [list(chunk) for chunk in
-                  np.array_split(np.arange(k_total), workers) if len(chunk)]
-        width = nn.forward_to(model, xs[:1], model.tap_boundary(pset.tap)).shape[1]
-        blocks = np.empty((k_total, xs.shape[0], width))
-
-        def run(chunk):
-            return chunk, _pool_blocks(model.copy(), xs, pset, chunk)
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool_exec:
-            for chunk, part in pool_exec.map(run, chunks):
-                blocks[chunk] = part
+    blocks = _pool_blocks(model.copy(), xs, pset)
     return [DeviationEmbedding.from_blocks(blocks[:, i, :], pset.n)
             for i in range(xs.shape[0])]
 

@@ -59,6 +59,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="valid JSON"):
             load_experiment_config(bad)
 
+    def test_k_dpp_selector_rejected_at_load(self, tmp_path):
+        path = tmp_path / "k_dpp.json"
+        path.write_text(json.dumps(dict(MINIMAL, selector="k_dpp")))
+        with pytest.raises(ConfigError, match="k_dpp"):
+            load_experiment_config(path)
+
 
 class TestManifestRoundtrip:
     def test_resolved_snapshot_reparses_to_the_same_config(self):

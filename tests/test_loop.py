@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from noisestab import nn
 from noisestab.config import experiment_from_dict
-from noisestab.exceptions import ConfigError, DataError, InvalidStateError
+from noisestab.exceptions import (ConfigError, DataError, InvalidStateError,
+                                  NonFiniteError)
 from noisestab.loop import (CycleReport, PoolState, aggregate_runs, evaluate,
                             run_active_learning, run_single_seed)
 
@@ -202,3 +206,15 @@ class TestConfigValidation:
         record = report(1, 0.9, 0).to_record()
         assert "wall_time" not in record
         assert record["metric"] == 0.9
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_stops_before_selection(self):
+        # SGD at lr=1e6 drives the parameters to NaN in the first cycle; the
+        # NaN embeddings used to reach k-center and surface as a duplicate pick
+        path = Path(__file__).resolve().parent.parent / "configs" / "blobs_demo.json"
+        doc = json.loads(path.read_text())
+        doc["train"].update(optimizer="sgd", lr=1e6)
+        with pytest.raises(NonFiniteError, match="seed 0, cycle 1, phase embed"):
+            run_single_seed(experiment_from_dict(doc), 0)

@@ -54,6 +54,40 @@ class TestForward:
             assert np.array_equal(batch_out[i], single)
 
 
+@st.composite
+def stack_and_pool(draw):
+    """A random Linear/ReLU(/Softmax) stack, a pool of inputs for it, and
+    pool indices forming a subset in any order."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
+    layers = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        bias = gen.normal(size=n_out) if draw(st.booleans()) else None
+        layers += [nn.Linear(gen.normal(size=(n_out, n_in)), bias), nn.ReLU()]
+    layers.pop()
+    if draw(st.booleans()):
+        layers.append(nn.Softmax())
+    pool = gen.normal(0.0, 2.0, size=(draw(st.integers(10, 40)), widths[0]))
+    order = draw(st.permutations(range(len(pool))))
+    return layers, pool, order[:draw(st.integers(1, len(pool)))]
+
+
+class TestForwardTo:
+    @given(stack_and_pool())
+    @settings(max_examples=60)
+    def test_rows_do_not_depend_on_the_rest_of_the_pool(self, case):
+        layers, pool, subset = case
+        for boundary in range(1, len(layers) + 1):
+            model = nn.MlpModel(layers, feature_tap=boundary)
+            full = nn.forward_to(model, pool, boundary)
+            assert np.array_equal(nn.forward_to(model, pool[subset], boundary),
+                                  full[subset])
+            for i, x in enumerate(pool):
+                assert np.array_equal(nn.forward_to(model, x, boundary), full[i])
+            feature, _ = nn.forward(model, pool)
+            assert np.linalg.norm(full - feature) <= 1e-12 * np.linalg.norm(feature)
+
+
 class TestSoftmax:
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6))
     @settings(max_examples=50, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisestab.exceptions import ConfigError
+from noisestab.exceptions import ConfigError, NonFiniteError
 from noisestab.selection import (SelectionRequest, greedy_k_center,
                                  k_center_normalized, kmeans_pp, select,
                                  top_magnitude)
@@ -213,3 +213,10 @@ class TestDispatch:
     def test_ragged_embeddings_rejected(self):
         with pytest.raises(Exception):
             SelectionRequest(embeddings=[[1.0], [1.0, 2.0]], budget=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embeddings_rejected(self, bad):
+        with pytest.raises(NonFiniteError):
+            req([[1.0, 0.0], [bad, 2.0]], 1)
+        with pytest.raises(NonFiniteError):
+            req([[1.0, 0.0], [0.0, 2.0]], 1, seeds_from_labeled=[[bad, 0.0]])

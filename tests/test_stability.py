@@ -186,13 +186,21 @@ class TestPoolEmbeddings:
         for i, j in enumerate(perm):
             assert np.array_equal(shuffled[i].vector, base[j].vector)
 
-    def test_parallel_equals_sequential_bit_for_bit(self, trained_model):
-        pool = np.random.default_rng(5).normal(size=(11, 3))
-        cfg = NoiseConfig(samplings=12, seed=6)
-        seq = pool_embeddings(trained_model, pool, cfg, workers=None)
-        par = pool_embeddings(trained_model, pool, cfg, workers=4)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.vector, b.vector)
+    @pytest.mark.parametrize("pool_size", [1, 9, 50])
+    def test_one_forward_per_direction_over_the_whole_pool(
+            self, trained_model, monkeypatch, pool_size):
+        calls = []
+        forward_to = nn.forward_to
+
+        def counting(model, x, boundary):
+            calls.append(np.shape(x))
+            return forward_to(model, x, boundary)
+
+        monkeypatch.setattr(nn, "forward_to", counting)
+        pool = np.random.default_rng(5).normal(size=(pool_size, 3))
+        embs = pool_embeddings(trained_model, pool, NoiseConfig(samplings=7, seed=6))
+        assert len(embs) == pool_size
+        assert calls == [(pool_size, 3)] * 8
 
     def test_model_parameters_untouched(self, trained_model):
         before = nn.flatten_params(trained_model)
