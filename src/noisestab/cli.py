@@ -115,6 +115,13 @@ def _check_models(seed):
     return linear, mlp, scalar
 
 
+# Monte Carlo sizes: at K=12000 every embedding check's threshold sits at
+# least 4 standard deviations of its statistic away, and 50000 concentration
+# trials put the standard error far below the gap to the 0.05 threshold.
+CHECK_SAMPLINGS = 12000
+CONCENTRATION_TRIALS = 50000
+
+
 def run_check_suite(suite, seed):
     linear, mlp, scalar = _check_models(seed)
     x_lin = np.array([0.9, -0.4, 0.2, 0.7])
@@ -125,17 +132,21 @@ def run_check_suite(suite, seed):
         reports.append(theory.check_second_moment(10, 100000, seed))
         reports.append(theory.check_second_moment_trace(10, 137, seed))
     if suite in ("jacobian", "all"):
-        reports.append(theory.check_jacobian_norm(linear, x_lin, 5000, seed))
+        reports.append(theory.check_jacobian_norm(linear, x_lin, CHECK_SAMPLINGS,
+                                                  seed))
         reports.append(theory.check_jacobian_norm(
-            mlp, np.array([0.5, -1.0]), 5000, seed, tap=nn.TAP_PREDICTIVE))
+            mlp, np.array([0.5, -1.0]), CHECK_SAMPLINGS, seed,
+            tap=nn.TAP_PREDICTIVE))
     if suite in ("distance", "all"):
-        reports.append(theory.check_distance_equivalence(scalar, x_a, x_b, 5000, seed))
+        reports.append(theory.check_distance_equivalence(scalar, x_a, x_b,
+                                                         CHECK_SAMPLINGS, seed))
     if suite in ("inner", "all"):
-        reports.append(theory.check_inner_product_equivalence(scalar, x_a, x_b,
-                                                              5000, seed))
+        reports.append(theory.check_inner_product_equivalence(
+            scalar, x_a, x_b, CHECK_SAMPLINGS, seed))
     if suite in ("concentration", "all"):
-        for kind in ("magnitude", "distance", "inner_product"):
-            reports.append(theory.concentration_trial(kind, 200, 64, 0.5, 2000, seed))
+        for kind in theory.CONCENTRATION_KINDS:
+            reports.append(theory.concentration_trial(kind, 200, 64, 0.5,
+                                                      CONCENTRATION_TRIALS, seed))
             reports.append(theory.concentration_monotonicity(
                 kind, 200, [4, 8, 16, 32], 0.25, 400,
                 [seed + i for i in range(10)]))

@@ -231,6 +231,10 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
         train_cfg = replace(cfg.train, seed=derive_seed(run_seed, "train", cycle))
         curve = nn.train(model, (train_pool.inputs[pool_state.labeled],
                                  train_pool.targets[pool_state.labeled]), train_cfg)
+        if not (np.all(np.isfinite(curve))
+                and np.all(np.isfinite(nn.flatten_params(model)))):
+            raise NonFiniteError(f"seed {run_seed}, cycle {cycle}, phase train: "
+                                 "loss or parameters are NaN or infinite")
         metric_kind = "accuracy" if train_pool.task == "classification" else "mae"
         metric = evaluate(model, test, train_pool.task)
         budget = cfg.budget

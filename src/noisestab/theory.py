@@ -115,7 +115,7 @@ def check_jacobian_norm(model, x, samplings, seed, zeta=1e-4,
         return CheckReport.make("jacobian_norm", samplings, 0.0, threshold, seed,
                                 degenerate=True)
     emb = embedding(model, np.asarray(x, dtype=np.float64), perturbation_set(model, cfg))
-    emb_norm2 = float(emb.vector @ emb.vector)
+    emb_norm2 = float(np.add.reduce(emb.vector * emb.vector))
     stat = abs(emb_norm2 - frob2) / frob2
     return CheckReport.make("jacobian_norm", samplings, stat, threshold, seed,
                             embedding_norm2=emb_norm2, jacobian_frob2=frob2)
@@ -155,9 +155,9 @@ def check_inner_product_equivalence(model, x_i, x_j, samplings, seed, zeta=1e-4,
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS["inner_product"]
     e_i, e_j, j_i, j_j = _pair_embeddings(model, x_i, x_j, samplings, seed, zeta, tap)
-    lhs = float(e_i.vector @ e_j.vector)
+    lhs = float(np.add.reduce(e_i.vector * e_j.vector))
     rhs = float(np.sum(j_i * j_j))
-    denom = float(np.linalg.norm(j_i) * np.linalg.norm(j_j))
+    denom = float(np.sqrt(np.sum(j_i * j_i)) * np.sqrt(np.sum(j_j * j_j)))
     stat = abs(lhs - rhs) / max(denom, DENOM_FLOOR)
     return CheckReport.make("inner_product_equivalence", samplings, stat, threshold,
                             seed, projected=lhs, gradient=rhs)
@@ -175,18 +175,28 @@ def _trial_rng(seed, trial):
         np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, int(trial)])))
 
 
-def failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float:
-    """Fraction of independent trials violating the stated concentration bound.
+CONCENTRATION_KINDS = ("magnitude", "distance", "inner_product")
 
-    Each trial draws fresh gradient vectors and a fresh projection; trials use
-    derived per-trial streams, so the result is schedule-independent.
-    """
-    if kind not in ("magnitude", "distance", "inner_product"):
+
+def _check_concentration_args(kind, epsilon):
+    if kind not in CONCENTRATION_KINDS:
         raise ValueError(f"unknown concentration kind {kind!r}")
     if not 0.0 < epsilon < 1.0 and kind == "inner_product":
         raise ValueError("inner_product bound needs epsilon in (0, 1)")
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
+
+
+def failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float:
+    """Fraction of independent trials violating the stated concentration bound.
+
+    This is the direct reference simulation: each trial draws fresh
+    n-dimensional gradient vectors and a fresh K x n projection, on derived
+    per-trial streams, so the result is schedule-independent. The checks run
+    ``reduced_failure_fraction``, which has the same law at a fraction of the
+    cost.
+    """
+    _check_concentration_args(kind, epsilon)
     violations = 0
     for t in range(trials):
         gen = _trial_rng(seed, t)
@@ -216,6 +226,73 @@ def failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float:
     return violations / trials
 
 
+# Reduced samplers draw trials and pool vectors in arrays of at most this
+# many doubles.
+_BLOCK_DOUBLES = 2 ** 17
+
+
+def _chisquare(gen, df, size):
+    """Chi-square draws; zero degrees of freedom is the constant 0."""
+    return gen.chisquare(df, size) if df > 0 else np.zeros(size)
+
+
+def _sphere_coords(gen, n, coords, size):
+    """The first ``coords`` coordinates of ``size`` points uniform on the unit
+    sphere in R^n: (z_1..z_c) / sqrt(z_1^2 + ... + z_c^2 + chi^2_{n-c})."""
+    z = gen.standard_normal(size + (coords,))
+    rest = _chisquare(gen, n - coords, size)
+    return z / np.sqrt(np.add.reduce(z * z, axis=-1) + rest)[..., None]
+
+
+def _reduced_violations(kind, gen, n, samplings, epsilon, size) -> np.ndarray:
+    """Violation flags of ``size`` trials, sampled in the coordinates the
+    statistic depends on.
+
+    The rows of Q are sqrt(n/K) u_r with u_r i.i.d. uniform on the sphere and
+    independent of the gradients, and that law is invariant under rotation.
+    - magnitude: ||Qg|| / ||g|| = sqrt(n/K) ||a|| with a_r = u_r . g_hat, the
+      first coordinate of a uniform point: K normals and K chi^2_{n-1} draws.
+    - distance: g_i - g_j ~ N(0, 2I) is again an isotropic Gaussian, so the
+      ratio has the same law; the kind draws from its own stream.
+    - inner_product: in the frame (g_hat_i, g_hat_j) row r reads
+      (a_r1, c a_r1 + s a_r2), where (a_r1, a_r2) are the first two
+      coordinates of u_r, c = g_hat_i . g_hat_j is itself a first coordinate
+      and s = sqrt(1 - c^2). The sqrt(n/K) scale cancels in the cosine.
+    """
+    if kind == "inner_product":
+        c = _sphere_coords(gen, n, 1, (size,))[:, 0]
+        a = _sphere_coords(gen, n, 2, (size, samplings))
+        p_i = a[..., 0]
+        p_j = c[:, None] * p_i + np.sqrt(1.0 - c * c)[:, None] * a[..., 1]
+        cos_hat = np.add.reduce(p_i * p_j, axis=1) / np.sqrt(
+            np.add.reduce(p_i * p_i, axis=1) * np.add.reduce(p_j * p_j, axis=1))
+        lo = (c - epsilon) / (1.0 + epsilon) ** 2
+        hi = (c + epsilon) / (1.0 - epsilon) ** 2
+        return (cos_hat < lo) | (cos_hat > hi)
+    a = _sphere_coords(gen, n, 1, (size, samplings))[..., 0]
+    ratio = np.sqrt(n / samplings * np.add.reduce(a * a, axis=1))
+    return np.abs(ratio - 1.0) > epsilon
+
+
+def reduced_failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float:
+    """``failure_fraction`` sampled exactly in law from low-dimensional
+    coordinates (see ``_reduced_violations``), vectorised over blocks of
+    trials; one stream per (seed, kind)."""
+    _check_concentration_args(kind, epsilon)
+    if kind == "inner_product" and n < 2:
+        raise ValueError("inner_product bound needs n >= 2")
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        int(seed) & 0xFFFFFFFFFFFFFFFF,
+        spawn_key=(CONCENTRATION_KINDS.index(kind),))))
+    rows = max(1, _BLOCK_DOUBLES // (2 * samplings))
+    violations = 0
+    for start in range(0, trials, rows):
+        size = min(rows, trials - start)
+        violations += int(np.count_nonzero(
+            _reduced_violations(kind, gen, n, samplings, epsilon, size)))
+    return violations / trials
+
+
 def network_failure_fraction(model, x_pool, samplings, epsilon, trials, seed,
                              zeta=1e-4, tap=nn.TAP_FEATURE) -> float:
     """End-to-end cross-check of the magnitude bound: deviations come from the
@@ -238,10 +315,10 @@ def network_failure_fraction(model, x_pool, samplings, epsilon, trials, seed,
 
 def concentration_trial(kind, n, samplings, epsilon, trials, seed,
                         threshold=None) -> CheckReport:
-    """CheckReport wrapper around failure_fraction for one bound kind."""
+    """CheckReport wrapper around reduced_failure_fraction for one bound kind."""
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS["concentration"]
-    frac = failure_fraction(kind, n, samplings, epsilon, trials, seed)
+    frac = reduced_failure_fraction(kind, n, samplings, epsilon, trials, seed)
     return CheckReport.make(f"concentration_{kind}", trials, frac, threshold, seed,
                             n=n, samplings=samplings, epsilon=epsilon,
                             bound_form=CONCENTRATION_BOUND_FORM)
@@ -259,7 +336,8 @@ def concentration_monotonicity(kind, n, samplings_grid, epsilon, trials, seeds,
         threshold = DEFAULT_THRESHOLDS["concentration_monotonic"]
     means = []
     for k in samplings_grid:
-        fracs = [failure_fraction(kind, n, k, epsilon, trials, s) for s in seeds]
+        fracs = [reduced_failure_fraction(kind, n, k, epsilon, trials, s)
+                 for s in seeds]
         means.append(float(np.mean(fracs)))
     deltas = np.diff(means)
     stat = float(deltas.max()) if deltas.size else 0.0
@@ -268,19 +346,56 @@ def concentration_monotonicity(kind, n, samplings_grid, epsilon, trials, seeds,
                             epsilon=epsilon, mean_fractions=means)
 
 
-def _simultaneous_failure(n, pool_size, samplings, epsilon, trials, seed) -> float:
-    """Fraction of trials in which any of ``pool_size`` gradient vectors
-    violates the magnitude bound under one shared projection."""
-    failures = 0
+def _projection_spectrum(n, samplings, gen) -> np.ndarray:
+    """The m = min(K, n) squared singular values of a projection drawn like
+    ``_projection_matrix``.
+
+    For K <= n, Q Q^T = (n/K) D^-1/2 W D^-1/2, where W = G G^T is the Gram
+    matrix of the Gaussian rows and D its diagonal. W ~ Wishart_K(n, I) is
+    drawn by the Bartlett decomposition W = L L^T (L lower triangular,
+    L_ii^2 ~ chi^2_{n-i}, i = 0..K-1, and N(0, 1) below the diagonal), which
+    needs about K^2 draws instead of K n. For K > n, Q itself is drawn and the
+    eigenvalues of Q^T Q are used. Gram matrices are summed by ``np.einsum``,
+    which runs its own loops rather than BLAS, so the spectrum does not depend
+    on the BLAS thread count.
+    """
+    if samplings > n:
+        q = _projection_matrix(n, samplings, gen)
+        return np.linalg.eigvalsh(np.einsum("ki,kj->ij", q, q))
+    lower = np.tril(gen.standard_normal((samplings, samplings)), -1)
+    lower += np.diag(np.sqrt(gen.chisquare(n - np.arange(samplings))))
+    w = np.einsum("ik,jk->ij", lower, lower)
+    scale = 1.0 / np.sqrt(np.diag(w))
+    return np.linalg.eigvalsh(n / samplings * (w * scale[:, None] * scale[None, :]))
+
+
+def simultaneous_failures(n, pool_size, samplings, epsilon, trials, seed):
+    """Per trial, whether any of ``pool_size`` gradient vectors violates the
+    magnitude bound under one shared projection Q.
+
+    Exact in law without the pool's n-dimensional vectors: with lambda the
+    squared singular values of Q (``_projection_spectrum``) and
+    m = min(K, n), rotating g ~ N(0, I_n) into Q's right singular basis gives
+    ||Qg||^2 = sum_i lambda_i y_i^2 and ||g||^2 = sum_i y_i^2 + chi^2_{n-m},
+    with y ~ N(0, I_m). Pool vectors are drawn in blocks, and a trial stops at
+    its first violating block. Each trial has its own derived stream.
+    """
+    m = min(samplings, n)
+    rows = max(1, _BLOCK_DOUBLES // m)
     for t in range(trials):
         gen = _trial_rng(seed, t)
-        q = _projection_matrix(n, samplings, gen)
-        g = gen.standard_normal((pool_size, n))
-        z = g @ q.T
-        g_norm = np.linalg.norm(g, axis=1)
-        z_norm = np.linalg.norm(z, axis=1)
-        failures += bool(np.any(np.abs(z_norm - g_norm) > epsilon * g_norm))
-    return failures / trials
+        lam = _projection_spectrum(n, samplings, gen)
+        failed = False
+        for start in range(0, pool_size, rows):
+            size = min(rows, pool_size - start)
+            y2 = np.square(gen.standard_normal((size, m)))
+            g_norm = np.sqrt(np.add.reduce(y2, axis=1) + _chisquare(gen, n - m, size))
+            y2 *= lam
+            z_norm = np.sqrt(np.add.reduce(y2, axis=1))
+            if np.any(np.abs(z_norm - g_norm) > epsilon * g_norm):
+                failed = True
+                break
+        yield failed
 
 
 def sampling_efficiency_sweep(n, pool_sizes, epsilon, seed, target=0.05,
@@ -301,8 +416,17 @@ def sampling_efficiency_sweep(n, pool_sizes, epsilon, seed, target=0.05,
             eval_seed = np.random.SeedSequence(
                 [int(seed) & 0xFFFFFFFFFFFFFFFF, int(pool_size), int(k)]
             ).generate_state(1)[0]
-            return _simultaneous_failure(n, pool_size, k, epsilon, trials,
-                                         int(eval_seed)) >= target
+            failures = 0
+            outcomes = simultaneous_failures(n, pool_size, k, epsilon, trials,
+                                             int(eval_seed))
+            # stop as soon as the remaining trials cannot change the verdict
+            for done, failed in enumerate(outcomes, start=1):
+                failures += failed
+                if failures / trials >= target:
+                    return True
+                if (failures + trials - done) / trials < target:
+                    return False
+            return False
 
         lo = floor_k  # highest K known (or assumed) to fail, minus one step
         hi = max(floor_k, 1)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -112,6 +113,23 @@ class TestCheck:
         docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert code == 1
         assert any(not d["passed"] for d in docs)
+
+    def test_output_does_not_depend_on_blas_threads(self):
+        # the embedding vectors are long enough for BLAS to thread a dot
+        # product, which would change the statistics in their last bits
+        procs = {
+            (suite, threads): subprocess.Popen(
+                [sys.executable, "-m", "noisestab", "check", "--suite", suite,
+                 "--seed", "101"],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                stdout=subprocess.PIPE, text=True)
+            for suite in ("jacobian", "inner") for threads in ("1", "2")}
+        outs = {key: proc.communicate(timeout=300)[0]
+                for key, proc in procs.items()}
+        assert all(proc.returncode == 0 for proc in procs.values())
+        for suite in ("jacobian", "inner"):
+            assert outs[suite, "1"] == outs[suite, "2"]
+            assert outs[suite, "1"].strip()
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:

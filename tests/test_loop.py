@@ -209,12 +209,25 @@ class TestConfigValidation:
 
 
 class TestNonFiniteGuard:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverged_training_stops_before_selection(self):
-        # SGD at lr=1e6 drives the parameters to NaN in the first cycle; the
-        # NaN embeddings used to reach k-center and surface as a duplicate pick
+    @staticmethod
+    def diverging_config(**overrides):
+        # SGD at lr=1e6 drives the parameters to NaN in the first cycle
         path = Path(__file__).resolve().parent.parent / "configs" / "blobs_demo.json"
         doc = json.loads(path.read_text())
         doc["train"].update(optimizer="sgd", lr=1e6)
-        with pytest.raises(NonFiniteError, match="seed 0, cycle 1, phase embed"):
-            run_single_seed(experiment_from_dict(doc), 0)
+        doc.update(overrides)
+        return experiment_from_dict(doc)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_stops_before_selection(self):
+        # the NaN embeddings used to reach k-center and surface as a duplicate
+        # pick; training is now checked first
+        with pytest.raises(NonFiniteError, match="seed 0, cycle 1, phase train"):
+            run_single_seed(self.diverging_config(), 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_stops_a_strategy_that_never_embeds(self):
+        # random selection never embeds, so this run used to finish every
+        # cycle with a NaN loss curve
+        with pytest.raises(NonFiniteError, match="seed 0, cycle 1, phase train"):
+            run_single_seed(self.diverging_config(strategy="random"), 0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from noisestab import nn, theory
+from noisestab import cli, nn, theory
 from noisestab.stability import NoiseConfig, embedding, perturbation_set
 
 
@@ -166,6 +166,93 @@ class TestConcentration:
         pool = np.random.default_rng(13).normal(size=(8, 3))
         frac = theory.network_failure_fraction(model, pool, 64, 0.5, 60, seed=14)
         assert frac < 0.05
+
+
+def direct_simultaneous_failure(n, pool_size, samplings, epsilon, trials, seed):
+    """Reference for the sweep: fraction of trials in which any of
+    ``pool_size`` n-dimensional Gaussian vectors violates the magnitude bound
+    under one shared, explicitly drawn projection."""
+    failures = 0
+    for t in range(trials):
+        gen = theory._trial_rng(seed, t)
+        q = theory._projection_matrix(n, samplings, gen)
+        g = gen.standard_normal((pool_size, n))
+        z = g @ q.T
+        g_norm = np.linalg.norm(g, axis=1)
+        z_norm = np.linalg.norm(z, axis=1)
+        failures += bool(np.any(np.abs(z_norm - g_norm) > epsilon * g_norm))
+    return failures / trials
+
+
+def assert_same_rate(p_a, n_a, p_b, n_b):
+    # two independent estimates of one rate agree within 4 combined standard
+    # errors; a sampler with the wrong law misses by far more at these sizes
+    se = np.sqrt(p_a * (1 - p_a) / n_a + p_b * (1 - p_b) / n_b)
+    assert abs(p_a - p_b) <= 4 * se, (p_a, p_b, se)
+
+
+class TestReducedSamplers:
+    @pytest.mark.parametrize("kind, n, samplings, epsilon", [
+        ("magnitude", 50, 8, 0.25),     # rate ~0.31
+        ("magnitude", 3, 6, 0.3),       # ~0.11, chi^2 with two degrees of freedom
+        ("distance", 30, 16, 0.25),     # ~0.14
+        ("inner_product", 40, 8, 0.25),  # ~0.45
+        ("inner_product", 2, 8, 0.3),   # ~0.44, no chi^2 term left
+    ])
+    def test_matches_direct_failure_fraction(self, kind, n, samplings, epsilon):
+        direct = theory.failure_fraction(kind, n, samplings, epsilon, 3000, seed=31)
+        reduced = theory.reduced_failure_fraction(kind, n, samplings, epsilon,
+                                                  12000, seed=32)
+        assert 0.05 < reduced < 0.5
+        assert_same_rate(direct, 3000, reduced, 12000)
+
+    @pytest.mark.parametrize("n, pool_size, samplings, epsilon", [
+        (40, 16, 12, 0.5),  # K < n, rate ~0.14
+        (3, 2, 3, 0.5),     # K = n, small Bartlett degrees of freedom, ~0.16
+        (6, 8, 10, 0.3),    # K > n, rate ~0.52
+    ])
+    def test_sweep_sampler_matches_direct_loop(self, n, pool_size, samplings,
+                                              epsilon):
+        direct = direct_simultaneous_failure(n, pool_size, samplings, epsilon,
+                                             1500, seed=33)
+        reduced = float(np.mean(list(theory.simultaneous_failures(
+            n, pool_size, samplings, epsilon, 1500, seed=34))))
+        assert 0.05 < reduced < 0.6
+        assert_same_rate(direct, 1500, reduced, 1500)
+
+    @pytest.mark.parametrize("n, samplings", [(200, 24), (12, 12), (5, 9)])
+    def test_projection_spectrum_sums_to_n(self, n, samplings):
+        # trace(Q Q^T) = (n/K) * K exactly, for the Bartlett and direct paths
+        lam = theory._projection_spectrum(n, samplings, theory._trial_rng(3, 0))
+        assert lam.shape == (min(n, samplings),)
+        assert lam.sum() == pytest.approx(n, rel=1e-12)
+        assert lam.min() > -1e-12
+
+    def test_magnitude_and_distance_use_their_own_streams(self):
+        args = (50, 8, 0.25, 2000, 5)
+        assert (theory.reduced_failure_fraction("magnitude", *args)
+                != theory.reduced_failure_fraction("distance", *args))
+
+    def test_deterministic_per_seed(self):
+        a = theory.reduced_failure_fraction("inner_product", 100, 16, 0.4, 3000, 3)
+        b = theory.reduced_failure_fraction("inner_product", 100, 16, 0.4, 3000, 3)
+        assert a == b
+
+    def test_inner_product_needs_two_dimensions(self):
+        with pytest.raises(ValueError):
+            theory.reduced_failure_fraction("inner_product", 1, 4, 0.5, 10, 0)
+
+
+class TestCheckSuiteSeeds:
+    """Seeds at which the suite used to fail by chance, with 5000 samplings
+    for the embedding checks and 2000 concentration trials."""
+
+    def test_jacobian_suite_passes_at_seed_1000113(self):
+        assert all(r.passed for r in cli.run_check_suite("jacobian", 1000113))
+
+    @pytest.mark.parametrize("seed", [111, 116])
+    def test_concentration_suite_passes(self, seed):
+        assert all(r.passed for r in cli.run_check_suite("concentration", seed))
 
 
 class TestEfficiencySweep:
