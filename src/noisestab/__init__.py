@@ -23,9 +23,9 @@ from .nn import (MlpModel, TrainConfig, apply_perturbation, build_mlp,
                  train)
 from .selection import (SelectionRequest, greedy_k_center, k_center_normalized,
                         kmeans_pp, select, top_magnitude)
-from .stability import (DeviationEmbedding, NoiseConfig, PerturbationSet,
-                        deviation_block, dump_embeddings, embedding,
-                        pool_embeddings, sample_directions, uncertainty_score)
+from .stability import (NoiseConfig, PerturbationSet, deviation_block,
+                        dump_embeddings, embedding, pool_embeddings,
+                        sample_directions, uncertainty_score)
 from .theory import (CheckReport, check_distance_equivalence,
                      check_inner_product_equivalence, check_jacobian_norm,
                      check_second_moment, concentration_trial,

@@ -84,18 +84,17 @@ def badge_embedding(feature, probs):
     p = np.asarray(probs, dtype=np.float64)
     if z.ndim != 1 or p.ndim != 1:
         raise DataError("badge_embedding expects one feature vector and one distribution")
-    coeff = p.copy()
-    coeff[int(np.argmax(p))] -= 1.0
-    return (coeff[:, None] * z[None, :]).reshape(-1)
+    return badge_embeddings(z[None, :], p[None, :])[0]
 
 
 def badge_embeddings(features, probs):
-    """Row-wise badge_embedding over a pool."""
+    """badge_embedding of every (feature, distribution) row pair of a pool."""
     features = np.asarray(features, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     coeff = probs.copy()
     coeff[np.arange(coeff.shape[0]), np.argmax(probs, axis=1)] -= 1.0
-    return (coeff[:, :, None] * features[:, None, :]).reshape(features.shape[0], -1)
+    n, width = features.shape[0], probs.shape[1] * features.shape[1]
+    return (coeff[:, :, None] * features[:, None, :]).reshape(n, width)
 
 
 def select_badge(features, probs, budget, seed):

@@ -32,9 +32,11 @@ _TOP_KEYS = {"dataset", "model", "strategy", "cycles", "budget",
              "initial_labeled", "noise", "train", "seeds", "retrain_mode",
              "selector", "seed_from_labeled", "bald_samples"}
 _MODEL_KEYS = {"hidden", "dropout"}
-_NOISE_KEYS = {"zeta", "samplings", "seed", "tap", "scope"}
+# noise and training seeds are derived per run seed and cycle, and the
+# perturbation scope follows the tap, so none of them is settable
+_NOISE_KEYS = {"zeta", "samplings", "tap"}
 _TRAIN_KEYS = {"optimizer", "lr", "momentum", "weight_decay", "beta1", "beta2",
-               "eps", "epochs", "batch_size", "loss", "seed"}
+               "eps", "epochs", "batch_size", "loss"}
 
 
 def _check_keys(doc, allowed, where):
@@ -125,15 +127,13 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
         "budget": cfg.budget,
         "initial_labeled": cfg.initial_labeled,
         "noise": {"zeta": cfg.noise.zeta, "samplings": cfg.noise.samplings,
-                  "seed": cfg.noise.seed, "tap": cfg.noise.tap,
-                  "scope": cfg.noise.scope},
+                  "tap": cfg.noise.tap},
         "train": {"optimizer": cfg.train.optimizer, "lr": cfg.train.lr,
                   "momentum": cfg.train.momentum,
                   "weight_decay": cfg.train.weight_decay,
                   "beta1": cfg.train.beta1, "beta2": cfg.train.beta2,
                   "eps": cfg.train.eps, "epochs": cfg.train.epochs,
-                  "batch_size": cfg.train.batch_size, "loss": cfg.train.loss,
-                  "seed": cfg.train.seed},
+                  "batch_size": cfg.train.batch_size, "loss": cfg.train.loss},
         "seeds": list(cfg.seeds),
         "retrain_mode": cfg.retrain_mode,
         "selector": cfg.selector,

@@ -171,12 +171,10 @@ def evaluate(model, test: data.Dataset, task) -> float:
 def _noise_strategy_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
                           strategy_seed):
     noise_cfg = replace(cfg.noise, seed=noise_seed)
-    embs = stability.pool_embeddings(model, pool_x, noise_cfg)
-    matrix = np.vstack([e.vector for e in embs])
+    matrix = stability.pool_embeddings(model, pool_x, noise_cfg)
     seeds = None
     if cfg.seed_from_labeled and cfg.strategy == "noise_stability" and len(labeled_x):
-        labeled_embs = stability.pool_embeddings(model, labeled_x, noise_cfg)
-        seeds = np.vstack([e.vector for e in labeled_embs])
+        seeds = stability.pool_embeddings(model, labeled_x, noise_cfg)
     method = {"noise_stability": cfg.selector,
               "noise_stability_m": "top_magnitude",
               "noise_stability_d": "k_center_normalized"}[cfg.strategy]

@@ -465,7 +465,8 @@ def finite_diff_jacobian(model, x, tap=TAP_FEATURE, scope=SCOPE_FEATURE, h=1e-5)
 
 @dataclass
 class TrainConfig:
-    """Optimizer and loop settings for train()."""
+    """Optimizer and loop settings for train(). Experiment configs cannot set
+    ``seed``; the loop derives one per run seed and cycle."""
 
     optimizer: str = "adam"
     lr: float = 1e-3
@@ -562,22 +563,17 @@ class _AdamState:
 
 
 def train(model, labeled, cfg: TrainConfig):
-    """Mini-batch training in place; returns the per-epoch mean loss curve.
+    """Mini-batch training in place on the ``(X, y)`` array pair ``labeled``;
+    returns the per-epoch mean loss curve.
 
-    ``labeled`` is either a list of (x, y) pairs or an (X, y) array pair.
     Identical seed + data + config reproduce bit-identical final parameters.
     """
-    if isinstance(labeled, tuple) and len(labeled) == 2:
-        xs = np.asarray(labeled[0], dtype=np.float64)
-        ys = np.asarray(labeled[1])
-    else:
-        pairs = list(labeled)
-        if not pairs:
-            xs = np.zeros((0, 0))
-            ys = np.zeros(0)
-        else:
-            xs = np.asarray([np.asarray(p[0], dtype=np.float64) for p in pairs])
-            ys = np.asarray([p[1] for p in pairs])
+    xs, ys = labeled
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys)
+    if xs.ndim != 2 or ys.shape[:1] != xs.shape[:1]:
+        raise DimensionError("train expects an (X, y) pair: X of shape (N, D) "
+                             "and one target per row")
     n = xs.shape[0]
     if n == 0:
         if cfg.epochs > 0:

@@ -71,7 +71,7 @@ class CheckReport:
 
 def second_moment_matrix(n, samplings, seed) -> np.ndarray:
     """Empirical (1/K) sum of u u^T over K sampled unit directions."""
-    u = sample_directions(n, samplings, seed).directions
+    u = sample_directions(n, samplings, seed)
     return (u.T @ u) / samplings
 
 
@@ -115,7 +115,7 @@ def check_jacobian_norm(model, x, samplings, seed, zeta=1e-4,
         return CheckReport.make("jacobian_norm", samplings, 0.0, threshold, seed,
                                 degenerate=True)
     emb = embedding(model, np.asarray(x, dtype=np.float64), perturbation_set(model, cfg))
-    emb_norm2 = float(np.add.reduce(emb.vector * emb.vector))
+    emb_norm2 = float(np.add.reduce(emb * emb))
     stat = abs(emb_norm2 - frob2) / frob2
     return CheckReport.make("jacobian_norm", samplings, stat, threshold, seed,
                             embedding_norm2=emb_norm2, jacobian_frob2=frob2)
@@ -141,7 +141,7 @@ def check_distance_equivalence(model, x_i, x_j, samplings, seed, zeta=1e-4,
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS["distance"]
     e_i, e_j, j_i, j_j = _pair_embeddings(model, x_i, x_j, samplings, seed, zeta, tap)
-    lhs = float(np.sum((e_i.vector - e_j.vector) ** 2))
+    lhs = float(np.sum((e_i - e_j) ** 2))
     rhs = float(np.sum((j_i - j_j) ** 2))
     stat = abs(lhs - rhs) / max(rhs, DENOM_FLOOR)
     return CheckReport.make("distance_equivalence", samplings, stat, threshold, seed,
@@ -155,7 +155,7 @@ def check_inner_product_equivalence(model, x_i, x_j, samplings, seed, zeta=1e-4,
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS["inner_product"]
     e_i, e_j, j_i, j_j = _pair_embeddings(model, x_i, x_j, samplings, seed, zeta, tap)
-    lhs = float(np.add.reduce(e_i.vector * e_j.vector))
+    lhs = float(np.add.reduce(e_i * e_j))
     rhs = float(np.sum(j_i * j_j))
     denom = float(np.sqrt(np.sum(j_i * j_i)) * np.sqrt(np.sum(j_j * j_j)))
     stat = abs(lhs - rhs) / max(denom, DENOM_FLOOR)
@@ -297,19 +297,18 @@ def network_failure_fraction(model, x_pool, samplings, epsilon, trials, seed,
                              zeta=1e-4, tap=nn.TAP_FEATURE) -> float:
     """End-to-end cross-check of the magnitude bound: deviations come from the
     real network instead of a simulated projection, one input per trial."""
-    cfg_scope = NoiseConfig(zeta=zeta, samplings=samplings, seed=seed, tap=tap).scope
     x_pool = np.asarray(x_pool, dtype=np.float64)
     violations = 0
     for t in range(trials):
         x = x_pool[t % x_pool.shape[0]]
         cfg = NoiseConfig(zeta=zeta, samplings=samplings,
                           seed=int(_trial_rng(seed, t).integers(2**62)), tap=tap)
-        jac = nn.jacobian(model, x, tap=tap, scope=cfg_scope)
+        jac = nn.jacobian(model, x, tap=tap, scope=cfg.scope)
         grad_norm = float(np.linalg.norm(jac))
         if grad_norm == 0.0:
             continue
         emb = embedding(model, x, perturbation_set(model, cfg))
-        violations += abs(float(np.linalg.norm(emb.vector)) - grad_norm) > epsilon * grad_norm
+        violations += abs(float(np.linalg.norm(emb)) - grad_norm) > epsilon * grad_norm
     return violations / trials
 
 
@@ -403,14 +402,15 @@ def sampling_efficiency_sweep(n, pool_sizes, epsilon, seed, target=0.05,
     """Smallest K keeping the simultaneous failure probability below target,
     per pool size.
 
-    Each pool size's search is warm-started at the previous answer (the union
-    bound makes the requirement monotone in N), then doubled until passing and
-    bisected. Per-(N, K) evaluations use derived seeds, so the whole table is
-    deterministic. Returns a list of {"pool_size", "required_samplings"} rows;
-    sub-linear growth shows as K ratios far below pool-size ratios.
+    Each pool size is searched on its own from K=1: K doubles until it passes,
+    then the last failing and first passing K are bisected. No answer is
+    carried over from a smaller pool, so a table that rises with N is a
+    measured result, not an artefact of the search. Per-(N, K) evaluations
+    use derived seeds, so the whole table is deterministic. Returns a list of
+    {"pool_size", "required_samplings"} rows; sub-linear growth shows as K
+    ratios far below pool-size ratios.
     """
     table = []
-    floor_k = 1
     for pool_size in pool_sizes:
         def fails(k):
             eval_seed = np.random.SeedSequence(
@@ -428,8 +428,7 @@ def sampling_efficiency_sweep(n, pool_sizes, epsilon, seed, target=0.05,
                     return False
             return False
 
-        lo = floor_k  # highest K known (or assumed) to fail, minus one step
-        hi = max(floor_k, 1)
+        lo, hi = 0, 1  # lo: largest K seen to fail (K=0 always does)
         while fails(hi):
             lo = hi
             hi *= 2
@@ -440,7 +439,6 @@ def sampling_efficiency_sweep(n, pool_sizes, epsilon, seed, target=0.05,
             else:
                 hi = mid
         table.append({"pool_size": int(pool_size), "required_samplings": int(hi)})
-        floor_k = hi
     return table
 
 

@@ -65,6 +65,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match="k_dpp"):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize("section,key,value", [("noise", "seed", 3),
+                                                   ("noise", "scope", "all"),
+                                                   ("train", "seed", 3)],
+                             ids=["noise.seed", "noise.scope", "train.seed"])
+    def test_derived_seed_and_scope_keys_rejected(self, tmp_path, section, key,
+                                                  value):
+        # loop derives both seeds per run seed and cycle, and the scope
+        # follows the tap, so a value here could never change the output
+        path = tmp_path / "derived.json"
+        path.write_text(json.dumps(dict(MINIMAL, **{section: {key: value}})))
+        with pytest.raises(ConfigError, match=f"unknown key.* in {section}: "
+                                              f"\\['{key}'\\]"):
+            load_experiment_config(path)
+
 
 class TestManifestRoundtrip:
     def test_resolved_snapshot_reparses_to_the_same_config(self):

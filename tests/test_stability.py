@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisestab import nn, stability
-from noisestab.exceptions import ConfigError, InvalidStateError
-from noisestab.stability import (DeviationEmbedding, NoiseConfig,
-                                 deviation_block, dump_embeddings, embedding,
-                                 perturbation_set, pool_embeddings,
+from noisestab.exceptions import ConfigError, DimensionError, InvalidStateError
+from noisestab.stability import (NoiseConfig, deviation_block, dump_embeddings,
+                                 embedding, perturbation_set, pool_embeddings,
                                  sample_directions, uncertainty_score)
 
 
@@ -24,13 +25,14 @@ def feature_cfg(**kw):
 
 class TestSampleDirections:
     def test_rows_are_unit_norm(self):
-        pset = sample_directions(17, 64, seed=3)
-        norms = np.linalg.norm(pset.directions, axis=1)
+        u = sample_directions(17, 64, seed=3)
+        assert u.shape == (64, 17)
+        norms = np.linalg.norm(u, axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_same_seed_reproduces_directions(self):
-        a = sample_directions(9, 21, seed=5).directions
-        b = sample_directions(9, 21, seed=5).directions
+        a = sample_directions(9, 21, seed=5)
+        b = sample_directions(9, 21, seed=5)
         assert np.array_equal(a, b)
 
     def test_zero_dimension_rejected(self):
@@ -40,7 +42,7 @@ class TestSampleDirections:
     def test_second_moment_approaches_isotropy(self):
         # (1/K) sum u u^T -> I/n; modest K here, the tight version lives in
         # the theory checks
-        u = sample_directions(10, 20000, seed=11).directions
+        u = sample_directions(10, 20000, seed=11)
         m = (u.T @ u) / u.shape[0]
         target = np.eye(10) / 10
         rel = np.linalg.norm(m - target) / np.linalg.norm(target)
@@ -52,10 +54,6 @@ class TestNoiseConfig:
         assert NoiseConfig(tap=nn.TAP_FEATURE).scope == nn.SCOPE_FEATURE
         assert NoiseConfig(tap=nn.TAP_PREDICTIVE).scope == nn.SCOPE_ALL
         assert NoiseConfig(tap=nn.TAP_LOGITS).scope == nn.SCOPE_ALL
-
-    def test_contradictory_scope_rejected(self):
-        with pytest.raises(ConfigError):
-            NoiseConfig(tap=nn.TAP_FEATURE, scope=nn.SCOPE_ALL)
 
     def test_invalid_magnitude_rejected(self):
         with pytest.raises(ConfigError):
@@ -109,24 +107,24 @@ class TestEmbedding:
         x = np.array([0.2, -0.4, 0.1, 0.3])
         pset = perturbation_set(linear_model, feature_cfg(samplings=1, seed=6))
         emb = embedding(linear_model, x, pset)
-        assert np.allclose(emb.vector, np.sqrt(4.0) * emb.blocks[0])
+        assert np.allclose(emb, np.sqrt(4.0) * deviation_block(linear_model, x, pset, 0))
 
     def test_vector_length_is_samplings_times_width(self):
         model = nn.build_mlp(3, [10], 10, task="regression", seed=0)
         cfg = feature_cfg(samplings=30, seed=1)
         emb = embedding(model, np.array([0.5, -0.5, 1.0]),
                         perturbation_set(model, cfg))
-        assert emb.vector.shape == (300,)
-        assert emb.blocks.shape == (30, 10)
+        assert emb.shape == (300,)
 
     def test_matches_per_block_reference(self):
         model = nn.build_mlp(2, [6], 3, task="classification", seed=5)
         x = np.array([0.7, -0.9])
         cfg = NoiseConfig(samplings=5, seed=13, tap=nn.TAP_PREDICTIVE)
         pset = perturbation_set(model, cfg)
-        emb = embedding(model, x, pset)
+        scaled_blocks = embedding(model, x, pset).reshape(5, -1)
         for k in range(5):
-            assert np.array_equal(emb.blocks[k], deviation_block(model, x, pset, k))
+            assert np.array_equal(scaled_blocks[k], np.sqrt(pset.n / 5)
+                                  * deviation_block(model, x, pset, k))
 
     def test_linear_model_vector_is_scaled_projection(self, linear_model):
         # elementwise: vector entry k equals sqrt(n/K) * (u_k . x)
@@ -134,7 +132,7 @@ class TestEmbedding:
         pset = perturbation_set(linear_model, feature_cfg(samplings=12, seed=3))
         emb = embedding(linear_model, x, pset)
         expected = np.sqrt(4.0 / 12.0) * (pset.directions @ x)
-        assert np.abs(emb.vector - expected).max() < 1e-10
+        assert np.abs(emb - expected).max() < 1e-10
 
     def test_mean_squared_norm_tracks_jacobian_frobenius(self):
         model = nn.build_mlp(2, [8], 3, task="classification", seed=2)
@@ -144,18 +142,16 @@ class TestEmbedding:
         emb = embedding(model, x, perturbation_set(model, cfg))
         jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_ALL)
         frob2 = float((jac * jac).sum())
-        assert abs(float(emb.vector @ emb.vector) - frob2) / frob2 < 0.05
+        assert abs(float(emb @ emb) - frob2) / frob2 < 0.05
 
 
 class TestUncertaintyScore:
     def test_zero_embedding_scores_zero(self):
-        emb = DeviationEmbedding.from_blocks(np.zeros((4, 3)), n=7)
-        assert uncertainty_score(emb) == 0.0
+        assert uncertainty_score(np.zeros(12)) == 0.0
 
     def test_score_is_absolutely_homogeneous(self):
-        blocks = np.arange(12.0).reshape(4, 3)
-        e1 = DeviationEmbedding.from_blocks(blocks, n=5)
-        e2 = DeviationEmbedding.from_blocks(-2.5 * blocks, n=5)
+        e1 = np.arange(12.0)
+        e2 = -2.5 * e1
         assert uncertainty_score(e2) == pytest.approx(2.5 * uncertainty_score(e1))
 
     def test_linear_model_score_scales_with_input(self, linear_model):
@@ -174,7 +170,7 @@ class TestPoolEmbeddings:
     def test_identical_examples_get_identical_embeddings(self, trained_model):
         pool = np.array([[0.5, -0.2, 0.8], [1.0, 0.0, -1.0], [0.5, -0.2, 0.8]])
         embs = pool_embeddings(trained_model, pool, NoiseConfig(samplings=6, seed=2))
-        assert np.array_equal(embs[0].vector, embs[2].vector)
+        assert np.array_equal(embs[0], embs[2])
 
     def test_permuting_pool_permutes_embeddings(self, trained_model):
         gen = np.random.default_rng(3)
@@ -184,7 +180,7 @@ class TestPoolEmbeddings:
         base = pool_embeddings(trained_model, pool, cfg)
         shuffled = pool_embeddings(trained_model, pool[perm], cfg)
         for i, j in enumerate(perm):
-            assert np.array_equal(shuffled[i].vector, base[j].vector)
+            assert np.array_equal(shuffled[i], base[j])
 
     @pytest.mark.parametrize("pool_size", [1, 9, 50])
     def test_one_forward_per_direction_over_the_whole_pool(
@@ -207,9 +203,35 @@ class TestPoolEmbeddings:
         pool_embeddings(trained_model, np.ones((4, 3)), NoiseConfig(samplings=3, seed=7))
         assert np.array_equal(nn.flatten_params(trained_model), before)
 
-    def test_empty_pool_returns_empty_list(self, trained_model):
-        assert pool_embeddings(trained_model, np.zeros((0, 3)),
-                               NoiseConfig(samplings=3, seed=8)) == []
+    def test_empty_pool_returns_zero_row_matrix(self, trained_model):
+        embs = pool_embeddings(trained_model, np.zeros((0, 3)),
+                               NoiseConfig(samplings=3, seed=8))
+        assert embs.shape == (0, 3 * 2)
+
+    def test_single_example_vector_rejected(self, trained_model):
+        with pytest.raises(DimensionError, match="embedding"):
+            pool_embeddings(trained_model, np.zeros(3), NoiseConfig(samplings=3))
+
+    @given(pool_size=st.integers(0, 12), samplings=st.integers(1, 6),
+           tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(pool_size=0, samplings=3, tap=nn.TAP_PREDICTIVE, seed=0)
+    @example(pool_size=1, samplings=3, tap=nn.TAP_FEATURE, seed=1)
+    @settings(max_examples=30)
+    def test_rows_equal_single_example_embeddings(self, pool_size, samplings,
+                                                  tap, seed):
+        model = nn.build_mlp(3, [5], 3, task="classification", seed=seed)
+        pool = np.random.default_rng(seed).normal(size=(pool_size, 3))
+        cfg = NoiseConfig(samplings=samplings, seed=seed, tap=tap)
+        embs = pool_embeddings(model, pool, cfg)
+        width = 5 if tap == nn.TAP_FEATURE else 3
+        assert embs.shape == (pool_size, samplings * width)
+        pset = perturbation_set(model, cfg)
+        scale = np.sqrt(pset.n / samplings)
+        for i, x in enumerate(pool):
+            assert np.array_equal(embs[i], embedding(model, x, pset))
+            blocks = [deviation_block(model, x, pset, k) for k in range(samplings)]
+            assert np.array_equal(embs[i], scale * np.concatenate(blocks))
 
     def test_embeddings_independent_of_pool_composition(self, trained_model):
         cfg = NoiseConfig(samplings=4, seed=9)
@@ -217,7 +239,7 @@ class TestPoolEmbeddings:
         alone = pool_embeddings(trained_model, x[None, :], cfg)[0]
         crowd = pool_embeddings(
             trained_model, np.vstack([np.eye(3), x[None, :]]), cfg)[3]
-        assert np.array_equal(alone.vector, crowd.vector)
+        assert np.array_equal(alone, crowd)
 
 
 class TestZetaRobustness:
@@ -255,4 +277,4 @@ class TestDump:
             assert token in lines[0]
         assert len(lines) == 3
         row = np.array([float(v) for v in lines[1].split(",")])
-        assert np.array_equal(row, embs[0].vector)
+        assert np.array_equal(row, embs[0])

@@ -71,12 +71,11 @@ class TestJacobianNorm:
         x = np.array([0.7, -0.3])
         cfg = NoiseConfig(zeta=1e-4, samplings=64, seed=9, tap=nn.TAP_PREDICTIVE)
         emb = embedding(model, x, perturbation_set(model, cfg))
-        total = float(emb.vector @ emb.vector)
+        total = float(emb @ emb)
+        scaled_blocks = emb.reshape(cfg.samplings, -1)
         per_coord = 0.0
-        k = emb.blocks.shape[0]
-        n = model.n_params(nn.SCOPE_ALL)
-        for c in range(emb.blocks.shape[1]):
-            coord_vec = np.sqrt(n / k) * emb.blocks[:, c]
+        for c in range(scaled_blocks.shape[1]):
+            coord_vec = scaled_blocks[:, c]
             per_coord += float(coord_vec @ coord_vec)
         assert total == pytest.approx(per_coord, rel=1e-12)
 
@@ -267,6 +266,14 @@ class TestEfficiencySweep:
         report = theory.efficiency_report(100, [8, 64], 0.5, seed=6, trials=120)
         assert report.statistic < 8.0
         assert report.passed
+
+    def test_each_pool_size_is_searched_from_k_one(self):
+        # check seed 102: per-K verdicts are Monte Carlo and not monotone in K
+        # (26 passes at pool 256, 27 fails), so starting each search at the
+        # previous pool size's answer read [24, 28, 32] here
+        table = theory.sampling_efficiency_sweep(200, [128, 256, 512], 0.5,
+                                                 seed=102)
+        assert [row["required_samplings"] for row in table] == [24, 26, 30]
 
     def test_sweep_is_deterministic(self):
         a = theory.sampling_efficiency_sweep(100, [4, 32], 0.5, seed=7, trials=100)
