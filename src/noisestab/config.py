@@ -45,6 +45,15 @@ def _check_keys(doc, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _check_type(value, kind, name):
+    """Reject a value that is not a JSON integer (``int``; ``bool`` is not
+    one) or boolean (``bool``), so "15", 2.7 or "false" never load as a
+    different value."""
+    if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+        what = "boolean" if kind is bool else "integer"
+        raise ConfigError(f"{name} must be a JSON {what}, got {value!r}")
+
+
 def experiment_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -67,12 +76,17 @@ def experiment_from_dict(doc: dict) -> ExperimentConfig:
 
     noise_doc = dict(doc.get("noise", {}))
     _check_keys(noise_doc, _NOISE_KEYS, "noise")
+    if "samplings" in noise_doc:
+        _check_type(noise_doc["samplings"], int, "noise.samplings")
     if "tap" not in noise_doc:
         noise_doc["tap"] = "predictive" if task == "classification" else "feature"
     noise = NoiseConfig(**noise_doc)
 
     train_doc = dict(doc.get("train", {}))
     _check_keys(train_doc, _TRAIN_KEYS, "train")
+    for key in ("epochs", "batch_size"):
+        if key in train_doc:
+            _check_type(train_doc[key], int, f"train.{key}")
     if "loss" not in train_doc:
         train_doc["loss"] = ("cross_entropy" if task == "classification"
                              else "squared_error")
@@ -85,24 +99,32 @@ def experiment_from_dict(doc: dict) -> ExperimentConfig:
     if strategy in ("entropy", "badge", "bald_mcdropout") and task != "classification":
         raise ConfigError(f"strategy {strategy!r} needs a classification task")
 
+    for key, kind in (("cycles", int), ("budget", int), ("initial_labeled", int),
+                      ("bald_samples", int), ("seed_from_labeled", bool)):
+        if key in doc:
+            _check_type(doc[key], kind, key)
+    if not isinstance(doc["seeds"], list):
+        raise ConfigError(f"seeds must be a JSON list, got {doc['seeds']!r}")
     seeds = list(doc["seeds"])
     if not seeds:
         raise ConfigError("seeds list must not be empty")
+    for i, seed in enumerate(seeds):
+        _check_type(seed, int, f"seeds[{i}]")
 
     return ExperimentConfig(
         dataset=dataset,
         model=model,
         strategy=strategy,
-        cycles=int(doc["cycles"]),
-        budget=int(doc["budget"]),
-        initial_labeled=int(doc["initial_labeled"]),
+        cycles=doc["cycles"],
+        budget=doc["budget"],
+        initial_labeled=doc["initial_labeled"],
         noise=noise,
         train=train,
-        seeds=[int(s) for s in seeds],
+        seeds=seeds,
         retrain_mode=doc.get("retrain_mode", "from_scratch"),
         selector=selector,
-        seed_from_labeled=bool(doc.get("seed_from_labeled", False)),
-        bald_samples=int(doc.get("bald_samples", 50)),
+        seed_from_labeled=doc.get("seed_from_labeled", False),
+        bald_samples=doc.get("bald_samples", 50),
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines, data, nn, stability
 from .exceptions import ConfigError, DataError, InvalidStateError, NonFiniteError
 from .seeding import derive_seed, rng
-from .selection import SelectionRequest, select
+from .selection import SEEDED_METHODS, SelectionRequest, select
 
 RETRAIN_MODES = ("from_scratch", "warm_start")
 
@@ -170,17 +170,19 @@ def evaluate(model, test: data.Dataset, task) -> float:
 
 def _noise_strategy_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
                           strategy_seed):
-    noise_cfg = replace(cfg.noise, seed=noise_seed)
-    matrix = stability.pool_embeddings(model, pool_x, noise_cfg)
-    seeds = None
-    if cfg.seed_from_labeled and cfg.strategy == "noise_stability" and len(labeled_x):
-        seeds = stability.pool_embeddings(model, labeled_x, noise_cfg)
     method = {"noise_stability": cfg.selector,
               "noise_stability_m": "top_magnitude",
               "noise_stability_d": "k_center_normalized"}[cfg.strategy]
-    req = SelectionRequest(embeddings=matrix, budget=budget,
-                           seeds_from_labeled=seeds, seed=strategy_seed,
-                           method=method)
+    seeded = (cfg.seed_from_labeled and cfg.strategy == "noise_stability"
+              and method in SEEDED_METHODS and len(labeled_x) > 0)
+    # a row does not depend on the other rows of the call, so embedding the
+    # labeled rows below the pool gives the bytes of a separate call
+    rows = np.vstack([pool_x, labeled_x]) if seeded else pool_x
+    matrix = stability.pool_embeddings(model, rows, replace(cfg.noise, seed=noise_seed))
+    n = len(pool_x)
+    req = SelectionRequest(embeddings=matrix[:n], budget=budget,
+                           seeds_from_labeled=matrix[n:] if seeded else None,
+                           seed=strategy_seed, method=method)
     return select(req)
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from .exceptions import ConfigError, DimensionError, NonFiniteError
 
 METHODS = ("k_center", "kmeans_pp", "top_magnitude", "k_center_normalized")
+# the methods that start from ``seeds_from_labeled``; the others ignore it
+SEEDED_METHODS = ("k_center", "k_center_normalized")
 
 
 @dataclass
@@ -35,6 +37,8 @@ class SelectionRequest:
             self.seeds_from_labeled = np.asarray(self.seeds_from_labeled, dtype=np.float64)
             if self.seeds_from_labeled.size == 0:
                 self.seeds_from_labeled = None
+            elif self.seeds_from_labeled.ndim != 2:
+                raise DimensionError("labeled embeddings must form an (M, L) matrix")
             elif self.seeds_from_labeled.shape[1] != self.embeddings.shape[1]:
                 raise DimensionError("labeled embeddings must match the pool embedding length")
             elif not np.isfinite(self.seeds_from_labeled).all():
@@ -47,8 +51,39 @@ class SelectionRequest:
             raise ConfigError(f"unknown selection method {self.method!r}")
 
 
-def _distances_to(points, center):
-    return np.linalg.norm(points - center[None, :], axis=1)
+# float64 entries per block of differences (256 KiB): the block stays in cache
+# while it is squared and summed, where one (N, L) difference matrix would not.
+# Counting entries, not rows, gives narrow and wide embeddings alike blocks of
+# that size.
+_BLOCK_ENTRIES = 32768
+
+
+class _Distances:
+    """Euclidean distances from every row of an (N, L) matrix to a center.
+
+    Owns a block of B = _BLOCK_ENTRIES // L difference rows and the (N,)
+    result, so a selection call allocates them once, not on every pick. ``to``
+    returns the result buffer, which its next call overwrites. Each row is
+    squared, summed with ``np.add.reduce`` and square-rooted, which is how
+    ``np.linalg.norm(d, axis=1)`` computes it, so the distances keep their
+    bits whatever the block size.
+    """
+
+    def __init__(self, points):
+        self.points = points
+        width = max(1, points.shape[1])
+        self.block = min(max(1, _BLOCK_ENTRIES // width), points.shape[0])
+        self.diff = np.empty((self.block, points.shape[1]))
+        self.out = np.empty(points.shape[0])
+
+    def to(self, center):
+        for start in range(0, self.points.shape[0], self.block):
+            rows = self.points[start:start + self.block]
+            d = self.diff[:rows.shape[0]]
+            np.subtract(rows, center, out=d)
+            np.multiply(d, d, out=d)
+            np.add.reduce(d, axis=1, out=self.out[start:start + rows.shape[0]])
+        return np.sqrt(self.out, out=self.out)
 
 
 def greedy_k_center(req: SelectionRequest):
@@ -61,19 +96,20 @@ def greedy_k_center(req: SelectionRequest):
     x = req.embeddings
     if req.budget == 0:
         return []
+    dist = _Distances(x)
     picks = []
     if req.seeds_from_labeled is not None:
         min_dist = np.full(x.shape[0], np.inf)
         for center in req.seeds_from_labeled:
-            np.minimum(min_dist, _distances_to(x, center), out=min_dist)
+            np.minimum(min_dist, dist.to(center), out=min_dist)
     else:
         first = int(np.argmax(np.linalg.norm(x, axis=1)))
         picks.append(first)
-        min_dist = _distances_to(x, x[first])
+        min_dist = dist.to(x[first]).copy()
     while len(picks) < req.budget:
         nxt = int(np.argmax(min_dist))
         picks.append(nxt)
-        np.minimum(min_dist, _distances_to(x, x[nxt]), out=min_dist)
+        np.minimum(min_dist, dist.to(x[nxt]), out=min_dist)
     return picks
 
 
@@ -91,7 +127,8 @@ def kmeans_pp(req: SelectionRequest):
     picks = [first]
     chosen = np.zeros(n, dtype=bool)
     chosen[first] = True
-    d2 = _distances_to(x, x[first]) ** 2
+    dist = _Distances(x)
+    d2 = dist.to(x[first]) ** 2
     while len(picks) < req.budget:
         total = d2.sum()
         if total <= 0.0:
@@ -101,7 +138,8 @@ def kmeans_pp(req: SelectionRequest):
             nxt = int(gen.choice(n, p=d2 / total))
         picks.append(nxt)
         chosen[nxt] = True
-        np.minimum(d2, _distances_to(x, x[nxt]) ** 2, out=d2)
+        step = dist.to(x[nxt])
+        np.minimum(d2, np.square(step, out=step), out=d2)
         d2[chosen] = 0.0
     return picks
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -78,6 +79,28 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"unknown key.* in {section}: "
                                               f"\\['{key}'\\]"):
             load_experiment_config(path)
+
+    @pytest.mark.parametrize("path,value", [
+        ("cycles", 2.7), ("budget", "15"), ("initial_labeled", True),
+        ("bald_samples", 50.0), ("seeds.0", 1.0), ("noise.samplings", 30.5),
+        ("train.epochs", 2.5), ("train.batch_size", "32"),
+        ("seed_from_labeled", "false"), ("seed_from_labeled", 0)])
+    def test_mistyped_number_or_flag_rejected_naming_the_key(self, path, value):
+        # each of these used to load as another value, or to fail only once
+        # the run reached training or embedding
+        doc = json.loads(json.dumps(MINIMAL))
+        *parents, key = path.split(".")
+        target = doc
+        for name in parents:
+            target = target.setdefault(name, {})
+        target[int(key) if key.isdigit() else key] = value
+        name = path.replace(".0", "[0]")
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be a JSON"):
+            experiment_from_dict(doc)
+
+    def test_seeds_must_be_a_list(self):
+        with pytest.raises(ConfigError, match="seeds must be a JSON list"):
+            experiment_from_dict(dict(MINIMAL, seeds=5))
 
 
 class TestManifestRoundtrip:

@@ -1,15 +1,21 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisestab import nn
+from noisestab import cli, loop, nn, stability
 from noisestab.config import experiment_from_dict
 from noisestab.exceptions import (ConfigError, DataError, InvalidStateError,
                                   NonFiniteError)
 from noisestab.loop import (CycleReport, PoolState, aggregate_runs, evaluate,
                             run_active_learning, run_single_seed)
+from noisestab.selection import SelectionRequest, select
+
+BLOBS_DEMO = Path(__file__).resolve().parent.parent / "configs" / "blobs_demo.json"
 
 
 def blob_config(**overrides):
@@ -48,6 +54,42 @@ class TestPoolState:
         pool = PoolState(labeled=[], unlabeled=[1, 2])
         with pytest.raises(InvalidStateError):
             pool.acquire([1, 1])
+
+    @given(pool_size=st.integers(1, 40), initial=st.integers(0, 40),
+           steps=st.lists(st.tuples(st.sampled_from(["valid", "labeled",
+                                                     "repeat", "outside"]),
+                                    st.integers(0, 8), st.integers(0, 2**31 - 1)),
+                          max_size=12))
+    @settings(max_examples=60)
+    def test_random_acquire_sequences_keep_the_invariants(self, pool_size,
+                                                          initial, steps):
+        pool = PoolState.initial(pool_size, min(initial, pool_size),
+                                 np.random.default_rng(pool_size))
+        for kind, size, seed in steps:
+            gen = np.random.default_rng(seed)
+            free = pool.unlabeled
+            picks = [int(i) for i in
+                     gen.permutation(free)[:min(size, len(free))]]
+            if kind == "labeled" and pool.labeled:
+                picks.append(int(gen.choice(pool.labeled)))
+            elif kind == "repeat" and picks:
+                picks.append(picks[int(gen.integers(len(picks)))])
+            elif kind == "outside":
+                picks.append(int(gen.choice([-1, pool_size, pool_size + 7])))
+            else:
+                kind = "valid"
+            before = (list(pool.labeled), list(pool.unlabeled), len(pool.history))
+            if kind == "valid":
+                pool.acquire(picks)
+                assert pool.history[-1] == picks
+            else:
+                with pytest.raises(InvalidStateError):
+                    pool.acquire(picks)
+                assert (pool.labeled, pool.unlabeled, len(pool.history)) == before
+            pool.check_invariants(pool_size)
+            assert pool.labeled == sorted(pool.labeled)
+            assert pool.unlabeled == sorted(pool.unlabeled)
+            assert not set(pool.labeled) & set(pool.unlabeled)
 
 
 class TestRunActiveLearning:
@@ -127,6 +169,60 @@ class TestRunActiveLearning:
         warm = run_single_seed(blob_config(retrain_mode="warm_start"), 11)
         assert scratch[0].metric == warm[0].metric  # same first training
         assert scratch[1].loss_curve != warm[1].loss_curve
+
+
+def separate_calls_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
+                         strategy_seed):
+    """``loop._noise_strategy_picks`` as first written: the labeled set is
+    embedded by a second ``pool_embeddings`` call."""
+    noise_cfg = replace(cfg.noise, seed=noise_seed)
+    matrix = stability.pool_embeddings(model, pool_x, noise_cfg)
+    seeds = None
+    if cfg.seed_from_labeled and cfg.strategy == "noise_stability" and len(labeled_x):
+        seeds = stability.pool_embeddings(model, labeled_x, noise_cfg)
+    method = {"noise_stability": cfg.selector,
+              "noise_stability_m": "top_magnitude",
+              "noise_stability_d": "k_center_normalized"}[cfg.strategy]
+    return select(SelectionRequest(embeddings=matrix, budget=budget,
+                                   seeds_from_labeled=seeds, seed=strategy_seed,
+                                   method=method))
+
+
+class TestSeedFromLabeled:
+    @pytest.mark.parametrize("selector,seeded", [("k_center", True),
+                                                 ("k_center_normalized", True),
+                                                 ("kmeans_pp", False),
+                                                 ("top_magnitude", False)])
+    def test_one_pool_embeddings_call_per_cycle(self, monkeypatch, selector,
+                                                seeded):
+        calls = []
+        real = stability.pool_embeddings
+
+        def counting(model, pool, cfg):
+            calls.append(len(pool))
+            return real(model, pool, cfg)
+
+        monkeypatch.setattr(stability, "pool_embeddings", counting)
+        cfg = blob_config(strategy="noise_stability", seed_from_labeled=True,
+                          selector=selector)
+        run_single_seed(cfg, 0)
+        # the labeled rows ride along only for the selectors that use them
+        pool_size = 90
+        unlabeled = [pool_size - 9 - 6 * c for c in range(cfg.cycles)]
+        assert calls == ([pool_size] * cfg.cycles if seeded else unlabeled)
+
+    def test_reports_equal_separate_embedding_calls_byte_for_byte(
+            self, monkeypatch, tmp_path):
+        doc = json.loads(BLOBS_DEMO.read_text())
+        doc["seed_from_labeled"] = True
+        config = tmp_path / "seeded.json"
+        config.write_text(json.dumps(doc))
+        argv = ["run", str(config), "--seeds", "0", "--out"]
+        assert cli.main(argv + [str(tmp_path / "stacked")]) == 0
+        monkeypatch.setattr(loop, "_noise_strategy_picks", separate_calls_picks)
+        assert cli.main(argv + [str(tmp_path / "separate")]) == 0
+        stacked = (tmp_path / "stacked" / "reports.jsonl").read_bytes()
+        assert stacked == (tmp_path / "separate" / "reports.jsonl").read_bytes()
 
 
 class TestEvaluate:
@@ -212,8 +308,7 @@ class TestNonFiniteGuard:
     @staticmethod
     def diverging_config(**overrides):
         # SGD at lr=1e6 drives the parameters to NaN in the first cycle
-        path = Path(__file__).resolve().parent.parent / "configs" / "blobs_demo.json"
-        doc = json.loads(path.read_text())
+        doc = json.loads(BLOBS_DEMO.read_text())
         doc["train"].update(optimizer="sgd", lr=1e6)
         doc.update(overrides)
         return experiment_from_dict(doc)

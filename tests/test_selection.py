@@ -2,13 +2,66 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisestab.exceptions import ConfigError, NonFiniteError
+from noisestab import selection
+from noisestab.exceptions import ConfigError, DimensionError, NonFiniteError
 from noisestab.selection import (SelectionRequest, greedy_k_center,
                                  k_center_normalized, kmeans_pp, select,
                                  top_magnitude)
+
+
+def reference_distances_to(points, center):
+    return np.linalg.norm(points - center[None, :], axis=1)
+
+
+def reference_greedy_k_center(req):
+    """Greedy k-center as first written, one fresh difference matrix per
+    pick; the buffered kernel must reproduce its picks exactly."""
+    x = req.embeddings
+    if req.budget == 0:
+        return []
+    picks = []
+    if req.seeds_from_labeled is not None:
+        min_dist = np.full(x.shape[0], np.inf)
+        for center in req.seeds_from_labeled:
+            np.minimum(min_dist, reference_distances_to(x, center), out=min_dist)
+    else:
+        first = int(np.argmax(np.linalg.norm(x, axis=1)))
+        picks.append(first)
+        min_dist = reference_distances_to(x, x[first])
+    while len(picks) < req.budget:
+        nxt = int(np.argmax(min_dist))
+        picks.append(nxt)
+        np.minimum(min_dist, reference_distances_to(x, x[nxt]), out=min_dist)
+    return picks
+
+
+def reference_kmeans_pp(req):
+    """kmeans++ seeding as first written (see reference_greedy_k_center)."""
+    x = req.embeddings
+    if req.budget == 0:
+        return []
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(req.seed)))
+    n = x.shape[0]
+    first = int(gen.integers(n))
+    picks = [first]
+    chosen = np.zeros(n, dtype=bool)
+    chosen[first] = True
+    d2 = reference_distances_to(x, x[first]) ** 2
+    while len(picks) < req.budget:
+        total = d2.sum()
+        if total <= 0.0:
+            candidates = np.flatnonzero(~chosen)
+            nxt = int(candidates[gen.integers(candidates.size)])
+        else:
+            nxt = int(gen.choice(n, p=d2 / total))
+        picks.append(nxt)
+        chosen[nxt] = True
+        np.minimum(d2, reference_distances_to(x, x[nxt]) ** 2, out=d2)
+        d2[chosen] = 0.0
+    return picks
 
 
 def covering_radius(points, center_indices):
@@ -195,6 +248,61 @@ class TestKCenterNormalized:
         assert picks[2:] == [0, 3]
 
 
+class TestBufferedDistances:
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (9, 8), (40, 120),
+                                       (3, 1000)])
+    def test_norm_is_sqrt_of_row_reduce_bit_for_bit(self, shape):
+        # the buffered kernel computes sqrt(add.reduce(d * d, axis=1)); it
+        # keeps the reference's bits only because np.linalg.norm does too
+        d = np.random.default_rng(shape[1]).normal(size=shape) * 1e3
+        assert np.array_equal(np.linalg.norm(d, axis=1),
+                              np.sqrt(np.add.reduce(d * d, axis=1)))
+
+    @given(n=st.integers(1, 600), width=st.integers(1, 130),
+           distinct=st.integers(1, 600), grid=st.booleans(),
+           labeled=st.integers(0, 12),
+           block=st.sampled_from(["1", "3", "default", "n"]),
+           budget_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=25)
+    # pools across the default block boundary, with ties and with seeds
+    @example(n=600, width=130, distinct=40, grid=True, labeled=5,
+             block="default", budget_frac=0.5, seed=1)
+    @example(n=257, width=130, distinct=257, grid=False, labeled=0,
+             block="default", budget_frac=1.0, seed=2)
+    def test_picks_equal_the_reference_for_any_block(
+            self, n, width, distinct, grid, labeled, block, budget_frac, seed):
+        gen = np.random.default_rng(seed)
+        distinct = min(distinct, n)
+        # small-integer rows make exact distance ties; repeated rows make
+        # zero distances
+        base = (gen.integers(-2, 3, size=(distinct, width)).astype(float) if grid
+                else gen.normal(size=(distinct, width)))
+        points = base[gen.integers(distinct, size=n)]
+        seeds = base[gen.integers(distinct, size=labeled)] if labeled else None
+        budget = int(round(budget_frac * n))
+        methods = ("k_center", "kmeans_pp", "k_center_normalized")
+        requests = {m: req(points, budget, seeds_from_labeled=seeds, seed=seed,
+                           method=m) for m in methods}
+        # one entry per block still makes one-row blocks
+        entries = {"1": 1, "3": 3 * width,
+                   "n": (n + int(gen.integers(0, 3))) * width}.get(block)
+        with pytest.MonkeyPatch.context() as mp:
+            if entries is not None:
+                mp.setattr(selection, "_BLOCK_ENTRIES", entries)
+            center = points[int(gen.integers(n))]
+            assert np.array_equal(selection._Distances(points).to(center),
+                                  reference_distances_to(points, center))
+            picks = {m: select(r) for m, r in requests.items()}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "greedy_k_center", reference_greedy_k_center)
+            normalized = k_center_normalized(requests["k_center_normalized"])
+        assert picks == {
+            "k_center": reference_greedy_k_center(requests["k_center"]),
+            "kmeans_pp": reference_kmeans_pp(requests["kmeans_pp"]),
+            "k_center_normalized": normalized,
+        }
+
+
 class TestDispatch:
     def test_select_routes_by_method(self):
         points = [[3.0], [1.0], [2.0]]
@@ -213,6 +321,11 @@ class TestDispatch:
     def test_ragged_embeddings_rejected(self):
         with pytest.raises(Exception):
             SelectionRequest(embeddings=[[1.0], [1.0, 2.0]], budget=1)
+
+    def test_one_dimensional_labeled_seeds_rejected(self):
+        with pytest.raises(DimensionError, match="labeled"):
+            SelectionRequest(embeddings=np.ones((3, 2)), budget=1,
+                             seeds_from_labeled=np.ones(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_embeddings_rejected(self, bad):
