@@ -25,7 +25,6 @@ from . import __version__, nn, theory
 from .config import config_hash, load_experiment_config, resolved_dict
 from .exceptions import ConfigError, NoiseStabError
 from .loop import aggregate_runs, run_active_learning
-from .selection import METHODS
 
 SUITES = ("second_moment", "jacobian", "distance", "inner", "concentration",
           "efficiency", "all")
@@ -72,7 +71,12 @@ def _timestamp():
 
 def _apply_overrides(cfg, args):
     if getattr(args, "seeds", None):
-        cfg = replace(cfg, seeds=[int(s) for s in args.seeds.split(",")])
+        try:
+            seeds = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise ConfigError("--seeds must be comma-separated integers, "
+                              f"got {args.seeds!r}") from None
+        cfg = replace(cfg, seeds=seeds)
     if getattr(args, "strategy", None):
         cfg = replace(cfg, strategy=args.strategy)
     return cfg
@@ -167,20 +171,11 @@ def _parse_sweep_values(param, raw):
     values = [v for v in (s.strip() for s in raw.split(",")) if v]
     if not values:
         raise ConfigError("sweep needs a non-empty values list")
-    if param == "zeta":
-        try:
-            return [float(v) for v in values]
-        except ValueError as exc:
-            raise ConfigError(f"non-numeric zeta value: {exc}") from None
-    if param == "K":
-        try:
-            return [int(v) for v in values]
-        except ValueError:
-            raise ConfigError(f"non-numeric K value in {values}") from None
-    for v in values:
-        if v not in METHODS:
-            raise ConfigError(f"unknown selector {v!r}; valid: {METHODS}")
-    return values
+    cast = {"zeta": float, "K": int}.get(param, str)
+    try:
+        return [cast(v) for v in values]
+    except ValueError:
+        raise ConfigError(f"non-numeric {param} value in {values}") from None
 
 
 def _sweep_variant(cfg, param, value):
@@ -196,11 +191,12 @@ def cmd_sweep(args) -> int:
     if not cfg.strategy.startswith("noise_stability"):
         raise ConfigError(f"sweep parameter {args.param!r} applies to "
                           "noise-stability strategies only")
-    values = _parse_sweep_values(args.param, args.values)
+    # every arm is built, and so checked, before the first one runs
+    arms = [(value, _sweep_variant(cfg, args.param, value))
+            for value in _parse_sweep_values(args.param, args.values)]
     out_dir = _out_dir(args.out, Path(args.config).stem + "-sweep")
     merged = [f"param,value,{CURVE_HEADER}"]
-    for value in values:
-        sub = _sweep_variant(cfg, args.param, value)
+    for value, sub in arms:
         sub_dir = out_dir / f"{args.param}={value}"
         sub_dir.mkdir(parents=True, exist_ok=True)
         rows = _execute_run(sub, sub_dir)
@@ -214,43 +210,43 @@ def cmd_sweep(args) -> int:
 
 
 ABLATION_STRATEGIES = ("noise_stability", "noise_stability_m", "noise_stability_d")
+SINGLE_SAMPLE_STRATEGIES = ("noise_stability", "bald_mcdropout")
+
+
+def _means_csv(names, arm_rows):
+    """One line per cycle: cycle, labeled size and each arm's metric mean."""
+    lines = ["cycle,labeled_size," + ",".join(names)]
+    for i, row in enumerate(arm_rows[0]):
+        means = ",".join(repr(rows[i]["metric_mean"]) for rows in arm_rows)
+        lines.append(f"{row['cycle']},{row['labeled_size']},{means}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
-    out_dir = _out_dir(args.out, Path(args.config).stem + "-ablate")
-    per_strategy = {}
-    for strategy in ABLATION_STRATEGIES:
-        sub = replace(cfg, strategy=strategy)
-        sub_dir = out_dir / strategy
-        sub_dir.mkdir(parents=True, exist_ok=True)
-        per_strategy[strategy] = _execute_run(sub, sub_dir)
-        print(f"ablation arm {strategy} done", file=sys.stderr)
-    lines = ["cycle,labeled_size," + ",".join(ABLATION_STRATEGIES)]
-    for i, row in enumerate(per_strategy[ABLATION_STRATEGIES[0]]):
-        means = ",".join(repr(per_strategy[s][i]["metric_mean"])
-                         for s in ABLATION_STRATEGIES)
-        lines.append(f"{row['cycle']},{row['labeled_size']},{means}")
-    _write_atomic(out_dir / "ablation.csv", "\n".join(lines) + "\n")
-
+    # every arm is built, and so checked, before the first one runs
+    arms = {strategy: replace(cfg, strategy=strategy)
+            for strategy in ABLATION_STRATEGIES}
     if args.single_sample:
         # budget-1 uncertainty-only comparison: 50 noise samplings vs 50
         # Monte Carlo dropout samplings
-        arms = {}
-        for strategy in ("noise_stability", "bald_mcdropout"):
-            sub = replace(cfg, strategy=strategy, budget=1,
-                          noise=replace(cfg.noise, samplings=50),
-                          bald_samples=50)
-            sub_dir = out_dir / f"single_sample_{strategy}"
-            sub_dir.mkdir(parents=True, exist_ok=True)
-            arms[strategy] = _execute_run(sub, sub_dir)
-            print(f"single-sample arm {strategy} done", file=sys.stderr)
-        lines = ["cycle,labeled_size,noise_stability,bald_mcdropout"]
-        for i, row in enumerate(arms["noise_stability"]):
-            lines.append(f"{row['cycle']},{row['labeled_size']},"
-                         f"{row['metric_mean']!r},"
-                         f"{arms['bald_mcdropout'][i]['metric_mean']!r}")
-        _write_atomic(out_dir / "single_sample.csv", "\n".join(lines) + "\n")
+        arms.update({f"single_sample_{strategy}": replace(
+            cfg, strategy=strategy, budget=1,
+            noise=replace(cfg.noise, samplings=50), bald_samples=50)
+            for strategy in SINGLE_SAMPLE_STRATEGIES})
+    out_dir = _out_dir(args.out, Path(args.config).stem + "-ablate")
+    rows = {}
+    for name, sub in arms.items():
+        sub_dir = out_dir / name
+        sub_dir.mkdir(parents=True, exist_ok=True)
+        rows[name] = _execute_run(sub, sub_dir)
+        print(f"ablation arm {name} done", file=sys.stderr)
+    _write_atomic(out_dir / "ablation.csv", _means_csv(
+        ABLATION_STRATEGIES, [rows[s] for s in ABLATION_STRATEGIES]))
+    if args.single_sample:
+        _write_atomic(out_dir / "single_sample.csv", _means_csv(
+            SINGLE_SAMPLE_STRATEGIES,
+            [rows[f"single_sample_{s}"] for s in SINGLE_SAMPLE_STRATEGIES]))
     print(f"wrote {out_dir}/ablation.csv", file=sys.stderr)
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines, data, nn, stability
 from .exceptions import ConfigError, DataError, InvalidStateError, NonFiniteError
 from .seeding import derive_seed, rng
-from .selection import SEEDED_METHODS, SelectionRequest, select
+from .selection import METHODS, SEEDED_METHODS, SelectionRequest, select
 
 RETRAIN_MODES = ("from_scratch", "warm_start")
 
@@ -90,6 +90,12 @@ class CycleReport:
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. The fields are the config schema: their names are the
+    top-level keys, their annotations the JSON types, and their defaults the
+    values of keys left out (a left-out noise or train section takes its own
+    dataclass's defaults). ``__post_init__`` holds every rule that spans
+    fields, so a ``dataclasses.replace`` override is checked as a load is."""
+
     dataset: dict
     model: dict
     strategy: str
@@ -98,7 +104,7 @@ class ExperimentConfig:
     initial_labeled: int
     noise: stability.NoiseConfig
     train: nn.TrainConfig
-    seeds: list
+    seeds: list[int]
     retrain_mode: str = "from_scratch"
     selector: str = "k_center"
     seed_from_labeled: bool = False
@@ -106,14 +112,52 @@ class ExperimentConfig:
 
     def __post_init__(self):
         baselines.validate_strategy(self.strategy)
+        if self.selector not in METHODS:
+            raise ConfigError(f"unknown selector {self.selector!r}; valid: {METHODS}")
+        if self.retrain_mode not in RETRAIN_MODES:
+            raise ConfigError(f"retrain_mode must be one of {RETRAIN_MODES}")
+        task = dataset_task(self.dataset)
+        if (self.strategy in ("entropy", "badge", "bald_mcdropout")
+                and task != "classification"):
+            raise ConfigError(f"strategy {self.strategy!r} needs a classification task")
+        if (self.strategy == "bald_mcdropout"
+                and not {**MODEL_DEFAULTS, **self.model}["dropout"] > 0):
+            raise ConfigError("strategy 'bald_mcdropout' needs model.dropout > 0")
+        if not self.seeds:
+            raise ConfigError("seeds list must not be empty")
         if self.cycles < 1:
             raise ConfigError("cycles must be >= 1")
         if self.budget < 0:
             raise ConfigError("budget must be >= 0")
         if self.initial_labeled < 1 and self.train.epochs > 0:
             raise ConfigError("initial_labeled must be >= 1 when training runs")
-        if self.retrain_mode not in RETRAIN_MODES:
-            raise ConfigError(f"retrain_mode must be one of {RETRAIN_MODES}")
+
+
+# each dataset kind's task and its own keys, with their JSON types
+DATASETS = {
+    "blobs": ("classification", {"n_per_class": int, "classes": int, "dim": int,
+                                 "centers_seed": int, "noise_std": float,
+                                 "center_scale": float}),
+    "two_moons": ("classification", {"n": int, "noise_std": float}),
+    "linear_regression": ("regression", {"n": int, "dim": int, "weight_seed": int,
+                                         "noise_std": float}),
+    "idx": ("classification", {"images": str, "labels": str}),
+    "csv": ("regression", {"path": str, "schema": dict}),
+}
+# the keys every kind takes
+DATASET_COMMON_KEYS = {"kind": str, "test_fraction": float}
+# values of the optional dataset keys; every other key is required
+DATASET_DEFAULTS = {"test_fraction": 0.3, "centers_seed": 0, "center_scale": 4.0,
+                    "weight_seed": 0}
+
+
+def dataset_task(spec: dict) -> str:
+    """The task of a dataset entry's kind; ConfigError for an unknown kind."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in DATASETS:
+        raise ConfigError(f"unknown dataset kind {kind!r}; "
+                          f"valid kinds: {sorted(DATASETS)}")
+    return DATASETS[kind][0]
 
 
 def build_dataset(spec: dict, run_seed: int):
@@ -123,36 +167,39 @@ def build_dataset(spec: dict, run_seed: int):
     seeds (cluster centers, true regression weights) come from the dataset
     entry itself, so the task stays fixed across repeats.
     """
-    kind = spec.get("kind")
+    spec = {**DATASET_DEFAULTS, **spec}
+    kind = spec["kind"]
     gen_seed = derive_seed(run_seed, "data")
     split_seed = derive_seed(run_seed, "split")
-    test_fraction = spec.get("test_fraction", 0.3)
     if kind == "blobs":
         ds = data.gen_blobs(spec["n_per_class"], spec["classes"], spec["dim"],
-                            spec.get("centers_seed", 0), spec["noise_std"], gen_seed,
-                            center_scale=spec.get("center_scale", 4.0))
+                            spec["centers_seed"], spec["noise_std"], gen_seed,
+                            center_scale=spec["center_scale"])
     elif kind == "two_moons":
         ds = data.gen_two_moons(spec["n"], spec["noise_std"], gen_seed)
     elif kind == "linear_regression":
-        ds = data.gen_linear_regression(spec["n"], spec["dim"],
-                                        spec.get("weight_seed", 0),
+        ds = data.gen_linear_regression(spec["n"], spec["dim"], spec["weight_seed"],
                                         spec["noise_std"], gen_seed)
     elif kind == "idx":
         ds = data.load_idx(spec["images"], spec["labels"])
-    elif kind == "csv":
+    else:  # csv: ExperimentConfig admits only the kinds in DATASETS
         ds = data.load_csv_tabular(spec["path"], spec["schema"])
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    train_pool, test = data.split(ds, test_fraction, split_seed)
+    train_pool, test = data.split(ds, spec["test_fraction"], split_seed)
     if kind == "csv":
         train_pool, test, _ = data.standardize(train_pool, test)
     return train_pool, test
 
 
+# model keys with their JSON types, and the values of keys left out
+MODEL_KEYS = {"hidden": list[int], "dropout": float}
+MODEL_DEFAULTS = {"hidden": [16], "dropout": 0.0}
+
+
 def build_model(spec: dict, input_dim, task, n_classes, seed) -> nn.MlpModel:
+    spec = {**MODEL_DEFAULTS, **spec}
     output_dim = n_classes if task == "classification" else 1
-    return nn.build_mlp(input_dim, list(spec.get("hidden", [16])), output_dim,
-                        task=task, dropout=spec.get("dropout", 0.0), seed=seed)
+    return nn.build_mlp(input_dim, list(spec["hidden"]), output_dim,
+                        task=task, dropout=spec["dropout"], seed=seed)
 
 
 def evaluate(model, test: data.Dataset, task) -> float:

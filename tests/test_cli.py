@@ -90,6 +90,31 @@ class TestRun:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert run_cli("run", str(tmp_path / "absent.json")) == 2
 
+    @pytest.mark.parametrize("seeds", ["1,,2", "a"])
+    def test_malformed_seeds_exit_2_naming_the_flag(self, config_path, tmp_path,
+                                                     capsys, seeds):
+        out = tmp_path / "o"
+        assert run_cli("run", str(config_path), "--out", str(out),
+                       "--seeds", seeds) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dataset,strategy,needs", [
+        ({"kind": "linear_regression", "n": 60, "dim": 3, "noise_std": 0.1},
+         "entropy", "classification"),
+        (TINY_CONFIG["dataset"], "bald_mcdropout", "dropout")],
+        ids=["entropy-on-regression", "bald-without-dropout"])
+    def test_strategy_override_checked_before_anything_is_written(
+            self, tmp_path, capsys, dataset, strategy, needs):
+        # the override used to skip the load checks and fail after training
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, dataset=dataset)))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out),
+                       "--strategy", strategy) == 2
+        assert needs in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestCheck:
     def test_suite_filter_emits_only_matching_reports(self, capsys):
@@ -173,6 +198,15 @@ class TestSweep:
         assert run_cli("sweep", str(config_path), "--param", "zeta",
                        "--values", "small", "--out", str(tmp_path / "s")) == 2
 
+    @pytest.mark.parametrize("param,values", [("K", "2,0"), ("zeta", "1e-3,-1"),
+                                              ("selector", "k_center,k_dpp")])
+    def test_bad_arm_exits_2_before_any_arm_runs(self, config_path, tmp_path,
+                                                 capsys, param, values):
+        out = tmp_path / "s"
+        assert run_cli("sweep", str(config_path), "--param", param,
+                       "--values", values, "--out", str(out), "--seeds", "0") == 2
+        assert not out.exists()
+
     def test_sweep_on_non_noise_strategy_exits_2(self, tmp_path, capsys):
         doc = dict(TINY_CONFIG, strategy="random")
         path = tmp_path / "r.json"
@@ -218,6 +252,15 @@ class TestAblate:
         assert ns_manifest["config"]["noise"]["samplings"] == 50
         assert ns_manifest["config"]["budget"] == 1
         assert bald_manifest["config"]["bald_samples"] == 50
+
+
+    def test_single_sample_without_dropout_exits_2_before_any_arm_runs(
+            self, config_path, tmp_path, capsys):
+        out = tmp_path / "abl"
+        assert run_cli("ablate", str(config_path), "--out", str(out),
+                       "--single-sample") == 2
+        assert "dropout" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from noisestab.config import (config_hash, experiment_from_dict,
                               load_experiment_config, resolved_dict)
 from noisestab.exceptions import ConfigError
 
+ROOT = Path(__file__).resolve().parents[1]
 MINIMAL = {
     "dataset": {"kind": "blobs", "n_per_class": 10, "classes": 2, "dim": 2,
                 "noise_std": 1.0},
@@ -43,6 +45,15 @@ class TestParsing:
         doc = dict(MINIMAL, dataset={"kind": "cifar"})
         with pytest.raises(ConfigError, match="blobs"):
             experiment_from_dict(doc)
+        with pytest.raises(ConfigError, match="unknown dataset kind"):
+            experiment_from_dict(dict(MINIMAL, dataset={"kind": ["blobs"]}))
+
+    def test_missing_dataset_key_rejected(self):
+        # used to load, write the manifest and then die with a KeyError
+        dataset = {k: v for k, v in MINIMAL["dataset"].items() if k != "dim"}
+        with pytest.raises(ConfigError,
+                           match="^dataset is missing required key 'dim'"):
+            experiment_from_dict(dict(MINIMAL, dataset=dataset))
 
     def test_probability_strategies_need_classification(self):
         doc = dict(MINIMAL,
@@ -84,7 +95,11 @@ class TestParsing:
         ("cycles", 2.7), ("budget", "15"), ("initial_labeled", True),
         ("bald_samples", 50.0), ("seeds.0", 1.0), ("noise.samplings", 30.5),
         ("train.epochs", 2.5), ("train.batch_size", "32"),
-        ("seed_from_labeled", "false"), ("seed_from_labeled", 0)])
+        ("seed_from_labeled", "false"), ("seed_from_labeled", 0),
+        ("noise.zeta", "1e-3"), ("train.lr", "0.01"),
+        ("dataset.n_per_class", 20.5), ("dataset.noise_std", "2"),
+        ("dataset.test_fraction", "0.3"), ("model.hidden", 24),
+        ("model.hidden.0", 24.5), ("model.dropout", "0.1")])
     def test_mistyped_number_or_flag_rejected_naming_the_key(self, path, value):
         # each of these used to load as another value, or to fail only once
         # the run reached training or embedding
@@ -102,6 +117,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="seeds must be a JSON list"):
             experiment_from_dict(dict(MINIMAL, seeds=5))
 
+    def test_readme_example_loads(self):
+        readme = (ROOT / "README.md").read_text()
+        example = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+        doc = json.loads(re.sub(r"//.*", "", example))
+        snapshot = resolved_dict(experiment_from_dict(doc))
+        # every value the example gives loads as itself; noise and train
+        # also hold the keys the example leaves out
+        for key, value in doc.items():
+            partial = key in ("noise", "train")
+            assert snapshot[key] == ({**snapshot[key], **value} if partial
+                                     else value)
+
 
 class TestManifestRoundtrip:
     def test_resolved_snapshot_reparses_to_the_same_config(self):
@@ -117,6 +144,19 @@ class TestManifestRoundtrip:
         reordered = dict(reversed(list(MINIMAL.items())))
         cfg_b = experiment_from_dict(reordered)
         assert config_hash(cfg_a) == config_hash(cfg_b)
+
+    @pytest.mark.parametrize("name,digest", [
+        ("blobs_accept",
+         "0da7f8a5fba3f90a1a03202d499b97dbf60d9083f7d4e5049b198a2cd8ccd147"),
+        ("blobs_demo",
+         "f5a3ff5622526d2c55e218ecaaeba21f94bd3adba7a50ae470558f5f14f42b45"),
+        ("regression_demo",
+         "c7b8c68d5333ba0c729e3126ab7f8a3b24268613b9879610b77bda08e7a81240")])
+    def test_shipped_config_hashes_are_pinned(self, name, digest):
+        # the hash names a run's config in its manifest; reading the schema
+        # another way must not move it
+        cfg = load_experiment_config(ROOT / "configs" / f"{name}.json")
+        assert config_hash(cfg) == digest
 
     def test_hash_changes_with_content(self):
         cfg_a = experiment_from_dict(MINIMAL)

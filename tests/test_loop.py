@@ -298,6 +298,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             blob_config(initial_labeled=0)
 
+    @pytest.mark.parametrize("change,match", [
+        ({"dataset": {"kind": "cifar"}}, "unknown dataset kind"),
+        ({"selector": "k_dpp"}, "k_dpp"),
+        ({"strategy": "bald_mcdropout"}, "dropout"),
+        ({"seeds": []}, "seeds")])
+    def test_replace_gets_the_load_checks(self, change, match):
+        # overrides go through dataclasses.replace, which never sees config.py
+        with pytest.raises(ConfigError, match=match):
+            replace(blob_config(), **change)
+
     def test_wall_time_not_serialized(self):
         record = report(1, 0.9, 0).to_record()
         assert "wall_time" not in record

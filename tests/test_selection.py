@@ -145,17 +145,32 @@ class TestGreedyKCenter:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_permutation_equivariance(self, seed):
+        # shuffling the pool shuffles the picks the same way. kmeans_pp is
+        # left out: it draws its first center by index, so a shuffled pool
+        # starts from another point. k_center_normalized runs seeded only:
+        # unseeded, it starts from the largest unit-vector norm, and those
+        # norms differ only by rounding
         gen = np.random.default_rng(seed)
         points = gen.normal(size=(9, 2))
-        # distinct pairwise distances make tie-breaking irrelevant
-        dists = np.linalg.norm(points[:, None] - points[None, :], axis=2)
-        iu = np.triu_indices(9, 1)
-        if len(set(np.round(dists[iu], 12))) < iu[0].size:
+        labeled = gen.normal(size=(3, 2))
+        rows = np.vstack([points, labeled])
+        # distinct distances and norms make tie-breaking irrelevant
+        for x in (rows, rows / np.linalg.norm(rows, axis=1, keepdims=True)):
+            dists = np.linalg.norm(x[:, None] - x[None, :], axis=2)
+            iu = np.triu_indices(len(x), 1)
+            if len(set(np.round(dists[iu], 12))) < iu[0].size:
+                return
+        if len(set(np.round(np.linalg.norm(points, axis=1), 12))) < 9:
             return
         perm = gen.permutation(9)
-        base = greedy_k_center(req(points, 4))
-        shuffled = greedy_k_center(req(points[perm], 4))
-        assert [int(perm[i]) for i in shuffled] == base
+        for method, seeds in (("k_center", None), ("k_center", labeled),
+                              ("k_center_normalized", labeled),
+                              ("top_magnitude", None)):
+            base = select(req(points, 4, method=method,
+                              seeds_from_labeled=seeds))
+            shuffled = select(req(points[perm], 4, method=method,
+                                  seeds_from_labeled=seeds))
+            assert [int(perm[i]) for i in shuffled] == base, method
 
     def test_picks_skew_toward_large_norms(self):
         # diversity prefers large magnitudes on average, not per instance
