@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 
 from .exceptions import ConfigError
@@ -53,12 +54,15 @@ _TOP_SCHEMA.update(dict.fromkeys(_SECTIONS, dict))
 
 def _check_type(value, kind, name):
     """Reject a value that is not of its declared JSON type, so "15", 2.7 or
-    "false" never load as a different value. A float key takes any JSON
-    number, a bool is never a number, and ``list[int]`` checks each entry."""
+    "false" never load as a different value. A float key takes any finite
+    JSON number (``json`` reads NaN and Infinity too), a bool is never a
+    number, and ``list[int]`` checks each entry."""
     base = typing.get_origin(kind) or kind
     ok = isinstance(value, (int, float) if base is float else base)
     if not ok or (isinstance(value, bool) and base is not bool):
         raise ConfigError(f"{name} must be a JSON {_JSON_NAMES[base]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     for item_kind in typing.get_args(kind):
         for i, item in enumerate(value):
             _check_type(item, item_kind, f"{name}[{i}]")

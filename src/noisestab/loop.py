@@ -131,6 +131,7 @@ class ExperimentConfig:
             raise ConfigError("budget must be >= 0")
         if self.initial_labeled < 1 and self.train.epochs > 0:
             raise ConfigError("initial_labeled must be >= 1 when training runs")
+        check_ranges(self.dataset, self.model)
 
 
 # each dataset kind's task and its own keys, with their JSON types
@@ -193,6 +194,27 @@ def build_dataset(spec: dict, run_seed: int):
 # model keys with their JSON types, and the values of keys left out
 MODEL_KEYS = {"hidden": list[int], "dropout": float}
 MODEL_DEFAULTS = {"hidden": [16], "dropout": 0.0}
+
+
+# dataset keys that count examples, classes or input dims
+DATASET_SIZES = ("n_per_class", "classes", "dim", "n")
+
+
+def check_ranges(dataset: dict, model: dict):
+    """Reject dataset and model values the run could not use, at load rather
+    than once the run has started."""
+    for key in DATASET_SIZES:
+        if dataset.get(key, 1) < 1:
+            raise ConfigError(f"dataset.{key} must be >= 1, got {dataset[key]!r}")
+    fraction = {**DATASET_DEFAULTS, **dataset}["test_fraction"]
+    if not 0 < fraction < 1:
+        raise ConfigError(f"dataset.test_fraction must be in (0, 1), got {fraction!r}")
+    model = {**MODEL_DEFAULTS, **model}
+    for i, width in enumerate(model["hidden"]):
+        if width < 1:
+            raise ConfigError(f"model.hidden[{i}] must be >= 1, got {width!r}")
+    if not 0 <= model["dropout"] < 1:
+        raise ConfigError(f"model.dropout must be in [0, 1), got {model['dropout']!r}")
 
 
 def build_model(spec: dict, input_dim, task, n_classes, seed) -> nn.MlpModel:

@@ -2,8 +2,9 @@
 
 Provides layered feed-forward models with a designated feature tap, training
 with SGD/Adam, flattened parameter views, in-place parameter perturbation with
-bit-exact restore, and two Jacobian oracles (analytic backprop and central
-finite differences).
+bit-exact restore (one direction, or a stack of directions evaluated in one
+eval forward), and two Jacobian oracles (analytic backprop and central finite
+differences).
 
 Conventions:
   * all numeric data is float64; inputs may be single examples ``(D,)`` or
@@ -37,8 +38,29 @@ SCOPE_ALL = "all"
 _SOFTMAX_MIN_SHIFTED = -700.0
 
 
+# axes that move the last axis first, by ndim: one direction, or a stack
+_LAST_AXIS_FIRST = {2: (1, 0), 3: (2, 0, 1)}
+
+
+def _last_axis_first(a):
+    """View of ``a`` with its last axis first: ``np.moveaxis(a, -1, 0)``
+    without that function's per-call Python overhead, which an eval forward
+    over a small pool would feel."""
+    return a.transpose(_LAST_AXIS_FIRST[a.ndim])
+
+
+def _stacked_error(what, weight):
+    return InvalidStateError(f"{what} cannot run while a stack of {len(weight)} "
+                             "perturbations is applied")
+
+
 class Linear:
-    """Affine layer ``y = x @ W.T + b`` with weight (out, in) and optional bias."""
+    """Affine layer ``y = x @ W.T + b`` with weight (out, in) and optional bias.
+
+    While a stack of Kc perturbations is applied the weight is (Kc, out, in)
+    and the bias (Kc, out); only ``infer`` evaluates such a layer, and the
+    other methods raise ``InvalidStateError`` rather than broadcast it.
+    """
 
     def __init__(self, weight, bias=None):
         self.weight = np.asarray(weight, dtype=np.float64)
@@ -47,18 +69,18 @@ class Linear:
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
         if self.bias is not None and self.bias.shape != (self.weight.shape[0],):
             raise DimensionError("Linear bias length must equal the output width")
-
-    @property
-    def n_params(self) -> int:
-        return self.weight.size + (0 if self.bias is None else self.bias.size)
+        # parameters of one direction, also while a stack is applied
+        self.n_params = self.weight.size + (0 if self.bias is None else self.bias.size)
 
     def _check_width(self, x):
-        if x.shape[1] != self.weight.shape[1]:
+        if x.shape[-1] != self.weight.shape[-1]:
             raise DimensionError(
-                f"input width {x.shape[1]} does not match layer width {self.weight.shape[1]}"
+                f"input width {x.shape[-1]} does not match layer width {self.weight.shape[-1]}"
             )
 
     def forward(self, x, train, rng):
+        if self.weight.ndim != 2:
+            raise _stacked_error("forward", self.weight)
         self._check_width(x)
         y = x @ self.weight.T
         if self.bias is not None:
@@ -66,17 +88,22 @@ class Linear:
         return y, x
 
     def infer(self, x):
-        """Eval forward ``y = b + sum_j x[:, j] * W[:, j]``, accumulated in j order."""
+        """Eval forward ``y = b + sum_j x[..., j] * W[..., j]``, accumulated in
+        j order; a leading direction axis of the weight or of ``x`` is
+        broadcast, so a (Kc, N, out) result holds each direction's bits."""
         self._check_width(x)
-        # built transposed, (out, B), so every multiply-add runs over a
+        # built transposed, (..., out, N), so every multiply-add runs over a
         # contiguous row of the batch
-        out = np.empty((self.weight.shape[0], x.shape[0]))
-        out[...] = 0.0 if self.bias is None else self.bias[:, None]
+        w = self.weight
+        # at most one direction axis, on the weight, on x, or the same on both
+        out = np.empty((w.shape[:-2] or x.shape[:-2]) + (w.shape[-2], x.shape[-2]))
+        out[...] = 0.0 if self.bias is None else self.bias[..., None]
         term = np.empty_like(out)
-        for w_j, x_j in zip(self.weight.T[:, :, None], x.T):
+        for w_j, x_j in zip(_last_axis_first(w)[..., None],
+                            _last_axis_first(x)[..., None, :]):
             np.multiply(w_j, x_j, out=term)
             out += term
-        return out.T
+        return out.swapaxes(-1, -2)
 
     def backward(self, grad, cache):
         grad_w = grad.T @ cache
@@ -84,16 +111,21 @@ class Linear:
         return grad @ self.weight, (grad_w, grad_b)
 
     def flat_params(self):
+        if self.weight.ndim != 2:
+            raise _stacked_error("flatten_params", self.weight)
         parts = [self.weight.ravel()]
         if self.bias is not None:
             parts.append(self.bias)
         return np.concatenate(parts)
 
     def set_flat_params(self, vec):
-        w_size = self.weight.size
-        self.weight = vec[:w_size].reshape(self.weight.shape).copy()
+        """Write an (n,) vector, or a (Kc, n) stack that makes the weight
+        (Kc, out, in) and the bias (Kc, out)."""
+        shape = vec.shape[:-1] + self.weight.shape[-2:]
+        w_size = shape[-2] * shape[-1]
+        self.weight = vec[..., :w_size].reshape(shape).copy()
         if self.bias is not None:
-            self.bias = vec[w_size:].copy()
+            self.bias = vec[..., w_size:].copy()
 
     def spec(self):
         return {
@@ -104,6 +136,8 @@ class Linear:
         }
 
     def copy(self):
+        if self.weight.ndim != 2:
+            raise _stacked_error("copy", self.weight)
         return Linear(self.weight.copy(), None if self.bias is None else self.bias.copy())
 
 
@@ -166,7 +200,7 @@ class Softmax:
 
     @staticmethod
     def _shifted_exp(x):
-        shifted = x - x.max(axis=1, keepdims=True)
+        shifted = x - x.max(axis=-1, keepdims=True)
         np.clip(shifted, _SOFTMAX_MIN_SHIFTED, None, out=shifted)
         return np.exp(shifted)
 
@@ -177,12 +211,13 @@ class Softmax:
 
     def infer(self, x):
         # the row max is exact in any order; the normalizer is summed column
-        # by column
+        # by column, over any leading direction axis
         e = self._shifted_exp(x)
-        total = e[:, 0].copy()
-        for column in e.T[1:]:
+        columns = _last_axis_first(e)
+        total = columns[0].copy()
+        for column in columns[1:]:
             total += column
-        return e / total[:, None]
+        return e / total[..., None]
 
     def backward(self, grad, cache):
         p = cache
@@ -327,7 +362,9 @@ def forward(model, x, mode="eval", rng=None):
 
 
 def forward_to(model, x, boundary):
-    """Eval-mode activations after ``layers[:boundary]``.
+    """Eval-mode activations after ``layers[:boundary]``: (N, d), or
+    (Kc, N, d) while a stack of Kc perturbations is applied to a layer before
+    the boundary, row k holding direction k's activations.
 
     Every row goes through the same floating-point operations whatever the
     batch holds: each Linear adds its products ``x[:, j] * W[:, j]`` to the
@@ -335,8 +372,10 @@ def forward_to(model, x, boundary):
     is summed one column at a time, and everything else is elementwise. A row's
     output therefore depends only on (parameters, row), bit for bit, never on
     the batch size or the row's position (BLAS GEMM gives no such promise), so
-    a whole pool can be evaluated in one call. ``forward`` and training use
-    BLAS and agree with this path to rounding.
+    a whole pool can be evaluated in one call. The same holds across a stack:
+    each direction's slice has the bits of a separate call with that direction
+    applied alone. ``forward`` and training use BLAS and agree with this path
+    to rounding.
     """
     if not 0 < boundary <= len(model.layers):
         raise ConfigError(f"boundary {boundary} out of range")
@@ -361,17 +400,28 @@ def set_params(model, vec, scope=SCOPE_ALL):
     expected = model.n_params(scope)
     if vec.shape != (expected,):
         raise DimensionError(f"expected parameter vector of length {expected}, got {vec.shape}")
+    _write_params(model, vec, scope)
+
+
+def _write_params(model, vec, scope):
+    """Write an (n,) vector, or a (Kc, n) stack, into the scoped layers."""
     offset = 0
     for i in model.scope_layers(scope):
         layer = model.layers[i]
         if layer.n_params == 0:
             continue
-        layer.set_flat_params(vec[offset:offset + layer.n_params])
+        layer.set_flat_params(vec[..., offset:offset + layer.n_params])
         offset += layer.n_params
 
 
 def apply_perturbation(model, delta, scope=SCOPE_ALL):
     """Add ``delta`` to the scoped parameters, keeping a pristine copy.
+
+    ``delta`` is one direction, shape (n,), or a stack of Kc directions,
+    shape (Kc, n). A stack leaves each scoped Linear holding (Kc, out, in)
+    weights, ``current + delta`` broadcast over the stack, so row k has the
+    bits a separate apply of ``delta[k]`` would give. Until the matching
+    ``remove_perturbation`` only ``forward_to`` evaluates such a model.
 
     Restoring from the saved copy (rather than subtracting) makes
     apply/remove bit-exact under floating-point non-associativity.
@@ -380,12 +430,13 @@ def apply_perturbation(model, delta, scope=SCOPE_ALL):
         raise InvalidStateError("a perturbation is already applied; remove it first")
     delta = np.asarray(delta, dtype=np.float64)
     current = flatten_params(model, scope)
-    if delta.shape != current.shape:
+    if delta.ndim not in (1, 2) or delta.shape[-1:] != current.shape:
         raise DimensionError(
-            f"delta length {delta.shape} does not match scoped parameter count {current.shape}"
+            f"delta shape {delta.shape} is neither ({current.size},) nor a "
+            f"(Kc, {current.size}) stack of scoped parameter vectors"
         )
     model._pristine = (scope, current)
-    set_params(model, current + delta, scope)
+    _write_params(model, current + delta, scope)
 
 
 def remove_perturbation(model):
@@ -393,7 +444,7 @@ def remove_perturbation(model):
     if model._pristine is None:
         raise InvalidStateError("no perturbation to remove")
     scope, saved = model._pristine
-    set_params(model, saved, scope)
+    _write_params(model, saved, scope)
     model._pristine = None
 
 

@@ -10,6 +10,7 @@ drives diverse batch selection.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,13 @@ from . import nn
 from .exceptions import ConfigError, DimensionError, InvalidStateError
 
 _TAPS = (nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS)
+
+# entries one chunk of directions may take (the size of
+# selection._BLOCK_ENTRIES): each direction costs its activations over the
+# rows, N times the widest layer up to the tap, plus its copy of the scoped
+# parameters. A pool of thousands runs one direction per pass; a single
+# example runs hundreds.
+_CHUNK_ENTRIES = 32768
 
 
 @dataclass
@@ -36,8 +44,8 @@ class NoiseConfig:
     tap: str = nn.TAP_PREDICTIVE
 
     def __post_init__(self):
-        if self.zeta <= 0:
-            raise ConfigError("zeta must be > 0")
+        if not 0 < self.zeta < math.inf:
+            raise ConfigError(f"zeta must be a finite number > 0, got {self.zeta!r}")
         if self.samplings < 1:
             raise ConfigError("samplings must be >= 1")
         if self.tap not in _TAPS:
@@ -67,9 +75,6 @@ class PerturbationSet:
     @property
     def samplings(self) -> int:
         return self.directions.shape[0]
-
-    def delta(self, k) -> np.ndarray:
-        return self.magnitude * self.directions[k]
 
 
 def sample_directions(n, samplings, seed) -> np.ndarray:
@@ -102,31 +107,48 @@ def perturbation_set(model, cfg: NoiseConfig) -> PerturbationSet:
                            tap=cfg.tap, scope=cfg.scope)
 
 
-def _deviations(model, xs, pset, ks):
-    """(N, len(ks), d) normalized output deviations of the rows of ``xs``,
-    (f(x; theta + delta_k) - f(x; theta)) / (zeta * ||theta||).
+def _chunk_size(model, boundary, n_rows, n_params):
+    """Directions per pass: as many as fit in ``_CHUNK_ENTRIES``, at least one."""
+    widest = max((layer.weight.shape[-2] for layer in model.layers[:boundary]
+                  if isinstance(layer, nn.Linear)), default=1)
+    return max(1, _CHUNK_ENTRIES // (n_rows * widest + n_params))
 
-    One ``nn.forward_to`` over all rows for the base and one per direction;
-    each perturbation is removed, restoring the parameters bit-exactly, before
-    the next is applied.
+
+def _deviations(model, xs, pset, directions):
+    """(N, K, d) normalized output deviations of the rows of ``xs`` along the
+    K rows of ``directions``, (f(x; theta + m u_k) - f(x; theta)) / m with
+    m = zeta * ||theta||.
+
+    One ``nn.forward_to`` over all rows for the base, then one per chunk of
+    directions: each chunk is applied as one (Kc, n) stack and removed,
+    restoring the parameters bit-exactly, before the next. A row's deviation
+    for a direction has the same bits whatever the chunk size (see
+    ``nn.forward_to``).
     """
     boundary = model.tap_boundary(pset.tap)
     base = nn.forward_to(model, xs, boundary)
-    out = np.empty((base.shape[0], len(ks), base.shape[1]))
-    for i, k in enumerate(ks):
-        nn.apply_perturbation(model, pset.delta(k), pset.scope)
+    n_dirs = directions.shape[0]
+    out = np.empty((base.shape[0], n_dirs, base.shape[1]))
+    by_direction = out.swapaxes(0, 1)
+    chunk = _chunk_size(model, boundary, base.shape[0], pset.n)
+    for start in range(0, n_dirs, chunk):
+        stop = min(start + chunk, n_dirs)
+        nn.apply_perturbation(model, pset.magnitude * directions[start:stop],
+                              pset.scope)
         try:
             perturbed = nn.forward_to(model, xs, boundary)
         finally:
             nn.remove_perturbation(model)
-        out[:, i, :] = (perturbed - base) / pset.magnitude
+        # perturbed is (Kc, N, d), or (N, d) when no scoped layer precedes
+        # the tap
+        by_direction[start:stop] = (perturbed - base) / pset.magnitude
     return out
 
 
 def _embed(model, xs, pset):
     """(N, K*d) matrix: row i is the sqrt(n/K)-scaled concatenation of row i's
     K deviation blocks."""
-    blocks = _deviations(model, xs, pset, range(pset.samplings))
+    blocks = _deviations(model, xs, pset, pset.directions)
     blocks *= np.sqrt(pset.n / pset.samplings)
     return blocks.reshape(xs.shape[0], pset.samplings * blocks.shape[2])
 
@@ -140,7 +162,8 @@ def _single_example(x, what):
 
 def deviation_block(model, x, pset: PerturbationSet, k) -> np.ndarray:
     """Normalized output deviation (d,) of one example for direction k."""
-    return _deviations(model, _single_example(x, "deviation_block"), pset, [k])[0, 0]
+    return _deviations(model, _single_example(x, "deviation_block"), pset,
+                       pset.directions[[k]])[0, 0]
 
 
 def embedding(model, x, pset: PerturbationSet) -> np.ndarray:

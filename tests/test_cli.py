@@ -116,6 +116,25 @@ class TestRun:
         assert not (out / "manifest.json").exists()
 
 
+    @pytest.mark.parametrize("section,key,literal,message", [
+        ("noise", "zeta", "NaN", "noise.zeta must be a finite number"),
+        ("train", "lr", "Infinity", "train.lr must be a finite number"),
+        ("dataset", "n_per_class", "-3", "dataset.n_per_class must be >= 1"),
+        ("dataset", "test_fraction", "1.5", "dataset.test_fraction must be in"),
+        ("model", "dropout", "1.5", "model.dropout must be in")])
+    def test_bad_value_exits_2_before_the_manifest(self, tmp_path, capsys,
+                                                   section, key, literal,
+                                                   message):
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc[section][key] = "PLACEHOLDER"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+
 class TestCheck:
     def test_suite_filter_emits_only_matching_reports(self, capsys):
         code = run_cli("check", "--suite", "second_moment", "--seed", "1")
@@ -205,6 +224,15 @@ class TestSweep:
         out = tmp_path / "s"
         assert run_cli("sweep", str(config_path), "--param", param,
                        "--values", values, "--out", str(out), "--seeds", "0") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_zeta_exits_2_before_any_arm_runs(
+            self, config_path, tmp_path, capsys, value):
+        out = tmp_path / "s"
+        assert run_cli("sweep", str(config_path), "--param", "zeta",
+                       "--values", f"1e-3,{value}", "--out", str(out)) == 2
+        assert "zeta must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_on_non_noise_strategy_exits_2(self, tmp_path, capsys):

@@ -113,6 +113,51 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be a JSON"):
             experiment_from_dict(doc)
 
+    @pytest.mark.parametrize("section,key,literal", [
+        ("noise", "zeta", "NaN"), ("train", "lr", "Infinity"),
+        ("train", "momentum", "-Infinity"), ("dataset", "noise_std", "NaN"),
+        ("dataset", "test_fraction", "NaN"), ("model", "dropout", "NaN")])
+    def test_non_finite_number_rejected_naming_the_key(self, tmp_path, section,
+                                                       key, literal):
+        # json reads these literals as floats; zeta NaN used to load and stop
+        # the run only at its first embedding
+        doc = json.loads(json.dumps(MINIMAL))
+        doc.setdefault(section, {})[key] = "PLACEHOLDER"
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+        with pytest.raises(ConfigError,
+                           match=f"^{section}.{key} must be a finite number"):
+            load_experiment_config(path)
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("dataset", "n_per_class", -3, "dataset.n_per_class must be >= 1"),
+        ("dataset", "classes", 0, "dataset.classes must be >= 1"),
+        ("dataset", "dim", 0, "dataset.dim must be >= 1"),
+        ("dataset", "test_fraction", 1.5, "dataset.test_fraction must be in"),
+        ("dataset", "test_fraction", 0, "dataset.test_fraction must be in"),
+        ("dataset", "test_fraction", 1.0, "dataset.test_fraction must be in"),
+        ("model", "dropout", 1.5, "model.dropout must be in"),
+        ("model", "dropout", 1.0, "model.dropout must be in"),
+        ("model", "dropout", -0.1, "model.dropout must be in"),
+        ("model", "hidden", [4, 0], re.escape("model.hidden[1] must be >= 1"))])
+    def test_out_of_range_dataset_and_model_values_rejected(self, section, key,
+                                                            value, message):
+        # each used to load and fail only once the run had started
+        doc = json.loads(json.dumps(MINIMAL))
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            experiment_from_dict(doc)
+
+    def test_size_keys_of_other_dataset_kinds_range_checked(self):
+        doc = dict(MINIMAL, dataset={"kind": "two_moons", "n": 0, "noise_std": 0.1})
+        with pytest.raises(ConfigError, match="^dataset.n must be >= 1"):
+            experiment_from_dict(doc)
+        # the edges of each range load
+        edges = dict(MINIMAL, dataset=dict(MINIMAL["dataset"], dim=1,
+                                           test_fraction=0.5),
+                     model={"hidden": [1], "dropout": 0.0})
+        experiment_from_dict(edges)
+
     def test_seeds_must_be_a_list(self):
         with pytest.raises(ConfigError, match="seeds must be a JSON list"):
             experiment_from_dict(dict(MINIMAL, seeds=5))

@@ -177,6 +177,74 @@ class TestPerturbation:
         nn.remove_perturbation(hand_232_model)
 
 
+def _stack_case(seed, bias, scope):
+    gen = np.random.default_rng(seed)
+    model = nn.build_mlp(3, [5, 4], 3, dropout=0.25 if seed % 2 else 0.0,
+                         bias=bias, seed=seed)
+    stack = gen.normal(size=(int(gen.integers(1, 6)), model.n_params(scope)))
+    return model, stack, gen.normal(size=(int(gen.integers(0, 7)), 3))
+
+
+class TestStackedPerturbation:
+    @given(seed=st.integers(0, 2**32 - 1), bias=st.booleans(),
+           scope=st.sampled_from([nn.SCOPE_FEATURE, nn.SCOPE_ALL]))
+    @settings(max_examples=25)
+    def test_apply_then_remove_restores_bit_exactly(self, seed, bias, scope):
+        model, stack, _ = _stack_case(seed, bias, scope)
+        before = nn.flatten_params(model)
+        nn.apply_perturbation(model, stack, scope)
+        assert model.n_params(scope) == stack.shape[1]
+        nn.remove_perturbation(model)
+        assert np.array_equal(nn.flatten_params(model), before)
+        assert all(l.weight.ndim == 2 for l in model.layers if isinstance(l, nn.Linear))
+
+    @given(seed=st.integers(0, 2**32 - 1), bias=st.booleans(),
+           scope=st.sampled_from([nn.SCOPE_FEATURE, nn.SCOPE_ALL]),
+           tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS]))
+    @settings(max_examples=40)
+    def test_each_direction_has_the_bits_of_a_separate_apply(self, seed, bias,
+                                                              scope, tap):
+        model, stack, xs = _stack_case(seed, bias, scope)
+        boundary = model.tap_boundary(tap)
+        nn.apply_perturbation(model, stack, scope)
+        stacked = nn.forward_to(model, xs, boundary)
+        nn.remove_perturbation(model)
+        assert stacked.shape == (len(stack),) + nn.forward_to(model, xs, boundary).shape
+        for k, delta in enumerate(stack):
+            nn.apply_perturbation(model, delta, scope)
+            alone = nn.forward_to(model, xs, boundary)
+            nn.remove_perturbation(model)
+            assert np.array_equal(stacked[k], alone)
+
+    def test_wrong_last_dimension_raises(self, hand_232_model):
+        with pytest.raises(DimensionError):
+            nn.apply_perturbation(hand_232_model, np.zeros((3, 16)))
+        assert hand_232_model._pristine is None
+
+    def test_three_dimensional_delta_raises(self, hand_232_model):
+        with pytest.raises(DimensionError):
+            nn.apply_perturbation(hand_232_model, np.zeros((2, 3, 17)))
+
+    def test_second_apply_raises(self, hand_232_model):
+        nn.apply_perturbation(hand_232_model, np.zeros((3, 17)))
+        with pytest.raises(InvalidStateError):
+            nn.apply_perturbation(hand_232_model, np.zeros((3, 17)))
+        with pytest.raises(InvalidStateError):
+            nn.apply_perturbation(hand_232_model, np.zeros(17))
+        nn.remove_perturbation(hand_232_model)
+
+    def test_forward_and_train_on_a_stack_raise(self, hand_232_model):
+        x = np.array([[0.4, 0.9], [-0.3, 0.2]])
+        nn.apply_perturbation(hand_232_model, np.ones((3, 17)))
+        with pytest.raises(InvalidStateError):
+            nn.forward(hand_232_model, x)
+        with pytest.raises(InvalidStateError):
+            nn.train(hand_232_model, (x, np.array([[0.1, 0.2], [0.3, 0.4]])),
+                     nn.TrainConfig(loss="squared_error", epochs=1))
+        nn.remove_perturbation(hand_232_model)
+        nn.forward(hand_232_model, x)
+
+
 class TestJacobian:
     def test_linear_model_jacobian_is_input_pattern(self):
         x = np.array([0.7, -1.3, 0.2])

@@ -23,6 +23,31 @@ def feature_cfg(**kw):
     return NoiseConfig(**kw)
 
 
+def reference_deviations(model, xs, pset, ks):
+    """The per-direction deviation kernel the chunked one replaced: one apply,
+    forward and restore per direction. Kept as the oracle the chunked kernel
+    must match bit for bit."""
+    boundary = model.tap_boundary(pset.tap)
+    base = nn.forward_to(model, xs, boundary)
+    out = np.empty((base.shape[0], len(ks), base.shape[1]))
+    for i, k in enumerate(ks):
+        nn.apply_perturbation(model, pset.magnitude * pset.directions[k], pset.scope)
+        try:
+            perturbed = nn.forward_to(model, xs, boundary)
+        finally:
+            nn.remove_perturbation(model)
+        out[:, i, :] = (perturbed - base) / pset.magnitude
+    return out
+
+
+def per_direction_entries(model, pset, n_rows):
+    """What one direction of a chunk is charged against the entry budget."""
+    boundary = model.tap_boundary(pset.tap)
+    widest = max(l.weight.shape[0] for l in model.layers[:boundary]
+                 if isinstance(l, nn.Linear))
+    return n_rows * widest + pset.n
+
+
 class TestSampleDirections:
     def test_rows_are_unit_norm(self):
         u = sample_directions(17, 64, seed=3)
@@ -183,8 +208,20 @@ class TestPoolEmbeddings:
             assert np.array_equal(shuffled[i], base[j])
 
     @pytest.mark.parametrize("pool_size", [1, 9, 50])
-    def test_one_forward_per_direction_over_the_whole_pool(
-            self, trained_model, monkeypatch, pool_size):
+    @pytest.mark.parametrize("directions_per_chunk", [None, 1, 3],
+                             ids=["default_budget", "1_per_chunk", "3_per_chunk"])
+    def test_one_base_forward_then_one_per_chunk_over_the_whole_pool(
+            self, trained_model, monkeypatch, pool_size, directions_per_chunk):
+        cfg = NoiseConfig(samplings=7, seed=6)
+        entries = per_direction_entries(trained_model,
+                                        perturbation_set(trained_model, cfg),
+                                        pool_size)
+        if directions_per_chunk is None:  # the default budget
+            chunks = -(-7 // max(1, stability._CHUNK_ENTRIES // entries))
+        else:
+            monkeypatch.setattr(stability, "_CHUNK_ENTRIES",
+                                directions_per_chunk * entries)
+            chunks = -(-7 // directions_per_chunk)
         calls = []
         forward_to = nn.forward_to
 
@@ -194,9 +231,9 @@ class TestPoolEmbeddings:
 
         monkeypatch.setattr(nn, "forward_to", counting)
         pool = np.random.default_rng(5).normal(size=(pool_size, 3))
-        embs = pool_embeddings(trained_model, pool, NoiseConfig(samplings=7, seed=6))
+        embs = pool_embeddings(trained_model, pool, cfg)
         assert len(embs) == pool_size
-        assert calls == [(pool_size, 3)] * 8
+        assert calls == [(pool_size, 3)] * (1 + chunks)
 
     def test_model_parameters_untouched(self, trained_model):
         before = nn.flatten_params(trained_model)
@@ -232,6 +269,42 @@ class TestPoolEmbeddings:
             assert np.array_equal(embs[i], embedding(model, x, pset))
             blocks = [deviation_block(model, x, pset, k) for k in range(samplings)]
             assert np.array_equal(embs[i], scale * np.concatenate(blocks))
+
+    @given(pool_size=st.sampled_from([0, 1, 4, 6000]), samplings=st.integers(1, 9),
+           tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS]),
+           scope=st.sampled_from([nn.SCOPE_FEATURE, nn.SCOPE_ALL]),
+           bias=st.booleans(), dropout=st.sampled_from([0.0, 0.3]),
+           budget=st.sampled_from(["one", "few_rows", "all", "default"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(pool_size=6000, samplings=9, tap=nn.TAP_FEATURE, scope=nn.SCOPE_ALL,
+             bias=True, dropout=0.3, budget="default", seed=0)
+    @example(pool_size=4, samplings=9, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_ALL,
+             bias=True, dropout=0.3, budget="few_rows", seed=2)
+    @example(pool_size=0, samplings=5, tap=nn.TAP_LOGITS, scope=nn.SCOPE_FEATURE,
+             bias=False, dropout=0.0, budget="one", seed=1)
+    @settings(max_examples=60)
+    def test_chunked_kernel_matches_per_direction_reference(
+            self, pool_size, samplings, tap, scope, bias, dropout, budget, seed):
+        model = nn.build_mlp(3, [6, 5], 4, dropout=dropout, bias=bias, seed=seed)
+        xs = np.random.default_rng(seed).normal(size=(pool_size, 3))
+        pset = perturbation_set(model, NoiseConfig(samplings=samplings, seed=seed,
+                                                   tap=tap))
+        pset.scope = scope
+        pset.directions = sample_directions(model.n_params(scope), samplings, seed)
+        # 6000 rows of width 6 are past the default budget on their own: one
+        # direction per pass; "few_rows" fits three single-row directions
+        patched = {"one": 1, "few_rows": 3 * (6 + pset.n),
+                   "all": samplings * per_direction_entries(model, pset, pool_size),
+                   "default": None}[budget]
+        before = nn.flatten_params(model)
+        expected = reference_deviations(model, xs, pset, range(samplings))
+        with pytest.MonkeyPatch.context() as mp:
+            if patched is not None:
+                mp.setattr(stability, "_CHUNK_ENTRIES", patched)
+            chunked = stability._deviations(model, xs, pset, pset.directions)
+        assert chunked.shape == expected.shape
+        assert np.array_equal(chunked, expected)
+        assert np.array_equal(nn.flatten_params(model), before)
 
     def test_embeddings_independent_of_pool_composition(self, trained_model):
         cfg = NoiseConfig(samplings=4, seed=9)
