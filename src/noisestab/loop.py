@@ -196,16 +196,19 @@ MODEL_KEYS = {"hidden": list[int], "dropout": float}
 MODEL_DEFAULTS = {"hidden": [16], "dropout": 0.0}
 
 
-# dataset keys that count examples, classes or input dims
-DATASET_SIZES = ("n_per_class", "classes", "dim", "n")
+# the least value of each dataset key that has one: counts of examples and
+# input dims, classes, scales and geometry seeds
+DATASET_MINIMA = {"n_per_class": 1, "classes": 2, "dim": 1, "n": 1,
+                  "noise_std": 0, "center_scale": 0, "centers_seed": 0,
+                  "weight_seed": 0}
 
 
 def check_ranges(dataset: dict, model: dict):
     """Reject dataset and model values the run could not use, at load rather
     than once the run has started."""
-    for key in DATASET_SIZES:
-        if dataset.get(key, 1) < 1:
-            raise ConfigError(f"dataset.{key} must be >= 1, got {dataset[key]!r}")
+    for key, least in DATASET_MINIMA.items():
+        if dataset.get(key, least) < least:
+            raise ConfigError(f"dataset.{key} must be >= {least}, got {dataset[key]!r}")
     fraction = {**DATASET_DEFAULTS, **dataset}["test_fraction"]
     if not 0 < fraction < 1:
         raise ConfigError(f"dataset.test_fraction must be in (0, 1), got {fraction!r}")

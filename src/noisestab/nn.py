@@ -1,10 +1,10 @@
 """Minimal dense MLP engine on float64 numpy arrays.
 
 Provides layered feed-forward models with a designated feature tap, training
-with SGD/Adam, flattened parameter views, in-place parameter perturbation with
-bit-exact restore (one direction, or a stack of directions evaluated in one
-eval forward), and two Jacobian oracles (analytic backprop and central finite
-differences).
+with SGD/Adam (in place on one flat parameter vector), flattened parameter
+views, in-place parameter perturbation with bit-exact restore (one direction,
+or a stack of directions evaluated in one eval forward), and two Jacobian
+oracles (analytic backprop and central finite differences).
 
 Conventions:
   * all numeric data is float64; inputs may be single examples ``(D,)`` or
@@ -105,11 +105,6 @@ class Linear:
             out += term
         return out.swapaxes(-1, -2)
 
-    def backward(self, grad, cache):
-        grad_w = grad.T @ cache
-        grad_b = None if self.bias is None else grad.sum(axis=0)
-        return grad @ self.weight, (grad_w, grad_b)
-
     def flat_params(self):
         if self.weight.ndim != 2:
             raise _stacked_error("flatten_params", self.weight)
@@ -152,7 +147,7 @@ class ReLU:
         return np.where(x > 0.0, x, 0.0)
 
     def backward(self, grad, cache):
-        return grad * cache, None
+        return grad * cache
 
     def spec(self):
         return {"kind": "relu"}
@@ -185,8 +180,8 @@ class Dropout:
 
     def backward(self, grad, cache):
         if cache is None:
-            return grad, None
-        return grad * cache, None
+            return grad
+        return grad * cache
 
     def spec(self):
         return {"kind": "dropout", "rate": self.rate}
@@ -222,7 +217,7 @@ class Softmax:
     def backward(self, grad, cache):
         p = cache
         inner = (grad * p).sum(axis=1, keepdims=True)
-        return p * grad - p * inner, None
+        return p * grad - p * inner
 
     def spec(self):
         return {"kind": "softmax"}
@@ -477,7 +472,7 @@ def jacobian(model, x, tap=TAP_FEATURE, scope=SCOPE_FEATURE):
             blocks[i] = np.hstack(parts)
             grad = grad @ layer.weight
         else:
-            grad, _ = layer.backward(grad, cache)
+            grad = layer.backward(grad, cache)
     columns = []
     for i in model.scope_layers(scope):
         layer = model.layers[i]
@@ -542,6 +537,21 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.loss not in ("cross_entropy", "squared_error"):
             raise ConfigError(f"unknown loss {self.loss!r}")
+        # written as "not in range" so that NaN fails too
+        for key in ("beta1", "beta2"):
+            value = getattr(self, key)
+            if not 0 <= value < 1:
+                raise ConfigError(f"{key} must be in [0, 1), got {value!r}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be > 0, got {self.eps!r}")
+        for key in ("momentum", "weight_decay"):
+            value = getattr(self, key)
+            if not value >= 0:
+                raise ConfigError(f"{key} must be >= 0, got {value!r}")
+            # Adam has neither, and would train as if the key were absent
+            if value and self.optimizer == "adam":
+                raise ConfigError(f"{key} applies only to optimizer 'sgd'; "
+                                  f"got {value!r} with 'adam'")
 
 
 def _loss_and_grad(output, y, loss):
@@ -561,61 +571,124 @@ def _loss_and_grad(output, y, loss):
     return (diff * diff).sum(axis=1), 2.0 * diff / b
 
 
-def loss_gradient(model, x, y, loss="cross_entropy", mode="eval", rng=None):
-    """Flat gradient of the batch-mean loss w.r.t. all parameters, plus the
-    per-example loss values."""
-    batch, _ = _as_batch(x)
-    out, caches = _forward_cached(model, batch, len(model.layers),
-                                  train=(mode == "train"), rng=rng)
+def _param_views(model, flat):
+    """``{layer index: (weight, bias or None)}`` of every parameter layer, as
+    views of the flat vector ``flat`` laid out in ``flatten_params`` order."""
+    views = {}
+    offset = 0
+    for i, layer in enumerate(model.layers):
+        if not layer.n_params:
+            continue
+        rows, cols = layer.weight.shape[-2:]
+        weight = flat[offset:offset + rows * cols].reshape(rows, cols)
+        offset += rows * cols
+        bias = None
+        if layer.bias is not None:
+            bias = flat[offset:offset + rows]
+            offset += rows
+        views[i] = (weight, bias)
+    return views
+
+
+def _backprop(model, x, y, loss, grads, train, rng):
+    """Forward ``x`` through the whole model and backpropagate the batch-mean
+    loss, writing each parameter layer's gradient into its ``(weight, bias)``
+    views in ``grads`` (see ``_param_views``); returns the per-example losses.
+
+    The input gradient of the first parameter layer is not formed: no
+    parameter lies below it.
+    """
+    out, caches = _forward_cached(model, x, len(model.layers), train, rng)
     losses, grad = _loss_and_grad(out, y, loss)
-    grads = {}
-    for i in range(len(model.layers) - 1, -1, -1):
+    first = min(grads, default=len(model.layers))
+    for i in range(len(model.layers) - 1, first - 1, -1):
         layer = model.layers[i]
-        grad, param_grad = layer.backward(grad, caches[i])
-        if param_grad is not None:
-            grads[i] = param_grad
-    parts = []
-    for i in range(len(model.layers)):
-        if model.layers[i].n_params == 0:
+        if i not in grads:
+            grad = layer.backward(grad, caches[i])
             continue
         grad_w, grad_b = grads[i]
-        parts.append(grad_w.ravel())
+        np.matmul(grad.T, caches[i], out=grad_w)
         if grad_b is not None:
-            parts.append(grad_b)
-    return np.concatenate(parts), losses
+            np.add.reduce(grad, axis=0, out=grad_b)
+        if i > first:
+            grad = grad @ layer.weight
+    return losses
+
+
+def loss_gradient(model, x, y, loss="cross_entropy", mode="eval", rng=None):
+    """Flat gradient of the batch-mean loss w.r.t. all parameters, plus the
+    per-example loss values: one step of ``train``'s backprop, into a new
+    vector."""
+    batch, _ = _as_batch(x)
+    flat = np.empty(model.n_total_params)
+    losses = _backprop(model, batch, y, loss, _param_views(model, flat),
+                       mode == "train", rng)
+    return flat, losses
 
 
 class _SgdState:
+    """SGD with momentum and weight decay, stepping θ in place. Each step
+    evaluates, elementwise and in this order,
+    ``g = grad + wd·θ``, ``vel = μ·vel + g``, ``θ = θ − lr·vel``."""
+
     def __init__(self, cfg, n):
         self.cfg = cfg
         self.velocity = np.zeros(n)
+        self.scratch = np.empty(n)
 
     def step(self, theta, grad):
-        g = grad + self.cfg.weight_decay * theta
-        self.velocity = self.cfg.momentum * self.velocity + g
-        return theta - self.cfg.lr * self.velocity
+        cfg, vel, g = self.cfg, self.velocity, self.scratch
+        np.multiply(cfg.weight_decay, theta, out=g)
+        np.add(grad, g, out=g)
+        np.multiply(cfg.momentum, vel, out=vel)
+        np.add(vel, g, out=vel)
+        np.multiply(cfg.lr, vel, out=g)
+        np.subtract(theta, g, out=theta)
 
 
 class _AdamState:
+    """Adam (Kingma & Ba 2015), stepping θ in place. Each step evaluates,
+    elementwise and in this order, ``m = β1·m + (1−β1)·g``,
+    ``v = β2·v + ((1−β2)·g)·g`` and
+    ``θ = θ − (lr·(m/(1−β1ᵗ))) / (√(v/(1−β2ᵗ)) + eps)``."""
+
     def __init__(self, cfg, n):
         self.cfg = cfg
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
+        self.step_buf = np.empty(n)
+        self.denom = np.empty(n)
 
     def step(self, theta, grad):
-        cfg = self.cfg
+        cfg, m, v, step, denom = self.cfg, self.m, self.v, self.step_buf, self.denom
         self.t += 1
-        self.m = cfg.beta1 * self.m + (1 - cfg.beta1) * grad
-        self.v = cfg.beta2 * self.v + (1 - cfg.beta2) * grad * grad
-        m_hat = self.m / (1 - cfg.beta1 ** self.t)
-        v_hat = self.v / (1 - cfg.beta2 ** self.t)
-        return theta - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        np.multiply(cfg.beta1, m, out=m)
+        np.multiply(1 - cfg.beta1, grad, out=step)
+        np.add(m, step, out=m)
+        np.multiply(cfg.beta2, v, out=v)
+        np.multiply(1 - cfg.beta2, grad, out=step)
+        np.multiply(step, grad, out=step)
+        np.add(v, step, out=v)
+        np.divide(m, 1 - cfg.beta1 ** self.t, out=step)
+        np.multiply(cfg.lr, step, out=step)
+        np.divide(v, 1 - cfg.beta2 ** self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, cfg.eps, out=denom)
+        np.divide(step, denom, out=step)
+        np.subtract(theta, step, out=theta)
 
 
 def train(model, labeled, cfg: TrainConfig):
     """Mini-batch training in place on the ``(X, y)`` array pair ``labeled``;
     returns the per-epoch mean loss curve.
+
+    For the length of the call every Linear layer's weight and bias are views
+    of one flat parameter vector θ in ``flatten_params`` order. Each step
+    backpropagates into views of one flat gradient vector and the optimizer
+    updates θ in place, so no step flattens, concatenates or writes back.
+    When the call returns or raises, the layers get owned copies of θ again,
+    and none of them aliases a buffer of the call.
 
     Identical seed + data + config reproduce bit-identical final parameters.
     """
@@ -632,21 +705,26 @@ def train(model, labeled, cfg: TrainConfig):
         return []
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     theta = flatten_params(model, SCOPE_ALL)
+    grad = np.empty_like(theta)
+    grads = _param_views(model, grad)
     state = (_SgdState if cfg.optimizer == "sgd" else _AdamState)(cfg, theta.size)
     curve = []
-    for _ in range(cfg.epochs):
-        order = gen.permutation(n)
-        # scatter per-example losses back to canonical positions so the epoch
-        # mean does not depend on the shuffle's summation order
-        epoch_losses = np.zeros(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            grad, losses = loss_gradient(model, xs[idx], ys[idx], cfg.loss,
-                                         mode="train", rng=gen)
-            epoch_losses[idx] = losses
-            theta = state.step(flatten_params(model, SCOPE_ALL), grad)
-            set_params(model, theta, SCOPE_ALL)
-        curve.append(float(epoch_losses.sum() / n))
+    try:
+        for i, (weight, bias) in _param_views(model, theta).items():
+            model.layers[i].weight, model.layers[i].bias = weight, bias
+        for _ in range(cfg.epochs):
+            order = gen.permutation(n)
+            # scatter per-example losses back to canonical positions so the
+            # epoch mean does not depend on the shuffle's summation order
+            epoch_losses = np.zeros(n)
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                epoch_losses[idx] = _backprop(model, xs[idx], ys[idx], cfg.loss,
+                                              grads, True, gen)
+                state.step(theta, grad)
+            curve.append(float(epoch_losses.sum() / n))
+    finally:
+        _write_params(model, theta, SCOPE_ALL)
     return curve
 
 

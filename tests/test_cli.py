@@ -121,7 +121,13 @@ class TestRun:
         ("train", "lr", "Infinity", "train.lr must be a finite number"),
         ("dataset", "n_per_class", "-3", "dataset.n_per_class must be >= 1"),
         ("dataset", "test_fraction", "1.5", "dataset.test_fraction must be in"),
-        ("model", "dropout", "1.5", "model.dropout must be in")])
+        ("model", "dropout", "1.5", "model.dropout must be in"),
+        ("dataset", "classes", "1", "dataset.classes must be >= 2"),
+        ("dataset", "noise_std", "-1", "dataset.noise_std must be >= 0"),
+        ("dataset", "centers_seed", "-1", "dataset.centers_seed must be >= 0"),
+        ("train", "beta1", "1.0", "beta1 must be in [0, 1)"),
+        ("train", "eps", "0", "eps must be > 0"),
+        ("train", "weight_decay", "0.5", "weight_decay applies only to optimizer 'sgd'")])
     def test_bad_value_exits_2_before_the_manifest(self, tmp_path, capsys,
                                                    section, key, literal,
                                                    message):

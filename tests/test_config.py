@@ -131,7 +131,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("dataset", "n_per_class", -3, "dataset.n_per_class must be >= 1"),
-        ("dataset", "classes", 0, "dataset.classes must be >= 1"),
+        ("dataset", "classes", 0, "dataset.classes must be >= 2"),
         ("dataset", "dim", 0, "dataset.dim must be >= 1"),
         ("dataset", "test_fraction", 1.5, "dataset.test_fraction must be in"),
         ("dataset", "test_fraction", 0, "dataset.test_fraction must be in"),
@@ -139,7 +139,11 @@ class TestParsing:
         ("model", "dropout", 1.5, "model.dropout must be in"),
         ("model", "dropout", 1.0, "model.dropout must be in"),
         ("model", "dropout", -0.1, "model.dropout must be in"),
-        ("model", "hidden", [4, 0], re.escape("model.hidden[1] must be >= 1"))])
+        ("model", "hidden", [4, 0], re.escape("model.hidden[1] must be >= 1")),
+        ("dataset", "classes", 1, "dataset.classes must be >= 2"),
+        ("dataset", "noise_std", -1.0, "dataset.noise_std must be >= 0"),
+        ("dataset", "centers_seed", -1, "dataset.centers_seed must be >= 0"),
+        ("dataset", "center_scale", -1.0, "dataset.center_scale must be >= 0")])
     def test_out_of_range_dataset_and_model_values_rejected(self, section, key,
                                                             value, message):
         # each used to load and fail only once the run had started
@@ -154,9 +158,48 @@ class TestParsing:
             experiment_from_dict(doc)
         # the edges of each range load
         edges = dict(MINIMAL, dataset=dict(MINIMAL["dataset"], dim=1,
-                                           test_fraction=0.5),
+                                           test_fraction=0.5, classes=2,
+                                           noise_std=0.0, centers_seed=0),
                      model={"hidden": [1], "dropout": 0.0})
         experiment_from_dict(edges)
+
+    @pytest.mark.parametrize("dataset,message", [
+        ({"kind": "linear_regression", "n": 20, "dim": 2, "noise_std": 0.1,
+          "weight_seed": -1}, "dataset.weight_seed must be >= 0"),
+        ({"kind": "linear_regression", "n": 20, "dim": 2, "noise_std": -0.1},
+         "dataset.noise_std must be >= 0"),
+        ({"kind": "two_moons", "n": 20, "noise_std": -0.5},
+         "dataset.noise_std must be >= 0")])
+    def test_seeds_and_noise_of_other_dataset_kinds_range_checked(self, dataset,
+                                                                  message):
+        # a negative seed used to die in SeedSequence with a bare ValueError,
+        # a negative noise_std in the generator, both after the manifest
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            experiment_from_dict(dict(MINIMAL, dataset=dataset))
+
+    @pytest.mark.parametrize("train,message", [
+        ({"beta1": 1.0}, "beta1 must be in [0, 1)"),
+        ({"beta1": -0.1}, "beta1 must be in [0, 1)"),
+        ({"beta2": 1.0}, "beta2 must be in [0, 1)"),
+        ({"eps": 0.0}, "eps must be > 0"),
+        ({"eps": -1e-8}, "eps must be > 0"),
+        ({"optimizer": "sgd", "momentum": -0.9}, "momentum must be >= 0"),
+        ({"optimizer": "sgd", "weight_decay": -1e-3}, "weight_decay must be >= 0"),
+        ({"momentum": 0.9}, "momentum applies only to optimizer 'sgd'"),
+        ({"optimizer": "adam", "weight_decay": 0.5},
+         "weight_decay applies only to optimizer 'sgd'")])
+    def test_optimizer_settings_that_do_nothing_or_blow_up_rejected(self, train,
+                                                                    message):
+        # beta1 1.0 divided by zero in training; Adam trained as if momentum
+        # and weight_decay were 0
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            experiment_from_dict(dict(MINIMAL, train=train))
+
+    def test_optimizer_settings_at_the_edges_load(self):
+        for train in ({"beta1": 0.0, "beta2": 0.0, "eps": 1e-300},
+                      {"optimizer": "adam", "momentum": 0.0, "weight_decay": 0.0},
+                      {"optimizer": "sgd", "momentum": 0.9, "weight_decay": 0.5}):
+            experiment_from_dict(dict(MINIMAL, train=train))
 
     def test_seeds_must_be_a_list(self):
         with pytest.raises(ConfigError, match="seeds must be a JSON list"):

@@ -340,6 +340,131 @@ class TestFiniteDiff:
             nn.finite_diff_jacobian(scalar_linear_model, np.zeros(4), h=0.0)
 
 
+def reference_loss_gradient(model, x, y, loss="cross_entropy", mode="eval", rng=None):
+    """The loss gradient the in-place training step replaced: backprop through
+    every layer, including the input gradient of the first Linear, then one
+    concatenation. Kept as the oracle ``nn.loss_gradient`` and the training
+    step must match bit for bit."""
+    batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    out, caches = nn._forward_cached(model, batch, len(model.layers),
+                                     train=(mode == "train"), rng=rng)
+    losses, grad = nn._loss_and_grad(out, y, loss)
+    grads = {}
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[i]
+        if isinstance(layer, nn.Linear):
+            grads[i] = (grad.T @ caches[i],
+                        None if layer.bias is None else grad.sum(axis=0))
+            grad = grad @ layer.weight
+        else:
+            grad = layer.backward(grad, caches[i])
+    parts = []
+    for i in range(len(model.layers)):
+        if model.layers[i].n_params == 0:
+            continue
+        grad_w, grad_b = grads[i]
+        parts.append(grad_w.ravel())
+        if grad_b is not None:
+            parts.append(grad_b)
+    return np.concatenate(parts), losses
+
+
+class _ReferenceSgd:
+    def __init__(self, cfg, n):
+        self.cfg = cfg
+        self.velocity = np.zeros(n)
+
+    def step(self, theta, grad):
+        g = grad + self.cfg.weight_decay * theta
+        self.velocity = self.cfg.momentum * self.velocity + g
+        return theta - self.cfg.lr * self.velocity
+
+
+class _ReferenceAdam:
+    def __init__(self, cfg, n):
+        self.cfg = cfg
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self.t = 0
+
+    def step(self, theta, grad):
+        cfg = self.cfg
+        self.t += 1
+        self.m = cfg.beta1 * self.m + (1 - cfg.beta1) * grad
+        self.v = cfg.beta2 * self.v + (1 - cfg.beta2) * grad * grad
+        m_hat = self.m / (1 - cfg.beta1 ** self.t)
+        v_hat = self.v / (1 - cfg.beta2 ** self.t)
+        return theta - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+
+
+def reference_train(model, labeled, cfg):
+    """The training loop the in-place one replaced: per step it flattens the
+    parameters, takes a fresh concatenated gradient, builds new optimizer
+    vectors and writes every layer back."""
+    xs, ys = labeled
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys)
+    n = xs.shape[0]
+    if n == 0:
+        return []
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    theta = nn.flatten_params(model)
+    state = (_ReferenceSgd if cfg.optimizer == "sgd" else _ReferenceAdam)(cfg, theta.size)
+    curve = []
+    for _ in range(cfg.epochs):
+        order = gen.permutation(n)
+        epoch_losses = np.zeros(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            grad, losses = reference_loss_gradient(model, xs[idx], ys[idx], cfg.loss,
+                                                   mode="train", rng=gen)
+            epoch_losses[idx] = losses
+            theta = state.step(nn.flatten_params(model), grad)
+            nn.set_params(model, theta)
+        curve.append(float(epoch_losses.sum() / n))
+    return curve
+
+
+@st.composite
+def training_case(draw):
+    """A built model, an (X, y) pair for it and a TrainConfig, over both
+    optimizers and losses, bias, dropout, hidden depth 0-2, batch sizes that
+    do and do not divide N or exceed it, and 0-3 epochs."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loss = draw(st.sampled_from(["cross_entropy", "squared_error"]))
+    dim, out = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    if loss == "cross_entropy":
+        out = max(out, 2)
+    hidden = draw(st.lists(st.integers(1, 9), max_size=2))
+    model = nn.build_mlp(dim, hidden, out,
+                         task="classification" if loss == "cross_entropy" else "regression",
+                         dropout=draw(st.sampled_from([0.0, 0.3])),
+                         bias=draw(st.booleans()), seed=draw(st.integers(0, 99)))
+    n = draw(st.integers(1, 40))
+    xs = gen.normal(size=(n, dim))
+    if loss == "cross_entropy":
+        ys = gen.integers(0, out, size=n)
+    else:
+        ys = gen.normal(size=n if out == 1 else (n, out))
+    optimizer = draw(st.sampled_from(["adam", "sgd"]))
+    sgd = {} if optimizer == "adam" else {
+        "momentum": draw(st.sampled_from([0.0, 0.9])),
+        "weight_decay": draw(st.sampled_from([0.0, 1e-3]))}
+    cfg = nn.TrainConfig(optimizer=optimizer, lr=draw(st.sampled_from([1e-3, 0.05])),
+                         epochs=draw(st.integers(0, 3)),
+                         batch_size=draw(st.integers(1, 50)), loss=loss,
+                         seed=draw(st.integers(0, 2**32 - 1)), **sgd)
+    return model, (xs, ys), cfg
+
+
+def _owned_parameter_arrays(model):
+    arrays = []
+    for layer in model.layers:
+        if layer.n_params:
+            arrays += [a for a in (layer.weight, layer.bias) if a is not None]
+    return arrays
+
+
 class TestTrain:
     def test_zero_learning_rate_freezes_parameters(self):
         model = nn.build_mlp(2, [4], 2, seed=5)
@@ -404,6 +529,91 @@ class TestTrain:
             nn.train(model, (xs, ys), cfg)
             results.append(nn.flatten_params(model))
         assert np.array_equal(results[0], results[1])
+
+
+    @given(training_case())
+    @settings(max_examples=150)
+    def test_matches_the_reference_loop_bit_for_bit(self, case):
+        model, labeled, cfg = case
+        expected_model = model.copy()
+        expected_curve = reference_train(expected_model, labeled, cfg)
+        curve = nn.train(model, labeled, cfg)
+        assert np.array_equal(curve, expected_curve)
+        assert np.array_equal(nn.flatten_params(model),
+                              nn.flatten_params(expected_model))
+
+    def test_wide_batches_match_the_reference_bit_for_bit(self):
+        # shapes large enough for BLAS to split the products across threads
+        gen = np.random.default_rng(3)
+        xs = gen.normal(size=(300, 40))
+        ys = gen.integers(0, 5, size=300)
+        model = nn.build_mlp(40, [160, 96], 5, dropout=0.1, seed=2)
+        expected = model.copy()
+        cfg = nn.TrainConfig(lr=0.01, epochs=2, batch_size=256, seed=4)
+        assert nn.train(model, (xs, ys), cfg) == reference_train(expected, (xs, ys), cfg)
+        assert np.array_equal(nn.flatten_params(model), nn.flatten_params(expected))
+
+    @given(training_case(), st.sampled_from(["eval", "train"]))
+    @settings(max_examples=60)
+    def test_loss_gradient_matches_the_reference_bit_for_bit(self, case, mode):
+        model, (xs, ys), cfg = case
+        grad, losses = nn.loss_gradient(model, xs, ys, cfg.loss, mode=mode,
+                                        rng=np.random.default_rng(cfg.seed))
+        expected, expected_losses = reference_loss_gradient(
+            model, xs, ys, cfg.loss, mode=mode, rng=np.random.default_rng(cfg.seed))
+        assert np.array_equal(grad, expected)
+        assert np.array_equal(losses, expected_losses)
+
+    def test_layers_own_unshared_parameters_after_training(self, monkeypatch):
+        written = []
+        write = nn._write_params
+        monkeypatch.setattr(nn, "_write_params",
+                            lambda model, vec, scope: (written.append(vec),
+                                                       write(model, vec, scope)))
+        model = nn.build_mlp(3, [5, 4], 2, seed=1)
+        gen = np.random.default_rng(0)
+        nn.train(model, (gen.normal(size=(20, 3)), gen.integers(0, 2, size=20)),
+                 nn.TrainConfig(epochs=2, batch_size=6))
+        arrays = _owned_parameter_arrays(model)
+        assert len(arrays) == 6
+        for k, a in enumerate(arrays):
+            assert a.flags.owndata
+            assert not np.shares_memory(a, written[0])
+            assert not any(np.shares_memory(a, b) for b in arrays[k + 1:])
+        before = nn.flatten_params(model)
+        model.layers[0].weight[0, 0] += 1.0
+        changed = np.flatnonzero(nn.flatten_params(model) != before)
+        assert changed.tolist() == [0]
+
+    def test_width_mismatch_raises_and_leaves_a_working_model(self):
+        model = nn.build_mlp(3, [4], 2, seed=5)
+        twin = model.copy()
+        before = nn.flatten_params(model)
+        gen = np.random.default_rng(1)
+        with pytest.raises(DimensionError):
+            nn.train(model, (gen.normal(size=(6, 4)), gen.integers(0, 2, size=6)),
+                     nn.TrainConfig(epochs=1))
+        assert np.array_equal(nn.flatten_params(model), before)
+        assert all(a.flags.owndata for a in _owned_parameter_arrays(model))
+        clone = model.copy()
+        assert np.array_equal(nn.flatten_params(clone), before)
+        labeled = (gen.normal(size=(9, 3)), gen.integers(0, 2, size=9))
+        cfg = nn.TrainConfig(epochs=3, batch_size=4, seed=2)
+        assert nn.train(model, labeled, cfg) == nn.train(twin, labeled, cfg)
+        assert np.array_equal(nn.flatten_params(model), nn.flatten_params(twin))
+
+    @pytest.mark.parametrize("epochs,batch_size", [(0, 4), (1, 32), (5, 3)])
+    def test_parameters_are_written_back_once_per_call(self, monkeypatch,
+                                                        epochs, batch_size):
+        calls = []
+        write = nn._write_params
+        monkeypatch.setattr(nn, "_write_params",
+                            lambda *args: (calls.append(1), write(*args)))
+        model = nn.build_mlp(2, [4], 2, seed=5)
+        gen = np.random.default_rng(2)
+        nn.train(model, (gen.normal(size=(10, 2)), gen.integers(0, 2, size=10)),
+                 nn.TrainConfig(epochs=epochs, batch_size=batch_size))
+        assert len(calls) == 1
 
 
 class TestDropout:
