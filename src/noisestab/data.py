@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -226,11 +227,16 @@ def load_csv_tabular(path, schema, categories=None) -> Dataset:
 
     def parse_number(value, r, c):
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise DataError(
                 f"non-numeric value {value!r} in numeric column {c!r} at row {r}"
             ) from None
+        # float() also reads "nan" and "inf", which standardize() would
+        # spread over the whole column
+        if not math.isfinite(number):
+            raise DataError(f"non-finite value {value!r} in column {c!r} at row {r}")
+        return number
 
     for r, row in enumerate(rows):
         values = dict(zip(header, row))

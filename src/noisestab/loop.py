@@ -9,6 +9,7 @@ streams, so switching strategies never perturbs the data or the initial pool.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -201,14 +202,19 @@ MODEL_DEFAULTS = {"hidden": [16], "dropout": 0.0}
 DATASET_MINIMA = {"n_per_class": 1, "classes": 2, "dim": 1, "n": 1,
                   "noise_std": 0, "center_scale": 0, "centers_seed": 0,
                   "weight_seed": 0}
+# the dataset keys that name an input file (idx images and labels, csv path)
+DATASET_FILE_KEYS = ("images", "labels", "path")
 
 
 def check_ranges(dataset: dict, model: dict):
     """Reject dataset and model values the run could not use, at load rather
-    than once the run has started."""
+    than once the run has started: out of range, or naming no file."""
     for key, least in DATASET_MINIMA.items():
         if dataset.get(key, least) < least:
             raise ConfigError(f"dataset.{key} must be >= {least}, got {dataset[key]!r}")
+    for key in DATASET_FILE_KEYS:
+        if key in dataset and not os.path.isfile(dataset[key]):
+            raise ConfigError(f"dataset.{key} names no file: {dataset[key]!r}")
     fraction = {**DATASET_DEFAULTS, **dataset}["test_fraction"]
     if not 0 < fraction < 1:
         raise ConfigError(f"dataset.test_fraction must be in (0, 1), got {fraction!r}")
@@ -323,7 +329,11 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
             picks = [pool_state.unlabeled[p] for p in positions]
         else:
             picks = []
-        pool_state.acquire(picks)
+        try:
+            pool_state.acquire(picks)
+        except InvalidStateError as exc:
+            raise InvalidStateError(
+                f"seed {run_seed}, cycle {cycle}, phase select: {exc}") from exc
         pool_state.check_invariants(len(train_pool))
         reports.append(CycleReport(
             cycle=cycle, labeled_size=labeled_size, selected=picks,

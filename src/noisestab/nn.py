@@ -72,38 +72,39 @@ class Linear:
         # parameters of one direction, also while a stack is applied
         self.n_params = self.weight.size + (0 if self.bias is None else self.bias.size)
 
-    def _check_width(self, x):
-        if x.shape[-1] != self.weight.shape[-1]:
+    def _check_width(self, width):
+        if width != self.weight.shape[-1]:
             raise DimensionError(
-                f"input width {x.shape[-1]} does not match layer width {self.weight.shape[-1]}"
+                f"input width {width} does not match layer width {self.weight.shape[-1]}"
             )
 
     def forward(self, x, train, rng):
         if self.weight.ndim != 2:
             raise _stacked_error("forward", self.weight)
-        self._check_width(x)
+        self._check_width(x.shape[-1])
         y = x @ self.weight.T
         if self.bias is not None:
             y = y + self.bias
         return y, x
 
-    def infer(self, x):
-        """Eval forward ``y = b + sum_j x[..., j] * W[..., j]``, accumulated in
-        j order; a leading direction axis of the weight or of ``x`` is
-        broadcast, so a (Kc, N, out) result holds each direction's bits."""
-        self._check_width(x)
-        # built transposed, (..., out, N), so every multiply-add runs over a
-        # contiguous row of the batch
+    def infer(self, a):
+        """Eval forward on feature-major activations: ``a`` is (in, N), or
+        (Kc, in, N), and the result is (out, N), or (Kc, out, N). Each output
+        is ``b + sum_j W[..., j] * a[..., j, :]``, accumulated in j order, so
+        every multiply-add runs over a contiguous input row. A leading
+        direction axis of the weight or of ``a`` is broadcast, so each
+        direction's slice holds its own bits."""
+        self._check_width(a.shape[-2])
         w = self.weight
-        # at most one direction axis, on the weight, on x, or the same on both
-        out = np.empty((w.shape[:-2] or x.shape[:-2]) + (w.shape[-2], x.shape[-2]))
+        # at most one direction axis, on the weight, on a, or the same on both
+        out = np.empty((w.shape[:-2] or a.shape[:-2]) + (w.shape[-2], a.shape[-1]))
         out[...] = 0.0 if self.bias is None else self.bias[..., None]
         term = np.empty_like(out)
-        for w_j, x_j in zip(_last_axis_first(w)[..., None],
-                            _last_axis_first(x)[..., None, :]):
-            np.multiply(w_j, x_j, out=term)
+        for w_j, a_j in zip(_last_axis_first(w)[..., None],
+                            a.swapaxes(0, -2)[..., None, :]):
+            np.multiply(w_j, a_j, out=term)
             out += term
-        return out.swapaxes(-1, -2)
+        return out
 
     def flat_params(self):
         if self.weight.ndim != 2:
@@ -144,7 +145,14 @@ class ReLU:
         return np.where(mask, x, 0.0), mask
 
     def infer(self, x):
-        return np.where(x > 0.0, x, 0.0)
+        """Eval ReLU of activations in any layout, with the bits of
+        ``np.where(x > 0.0, x, 0.0)`` and no per-element branch. ``fmax``
+        returns the operand that is not NaN, so NaN maps to 0.0 as it does
+        there; it may keep a ``-0.0`` against 0.0, and adding 0.0 turns that
+        into +0.0 while leaving every other value as it is."""
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        return out
 
     def backward(self, grad, cache):
         return grad * cache
@@ -194,25 +202,26 @@ class Softmax:
     n_params = 0
 
     @staticmethod
-    def _shifted_exp(x):
-        shifted = x - x.max(axis=-1, keepdims=True)
+    def _shifted_exp(x, axis):
+        shifted = x - x.max(axis=axis, keepdims=True)
         np.clip(shifted, _SOFTMAX_MIN_SHIFTED, None, out=shifted)
         return np.exp(shifted)
 
     def forward(self, x, train, rng):
-        e = self._shifted_exp(x)
+        e = self._shifted_exp(x, -1)
         p = e / e.sum(axis=1, keepdims=True)
         return p, p
 
     def infer(self, x):
-        # the row max is exact in any order; the normalizer is summed column
-        # by column, over any leading direction axis
-        e = self._shifted_exp(x)
-        columns = _last_axis_first(e)
-        total = columns[0].copy()
-        for column in columns[1:]:
-            total += column
-        return e / total[..., None]
+        """Eval softmax of feature-major logits: (C, N), or (Kc, C, N), with
+        the classes on axis -2. The max over the classes is exact in any
+        order; the normalizer is summed class by class over contiguous rows."""
+        e = self._shifted_exp(x, -2)
+        rows = e.swapaxes(0, -2)
+        total = rows[0].copy()
+        for row in rows[1:]:
+            total += row
+        return e / total[..., None, :]
 
     def backward(self, grad, cache):
         p = cache
@@ -361,10 +370,15 @@ def forward_to(model, x, boundary):
     (Kc, N, d) while a stack of Kc perturbations is applied to a layer before
     the boundary, row k holding direction k's activations.
 
+    Inside the call the activations are feature-major: the (N, D) input is
+    copied once into a contiguous (D, N) array, every layer's ``infer`` takes
+    and returns (d, N), or (Kc, d, N) under a stack, and the result is swapped
+    back to the shapes above at the end.
+
     Every row goes through the same floating-point operations whatever the
-    batch holds: each Linear adds its products ``x[:, j] * W[:, j]`` to the
-    bias one input column at a time in a fixed order, the Softmax normalizer
-    is summed one column at a time, and everything else is elementwise. A row's
+    batch holds: each Linear adds its products ``W[:, j] * a[j, :]`` to the
+    bias one input feature at a time in a fixed order, the Softmax normalizer
+    is summed one class at a time, and everything else is elementwise. A row's
     output therefore depends only on (parameters, row), bit for bit, never on
     the batch size or the row's position (BLAS GEMM gives no such promise), so
     a whole pool can be evaluated in one call. The same holds across a stack:
@@ -374,9 +388,11 @@ def forward_to(model, x, boundary):
     """
     if not 0 < boundary <= len(model.layers):
         raise ConfigError(f"boundary {boundary} out of range")
-    acts, squeeze = _as_batch(x)
+    batch, squeeze = _as_batch(x)
+    acts = batch.T.copy()
     for layer in model.layers[:boundary]:
         acts = layer.infer(acts)
+    acts = acts.swapaxes(-1, -2)
     return acts[0] if squeeze else acts
 
 

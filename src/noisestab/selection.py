@@ -91,7 +91,9 @@ def greedy_k_center(req: SelectionRequest):
 
     Seeded from the labeled embeddings when provided (every pick is then a
     farthest-point pick); otherwise the first pick is the maximum-norm
-    embedding. Returns picks in selection order.
+    embedding. Picked rows leave the argmax, so once every remaining
+    distance is 0 (fewer distinct rows than the budget) each further pick is
+    the lowest unpicked index. Returns distinct picks in selection order.
     """
     x = req.embeddings
     if req.budget == 0:
@@ -106,10 +108,12 @@ def greedy_k_center(req: SelectionRequest):
         first = int(np.argmax(np.linalg.norm(x, axis=1)))
         picks.append(first)
         min_dist = dist.to(x[first]).copy()
+        min_dist[first] = -np.inf
     while len(picks) < req.budget:
         nxt = int(np.argmax(min_dist))
         picks.append(nxt)
         np.minimum(min_dist, dist.to(x[nxt]), out=min_dist)
+        min_dist[nxt] = -np.inf
     return picks
 
 

@@ -140,6 +140,22 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("dataset,key", [
+        ({"kind": "idx", "images": "absent-images", "labels": "absent-labels"},
+         "images"),
+        ({"kind": "csv", "path": "absent.csv", "schema": {"y": "target"}}, "path")],
+        ids=["idx", "csv"])
+    def test_missing_dataset_file_exits_2_before_the_manifest(
+            self, tmp_path, capsys, dataset, key):
+        dataset = {k: str(tmp_path / v) if k in ("images", "labels", "path") else v
+                   for k, v in dataset.items()}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, dataset=dataset)))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 2
+        assert f"dataset.{key} names no file" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestCheck:
     def test_suite_filter_emits_only_matching_reports(self, capsys):

@@ -163,6 +163,24 @@ class TestParsing:
                      model={"hidden": [1], "dropout": 0.0})
         experiment_from_dict(edges)
 
+    @pytest.mark.parametrize("kind,key", [("idx", "images"), ("idx", "labels"),
+                                          ("csv", "path")])
+    def test_dataset_file_that_is_not_there_rejected_naming_the_key(
+            self, tmp_path, kind, key):
+        # a missing file used to load, write the manifest and then die with a
+        # bare FileNotFoundError
+        present = tmp_path / "present"
+        present.write_bytes(b"")
+        dataset = ({"kind": "idx", "images": str(present), "labels": str(present)}
+                   if kind == "idx" else
+                   {"kind": "csv", "path": str(present), "schema": {"y": "target"}})
+        experiment_from_dict(dict(MINIMAL, dataset=dataset))
+        for absent in (tmp_path / "absent", tmp_path):
+            dataset[key] = str(absent)
+            message = f"dataset.{key} names no file: '{absent}'"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+                experiment_from_dict(dict(MINIMAL, dataset=dataset))
+
     @pytest.mark.parametrize("dataset,message", [
         ({"kind": "linear_regression", "n": 20, "dim": 2, "noise_std": 0.1,
           "weight_seed": -1}, "dataset.weight_seed must be >= 0"),

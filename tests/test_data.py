@@ -184,6 +184,19 @@ class TestCsvLoader:
         with pytest.raises(DataError, match="row 1"):
             data.load_csv_tabular(path, {"num": "numeric", "y": "target"})
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity"])
+    @pytest.mark.parametrize("column", ["num", "y"])
+    def test_non_finite_value_names_value_row_and_column(self, tmp_path, value,
+                                                         column):
+        # float() parses these; standardize() would spread a NaN over the
+        # whole column, so the load rejects them
+        row = {"num": "1.5", "y": "2.0", column: value}
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"num,y\n1.0,2.0\n0.5,1.0\n{row['num']},{row['y']}\n")
+        with pytest.raises(DataError, match=f"non-finite value '{value}' in "
+                                            f"column '{column}' at row 2"):
+            data.load_csv_tabular(path, {"num": "numeric", "y": "target"})
+
     def test_schema_must_cover_all_columns(self, csv_path):
         with pytest.raises(DataError, match="cover"):
             data.load_csv_tabular(csv_path, {"color": "categorical",

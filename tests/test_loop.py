@@ -336,3 +336,21 @@ class TestNonFiniteGuard:
         # cycle with a NaN loss curve
         with pytest.raises(NonFiniteError, match="seed 0, cycle 1, phase train"):
             run_single_seed(self.diverging_config(strategy="random"), 0)
+
+
+class TestSelectPhase:
+    def test_pool_of_few_distinct_rows_selects_distinct_indices(self):
+        # with no point noise the pool holds one row per class, fewer distinct
+        # embeddings than the budget; k-center used to repeat an index
+        dataset = {"kind": "blobs", "n_per_class": 40, "classes": 3, "dim": 3,
+                   "centers_seed": 5, "noise_std": 0.0, "test_fraction": 0.25}
+        cfg = blob_config(dataset=dataset, strategy="noise_stability", cycles=2)
+        reports = run_single_seed(cfg, 0)
+        picks = [i for r in reports for i in r.selected]
+        assert len(picks) == len(set(picks)) == 2 * cfg.budget
+
+    def test_invalid_picks_name_seed_cycle_and_phase(self, monkeypatch):
+        monkeypatch.setattr(loop, "_strategy_picks", lambda *args: [0, 0])
+        with pytest.raises(InvalidStateError,
+                           match="seed 3, cycle 1, phase select: .*distinct"):
+            run_single_seed(blob_config(), 3)

@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisestab import nn
+from noisestab import nn, stability
 from noisestab.exceptions import (ConfigError, DimensionError,
                                   InvalidStateError)
 
@@ -86,6 +86,132 @@ class TestForwardTo:
                 assert np.array_equal(nn.forward_to(model, x, boundary), full[i])
             feature, _ = nn.forward(model, pool)
             assert np.linalg.norm(full - feature) <= 1e-12 * np.linalg.norm(feature)
+
+
+def _reference_linear(layer, x):
+    """Row-major ``Linear.infer`` as it was before the feature-major forward:
+    (N, in) or (Kc, N, in) in, the products ``x[..., j] * W[..., j]`` added to
+    the bias in j order, a transposed (..., N, out) view out."""
+    w = layer.weight
+    out = np.empty((w.shape[:-2] or x.shape[:-2]) + (w.shape[-2], x.shape[-2]))
+    out[...] = 0.0 if layer.bias is None else layer.bias[..., None]
+    term = np.empty_like(out)
+    for w_j, x_j in zip(np.moveaxis(w, -1, 0)[..., None],
+                        np.moveaxis(x, -1, 0)[..., None, :]):
+        np.multiply(w_j, x_j, out=term)
+        out += term
+    return out.swapaxes(-1, -2)
+
+
+def _reference_softmax(x):
+    """Row-major ``Softmax.infer``: the max over the last axis, the
+    normalizer summed column by column."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    np.clip(shifted, nn._SOFTMAX_MIN_SHIFTED, None, out=shifted)
+    e = np.exp(shifted)
+    columns = np.moveaxis(e, -1, 0)
+    total = columns[0].copy()
+    for column in columns[1:]:
+        total += column
+    return e / total[..., None]
+
+
+def reference_forward_to(model, x, boundary):
+    """The row-major eval forward the feature-major ``nn.forward_to``
+    replaced, kept as the oracle it must match bit for bit. ``x`` is (N, D);
+    the result is (N, d), or (Kc, N, d) under a stack."""
+    acts = np.asarray(x, dtype=np.float64)
+    for layer in model.layers[:boundary]:
+        if isinstance(layer, nn.Linear):
+            acts = _reference_linear(layer, acts)
+        elif isinstance(layer, nn.ReLU):
+            acts = np.where(acts > 0.0, acts, 0.0)
+        elif isinstance(layer, nn.Softmax):
+            acts = _reference_softmax(acts)
+    return acts
+
+
+def assert_same_bytes(got, expected):
+    """Equal shape and dtype, and equal bytes in C order: tells -0.0 from 0.0
+    and compares NaNs by their bits."""
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert (np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(expected).tobytes())
+
+
+# float64 values at the edges of ReLU and of the sums: signed zeros, NaNs of
+# both signs, infinities, subnormals and the smallest normal
+SPECIAL_VALUES = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                           -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                           -1.7976931348623157e308, 1.5, -2.5])
+# rows past what stability._CHUNK_ENTRIES gives one direction at width 4 or more
+_PAST_CHUNK_BUDGET_ROWS = stability._CHUNK_ENTRIES // 4 + 1
+
+
+class TestFeatureMajorForward:
+    @given(depth=st.integers(0, 2), width=st.integers(1, 12),
+           dim=st.integers(1, 4), task=st.sampled_from(["classification",
+                                                        "regression"]),
+           classes=st.integers(2, 5), bias=st.booleans(),
+           dropout=st.sampled_from([0.0, 0.3]),
+           n_rows=st.one_of(st.integers(0, 40), st.just(_PAST_CHUNK_BUDGET_ROWS)),
+           stack=st.integers(0, 3),
+           scope=st.sampled_from([nn.SCOPE_FEATURE, nn.SCOPE_ALL]),
+           special=st.booleans(), signed_zero=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(depth=1, width=6, dim=1, task="classification", classes=3,
+             bias=True, dropout=0.0, n_rows=_PAST_CHUNK_BUDGET_ROWS, stack=0,
+             scope=nn.SCOPE_ALL, special=True, signed_zero=True, seed=1)
+    @example(depth=1, width=5, dim=2, task="classification", classes=3,
+             bias=True, dropout=0.0, n_rows=9, stack=3, scope=nn.SCOPE_ALL,
+             special=True, signed_zero=False, seed=4)
+    @example(depth=2, width=3, dim=2, task="classification", classes=4,
+             bias=True, dropout=0.3, n_rows=1, stack=1, scope=nn.SCOPE_FEATURE,
+             special=False, signed_zero=True, seed=2)
+    @example(depth=0, width=1, dim=3, task="regression", classes=2, bias=False,
+             dropout=0.0, n_rows=0, stack=0, scope=nn.SCOPE_ALL, special=True,
+             signed_zero=False, seed=3)
+    @settings(max_examples=60)
+    def test_equals_the_row_major_reference_bit_for_bit(
+            self, depth, width, dim, task, classes, bias, dropout, n_rows, stack,
+            scope, special, signed_zero, seed):
+        gen = np.random.default_rng(seed)
+        model = nn.build_mlp(dim, [width] * depth, classes, task=task,
+                             dropout=dropout, bias=bias, seed=seed)
+        if signed_zero and bias:
+            # a zero weight row and a -0.0 bias make a -0.0 pre-activation on
+            # every row whose inputs are all negative; numpy's fmax keeps
+            # one only near the end of an array, hence the last unit and row
+            first = model.layers[0]
+            first.weight[-1] = 0.0
+            first.bias[-1] = -0.0
+        xs = gen.normal(size=(n_rows, dim))
+        if special:
+            hit = gen.random(xs.shape) < 0.2
+            xs[hit] = gen.choice(SPECIAL_VALUES, size=int(hit.sum()))
+        if signed_zero:
+            xs[-1:] = -1.0
+        if stack:
+            nn.apply_perturbation(
+                model, 0.1 * gen.normal(size=(stack, model.n_params(scope))), scope)
+        with np.errstate(all="ignore"):
+            for tap in (nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS):
+                boundary = model.tap_boundary(tap)
+                assert_same_bytes(nn.forward_to(model, xs, boundary),
+                                  reference_forward_to(model, xs, boundary))
+
+    @pytest.mark.parametrize("size", [1, 3, 8, 16, 100, 1001])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_fmax_plus_zero_is_where_byte_for_byte(self, size, transposed):
+        # ReLU.infer keeps the bits of np.where(x > 0.0, x, 0.0) only because
+        # of this numpy fact: fmax maps NaN to 0.0, and the + 0.0 turns a -0.0
+        # that fmax keeps on some array lengths into +0.0
+        x = np.resize(SPECIAL_VALUES, size)
+        if transposed:
+            x = np.resize(SPECIAL_VALUES, (size, 3)).T
+        expected = np.where(x > 0.0, x, 0.0)
+        assert_same_bytes(np.fmax(x, 0.0) + 0.0, expected)
+        assert_same_bytes(nn.ReLU().infer(x), expected)
 
 
 class TestSoftmax:

@@ -38,6 +38,20 @@ def reference_greedy_k_center(req):
     return picks
 
 
+def distinct_reference_k_center(req):
+    """What greedy k-center returns given the reference's picks: those picks
+    up to the first repeat, then the lowest unpicked indices in order. The
+    reference repeats a pick only once every remaining distance is 0, and
+    from then on every unpicked row ties at 0."""
+    picks = []
+    for i in reference_greedy_k_center(req):
+        if i in picks:
+            break
+        picks.append(i)
+    rest = [i for i in range(req.embeddings.shape[0]) if i not in picks]
+    return picks + rest[:req.budget - len(picks)]
+
+
 def reference_kmeans_pp(req):
     """kmeans++ seeding as first written (see reference_greedy_k_center)."""
     x = req.embeddings
@@ -123,6 +137,35 @@ class TestGreedyKCenter:
         labeled = np.array([[0.5]])
         picks = greedy_k_center(req(pool, 3, seeds_from_labeled=labeled))
         assert picks[-1] == 0
+
+    def test_fewer_distinct_rows_than_budget_gives_distinct_picks(self):
+        points = np.zeros((6, 3))
+        points[3] = 1.0
+        assert greedy_k_center(req(points, 4)) == [3, 0, 1, 2]
+        labeled = np.zeros((1, 3))
+        assert greedy_k_center(req(points, 4, seeds_from_labeled=labeled)) == \
+            [3, 0, 1, 2]
+
+    @given(n=st.integers(1, 30), width=st.integers(1, 4),
+           distinct=st.integers(1, 30), labeled=st.integers(0, 3),
+           budget_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60)
+    def test_picks_equal_the_reference_until_it_repeats(
+            self, n, width, distinct, labeled, budget_frac, seed):
+        # the reference (the function before picked rows left the argmax)
+        # repeats a pick once every distance is 0; until then the picks must
+        # not change, and after it they are the lowest unpicked indices
+        gen = np.random.default_rng(seed)
+        base = gen.integers(-1, 2, size=(min(distinct, n), width)).astype(float)
+        points = base[gen.integers(len(base), size=n)]
+        seeds = base[gen.integers(len(base), size=labeled)] if labeled else None
+        request = req(points, int(round(budget_frac * n)), seeds_from_labeled=seeds)
+        picks = greedy_k_center(request)
+        reference = reference_greedy_k_center(request)
+        assert len(set(picks)) == len(picks) == request.budget
+        if len(set(reference)) == len(reference):
+            assert picks == reference
+        assert picks == distinct_reference_k_center(request)
 
     def test_two_approximation_on_random_instances(self):
         gen = np.random.default_rng(42)
@@ -309,10 +352,10 @@ class TestBufferedDistances:
                                   reference_distances_to(points, center))
             picks = {m: select(r) for m, r in requests.items()}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(selection, "greedy_k_center", reference_greedy_k_center)
+            mp.setattr(selection, "greedy_k_center", distinct_reference_k_center)
             normalized = k_center_normalized(requests["k_center_normalized"])
         assert picks == {
-            "k_center": reference_greedy_k_center(requests["k_center"]),
+            "k_center": distinct_reference_k_center(requests["k_center"]),
             "kmeans_pp": reference_kmeans_pp(requests["kmeans_pp"]),
             "k_center_normalized": normalized,
         }
