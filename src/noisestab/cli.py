@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, nn, theory
 from .config import config_hash, load_experiment_config, resolved_dict
 from .exceptions import ConfigError, NoiseStabError
-from .loop import aggregate_runs, run_active_learning
+from .loop import aggregate_runs, check_initial_pool, run_active_learning
 
 SUITES = ("second_moment", "jacobian", "distance", "inner", "concentration",
           "efficiency", "all")
@@ -102,6 +102,7 @@ def _execute_run(cfg, out_dir: Path, strategy_label=None):
 
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
+    check_initial_pool(cfg)
     out_dir = _out_dir(args.out, Path(args.config).stem + "-run")
     rows = _execute_run(cfg, out_dir)
     print(f"wrote {out_dir}/reports.jsonl and curve.csv "
@@ -194,6 +195,7 @@ def cmd_sweep(args) -> int:
     # every arm is built, and so checked, before the first one runs
     arms = [(value, _sweep_variant(cfg, args.param, value))
             for value in _parse_sweep_values(args.param, args.values)]
+    check_initial_pool(cfg)  # the arms share the dataset and initial_labeled
     out_dir = _out_dir(args.out, Path(args.config).stem + "-sweep")
     merged = [f"param,value,{CURVE_HEADER}"]
     for value, sub in arms:
@@ -234,6 +236,7 @@ def cmd_ablate(args) -> int:
             cfg, strategy=strategy, budget=1,
             noise=replace(cfg.noise, samplings=50), bald_samples=50)
             for strategy in SINGLE_SAMPLE_STRATEGIES})
+    check_initial_pool(cfg)  # the arms share the dataset and initial_labeled
     out_dir = _out_dir(args.out, Path(args.config).stem + "-ablate")
     rows = {}
     for name, sub in arms.items():

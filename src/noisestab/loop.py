@@ -226,6 +226,17 @@ def check_ranges(dataset: dict, model: dict):
         raise ConfigError(f"model.dropout must be in [0, 1), got {model['dropout']!r}")
 
 
+def check_initial_pool(cfg: ExperimentConfig):
+    """ConfigError when initial_labeled exceeds the training pool, found
+    before a run writes anything. The pool size follows from the dataset's
+    class counts and test fraction, not from the run seed, so the first
+    seed's split answers for every seed."""
+    train_pool, _ = build_dataset(cfg.dataset, cfg.seeds[0])
+    if cfg.initial_labeled > len(train_pool):
+        raise ConfigError(f"initial_labeled {cfg.initial_labeled} exceeds the "
+                          f"pool of {len(train_pool)} examples")
+
+
 def build_model(spec: dict, input_dim, task, n_classes, seed) -> nn.MlpModel:
     spec = {**MODEL_DEFAULTS, **spec}
     output_dim = n_classes if task == "classification" else 1

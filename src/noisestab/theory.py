@@ -15,6 +15,8 @@ so pass thresholds are empirically calibrated, not theoretical.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,13 +180,24 @@ def _trial_rng(seed, trial):
 CONCENTRATION_KINDS = ("magnitude", "distance", "inner_product")
 
 
-def _check_concentration_args(kind, epsilon):
+def _check_trial_args(n, epsilon, trials):
+    """ValueError naming the first argument no trial could use."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
+
+
+def _check_concentration_args(kind, n, samplings, epsilon, trials):
     if kind not in CONCENTRATION_KINDS:
         raise ValueError(f"unknown concentration kind {kind!r}")
-    if not 0.0 < epsilon < 1.0 and kind == "inner_product":
+    _check_trial_args(n, epsilon, trials)
+    if samplings < 1:
+        raise ValueError(f"samplings must be >= 1, got {samplings!r}")
+    if kind == "inner_product" and not epsilon < 1.0:
         raise ValueError("inner_product bound needs epsilon in (0, 1)")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
 
 
 def failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float:
@@ -196,7 +209,7 @@ def failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float:
     ``reduced_failure_fraction``, which has the same law at a fraction of the
     cost.
     """
-    _check_concentration_args(kind, epsilon)
+    _check_concentration_args(kind, n, samplings, epsilon, trials)
     violations = 0
     for t in range(trials):
         gen = _trial_rng(seed, t)
@@ -278,7 +291,7 @@ def reduced_failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float
     """``failure_fraction`` sampled exactly in law from low-dimensional
     coordinates (see ``_reduced_violations``), vectorised over blocks of
     trials; one stream per (seed, kind)."""
-    _check_concentration_args(kind, epsilon)
+    _check_concentration_args(kind, n, samplings, epsilon, trials)
     if kind == "inner_product" and n < 2:
         raise ValueError("inner_product bound needs n >= 2")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
@@ -397,49 +410,96 @@ def simultaneous_failures(n, pool_size, samplings, epsilon, trials, seed):
         yield failed
 
 
+def _check_sweep_args(n, pool_sizes, epsilon, target, trials):
+    _check_trial_args(n, epsilon, trials)
+    if not 0.0 < target < 1.0:
+        raise ValueError(f"target must be in (0, 1), got {target!r}")
+    if not pool_sizes:
+        raise ValueError("pool_sizes must not be empty")
+    for pool_size in pool_sizes:
+        if pool_size < 1:
+            raise ValueError(f"pool sizes must be >= 1, got {pool_size!r}")
+
+
+def required_samplings(n, pool_size, epsilon, seed, target, trials) -> int:
+    """Smallest K found to keep the simultaneous failure fraction of
+    ``pool_size`` vectors below ``target``.
+
+    The search starts at K=1: K doubles until it passes, then the last
+    failing and first passing K are bisected. Each (N, K) evaluation draws
+    from its own stream, seeded by (seed, N, K), so the answer depends only
+    on the arguments.
+    """
+    _check_sweep_args(n, [pool_size], epsilon, target, trials)
+
+    def fails(k):
+        eval_seed = np.random.SeedSequence(
+            [int(seed) & 0xFFFFFFFFFFFFFFFF, int(pool_size), int(k)]
+        ).generate_state(1)[0]
+        failures = 0
+        outcomes = simultaneous_failures(n, pool_size, k, epsilon, trials,
+                                         int(eval_seed))
+        # stop as soon as the remaining trials cannot change the verdict
+        for done, failed in enumerate(outcomes, start=1):
+            failures += failed
+            if failures / trials >= target:
+                return True
+            if (failures + trials - done) / trials < target:
+                return False
+        return False
+
+    lo, hi = 0, 1  # lo: largest K seen to fail (K=0 always does)
+    while fails(hi):
+        lo = hi
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fails(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; the CPU count where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sampling_efficiency_sweep(n, pool_sizes, epsilon, seed, target=0.05,
                               trials=200):
     """Smallest K keeping the simultaneous failure probability below target,
     per pool size.
 
-    Each pool size is searched on its own from K=1: K doubles until it passes,
-    then the last failing and first passing K are bisected. No answer is
-    carried over from a smaller pool, so a table that rises with N is a
-    measured result, not an artefact of the search. Per-(N, K) evaluations
-    use derived seeds, so the whole table is deterministic. Returns a list of
+    Each pool size is searched on its own from K=1 by ``required_samplings``.
+    No answer is carried over from a smaller pool, so a table that rises with
+    N is a measured result, not an artefact of the search. The searches run
+    in worker processes, up to one per usable CPU, with the largest pool
+    submitted first because its search takes longest; with one usable CPU
+    they run in this process. A search reads no state that another search
+    writes, and draws only from streams seeded by (seed, N, K), and the table
+    is put together in ``pool_sizes`` order, so neither the number of workers
+    nor the order in which they finish changes a bit of it. Returns a list of
     {"pool_size", "required_samplings"} rows; sub-linear growth shows as K
     ratios far below pool-size ratios.
     """
-    table = []
-    for pool_size in pool_sizes:
-        def fails(k):
-            eval_seed = np.random.SeedSequence(
-                [int(seed) & 0xFFFFFFFFFFFFFFFF, int(pool_size), int(k)]
-            ).generate_state(1)[0]
-            failures = 0
-            outcomes = simultaneous_failures(n, pool_size, k, epsilon, trials,
-                                             int(eval_seed))
-            # stop as soon as the remaining trials cannot change the verdict
-            for done, failed in enumerate(outcomes, start=1):
-                failures += failed
-                if failures / trials >= target:
-                    return True
-                if (failures + trials - done) / trials < target:
-                    return False
-            return False
-
-        lo, hi = 0, 1  # lo: largest K seen to fail (K=0 always does)
-        while fails(hi):
-            lo = hi
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fails(mid):
-                lo = mid
-            else:
-                hi = mid
-        table.append({"pool_size": int(pool_size), "required_samplings": int(hi)})
-    return table
+    _check_sweep_args(n, pool_sizes, epsilon, target, trials)
+    args = [(n, pool_size, epsilon, seed, target, trials) for pool_size in pool_sizes]
+    workers = min(len(pool_sizes), _usable_cpus())
+    if workers == 1:
+        ks = [required_samplings(*a) for a in args]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        largest_first = sorted(range(len(args)), key=lambda i: -pool_sizes[i])
+        with ProcessPoolExecutor(workers) as executor:
+            futures = {i: executor.submit(required_samplings, *args[i])
+                       for i in largest_first}
+            ks = [futures[i].result() for i in range(len(args))]
+    return [{"pool_size": int(pool_size), "required_samplings": int(k)}
+            for pool_size, k in zip(pool_sizes, ks)]
 
 
 def efficiency_report(n, pool_sizes, epsilon, seed, target=0.05, trials=200,

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -156,6 +158,29 @@ class TestRun:
         assert f"dataset.{key} names no file" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+    def test_initial_labeled_beyond_the_pool_exits_2_before_any_output(
+            self, tmp_path, capsys, command):
+        # three classes of 30 keep 22 each after the 0.25 split: a pool of 66;
+        # the check used to run inside the first seed, after the manifest
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, initial_labeled=100000)))
+        out = tmp_path / "o"
+        extra = ("--param", "zeta", "--values", "1e-3") if command == "sweep" else ()
+        assert run_cli(command, str(path), "--out", str(out), *extra) == 2
+        assert ("initial_labeled 100000 exceeds the pool of 66 examples"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_initial_labeled_equal_to_the_pool_runs(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, initial_labeled=66, budget=0,
+                                        cycles=1, seeds=[0])))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 0
+        record = json.loads((out / "reports.jsonl").read_text())
+        assert record["labeled_size"] == 66
+
 
 class TestCheck:
     def test_suite_filter_emits_only_matching_reports(self, capsys):
@@ -196,6 +221,17 @@ class TestCheck:
         for suite in ("jacobian", "inner"):
             assert outs[suite, "1"] == outs[suite, "2"]
             assert outs[suite, "1"].strip()
+
+    def test_full_suite_output_is_pinned(self, capsys):
+        # the sha256 of `check --suite all --seed 0` stdout as it read before
+        # the efficiency sweep ran its pool sizes in worker processes
+        assert run_cli("check", "--suite", "all", "--seed", "0") == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c4c2cc7969fb6b9c6f33dfd6b6726bb44c276e7049ad94c4852c55216d63e4a3")
+        table = json.loads(out.splitlines()[-1])["details"]["table"]
+        assert [row["required_samplings"] for row in table] == [20, 22, 24, 27, 30, 32]
+        assert multiprocessing.active_children() == []
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:

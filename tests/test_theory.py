@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -279,6 +282,95 @@ class TestEfficiencySweep:
         a = theory.sampling_efficiency_sweep(100, [4, 32], 0.5, seed=7, trials=100)
         b = theory.sampling_efficiency_sweep(100, [4, 32], 0.5, seed=7, trials=100)
         assert a == b
+
+
+def refuse_workers(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def fail_in_worker(*args, **kwargs):
+    raise FloatingPointError("raised inside a search")
+
+
+class TestParallelSweep:
+    """The sweep searches its pool sizes in worker processes; the table must
+    not depend on how many there are or on the order in which they finish."""
+
+    @pytest.mark.parametrize("n, pool_sizes, seed", [
+        (50, [4, 16, 64], 0),
+        (50, [64, 4, 16], 1),     # not ascending: the table keeps this order
+        (30, [8, 8, 2, 32], 2),   # a repeated pool size
+        (80, [1, 128], 3),
+        (20, [16], 4),            # one pool size: one worker, run inline
+    ])
+    def test_parallel_and_inline_tables_are_equal(self, monkeypatch, n,
+                                                  pool_sizes, seed):
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 3)
+        parallel = theory.sampling_efficiency_sweep(n, pool_sizes, 0.5, seed,
+                                                    trials=60)
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse_workers)
+        inline = theory.sampling_efficiency_sweep(n, pool_sizes, 0.5, seed,
+                                                  trials=60)
+        assert parallel == inline
+        assert [row["pool_size"] for row in parallel] == pool_sizes
+        assert [row["required_samplings"] for row in parallel] == [
+            theory.required_samplings(n, p, 0.5, seed, 0.05, 60)
+            for p in pool_sizes]
+
+    def test_no_worker_outlives_the_call(self):
+        theory.sampling_efficiency_sweep(50, [4, 16], 0.5, seed=5, trials=40)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="a patched function reaches workers only by fork")
+    def test_worker_error_reaches_the_caller_with_its_type(self, monkeypatch):
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(theory, "simultaneous_failures", fail_in_worker)
+        with pytest.raises(FloatingPointError, match="raised inside a search"):
+            theory.sampling_efficiency_sweep(50, [4, 16], 0.5, seed=5, trials=40)
+        assert multiprocessing.active_children() == []
+
+
+class TestTrialInputs:
+    """Arguments no trial could use are rejected before the first trial or
+    worker starts. A NaN epsilon used to pass a concentration check, and a
+    zero epsilon or target made the sweep double K until memory ran out."""
+
+    @pytest.mark.parametrize("change, name", [
+        ({"epsilon": 0.0}, "epsilon"), ({"epsilon": -0.5}, "epsilon"),
+        ({"epsilon": math.nan}, "epsilon"), ({"epsilon": math.inf}, "epsilon"),
+        ({"target": 0.0}, "target"), ({"target": 1.0}, "target"),
+        ({"target": math.nan}, "target"), ({"trials": 0}, "trials"),
+        ({"n": 0}, "n"), ({"pool_sizes": [8, 0]}, "pool sizes"),
+        ({"pool_sizes": []}, "pool_sizes")])
+    def test_sweep_rejects(self, monkeypatch, change, name):
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse_workers)
+        monkeypatch.setattr(theory, "simultaneous_failures", refuse_workers)
+        args = {"n": 50, "pool_sizes": [4, 8], "epsilon": 0.5, "seed": 0,
+                "target": 0.05, "trials": 20, **change}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            theory.sampling_efficiency_sweep(**args)
+        if "pool_sizes" not in change:
+            args["pool_size"] = args.pop("pool_sizes")[0]
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                theory.required_samplings(**args)
+
+    @pytest.mark.parametrize("kind", theory.CONCENTRATION_KINDS)
+    @pytest.mark.parametrize("change, name", [
+        ({"epsilon": math.nan}, "epsilon"), ({"epsilon": math.inf}, "epsilon"),
+        ({"epsilon": 0.0}, "epsilon"), ({"epsilon": -1.0}, "epsilon"),
+        ({"trials": 0}, "trials"), ({"n": 0}, "n"), ({"samplings": 0}, "samplings")])
+    def test_concentration_rejects(self, kind, change, name):
+        args = {"n": 200, "samplings": 64, "epsilon": 0.5, "trials": 100,
+                "seed": 0, **change}
+        for check in (theory.failure_fraction, theory.reduced_failure_fraction,
+                      theory.concentration_trial):
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                check(kind, **args)
 
 
 class TestCheckReport:
