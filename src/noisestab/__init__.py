@@ -19,13 +19,12 @@ from .loop import (CycleReport, ExperimentConfig, PoolState, aggregate_runs,
                    evaluate, run_active_learning, run_single_seed)
 from .nn import (MlpModel, TrainConfig, apply_perturbation, build_mlp,
                  finite_diff_jacobian, flatten_params, forward, jacobian,
-                 load_model, remove_perturbation, save_model, set_params,
-                 train)
+                 remove_perturbation, set_params, train)
 from .selection import (SelectionRequest, greedy_k_center, k_center_normalized,
                         kmeans_pp, select, top_magnitude)
 from .stability import (NoiseConfig, PerturbationSet, deviation_block,
-                        dump_embeddings, embedding, pool_embeddings,
-                        sample_directions, uncertainty_score)
+                        embedding, pool_embeddings, sample_directions,
+                        uncertainty_score)
 from .theory import (CheckReport, check_distance_equivalence,
                      check_inner_product_equivalence, check_jacobian_norm,
                      check_second_moment, concentration_trial,

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import nn
 from .exceptions import ConfigError, DataError
-from .selection import SelectionRequest, greedy_k_center, kmeans_pp
+from .selection import SelectionRequest, greedy_k_center, kmeans_pp, top_scores
 
 STRATEGIES = (
     "random",
@@ -48,11 +48,6 @@ def entropy_rows(probs) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-def _top_scores(scores, budget):
-    order = np.lexsort((np.arange(scores.size), -scores))
-    return [int(i) for i in order[:budget]]
-
-
 def select_entropy(probs, budget):
     """Highest predictive-entropy rows; ties broken toward the lowest index."""
     probs = np.asarray(probs, dtype=np.float64)
@@ -66,7 +61,7 @@ def select_entropy(probs, budget):
         raise DataError(f"row {int(bad[0])} does not sum to 1 (sum={sums[bad[0]]!r})")
     if budget > probs.shape[0]:
         raise ConfigError(f"budget {budget} exceeds pool size {probs.shape[0]}")
-    return _top_scores(entropy_rows(probs), budget)
+    return top_scores(entropy_rows(probs), budget)
 
 
 def select_coreset(features, labeled_features, budget, seed=0):
@@ -131,4 +126,4 @@ def select_bald_mcdropout(model, pool, mc_samples, budget, seed):
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
         _, out = nn.forward(model, pool, mode="train", rng=gen)
         probs.append(out)
-    return _top_scores(bald_scores(np.stack(probs)), budget)
+    return top_scores(bald_scores(np.stack(probs)), budget)

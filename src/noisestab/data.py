@@ -3,16 +3,15 @@
 Seeded generators (Gaussian blobs, two moons, noisy linear regression),
 IDX-format image loading, CSV tabular loading with one-hot encoding, stratified
 splitting, and train-statistics standardization. Every loader and generator is
-deterministic per seed and records its provenance.
+deterministic per seed.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +27,6 @@ class Dataset:
     targets: np.ndarray  # (N,) int64 class indices or float64 values
     task: str  # "classification" | "regression"
     n_classes: int | None = None
-    provenance: dict = field(default_factory=dict)
     numeric_columns: list | None = None  # set by the tabular loader
 
     def __post_init__(self):
@@ -49,13 +47,10 @@ class Dataset:
     def __len__(self):
         return self.inputs.shape[0]
 
-    def subset(self, indices, tag=None) -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
-        prov = dict(self.provenance)
-        if tag is not None:
-            prov["split"] = tag
         return Dataset(inputs=self.inputs[indices], targets=self.targets[indices],
-                       task=self.task, n_classes=self.n_classes, provenance=prov,
+                       task=self.task, n_classes=self.n_classes,
                        numeric_columns=self.numeric_columns)
 
 
@@ -77,10 +72,7 @@ def gen_blobs(n_per_class, n_classes, dim, centers_seed, noise_std, seed,
     ])
     targets = np.repeat(np.arange(n_classes), n_per_class)
     return Dataset(inputs=inputs, targets=targets, task="classification",
-                   n_classes=n_classes,
-                   provenance={"generator": "blobs", "seed": seed,
-                               "centers_seed": centers_seed,
-                               "noise_std": noise_std})
+                   n_classes=n_classes)
 
 
 def gen_two_moons(n, noise_std, seed) -> Dataset:
@@ -99,9 +91,7 @@ def gen_two_moons(n, noise_std, seed) -> Dataset:
     targets = np.concatenate([np.zeros(n0, dtype=np.int64),
                               np.ones(n1, dtype=np.int64)])
     return Dataset(inputs=inputs, targets=targets, task="classification",
-                   n_classes=2,
-                   provenance={"generator": "two_moons", "seed": seed,
-                               "noise_std": noise_std})
+                   n_classes=2)
 
 
 def gen_linear_regression(n, dim, weight_seed, noise_std, seed) -> Dataset:
@@ -113,10 +103,7 @@ def gen_linear_regression(n, dim, weight_seed, noise_std, seed) -> Dataset:
     gen = _gen(seed)
     inputs = gen.normal(0.0, 1.0, size=(n, dim))
     targets = inputs @ w_star + gen.normal(0.0, noise_std, size=n)
-    return Dataset(inputs=inputs, targets=targets, task="regression",
-                   provenance={"generator": "linear_regression", "seed": seed,
-                               "weight_seed": weight_seed,
-                               "noise_std": noise_std})
+    return Dataset(inputs=inputs, targets=targets, task="regression")
 
 
 def _read_be32(buf, offset, what, path):
@@ -163,23 +150,18 @@ def load_idx(images_path, labels_path) -> Dataset:
         )
     labels = np.frombuffer(lbl_buf, dtype=np.uint8, offset=loff).astype(np.int64)
     inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
-    sha = hashlib.sha256(img_buf + lbl_buf).hexdigest()
     return Dataset(inputs=inputs, targets=labels, task="classification",
-                   n_classes=int(labels.max()) + 1 if count else 0,
-                   provenance={"loader": "idx", "sha256": sha,
-                               "images": str(images_path),
-                               "labels": str(labels_path)})
+                   n_classes=int(labels.max()) + 1 if count else 0)
 
 
-def load_csv_tabular(path, schema, categories=None) -> Dataset:
+def load_csv_tabular(path, schema) -> Dataset:
     """Comma-delimited UTF-8 file with a header row.
 
     ``schema`` maps every column name to "numeric", "categorical", or "target"
     (exactly one target). Categorical columns expand to one-hot blocks in
     first-appearance order; numeric columns are kept raw here, with their
     output positions recorded so standardize() can z-score them from training
-    statistics after the split. Passing a ``categories`` mapping (from a
-    previous load) fixes the encodings; unseen values then raise.
+    statistics after the split.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -195,20 +177,14 @@ def load_csv_tabular(path, schema, categories=None) -> Dataset:
     if len(targets_cols) != 1:
         raise DataError(f"schema must mark exactly one target column, got {targets_cols}")
 
-    fixed = categories is not None
-    cats = {c: list(categories.get(c, [])) for c in header} if fixed else {c: [] for c in header}
+    cats = {c: [] for c in header}
     col_kind = {c: schema[c] for c in header}
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise FormatError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
         for c, value in zip(header, row):
-            if col_kind[c] == "categorical":
-                if value not in cats[c]:
-                    if fixed:
-                        raise DataError(
-                            f"unseen category {value!r} in column {c!r} at row {r}"
-                        )
-                    cats[c].append(value)
+            if col_kind[c] == "categorical" and value not in cats[c]:
+                cats[c].append(value)
 
     feature_values = []
     target_values = []
@@ -252,14 +228,8 @@ def load_csv_tabular(path, schema, categories=None) -> Dataset:
         target_values.append(parse_number(values[targets_cols[0]], r, targets_cols[0]))
 
     inputs = np.vstack(feature_values) if feature_values else np.zeros((0, pos))
-    with open(path, "rb") as fh:
-        sha = hashlib.sha256(fh.read()).hexdigest()
     return Dataset(inputs=inputs, targets=np.asarray(target_values),
-                   task="regression",
-                   provenance={"loader": "csv", "sha256": sha, "path": str(path),
-                               "categories": {c: cats[c] for c in header
-                                              if col_kind[c] == "categorical"}},
-                   numeric_columns=numeric_positions)
+                   task="regression", numeric_columns=numeric_positions)
 
 
 def split(dataset: Dataset, test_fraction, seed):
@@ -288,21 +258,14 @@ def split(dataset: Dataset, test_fraction, seed):
         cut = int(round(n * test_fraction))
         test_idx = np.sort(order[:cut])
         train_idx = np.sort(order[cut:])
-    return (dataset.subset(train_idx, tag="train_pool"),
-            dataset.subset(test_idx, tag="test"))
+    return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
-def standardize(train: Dataset, test: Dataset, columns=None):
-    """Z-score selected columns using statistics of the training split only.
-
-    Defaults to the loader-recorded numeric columns, or every column when none
-    are recorded. Zero-variance columns are centered but not divided.
+def standardize(train: Dataset, test: Dataset):
+    """Z-score the loader-recorded numeric columns using statistics of the
+    training split only. Zero-variance columns are centered but not divided.
     """
-    if columns is None:
-        columns = train.numeric_columns
-    if columns is None:
-        columns = list(range(train.inputs.shape[1]))
-    columns = np.asarray(columns, dtype=np.int64)
+    columns = np.asarray(train.numeric_columns, dtype=np.int64)
     if columns.size == 0:
         return train, test, {"mean": np.zeros(0), "std": np.zeros(0)}
     mean = train.inputs[:, columns].mean(axis=0)
@@ -312,8 +275,6 @@ def standardize(train: Dataset, test: Dataset, columns=None):
     def apply(ds):
         inputs = ds.inputs.copy()
         inputs[:, columns] = (inputs[:, columns] - mean) / safe
-        out = replace(ds, inputs=inputs)
-        out.provenance = dict(ds.provenance, standardized=True)
-        return out
+        return replace(ds, inputs=inputs)
 
     return apply(train), apply(test), {"mean": mean, "std": std}

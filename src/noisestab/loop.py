@@ -121,6 +121,10 @@ class ExperimentConfig:
         if (self.strategy in ("entropy", "badge", "bald_mcdropout")
                 and task != "classification"):
             raise ConfigError(f"strategy {self.strategy!r} needs a classification task")
+        loss = "cross_entropy" if task == "classification" else "squared_error"
+        if self.train.loss != loss:
+            raise ConfigError(f"train.loss {self.train.loss!r} does not fit a "
+                              f"{task} task; use {loss!r}")
         if (self.strategy == "bald_mcdropout"
                 and not {**MODEL_DEFAULTS, **self.model}["dropout"] > 0):
             raise ConfigError("strategy 'bald_mcdropout' needs model.dropout > 0")

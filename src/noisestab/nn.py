@@ -17,9 +17,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +120,6 @@ class Linear:
         if self.bias is not None:
             self.bias = vec[..., w_size:].copy()
 
-    def spec(self):
-        return {
-            "kind": "linear",
-            "in": int(self.weight.shape[1]),
-            "out": int(self.weight.shape[0]),
-            "bias": self.bias is not None,
-        }
-
     def copy(self):
         if self.weight.ndim != 2:
             raise _stacked_error("copy", self.weight)
@@ -156,9 +145,6 @@ class ReLU:
 
     def backward(self, grad, cache):
         return grad * cache
-
-    def spec(self):
-        return {"kind": "relu"}
 
     def copy(self):
         return ReLU()
@@ -190,9 +176,6 @@ class Dropout:
         if cache is None:
             return grad
         return grad * cache
-
-    def spec(self):
-        return {"kind": "dropout", "rate": self.rate}
 
     def copy(self):
         return Dropout(self.rate)
@@ -228,14 +211,8 @@ class Softmax:
         inner = (grad * p).sum(axis=1, keepdims=True)
         return p * grad - p * inner
 
-    def spec(self):
-        return {"kind": "softmax"}
-
     def copy(self):
         return Softmax()
-
-
-_LAYER_KINDS = {"linear", "relu", "dropout", "softmax"}
 
 
 class MlpModel:
@@ -256,14 +233,6 @@ class MlpModel:
         self.layers = list(layers)
         self.feature_tap = int(feature_tap)
         self._pristine = None  # (scope, saved flat params) while a perturbation is applied
-
-    @property
-    def n_feature_params(self) -> int:
-        return sum(l.n_params for l in self.layers[: self.feature_tap])
-
-    @property
-    def n_total_params(self) -> int:
-        return sum(l.n_params for l in self.layers)
 
     def scope_layers(self, scope):
         if scope == SCOPE_FEATURE:
@@ -636,7 +605,7 @@ def loss_gradient(model, x, y, loss="cross_entropy", mode="eval", rng=None):
     per-example loss values: one step of ``train``'s backprop, into a new
     vector."""
     batch, _ = _as_batch(x)
-    flat = np.empty(model.n_total_params)
+    flat = np.empty(model.n_params())
     losses = _backprop(model, batch, y, loss, _param_views(model, flat),
                        mode == "train", rng)
     return flat, losses
@@ -742,52 +711,3 @@ def train(model, labeled, cfg: TrainConfig):
     finally:
         _write_params(model, theta, SCOPE_ALL)
     return curve
-
-
-CHECKPOINT_VERSION = 1
-
-
-def save_model(model, path):
-    """Versioned JSON checkpoint; float64 values survive the decimal roundtrip
-    bit-exactly (Python emits shortest-roundtrip representations, at most 17
-    significant digits)."""
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "layers": [l.spec() for l in model.layers],
-        "feature_tap": model.feature_tap,
-        "params": flatten_params(model, SCOPE_ALL).tolist(),
-    }
-    tmp_fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(tmp_fd, "w") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
-
-
-def load_model(path) -> MlpModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {doc.get('format_version')!r}")
-    layers = []
-    for spec in doc["layers"]:
-        kind = spec.get("kind")
-        if kind == "linear":
-            w = np.zeros((spec["out"], spec["in"]))
-            b = np.zeros(spec["out"]) if spec["bias"] else None
-            layers.append(Linear(w, b))
-        elif kind == "relu":
-            layers.append(ReLU())
-        elif kind == "dropout":
-            layers.append(Dropout(spec["rate"]))
-        elif kind == "softmax":
-            layers.append(Softmax())
-        else:
-            raise ConfigError(f"unknown layer kind {kind!r} in checkpoint")
-    model = MlpModel(layers, doc["feature_tap"])
-    set_params(model, np.asarray(doc["params"], dtype=np.float64), SCOPE_ALL)
-    return model

@@ -148,12 +148,17 @@ def kmeans_pp(req: SelectionRequest):
     return picks
 
 
+def top_scores(scores, budget):
+    """Indices of the ``budget`` largest scores, descending; ties broken
+    toward the lowest index."""
+    order = np.lexsort((np.arange(scores.size), -scores))
+    return [int(i) for i in order[:budget]]
+
+
 def top_magnitude(req: SelectionRequest):
     """Indices of the largest embedding norms, descending (magnitude-only
     ablation)."""
-    norms = np.linalg.norm(req.embeddings, axis=1)
-    order = np.lexsort((np.arange(norms.size), -norms))
-    return [int(i) for i in order[: req.budget]]
+    return top_scores(np.linalg.norm(req.embeddings, axis=1), req.budget)
 
 
 def k_center_normalized(req: SelectionRequest):

@@ -9,7 +9,6 @@ drives diverse batch selection.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -189,15 +188,3 @@ def pool_embeddings(model, pool, cfg: NoiseConfig) -> np.ndarray:
         raise DimensionError("pool_embeddings expects an (N, D) pool; "
                              "embed a single example with embedding()")
     return _embed(model.copy(), xs, perturbation_set(model, cfg))
-
-
-def dump_embeddings(path, embeddings, *, n, samplings, zeta, seed, tap):
-    """CSV of an (N, K*d) embedding matrix (rows follow pool order); the header
-    comment records n, K, d, zeta, seed and tap for offline analysis."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    d = embeddings.shape[1] // samplings
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# n={n} K={samplings} d={d} zeta={zeta!r} seed={seed} tap={tap}\n")
-        writer = csv.writer(fh)
-        for row in embeddings:
-            writer.writerow([repr(float(v)) for v in row])

@@ -306,25 +306,6 @@ def reduced_failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float
     return violations / trials
 
 
-def network_failure_fraction(model, x_pool, samplings, epsilon, trials, seed,
-                             zeta=1e-4, tap=nn.TAP_FEATURE) -> float:
-    """End-to-end cross-check of the magnitude bound: deviations come from the
-    real network instead of a simulated projection, one input per trial."""
-    x_pool = np.asarray(x_pool, dtype=np.float64)
-    violations = 0
-    for t in range(trials):
-        x = x_pool[t % x_pool.shape[0]]
-        cfg = NoiseConfig(zeta=zeta, samplings=samplings,
-                          seed=int(_trial_rng(seed, t).integers(2**62)), tap=tap)
-        jac = nn.jacobian(model, x, tap=tap, scope=cfg.scope)
-        grad_norm = float(np.linalg.norm(jac))
-        if grad_norm == 0.0:
-            continue
-        emb = embedding(model, x, perturbation_set(model, cfg))
-        violations += abs(float(np.linalg.norm(emb)) - grad_norm) > epsilon * grad_norm
-    return violations / trials
-
-
 def concentration_trial(kind, n, samplings, epsilon, trials, seed,
                         threshold=None) -> CheckReport:
     """CheckReport wrapper around reduced_failure_fraction for one bound kind."""
@@ -346,6 +327,13 @@ def concentration_monotonicity(kind, n, samplings_grid, epsilon, trials, seeds,
     """
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS["concentration_monotonic"]
+    if len(samplings_grid) < 2:
+        raise ValueError("samplings_grid must have at least 2 entries, got "
+                         f"{list(samplings_grid)!r}")
+    if len(seeds) < 1:
+        raise ValueError("seeds must name at least one seed")
+    for k in samplings_grid:
+        _check_concentration_args(kind, n, k, epsilon, trials)
     means = []
     for k in samplings_grid:
         fracs = [reduced_failure_fraction(kind, n, k, epsilon, trials, s)

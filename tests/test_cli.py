@@ -4,10 +4,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from noisestab import cli, theory
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TINY_CONFIG = {
     "dataset": {"kind": "blobs", "n_per_class": 30, "classes": 3, "dim": 3,
@@ -171,6 +174,46 @@ class TestRun:
         assert ("initial_labeled 100000 exceeds the pool of 66 examples"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+    @pytest.mark.parametrize("dataset,loss", [
+        (TINY_CONFIG["dataset"], "squared_error"),
+        ({"kind": "linear_regression", "n": 60, "dim": 3, "noise_std": 0.1},
+         "cross_entropy")],
+        ids=["squared-error-on-classification", "cross-entropy-on-regression"])
+    def test_loss_that_does_not_fit_the_task_exits_2_before_any_output(
+            self, tmp_path, capsys, command, dataset, loss):
+        # squared error used to train on probs - class index, below chance;
+        # cross entropy on regression targets died with a bare IndexError
+        # after the manifest was written
+        doc = dict(TINY_CONFIG, dataset=dataset,
+                   train=dict(TINY_CONFIG["train"], loss=loss))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        extra = ("--param", "zeta", "--values", "1e-3") if command == "sweep" else ()
+        assert run_cli(command, str(path), "--out", str(out), *extra) == 2
+        assert f"train.loss {loss!r} does not fit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,reports_sha256,curve_sha256", [
+        ("blobs_demo",
+         "039898bb85c098fe408477784c2d49c4561dde6df6825d72963b51c5066b6dcd",
+         "844a3394293a2c7292c9cf37f7f021abb6b11c5d0d15ebed5da11d303a73ade1"),
+        ("regression_demo",
+         "ee6dc4a6d5cb3c6e3673b98351bae83a15ed93723b68a7a1e495ebb0476ea131",
+         "f6b841318469603a0833ad902f8ad9dc584b1ec8b24accab7e73a4e80dd1f1e9")])
+    def test_shipped_config_output_is_pinned(self, tmp_path, config,
+                                             reports_sha256, curve_sha256):
+        # the sha256 of each file as written before the unused checkpoint,
+        # embedding-dump and provenance code was deleted
+        out = tmp_path / "o"
+        assert run_cli("run", str(CONFIGS / f"{config}.json"), "--out", str(out),
+                       "--seeds", "0") == 0
+        for name, expected in (("reports.jsonl", reports_sha256),
+                               ("curve.csv", curve_sha256)):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == expected, name
 
     def test_initial_labeled_equal_to_the_pool_runs(self, tmp_path):
         path = tmp_path / "c.json"

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -240,8 +238,8 @@ class TestFlattenParams:
 
     def test_232_net_with_biases_counts_17_params(self, hand_232_model):
         assert nn.flatten_params(hand_232_model, nn.SCOPE_ALL).shape == (17,)
-        assert hand_232_model.n_total_params == 17
-        assert hand_232_model.n_feature_params == 9
+        assert hand_232_model.n_params(nn.SCOPE_ALL) == 17
+        assert hand_232_model.n_params(nn.SCOPE_FEATURE) == 9
 
     def test_order_is_layer_major_then_row_major(self):
         w1 = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -255,7 +253,7 @@ class TestFlattenParams:
     @settings(max_examples=25, deadline=None)
     def test_write_back_roundtrip_for_random_vectors(self, seed):
         model = nn.build_mlp(3, [4], 2, seed=1)
-        vec = np.random.default_rng(seed).normal(size=model.n_total_params)
+        vec = np.random.default_rng(seed).normal(size=model.n_params())
         nn.set_params(model, vec)
         assert np.array_equal(nn.flatten_params(model), vec)
 
@@ -761,24 +759,6 @@ class TestDropout:
     def test_train_mode_without_rng_raises(self):
         with pytest.raises(InvalidStateError):
             nn.Dropout(0.5).forward(np.ones((2, 2)), True, None)
-
-
-class TestCheckpoint:
-    def test_roundtrip_is_bit_exact(self, tmp_path):
-        model = nn.build_mlp(3, [5], 2, dropout=0.1, seed=17)
-        path = tmp_path / "model.json"
-        nn.save_model(model, path)
-        loaded = nn.load_model(path)
-        assert np.array_equal(nn.flatten_params(loaded), nn.flatten_params(model))
-        assert loaded.feature_tap == model.feature_tap
-        assert [l.spec() for l in loaded.layers] == [l.spec() for l in model.layers]
-
-    def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format_version": 99, "layers": [],
-                                    "feature_tap": 1, "params": []}))
-        with pytest.raises(ConfigError):
-            nn.load_model(path)
 
 
 class TestModelCopy:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from noisestab import nn, stability
 from noisestab.exceptions import ConfigError, DimensionError, InvalidStateError
-from noisestab.stability import (NoiseConfig, deviation_block, dump_embeddings,
-                                 embedding, perturbation_set, pool_embeddings,
+from noisestab.stability import (NoiseConfig, deviation_block, embedding,
+                                 perturbation_set, pool_embeddings,
                                  sample_directions, uncertainty_score)
 
 
@@ -335,19 +335,3 @@ class TestZetaRobustness:
         rho = spearmanr(scores[1e-4], scores[1e-2]).statistic
         assert rho > 0.9
 
-
-class TestDump:
-    def test_csv_header_records_metadata(self, tmp_path):
-        model = nn.build_mlp(2, [4], 2, task="classification", seed=1)
-        cfg = NoiseConfig(samplings=3, seed=5)
-        embs = pool_embeddings(model, np.array([[0.1, 0.2], [0.5, -0.5]]), cfg)
-        path = tmp_path / "embs.csv"
-        dump_embeddings(path, embs, n=model.n_total_params, samplings=3,
-                        zeta=cfg.zeta, seed=5, tap=cfg.tap)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
-        for token in ("n=", "K=3", "d=2", "zeta=", "seed=5", "tap=predictive"):
-            assert token in lines[0]
-        assert len(lines) == 3
-        row = np.array([float(v) for v in lines[1].split(",")])
-        assert np.array_equal(row, embs[0])

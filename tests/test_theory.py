@@ -162,13 +162,6 @@ class TestConcentration:
         report = theory.concentration_trial("magnitude", 50, 16, 0.5, 50, seed=4)
         assert "exp(-c*eps^2*K)" in report.details["bound_form"]
 
-    def test_network_backed_mode_agrees_with_simulation(self):
-        model = nn.build_mlp(3, [6], 1, task="regression", seed=12)
-        model.feature_tap = len(model.layers)
-        pool = np.random.default_rng(13).normal(size=(8, 3))
-        frac = theory.network_failure_fraction(model, pool, 64, 0.5, 60, seed=14)
-        assert frac < 0.05
-
 
 def direct_simultaneous_failure(n, pool_size, samplings, epsilon, trials, seed):
     """Reference for the sweep: fraction of trials in which any of
@@ -288,6 +281,10 @@ def refuse_workers(*args, **kwargs):
     raise AssertionError("a worker pool was started")
 
 
+def refuse_trials(*args, **kwargs):
+    raise AssertionError("a trial was run")
+
+
 def fail_in_worker(*args, **kwargs):
     raise FloatingPointError("raised inside a search")
 
@@ -371,6 +368,22 @@ class TestTrialInputs:
                       theory.concentration_trial):
             with pytest.raises(ValueError, match=f"^{name} must"):
                 check(kind, **args)
+
+    @pytest.mark.parametrize("change, name", [
+        ({"seeds": []}, "seeds"), ({"samplings_grid": []}, "samplings_grid"),
+        ({"samplings_grid": [8]}, "samplings_grid"),
+        ({"samplings_grid": [8, 0]}, "samplings"), ({"kind": "volume"}, "unknown"),
+        ({"epsilon": math.nan}, "epsilon"), ({"trials": 0}, "trials"),
+        ({"n": 0}, "n")])
+    def test_monotonicity_rejects_before_the_first_trial(self, monkeypatch,
+                                                         change, name):
+        # an empty seed list used to end in a bare IndexError, and a grid of
+        # fewer than 2 entries in a failed report with statistic 0.0
+        monkeypatch.setattr(theory, "reduced_failure_fraction", refuse_trials)
+        args = {"kind": "magnitude", "n": 200, "samplings_grid": [4, 8],
+                "epsilon": 0.25, "trials": 100, "seeds": [0, 1], **change}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            theory.concentration_monotonicity(**args)
 
 
 class TestCheckReport:
