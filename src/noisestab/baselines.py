@@ -42,9 +42,10 @@ def select_random(pool_size, budget, seed):
 
 
 def entropy_rows(probs) -> np.ndarray:
-    """Shannon entropy per distribution row, with 0*log(0) = 0."""
+    """Shannon entropy per distribution row, with 0*log(0) = 0; a NaN entry
+    gives a NaN entropy."""
     probs = np.asarray(probs, dtype=np.float64)
-    terms = np.where(probs > 0.0, probs * np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+    terms = probs * np.log(np.where(probs > 0.0, probs, 1.0))
     return -terms.sum(axis=1)
 
 
@@ -124,6 +125,6 @@ def select_bald_mcdropout(model, pool, mc_samples, budget, seed):
     probs = []
     for t in range(mc_samples):
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
-        _, out = nn.forward(model, pool, mode="train", rng=gen)
+        out, _ = nn._forward_cached(model, pool, len(model.layers), True, gen)
         probs.append(out)
     return top_scores(bald_scores(np.stack(probs)), budget)

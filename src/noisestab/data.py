@@ -267,7 +267,7 @@ def standardize(train: Dataset, test: Dataset):
     """
     columns = np.asarray(train.numeric_columns, dtype=np.int64)
     if columns.size == 0:
-        return train, test, {"mean": np.zeros(0), "std": np.zeros(0)}
+        return train, test
     mean = train.inputs[:, columns].mean(axis=0)
     std = train.inputs[:, columns].std(axis=0)
     safe = np.where(std > 0.0, std, 1.0)
@@ -277,4 +277,4 @@ def standardize(train: Dataset, test: Dataset):
         inputs[:, columns] = (inputs[:, columns] - mean) / safe
         return replace(ds, inputs=inputs)
 
-    return apply(train), apply(test), {"mean": mean, "std": std}
+    return apply(train), apply(test)

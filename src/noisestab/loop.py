@@ -192,7 +192,7 @@ def build_dataset(spec: dict, run_seed: int):
         ds = data.load_csv_tabular(spec["path"], spec["schema"])
     train_pool, test = data.split(ds, spec["test_fraction"], split_seed)
     if kind == "csv":
-        train_pool, test, _ = data.standardize(train_pool, test)
+        train_pool, test = data.standardize(train_pool, test)
     return train_pool, test
 
 
@@ -283,15 +283,16 @@ def _strategy_picks(cfg, model, train_pool, pool_state, budget, run_seed, cycle)
     """Positions into the unlabeled list, mapped to global indices by caller."""
     strategy_seed = derive_seed(run_seed, "strategy", cycle)
     x_u = train_pool.inputs[pool_state.unlabeled]
+    x_l = train_pool.inputs[pool_state.labeled]
     if cfg.strategy == "random":
         return baselines.select_random(len(pool_state.unlabeled), budget, strategy_seed)
     if cfg.strategy == "entropy":
         _, probs = nn.forward(model, x_u)
         return baselines.select_entropy(probs, budget)
     if cfg.strategy == "coreset":
-        feats, _ = nn.forward(model, x_u)
-        labeled_feats, _ = nn.forward(model, train_pool.inputs[pool_state.labeled])
-        return baselines.select_coreset(feats, labeled_feats, budget, strategy_seed)
+        feats, _ = nn.forward(model, np.vstack([x_u, x_l]))
+        n = len(x_u)
+        return baselines.select_coreset(feats[:n], feats[n:], budget, strategy_seed)
     if cfg.strategy == "badge":
         feats, probs = nn.forward(model, x_u)
         return baselines.select_badge(feats, probs, budget, strategy_seed)
@@ -299,9 +300,8 @@ def _strategy_picks(cfg, model, train_pool, pool_state, budget, run_seed, cycle)
         return baselines.select_bald_mcdropout(model, x_u, cfg.bald_samples,
                                                budget, strategy_seed)
     noise_seed = derive_seed(run_seed, "noise", cycle)
-    return _noise_strategy_picks(cfg, model, x_u,
-                                 train_pool.inputs[pool_state.labeled],
-                                 budget, noise_seed, strategy_seed)
+    return _noise_strategy_picks(cfg, model, x_u, x_l, budget, noise_seed,
+                                 strategy_seed)
 
 
 def run_single_seed(cfg: ExperimentConfig, run_seed: int):

@@ -1,10 +1,10 @@
 """Minimal dense MLP engine on float64 numpy arrays.
 
-Provides layered feed-forward models with a designated feature tap, training
-with SGD/Adam (in place on one flat parameter vector), flattened parameter
-views, in-place parameter perturbation with bit-exact restore (one direction,
-or a stack of directions evaluated in one eval forward), and two Jacobian
-oracles (analytic backprop and central finite differences).
+Provides layered feed-forward models with a designated feature tap, one
+fixed-order eval forward, training with SGD/Adam (in place on one flat
+parameter vector), flattened parameter views, in-place perturbation with
+bit-exact restore (one direction, or a stack of directions evaluated in one
+eval forward), and Jacobian oracles (backprop and central differences).
 
 Conventions:
   * all numeric data is float64; inputs may be single examples ``(D,)`` or
@@ -46,8 +46,8 @@ def _last_axis_first(a):
     return a.transpose(_LAST_AXIS_FIRST[a.ndim])
 
 
-def _stacked_error(what, weight):
-    return InvalidStateError(f"{what} cannot run while a stack of {len(weight)} "
+def _stacked_error(what, stacked):
+    return InvalidStateError(f"{what} cannot run while a stack of {len(stacked)} "
                              "perturbations is applied")
 
 
@@ -314,24 +314,26 @@ def _forward_cached(model, x, boundary, train=False, rng=None):
     return acts, caches
 
 
-def forward(model, x, mode="eval", rng=None):
-    """Full forward pass; returns (feature, output).
+def _infer(layers, acts):
+    """Eval pass of feature-major (d, N), or (Kc, d, N), activations."""
+    for layer in layers:
+        acts = layer.infer(acts)
+    return acts
 
-    Eval mode is a pure function of (parameters, x): dropout is the identity.
-    """
-    if mode not in ("eval", "train"):
-        raise ConfigError(f"unknown forward mode {mode!r}")
+
+def forward(model, x):
+    """(feature, output) of an eval pass through every layer, as C-contiguous
+    (N, d) arrays or (d,) for one example. Each row has the bits of
+    ``forward_to`` at its boundary, alone or in any batch. Raises
+    ``InvalidStateError`` while a stack of perturbations is applied."""
     batch, squeeze = _as_batch(x)
-    train = mode == "train"
-    acts = batch
-    feature = None
-    for i, layer in enumerate(model.layers):
-        acts, _ = layer.forward(acts, train, rng)
-        if i + 1 == model.feature_tap:
-            feature = acts
+    feature = _infer(model.layers[:model.feature_tap], batch.T.copy())
+    out = _infer(model.layers[model.feature_tap:], feature)
+    if out.ndim == 3:
+        raise _stacked_error("forward", out)
     if squeeze:
-        return feature[0], acts[0]
-    return feature, acts
+        return feature[:, 0], out[:, 0]
+    return np.ascontiguousarray(feature.T), np.ascontiguousarray(out.T)
 
 
 def forward_to(model, x, boundary):
@@ -352,16 +354,13 @@ def forward_to(model, x, boundary):
     the batch size or the row's position (BLAS GEMM gives no such promise), so
     a whole pool can be evaluated in one call. The same holds across a stack:
     each direction's slice has the bits of a separate call with that direction
-    applied alone. ``forward`` and training use BLAS and agree with this path
-    to rounding.
+    applied alone. ``forward`` runs the same pass; training and the other
+    ``Layer.forward`` callers use BLAS and agree with it to rounding.
     """
     if not 0 < boundary <= len(model.layers):
         raise ConfigError(f"boundary {boundary} out of range")
     batch, squeeze = _as_batch(x)
-    acts = batch.T.copy()
-    for layer in model.layers[:boundary]:
-        acts = layer.infer(acts)
-    acts = acts.swapaxes(-1, -2)
+    acts = _infer(model.layers[:boundary], batch.T.copy()).swapaxes(-1, -2)
     return acts[0] if squeeze else acts
 
 

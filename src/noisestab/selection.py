@@ -150,7 +150,10 @@ def kmeans_pp(req: SelectionRequest):
 
 def top_scores(scores, budget):
     """Indices of the ``budget`` largest scores, descending; ties broken
-    toward the lowest index."""
+    toward the lowest index. A NaN or infinite score raises NonFiniteError."""
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NonFiniteError(f"score of row {int(bad[0])} is {scores[bad[0]]!r}")
     order = np.lexsort((np.arange(scores.size), -scores))
     return [int(i) for i in order[:budget]]
 
@@ -163,8 +166,9 @@ def top_magnitude(req: SelectionRequest):
 
 def k_center_normalized(req: SelectionRequest):
     """Direction-only ablation: embeddings scaled to unit norm before the
-    k-center traversal. Zero-norm embeddings stay at the origin and are
-    skipped until only they remain, then appended in index order."""
+    k-center traversal, which starts, unseeded, from the largest original
+    norm. Zero-norm embeddings stay at the origin and are skipped until only
+    they remain, then appended in index order."""
     x = req.embeddings
     if req.budget == 0:
         return []
@@ -177,10 +181,16 @@ def k_center_normalized(req: SelectionRequest):
         seed_norms = np.linalg.norm(seeds, axis=1)
         keep = seed_norms > 0.0
         seeds = seeds[keep] / seed_norms[keep, None] if np.any(keep) else None
-    inner_budget = min(req.budget, nonzero.size)
+    picks = []
+    if seeds is None and nonzero.size:
+        # the unit norms differ only by rounding: the first pick seeds the rest
+        picks.append(int(np.argmax(norms)))
+        nonzero = nonzero[nonzero != picks[0]]
+        seeds = unit[picks]
+    inner_budget = min(req.budget - len(picks), nonzero.size)
     sub = SelectionRequest(embeddings=unit[nonzero], budget=inner_budget,
                            seeds_from_labeled=seeds, seed=req.seed)
-    picks = [int(nonzero[i]) for i in greedy_k_center(sub)]
+    picks += [int(nonzero[i]) for i in greedy_k_center(sub)]
     if len(picks) < req.budget:
         zeros = np.flatnonzero(norms == 0.0)
         picks.extend(int(i) for i in zeros[: req.budget - len(picks)])

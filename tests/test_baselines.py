@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisestab import baselines, nn
-from noisestab.exceptions import ConfigError, DataError
+from noisestab.exceptions import ConfigError, DataError, NonFiniteError
 
 
 class TestSelectRandom:
@@ -51,6 +51,13 @@ class TestSelectEntropy:
             baselines.select_entropy(np.array([[0.5, 0.6]]), 1)
         with pytest.raises(DataError):
             baselines.select_entropy(np.array([[1.2, -0.2]]), 1)
+
+    def test_nan_row_is_not_picked_quietly(self):
+        # the row-sum check reads False for NaN, and the NaN row scored as
+        # entropy 0, so [0, 2] came back
+        probs = np.array([[0.5, 0.5], [np.nan, np.nan], [0.9, 0.1]])
+        with pytest.raises(NonFiniteError, match="row 1"):
+            baselines.select_entropy(probs, 2)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -167,6 +174,13 @@ class TestBaldMcDropout:
         b = baselines.select_bald_mcdropout(model, pool, 10, 4, seed=17)
         assert a == b
 
+    def test_nan_probabilities_raise(self):
+        model = nn.build_mlp(2, [8], 3, dropout=0.3, seed=11)
+        model.layers[-2].bias[1] = np.nan
+        pool = np.random.default_rng(13).normal(size=(12, 2))
+        with pytest.raises(NonFiniteError, match="row 0"):
+            baselines.select_bald_mcdropout(model, pool, 4, 2, seed=17)
+
     def test_too_few_samples_rejected(self):
         model = nn.build_mlp(2, [4], 2, dropout=0.2, seed=5)
         with pytest.raises(ConfigError):
@@ -181,3 +195,31 @@ class TestStrategyNames:
     def test_unknown_name_lists_valid_strategies(self):
         with pytest.raises(ConfigError, match="noise_stability"):
             baselines.validate_strategy("qbc")
+
+
+class TestRowsAlone:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(500, 700),
+           n_labeled=st.integers(0, 40))
+    @settings(max_examples=8, deadline=None)
+    def test_every_baseline_row_has_the_bits_of_the_row_alone(self, seed, n,
+                                                              n_labeled):
+        # the ns_blobs shape, 8 -> 24 -> 4: a row's feature, probabilities,
+        # entropy score, coreset feature and BADGE embedding do not depend on
+        # what else is in the pool
+        gen = np.random.default_rng(seed)
+        model = nn.build_mlp(8, [24], 4, seed=seed % 2**31)
+        nn.set_params(model, gen.normal(0.0, 0.5, size=model.n_params()))
+        pool = gen.normal(0.0, 2.0, size=(n, 8))
+        labeled = gen.normal(0.0, 2.0, size=(n_labeled, 8))
+        feats, probs = nn.forward(model, pool)
+        assert feats.flags.c_contiguous and probs.flags.c_contiguous
+        scores = baselines.entropy_rows(probs)
+        coreset_feats, _ = nn.forward(model, np.vstack([pool, labeled]))
+        emb = baselines.badge_embeddings(feats, probs)
+        for i, x in enumerate(pool):
+            feat, prob = nn.forward(model, x)
+            assert feat.tobytes() == feats[i].tobytes()
+            assert prob.tobytes() == probs[i].tobytes()
+            assert baselines.entropy_rows(prob[None])[0] == scores[i]
+            assert coreset_feats[i].tobytes() == feat.tobytes()
+            assert baselines.badge_embedding(feat, prob).tobytes() == emb[i].tobytes()

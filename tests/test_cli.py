@@ -201,12 +201,14 @@ class TestRun:
          "039898bb85c098fe408477784c2d49c4561dde6df6825d72963b51c5066b6dcd",
          "844a3394293a2c7292c9cf37f7f021abb6b11c5d0d15ebed5da11d303a73ade1"),
         ("regression_demo",
-         "ee6dc4a6d5cb3c6e3673b98351bae83a15ed93723b68a7a1e495ebb0476ea131",
-         "f6b841318469603a0833ad902f8ad9dc584b1ec8b24accab7e73a4e80dd1f1e9")])
+         "0290d8a97a2924d55ad7fc88cde5b08a1a0b570ccdc3d6062e277ee1328736fa",
+         "114a5c107781affb56d704526d046c1e6c38540ad1caf14d44debd585e468140")])
     def test_shipped_config_output_is_pinned(self, tmp_path, config,
                                              reports_sha256, curve_sha256):
         # the sha256 of each file as written before the unused checkpoint,
-        # embedding-dump and provenance code was deleted
+        # embedding-dump and provenance code was deleted; regression_demo's
+        # as written once evaluate ran the fixed-order eval forward, which
+        # moved the last bits of its MAE
         out = tmp_path / "o"
         assert run_cli("run", str(CONFIGS / f"{config}.json"), "--out", str(out),
                        "--seeds", "0") == 0
@@ -223,6 +225,25 @@ class TestRun:
         assert run_cli("run", str(path), "--out", str(out)) == 0
         record = json.loads((out / "reports.jsonl").read_text())
         assert record["labeled_size"] == 66
+
+    def test_baseline_reports_do_not_depend_on_blas_threads(self, config_path,
+                                                            tmp_path):
+        # entropy, coreset and BADGE score rows from the eval forward, whose
+        # rows hold the same bits whatever GEMM kernel BLAS would pick
+        strategies = ("entropy", "coreset", "badge")
+        procs = {
+            (strategy, threads): subprocess.Popen(
+                [sys.executable, "-m", "noisestab", "run", str(config_path),
+                 "--strategy", strategy,
+                 "--out", str(tmp_path / f"{strategy}-{threads}")],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            for strategy in strategies for threads in ("1", "2")}
+        assert all(proc.wait(timeout=300) == 0 for proc in procs.values())
+        for strategy in strategies:
+            one, two = ((tmp_path / f"{strategy}-{threads}" / "reports.jsonl")
+                        .read_bytes() for threads in ("1", "2"))
+            assert one == two and one.strip(), strategy
 
 
 class TestCheck:

@@ -163,7 +163,7 @@ class TestCsvLoader:
         ds = data.load_csv_tabular(path, {"cat": "categorical",
                                           "num": "numeric", "y": "target"})
         train, test = data.split(ds, 0.25, seed=3)
-        train_std, test_std, stats = data.standardize(train, test)
+        train_std, test_std = data.standardize(train, test)
         col = train_std.numeric_columns[0]
         assert abs(train_std.inputs[:, col].mean()) < 1e-9
         # test columns use train statistics, so their mean is generally nonzero

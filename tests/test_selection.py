@@ -190,9 +190,7 @@ class TestGreedyKCenter:
     def test_permutation_equivariance(self, seed):
         # shuffling the pool shuffles the picks the same way. kmeans_pp is
         # left out: it draws its first center by index, so a shuffled pool
-        # starts from another point. k_center_normalized runs seeded only:
-        # unseeded, it starts from the largest unit-vector norm, and those
-        # norms differ only by rounding
+        # starts from another point
         gen = np.random.default_rng(seed)
         points = gen.normal(size=(9, 2))
         labeled = gen.normal(size=(3, 2))
@@ -207,6 +205,7 @@ class TestGreedyKCenter:
             return
         perm = gen.permutation(9)
         for method, seeds in (("k_center", None), ("k_center", labeled),
+                              ("k_center_normalized", None),
                               ("k_center_normalized", labeled),
                               ("top_magnitude", None)):
             base = select(req(points, 4, method=method,
@@ -261,6 +260,14 @@ class TestKmeansPP:
             req([[1.0]], 2, seed=0)
 
 
+class TestTopScores:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises_naming_the_row(self, bad):
+        scores = np.array([0.3, 0.1, bad, 0.2])
+        with pytest.raises(NonFiniteError, match="row 2"):
+            selection.top_scores(scores, 2)
+
+
 class TestTopMagnitude:
     def test_descending_norms_with_index_ties(self):
         picks = top_magnitude(req([[3.0], [1.0], [2.0]], 2))
@@ -295,6 +302,11 @@ class TestKCenterNormalized:
         assert len(picks) == 2
         assert 2 in picks  # the orthogonal direction must be covered
         assert not {0, 1} <= set(picks)  # colinear pair collapses to one point
+
+    def test_unseeded_start_is_the_largest_original_norm(self):
+        points = np.array([[1.0, 0.0], [0.0, 3.0], [-2.0, 0.1], [0.0, -3.0]])
+        assert k_center_normalized(req(points, 1)) == [1]
+        assert k_center_normalized(req(points, 4))[:2] == [1, 3]
 
     def test_all_zero_pool_selects_index_zero(self):
         assert k_center_normalized(req([[0.0, 0.0], [0.0, 0.0]], 1)) == [0]
