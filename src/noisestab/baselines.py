@@ -113,13 +113,15 @@ def select_bald_mcdropout(model, pool, mc_samples, budget, seed):
     """BALD acquisition with seeded Monte Carlo dropout masks.
 
     Runs ``mc_samples`` stochastic forward passes (dropout active, parameters
-    untouched) and ranks by mutual information.
+    untouched) and ranks by mutual information. A pool row holding a NaN or
+    an infinity raises ``NonFiniteError`` naming it.
     """
     if not model.has_dropout():
         raise ConfigError("BALD via MC dropout needs a model with a dropout layer")
     if mc_samples < 2:
         raise ConfigError("mc_samples must be >= 2")
     pool = np.asarray(pool, dtype=np.float64)
+    nn.check_finite_rows(pool, "pool")
     if budget > pool.shape[0]:
         raise ConfigError(f"budget {budget} exceeds pool size {pool.shape[0]}")
     probs = []

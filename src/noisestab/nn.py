@@ -13,6 +13,16 @@ Conventions:
     (weight matrix raveled C-order, then bias);
   * ReLU subgradient at 0 is 0;
   * dropout uses inverted scaling, so eval-mode forward is unscaled.
+
+The eval pass (``_infer``, behind ``forward`` and ``forward_to``) runs with
+numpy's ufunc buffer set to ``_INFER_BUFSIZE`` elements. Numpy sends a
+broadcast that is small next to its buffer down a buffered loop that costs
+several times the unbuffered one, and ``Linear.infer``'s ``(out, 1) x (1, N)``
+multiply-adds at pool sizes are such broadcasts. Every op of the pass is
+elementwise or a max, so the buffer size cannot move a bit there. It can
+elsewhere: a strided ``sum`` reduces in buffer-sized pieces, so its bits
+depend on the buffer size, and training, selection and theory run at the
+caller's setting, which the pass restores on return and on raise.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionError, InvalidStateError
+from .exceptions import ConfigError, DimensionError, InvalidStateError, NonFiniteError
 
 TAP_FEATURE = "feature"
 TAP_PREDICTIVE = "predictive"
@@ -33,6 +43,13 @@ SCOPE_ALL = "all"
 # Shifted logits below this underflow exp() to exactly 0; clipping keeps
 # softmax outputs strictly positive without visibly changing probabilities.
 _SOFTMAX_MIN_SHIFTED = -700.0
+
+# ufunc buffer size, in elements, of the eval pass (numpy's default is 8192).
+# A broadcast that is small next to the buffer runs numpy's buffered loop: a
+# (24, 1) x (1, 1990) multiply took about 79 us at 8192 against 19 us at 256.
+# 256 was fastest or tied at every pool and stack shape measured (CHANGES.md);
+# 1024 leaves pools of a few hundred rows slow, 16 the one-row stacks.
+_INFER_BUFSIZE = 256
 
 
 # axes that move the last axis first, by ndim: one direction, or a stack
@@ -90,7 +107,12 @@ class Linear:
         is ``b + sum_j W[..., j] * a[..., j, :]``, accumulated in j order, so
         every multiply-add runs over a contiguous input row. A leading
         direction axis of the weight or of ``a`` is broadcast, so each
-        direction's slice holds its own bits."""
+        direction's slice holds its own bits.
+
+        The column-by-row multiplies and the bias fill are broadcasts; at
+        pool sizes they fit numpy's default ufunc buffer and would run its
+        slow buffered loop. ``_infer`` shrinks the buffer for them; called
+        outside it, this method gives the same bits, only slower."""
         self._check_width(a.shape[-2])
         w = self.weight
         # at most one direction axis, on the weight, on a, or the same on both
@@ -305,6 +327,15 @@ def _as_batch(x):
     raise DimensionError(f"expected a vector or matrix input, got ndim={x.ndim}")
 
 
+def check_finite_rows(rows, what):
+    """Raise ``NonFiniteError`` naming the first row of the (N, D) ``rows``
+    that holds a NaN or an infinity. ReLU maps NaN to 0.0, so such a row
+    would otherwise get finite outputs and ordinary scores."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"{what} row {int(bad[0])} holds a NaN or infinite value")
+
+
 def _forward_cached(model, x, boundary, train=False, rng=None):
     acts = x
     caches = []
@@ -315,9 +346,20 @@ def _forward_cached(model, x, boundary, train=False, rng=None):
 
 
 def _infer(layers, acts):
-    """Eval pass of feature-major (d, N), or (Kc, d, N), activations."""
-    for layer in layers:
-        acts = layer.infer(acts)
+    """Eval pass of feature-major (d, N), or (Kc, d, N), activations.
+
+    The layers run with numpy's ufunc buffer at ``_INFER_BUFSIZE``, so their
+    broadcasts take the unbuffered loops; every op here is elementwise or a
+    max, whose bits do not depend on the buffer. The caller's buffer size is
+    restored on return and on raise, because a reduction outside this pass,
+    such as a strided sum, could change bits under a different buffer.
+    """
+    previous = np.setbufsize(_INFER_BUFSIZE)
+    try:
+        for layer in layers:
+            acts = layer.infer(acts)
+    finally:
+        np.setbufsize(previous)
     return acts
 
 
@@ -325,8 +367,10 @@ def forward(model, x):
     """(feature, output) of an eval pass through every layer, as C-contiguous
     (N, d) arrays or (d,) for one example. Each row has the bits of
     ``forward_to`` at its boundary, alone or in any batch. Raises
+    ``NonFiniteError`` for an input row holding a NaN or an infinity, and
     ``InvalidStateError`` while a stack of perturbations is applied."""
     batch, squeeze = _as_batch(x)
+    check_finite_rows(batch, "input")
     feature = _infer(model.layers[:model.feature_tap], batch.T.copy())
     out = _infer(model.layers[model.feature_tap:], feature)
     if out.ndim == 3:

@@ -181,10 +181,12 @@ def pool_embeddings(model, pool, cfg: NoiseConfig) -> np.ndarray:
 
     Directions are sampled once per call, so identical examples get identical
     rows, the result is order-equivariant, and an example's row does not
-    depend on what else is in the pool (see ``nn.forward_to``).
+    depend on what else is in the pool (see ``nn.forward_to``). A row holding
+    a NaN or an infinity raises ``NonFiniteError`` naming it.
     """
     xs = np.asarray(pool, dtype=np.float64)
     if xs.ndim != 2:
         raise DimensionError("pool_embeddings expects an (N, D) pool; "
                              "embed a single example with embedding()")
+    nn.check_finite_rows(xs, "pool")
     return _embed(model.copy(), xs, perturbation_set(model, cfg))

@@ -181,6 +181,15 @@ class TestBaldMcDropout:
         with pytest.raises(NonFiniteError, match="row 0"):
             baselines.select_bald_mcdropout(model, pool, 4, 2, seed=17)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pool_row_raises_naming_it(self, bad):
+        # ReLU maps NaN to 0.0, so such a row used to get an ordinary score
+        model = nn.build_mlp(2, [8], 3, dropout=0.3, seed=11)
+        pool = np.random.default_rng(13).normal(size=(12, 2))
+        pool[5, 1] = bad
+        with pytest.raises(NonFiniteError, match="pool row 5 "):
+            baselines.select_bald_mcdropout(model, pool, 4, 2, seed=17)
+
     def test_too_few_samples_rejected(self):
         model = nn.build_mlp(2, [4], 2, dropout=0.2, seed=5)
         with pytest.raises(ConfigError):

@@ -338,6 +338,28 @@ class TestNonFiniteGuard:
             run_single_seed(self.diverging_config(strategy="random"), 0)
 
 
+    @pytest.mark.parametrize("strategy,dropout", [
+        ("noise_stability", 0.0), ("entropy", 0.0), ("bald_mcdropout", 0.3)])
+    def test_non_finite_pool_row_stops_the_embed_phase(self, monkeypatch,
+                                                       strategy, dropout):
+        # the loaders reject NaN, so put one into an unlabeled pool row after
+        # loading; ReLU maps it to 0.0 and the row used to be scored normally
+        cfg = blob_config(strategy=strategy, model={"hidden": [8], "dropout": dropout})
+        build = loop.build_dataset
+
+        def with_nan_row(spec, run_seed):
+            train_pool, test = build(spec, run_seed)
+            state = PoolState.initial(len(train_pool), cfg.initial_labeled,
+                                      loop.rng(run_seed, "init-pool"))
+            train_pool.inputs[state.unlabeled[4], 1] = np.nan
+            return train_pool, test
+
+        monkeypatch.setattr(loop, "build_dataset", with_nan_row)
+        with pytest.raises(NonFiniteError,
+                           match="seed 0, cycle 1, phase embed: .*row 4 "):
+            run_single_seed(cfg, 0)
+
+
 class TestSelectPhase:
     def test_pool_of_few_distinct_rows_selects_distinct_indices(self):
         # with no point noise the pool holds one row per class, fewer distinct

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from noisestab import nn, stability
 from noisestab.exceptions import (ConfigError, DimensionError,
-                                  InvalidStateError)
+                                  InvalidStateError, NonFiniteError)
 
 
 class TestForward:
@@ -37,6 +39,16 @@ class TestForward:
     def test_shape_mismatch_raises_dimension_error(self, hand_232_model):
         with pytest.raises(DimensionError):
             nn.forward(hand_232_model, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_row_raises_naming_it(self, hand_232_model, bad):
+        # ReLU maps NaN to 0.0, so such a row used to get finite outputs
+        x = np.arange(8.0).reshape(4, 2)
+        x[2, 1] = bad
+        with pytest.raises(NonFiniteError, match="input row 2 "):
+            nn.forward(hand_232_model, x)
+        with pytest.raises(NonFiniteError, match="input row 0 "):
+            nn.forward(hand_232_model, x[2])
 
     def test_eval_forward_is_pure(self, hand_232_model):
         x = np.array([0.3, -0.7])
@@ -210,6 +222,94 @@ class TestFeatureMajorForward:
         expected = np.where(x > 0.0, x, 0.0)
         assert_same_bytes(np.fmax(x, 0.0) + 0.0, expected)
         assert_same_bytes(nn.ReLU().infer(x), expected)
+
+
+@contextlib.contextmanager
+def caller_bufsize(size):
+    """Run the block with numpy's ufunc buffer at ``size``, as a caller might
+    have set it, and put the previous size back afterwards."""
+    previous = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
+# numpy's default buffer, one below the eval pass's and one above every
+# array of the shapes below
+CALLER_BUFSIZES = [16, 8192, 2**20]
+
+
+def eval_case(shape):
+    """(model, pool, tap) of a pool embedding shape: blobs-sized pools
+    through 8->24->4 at the predictive tap, regression-sized pools through
+    10->32->16->1 at the feature tap."""
+    gen = np.random.default_rng(17)
+    if shape == "predictive_1990":
+        return (nn.build_mlp(8, [24], 4, seed=3), gen.normal(0.0, 2.0, (1990, 8)),
+                nn.TAP_PREDICTIVE)
+    return (nn.build_mlp(10, [32, 16], 1, task="regression", seed=4),
+            gen.normal(size=(543, 10)), nn.TAP_FEATURE)
+
+
+class TestEvalBufferSize:
+    @pytest.mark.parametrize("shape", ["predictive_1990", "feature_543"])
+    def test_outputs_and_the_callers_buffer_do_not_depend_on_it(self, shape):
+        model, pool, tap = eval_case(shape)
+        boundary = model.tap_boundary(tap)
+        cfg = stability.NoiseConfig(samplings=3, seed=5, tap=tap)
+        stack = 1e-3 * np.random.default_rng(6).normal(
+            size=(2, model.n_params(cfg.scope)))
+        outputs = []
+        for size in CALLER_BUFSIZES:
+            got = []
+            with caller_bufsize(size):
+                got.append(nn.forward_to(model, pool, boundary))
+                assert np.getbufsize() == size
+                nn.apply_perturbation(model, stack, cfg.scope)
+                try:
+                    got.append(nn.forward_to(model, pool, boundary))
+                    assert np.getbufsize() == size
+                finally:
+                    nn.remove_perturbation(model)
+                got.extend(nn.forward(model, pool))
+                assert np.getbufsize() == size
+                got.append(stability.pool_embeddings(model, pool, cfg))
+                assert np.getbufsize() == size
+            outputs.append([a.tobytes() for a in got])
+        assert outputs[1:] == outputs[:1] * (len(outputs) - 1)
+
+    @pytest.mark.parametrize("size", CALLER_BUFSIZES)
+    def test_callers_buffer_is_restored_when_the_pass_raises(self, hand_232_model,
+                                                             size):
+        x = np.array([[0.4, 0.9], [-0.3, 0.2]])
+        with caller_bufsize(size):
+            nn.apply_perturbation(hand_232_model, np.ones((3, 17)))
+            try:
+                with pytest.raises(InvalidStateError):
+                    nn.forward(hand_232_model, x)
+                assert np.getbufsize() == size
+            finally:
+                nn.remove_perturbation(hand_232_model)
+            # the width check of the first Linear raises inside the pass
+            with pytest.raises(DimensionError):
+                nn.forward_to(hand_232_model, np.ones((2, 3)), 1)
+            assert np.getbufsize() == size
+
+    def test_layers_run_at_the_pass_buffer_size(self):
+        seen = []
+
+        class Probe:
+            n_params = 0
+
+            def infer(self, acts):
+                seen.append(np.getbufsize())
+                return acts
+
+        model = nn.MlpModel([nn.Linear(np.eye(2)), Probe(), Probe()], feature_tap=2)
+        nn.forward_to(model, np.ones((3, 2)), 3)
+        nn.forward(model, np.ones((3, 2)))
+        assert seen == [nn._INFER_BUFSIZE] * 4
 
 
 class TestSoftmax:

@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisestab import nn, stability
-from noisestab.exceptions import ConfigError, DimensionError, InvalidStateError
+from noisestab.exceptions import (ConfigError, DimensionError, InvalidStateError,
+                                  NonFiniteError)
 from noisestab.stability import (NoiseConfig, deviation_block, embedding,
                                  perturbation_set, pool_embeddings,
                                  sample_directions, uncertainty_score)
@@ -248,6 +249,15 @@ class TestPoolEmbeddings:
     def test_single_example_vector_rejected(self, trained_model):
         with pytest.raises(DimensionError, match="embedding"):
             pool_embeddings(trained_model, np.zeros(3), NoiseConfig(samplings=3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises_naming_it(self, trained_model, bad):
+        # ReLU maps NaN to 0.0, so such a row used to get an ordinary,
+        # finite embedding
+        pool = np.random.default_rng(9).normal(size=(6, 3))
+        pool[3, 0] = bad
+        with pytest.raises(NonFiniteError, match="pool row 3 "):
+            pool_embeddings(trained_model, pool, NoiseConfig(samplings=3, seed=1))
 
     @given(pool_size=st.integers(0, 12), samplings=st.integers(1, 6),
            tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS]),
