@@ -27,9 +27,8 @@ from .nn import TAP_FEATURE
 # settable
 _DERIVED = "seed"
 # the dataclass defaults serve classification; regression reads the deep
-# feature and fits squared error
-_REGRESSION_DEFAULTS = {"noise": {"tap": TAP_FEATURE},
-                        "train": {"loss": "squared_error"}}
+# feature
+_REGRESSION_DEFAULTS = {"noise": {"tap": TAP_FEATURE}}
 _JSON_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean",
                list: "list", dict: "object"}
 
@@ -94,7 +93,7 @@ def experiment_from_dict(doc: dict) -> ExperimentConfig:
         fields = doc.get(name, {})
         _check_section(fields, *_schema(section), name)
         if task == "regression":
-            fields = {**_REGRESSION_DEFAULTS[name], **fields}
+            fields = {**_REGRESSION_DEFAULTS.get(name, {}), **fields}
         doc[name] = section(**fields)
     return ExperimentConfig(**doc)
 

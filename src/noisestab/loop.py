@@ -121,10 +121,6 @@ class ExperimentConfig:
         if (self.strategy in ("entropy", "badge", "bald_mcdropout")
                 and task != "classification"):
             raise ConfigError(f"strategy {self.strategy!r} needs a classification task")
-        loss = "cross_entropy" if task == "classification" else "squared_error"
-        if self.train.loss != loss:
-            raise ConfigError(f"train.loss {self.train.loss!r} does not fit a "
-                              f"{task} task; use {loss!r}")
         if (self.strategy == "bald_mcdropout"
                 and not {**MODEL_DEFAULTS, **self.model}["dropout"] > 0):
             raise ConfigError("strategy 'bald_mcdropout' needs model.dropout > 0")
@@ -248,17 +244,16 @@ def build_model(spec: dict, input_dim, task, n_classes, seed) -> nn.MlpModel:
                         task=task, dropout=spec["dropout"], seed=seed)
 
 
-def evaluate(model, test: data.Dataset, task) -> float:
-    """Accuracy (argmax, ties to the lowest class) or mean absolute error."""
+def evaluate(model, test: data.Dataset) -> float:
+    """Accuracy (argmax, ties to the lowest class) on a classification test
+    set, mean absolute error on a regression one."""
     if len(test) == 0:
         raise DataError("test set is empty")
     _, out = nn.forward(model, test.inputs)
-    if task == "classification":
+    if test.task == "classification":
         pred = np.argmax(out, axis=1)
         return float(np.mean(pred == test.targets))
-    if task == "regression":
-        return float(np.mean(np.abs(out[:, 0] - test.targets)))
-    raise ConfigError(f"unknown task {task!r}")
+    return float(np.mean(np.abs(out[:, 0] - test.targets)))
 
 
 def _noise_strategy_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
@@ -329,7 +324,7 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
             raise NonFiniteError(f"seed {run_seed}, cycle {cycle}, phase train: "
                                  "loss or parameters are NaN or infinite")
         metric_kind = "accuracy" if train_pool.task == "classification" else "mae"
-        metric = evaluate(model, test, train_pool.task)
+        metric = evaluate(model, test)
         budget = cfg.budget
         if budget > len(pool_state.unlabeled):
             budget = len(pool_state.unlabeled)

@@ -551,7 +551,6 @@ class TrainConfig:
     eps: float = 1e-8
     epochs: int = 50
     batch_size: int = 32
-    loss: str = "cross_entropy"
     seed: int = 0
 
     def __post_init__(self):
@@ -563,8 +562,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss not in ("cross_entropy", "squared_error"):
-            raise ConfigError(f"unknown loss {self.loss!r}")
         # written as "not in range" so that NaN fails too
         for key in ("beta1", "beta2"):
             value = getattr(self, key)
@@ -582,11 +579,12 @@ class TrainConfig:
                                   f"got {value!r} with 'adam'")
 
 
-def _loss_and_grad(output, y, loss):
+def _loss_and_grad(model, output, y):
     """Per-example losses and the gradient of their batch mean w.r.t. the
-    model output."""
+    model output: cross-entropy on class indices when the model ends in a
+    Softmax, squared error otherwise."""
     b = output.shape[0]
-    if loss == "cross_entropy":
+    if isinstance(model.layers[-1], Softmax):
         y = np.asarray(y, dtype=np.int64)
         p_true = output[np.arange(b), y]
         grad = np.zeros_like(output)
@@ -618,7 +616,7 @@ def _param_views(model, flat):
     return views
 
 
-def _backprop(model, x, y, loss, grads, train, rng):
+def _backprop(model, x, y, grads, train, rng):
     """Forward ``x`` through the whole model and backpropagate the batch-mean
     loss, writing each parameter layer's gradient into its ``(weight, bias)``
     views in ``grads`` (see ``_param_views``); returns the per-example losses.
@@ -627,7 +625,7 @@ def _backprop(model, x, y, loss, grads, train, rng):
     parameter lies below it.
     """
     out, caches = _forward_cached(model, x, len(model.layers), train, rng)
-    losses, grad = _loss_and_grad(out, y, loss)
+    losses, grad = _loss_and_grad(model, out, y)
     first = min(grads, default=len(model.layers))
     for i in range(len(model.layers) - 1, first - 1, -1):
         layer = model.layers[i]
@@ -643,14 +641,13 @@ def _backprop(model, x, y, loss, grads, train, rng):
     return losses
 
 
-def loss_gradient(model, x, y, loss="cross_entropy", mode="eval", rng=None):
+def loss_gradient(model, x, y):
     """Flat gradient of the batch-mean loss w.r.t. all parameters, plus the
-    per-example loss values: one step of ``train``'s backprop, into a new
-    vector."""
+    per-example loss values: one eval-mode step of ``train``'s backprop, into
+    a new vector."""
     batch, _ = _as_batch(x)
     flat = np.empty(model.n_params())
-    losses = _backprop(model, batch, y, loss, _param_views(model, flat),
-                       mode == "train", rng)
+    losses = _backprop(model, batch, y, _param_views(model, flat), False, None)
     return flat, losses
 
 
@@ -711,6 +708,10 @@ def train(model, labeled, cfg: TrainConfig):
     """Mini-batch training in place on the ``(X, y)`` array pair ``labeled``;
     returns the per-epoch mean loss curve.
 
+    The loss follows the model, so ``TrainConfig`` has no loss field:
+    cross-entropy on class indices when it ends in a Softmax (classification),
+    squared error otherwise (regression).
+
     For the length of the call every Linear layer's weight and bias are views
     of one flat parameter vector θ in ``flatten_params`` order. Each step
     backpropagates into views of one flat gradient vector and the optimizer
@@ -747,8 +748,8 @@ def train(model, labeled, cfg: TrainConfig):
             epoch_losses = np.zeros(n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                epoch_losses[idx] = _backprop(model, xs[idx], ys[idx], cfg.loss,
-                                              grads, True, gen)
+                epoch_losses[idx] = _backprop(model, xs[idx], ys[idx], grads,
+                                              True, gen)
                 state.step(theta, grad)
             curve.append(float(epoch_losses.sum() / n))
     finally:

@@ -156,6 +156,7 @@ def _single_example(x, what):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DimensionError(f"{what} expects a single example vector")
+    nn.check_finite_rows(x[None, :], f"{what} input")
     return x[None, :]
 
 

@@ -162,8 +162,7 @@ def test_criterion_08_badge_matches_autodiff_gradient():
         head = nn.MlpModel([nn.Linear(gen.normal(size=(c, d)) * 0.7),
                             nn.Softmax()], 1)
         _, p = nn.forward(head, z)
-        grad, _ = nn.loss_gradient(head, z, np.array([int(np.argmax(p))]),
-                                   loss="cross_entropy")
+        grad, _ = nn.loss_gradient(head, z, np.array([int(np.argmax(p))]))
         worst = max(worst, float(np.abs(baselines.badge_embedding(z, p) - grad).max()))
     one_hot = baselines.badge_embedding(np.array([1.0, -2.0]),
                                         np.array([0.0, 1.0, 0.0]))

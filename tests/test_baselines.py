@@ -118,8 +118,7 @@ class TestBadgeEmbedding:
             head = nn.MlpModel([nn.Linear(logits_w.copy()), nn.Softmax()], 1)
             _, p = nn.forward(head, z)
             pseudo = int(np.argmax(p))
-            grad, _ = nn.loss_gradient(head, z, np.array([pseudo]),
-                                       loss="cross_entropy")
+            grad, _ = nn.loss_gradient(head, z, np.array([pseudo]))
             assert np.abs(baselines.badge_embedding(z, p) - grad).max() < 1e-10
 
     def test_norm_identity(self):

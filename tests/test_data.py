@@ -43,14 +43,13 @@ class TestTwoMoons:
         ds = data.gen_two_moons(2000, noise_std=0.12, seed=7)
         train_pool, test = data.split(ds, 0.5, seed=8)
         cfg = nn.TrainConfig(optimizer="adam", lr=0.01, epochs=60,
-                             batch_size=64, loss="cross_entropy", seed=9)
+                             batch_size=64, seed=9)
         linear = nn.build_mlp(2, [], 2, task="classification", seed=10)
         mlp = nn.build_mlp(2, [16], 2, task="classification", seed=10)
         from noisestab.loop import evaluate
         nn.train(linear, (train_pool.inputs, train_pool.targets), cfg)
         nn.train(mlp, (train_pool.inputs, train_pool.targets), cfg)
-        assert evaluate(linear, test, "classification") < \
-            evaluate(mlp, test, "classification")
+        assert evaluate(linear, test) < evaluate(mlp, test)
 
 
 class TestLinearRegression:

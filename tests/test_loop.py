@@ -232,7 +232,7 @@ class TestEvaluate:
                              nn.Softmax()], 1)
         test = Dataset(inputs=np.array([[2.0, 0.0], [0.0, 2.0]]),
                        targets=[0, 1], task="classification")
-        assert evaluate(model, test, "classification") == 1.0
+        assert evaluate(model, test) == 1.0
 
     def test_constant_classifier_on_balanced_pair_scores_half(self):
         from noisestab.data import Dataset
@@ -240,7 +240,7 @@ class TestEvaluate:
                                        np.array([1.0, 0.0])), nn.Softmax()], 1)
         test = Dataset(inputs=np.random.default_rng(0).normal(size=(10, 2)),
                        targets=[0, 1] * 5, task="classification")
-        assert evaluate(model, test, "classification") == 0.5
+        assert evaluate(model, test) == 0.5
 
     def test_mean_absolute_error_hand_computed(self):
         from noisestab.data import Dataset
@@ -248,7 +248,7 @@ class TestEvaluate:
         test = Dataset(inputs=np.array([[1.0], [2.0], [3.0], [4.0]]),
                        targets=[2.0, 4.0, 6.0, 8.0], task="regression")
         # predictions (1,2,3,4) against (2,4,6,8): errors (1,2,3,4), MAE 2.5
-        assert evaluate(model, test, "regression") == 2.5
+        assert evaluate(model, test) == 2.5
 
     def test_empty_test_set_rejected(self):
         from noisestab.data import Dataset
@@ -256,7 +256,7 @@ class TestEvaluate:
         empty = Dataset(inputs=np.zeros((0, 2)), targets=np.zeros(0),
                         task="classification", n_classes=2)
         with pytest.raises(DataError):
-            evaluate(model, empty, "classification")
+            evaluate(model, empty)
 
 
 def report(cycle, metric, seed, labeled=10):

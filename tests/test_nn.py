@@ -464,7 +464,7 @@ class TestStackedPerturbation:
             nn.forward(hand_232_model, x)
         with pytest.raises(InvalidStateError):
             nn.train(hand_232_model, (x, np.array([[0.1, 0.2], [0.3, 0.4]])),
-                     nn.TrainConfig(loss="squared_error", epochs=1))
+                     nn.TrainConfig(epochs=1))
         nn.remove_perturbation(hand_232_model)
         nn.forward(hand_232_model, x)
 
@@ -564,7 +564,22 @@ class TestFiniteDiff:
             nn.finite_diff_jacobian(scalar_linear_model, np.zeros(4), h=0.0)
 
 
-def reference_loss_gradient(model, x, y, loss="cross_entropy", mode="eval", rng=None):
+def reference_loss(model, out, y):
+    """Per-example losses and their batch-mean gradient w.r.t. the output:
+    cross-entropy on class indices under a Softmax head, squared error
+    otherwise."""
+    b = out.shape[0]
+    if isinstance(model.layers[-1], nn.Softmax):
+        y = np.asarray(y, dtype=np.int64)
+        p_true = out[np.arange(b), y]
+        grad = np.zeros_like(out)
+        grad[np.arange(b), y] = -1.0 / (b * p_true)
+        return -np.log(p_true), grad
+    diff = out - np.asarray(y, dtype=np.float64).reshape(b, -1)
+    return (diff * diff).sum(axis=1), 2.0 * diff / b
+
+
+def reference_loss_gradient(model, x, y, mode="eval", rng=None):
     """The loss gradient the in-place training step replaced: backprop through
     every layer, including the input gradient of the first Linear, then one
     concatenation. Kept as the oracle ``nn.loss_gradient`` and the training
@@ -572,7 +587,7 @@ def reference_loss_gradient(model, x, y, loss="cross_entropy", mode="eval", rng=
     batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
     out, caches = nn._forward_cached(model, batch, len(model.layers),
                                      train=(mode == "train"), rng=rng)
-    losses, grad = nn._loss_and_grad(out, y, loss)
+    losses, grad = reference_loss(model, out, y)
     grads = {}
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -640,7 +655,7 @@ def reference_train(model, labeled, cfg):
         epoch_losses = np.zeros(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            grad, losses = reference_loss_gradient(model, xs[idx], ys[idx], cfg.loss,
+            grad, losses = reference_loss_gradient(model, xs[idx], ys[idx],
                                                    mode="train", rng=gen)
             epoch_losses[idx] = losses
             theta = state.step(nn.flatten_params(model), grad)
@@ -652,21 +667,20 @@ def reference_train(model, labeled, cfg):
 @st.composite
 def training_case(draw):
     """A built model, an (X, y) pair for it and a TrainConfig, over both
-    optimizers and losses, bias, dropout, hidden depth 0-2, batch sizes that
-    do and do not divide N or exceed it, and 0-3 epochs."""
+    optimizers and tasks (so both losses), bias, dropout, hidden depth 0-2,
+    batch sizes that do and do not divide N or exceed it, and 0-3 epochs."""
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    loss = draw(st.sampled_from(["cross_entropy", "squared_error"]))
+    task = draw(st.sampled_from(["classification", "regression"]))
     dim, out = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    if loss == "cross_entropy":
+    if task == "classification":
         out = max(out, 2)
     hidden = draw(st.lists(st.integers(1, 9), max_size=2))
-    model = nn.build_mlp(dim, hidden, out,
-                         task="classification" if loss == "cross_entropy" else "regression",
+    model = nn.build_mlp(dim, hidden, out, task=task,
                          dropout=draw(st.sampled_from([0.0, 0.3])),
                          bias=draw(st.booleans()), seed=draw(st.integers(0, 99)))
     n = draw(st.integers(1, 40))
     xs = gen.normal(size=(n, dim))
-    if loss == "cross_entropy":
+    if task == "classification":
         ys = gen.integers(0, out, size=n)
     else:
         ys = gen.normal(size=n if out == 1 else (n, out))
@@ -676,7 +690,7 @@ def training_case(draw):
         "weight_decay": draw(st.sampled_from([0.0, 1e-3]))}
     cfg = nn.TrainConfig(optimizer=optimizer, lr=draw(st.sampled_from([1e-3, 0.05])),
                          epochs=draw(st.integers(0, 3)),
-                         batch_size=draw(st.integers(1, 50)), loss=loss,
+                         batch_size=draw(st.integers(1, 50)),
                          seed=draw(st.integers(0, 2**32 - 1)), **sgd)
     return model, (xs, ys), cfg
 
@@ -694,7 +708,7 @@ class TestTrain:
         model = nn.build_mlp(2, [4], 2, seed=5)
         before = nn.flatten_params(model)
         cfg = nn.TrainConfig(optimizer="sgd", lr=0.0, epochs=4, batch_size=4,
-                             loss="cross_entropy", seed=9)
+                             seed=9)
         xs = np.random.default_rng(0).normal(size=(12, 2))
         ys = np.array([0, 1] * 6)
         curve = nn.train(model, (xs, ys), cfg)
@@ -709,7 +723,7 @@ class TestTrain:
         ys = np.array([1.0, -0.3, 0.8])
         lr = 0.05
         cfg = nn.TrainConfig(optimizer="sgd", lr=lr, epochs=1,
-                             batch_size=3, loss="squared_error", seed=0)
+                             batch_size=3, seed=0)
         nn.train(model, (xs, ys), cfg)
         # closed form: theta - lr * grad of mean per-example squared error
         residual = xs @ w[0] + b[0] - ys
@@ -725,7 +739,7 @@ class TestTrain:
         ys = np.array([0] * 40 + [1] * 40)
         model = nn.build_mlp(2, [8], 2, seed=4)
         cfg = nn.TrainConfig(optimizer="adam", lr=0.01, epochs=50,
-                             batch_size=16, loss="cross_entropy", seed=1)
+                             batch_size=16, seed=1)
         curve = nn.train(model, (xs, ys), cfg)
         assert curve[-1] < curve[0]
 
@@ -749,7 +763,7 @@ class TestTrain:
         for _ in range(2):
             model = nn.build_mlp(3, [6], 2, dropout=0.2, seed=8)
             cfg = nn.TrainConfig(optimizer="adam", lr=0.01, epochs=10,
-                                 batch_size=8, loss="cross_entropy", seed=21)
+                                 batch_size=8, seed=21)
             nn.train(model, (xs, ys), cfg)
             results.append(nn.flatten_params(model))
         assert np.array_equal(results[0], results[1])
@@ -777,14 +791,12 @@ class TestTrain:
         assert nn.train(model, (xs, ys), cfg) == reference_train(expected, (xs, ys), cfg)
         assert np.array_equal(nn.flatten_params(model), nn.flatten_params(expected))
 
-    @given(training_case(), st.sampled_from(["eval", "train"]))
+    @given(training_case())
     @settings(max_examples=60)
-    def test_loss_gradient_matches_the_reference_bit_for_bit(self, case, mode):
-        model, (xs, ys), cfg = case
-        grad, losses = nn.loss_gradient(model, xs, ys, cfg.loss, mode=mode,
-                                        rng=np.random.default_rng(cfg.seed))
-        expected, expected_losses = reference_loss_gradient(
-            model, xs, ys, cfg.loss, mode=mode, rng=np.random.default_rng(cfg.seed))
+    def test_loss_gradient_matches_the_reference_bit_for_bit(self, case):
+        model, (xs, ys), _ = case
+        grad, losses = nn.loss_gradient(model, xs, ys)
+        expected, expected_losses = reference_loss_gradient(model, xs, ys)
         assert np.array_equal(grad, expected)
         assert np.array_equal(losses, expected_losses)
 

@@ -259,6 +259,20 @@ class TestPoolEmbeddings:
         with pytest.raises(NonFiniteError, match="pool row 3 "):
             pool_embeddings(trained_model, pool, NoiseConfig(samplings=3, seed=1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("what", ["embedding", "deviation_block"])
+    def test_non_finite_single_example_raises_naming_it(self, trained_model,
+                                                        bad, what):
+        # the single-example paths of the theory checks used to return a
+        # finite vector for such an input
+        pset = stability.perturbation_set(trained_model,
+                                          NoiseConfig(samplings=3, seed=1))
+        x = np.array([0.5, bad, -0.2])
+        call = {"embedding": lambda: embedding(trained_model, x, pset),
+                "deviation_block": lambda: deviation_block(trained_model, x, pset, 1)}
+        with pytest.raises(NonFiniteError, match=f"{what} input row 0 "):
+            call[what]()
+
     @given(pool_size=st.integers(0, 12), samplings=st.integers(1, 6),
            tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS]),
            seed=st.integers(0, 2**32 - 1))
@@ -335,7 +349,7 @@ class TestZetaRobustness:
         model = nn.build_mlp(4, [12], 3, seed=7)
         train(model, (ds.inputs, ds.targets),
               TrainConfig(optimizer="adam", lr=0.01, epochs=40, batch_size=32,
-                          loss="cross_entropy", seed=8))
+                          seed=8))
         pool = ds.inputs[:80]
         scores = {}
         for zeta in (1e-4, 1e-2):
