@@ -10,13 +10,13 @@ experiment runner.
 
 __version__ = "0.1.0"
 
-from .baselines import (STRATEGIES, badge_embedding, bald_scores,
-                        select_bald_mcdropout, select_badge, select_coreset,
-                        select_entropy, select_random)
+from .baselines import (badge_embedding, bald_scores, select_bald_mcdropout,
+                        select_badge, select_coreset, select_entropy,
+                        select_random)
 from .data import (Dataset, gen_blobs, gen_linear_regression, gen_two_moons,
                    load_csv_tabular, load_idx, split, standardize)
-from .loop import (CycleReport, ExperimentConfig, PoolState, aggregate_runs,
-                   evaluate, run_active_learning, run_single_seed)
+from .loop import (STRATEGIES, CycleReport, ExperimentConfig, PoolState,
+                   aggregate_runs, evaluate, run_active_learning, run_single_seed)
 from .nn import (MlpModel, TrainConfig, apply_perturbation, build_mlp,
                  finite_diff_jacobian, flatten_params, forward, jacobian,
                  remove_perturbation, set_params, train)

@@ -13,25 +13,6 @@ from . import nn
 from .exceptions import ConfigError, DataError
 from .selection import SelectionRequest, greedy_k_center, kmeans_pp, top_scores
 
-STRATEGIES = (
-    "random",
-    "entropy",
-    "coreset",
-    "badge",
-    "bald_mcdropout",
-    "noise_stability",
-    "noise_stability_m",
-    "noise_stability_d",
-)
-
-
-def validate_strategy(name):
-    if name not in STRATEGIES:
-        raise ConfigError(
-            f"unknown strategy {name!r}; valid strategies: {', '.join(STRATEGIES)}"
-        )
-    return name
-
 
 def select_random(pool_size, budget, seed):
     """Uniform sample without replacement, deterministic per seed."""

@@ -11,6 +11,7 @@ re-roots relative output directories.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,11 +54,38 @@ def _write_atomic(path: Path, text: str):
         raise
 
 
+@functools.lru_cache(maxsize=None)
+def _environment():
+    """The numeric stack a run's bits come from: the numpy version, the SIMD
+    extensions of its build (None before numpy 1.26, whose show_config has no
+    mode), and the core its bundled OpenBLAS dispatched to (None where that
+    library or its corename symbol is missing). Probed once per process."""
+    import ctypes  # not at module level: importing the CLI stays cheap
+
+    core = None
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+        break
+    try:
+        simd = np.show_config(mode="dicts").get("SIMD Extensions")
+    except TypeError:
+        simd = None
+    return {"numpy_version": np.__version__, "simd_extensions": simd,
+            "openblas_core": core}
+
+
 def _write_manifest(out_dir: Path, cfg, started_at, finished_at=None):
     doc = {
         "tool_version": __version__,
         "config_sha256": config_hash(cfg),
         "config": resolved_dict(cfg),
+        "environment": _environment(),
         "out_dir": str(out_dir),
         "started_at": started_at,
         "finished_at": finished_at,
@@ -189,9 +217,9 @@ def _sweep_variant(cfg, param, value):
 
 def cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
-    if not cfg.strategy.startswith("noise_stability"):
+    if cfg.strategy != "noise_stability":
         raise ConfigError(f"sweep parameter {args.param!r} applies to "
-                          "noise-stability strategies only")
+                          "the noise_stability strategy only")
     # every arm is built, and so checked, before the first one runs
     arms = [(value, _sweep_variant(cfg, args.param, value))
             for value in _parse_sweep_values(args.param, args.values)]
@@ -211,7 +239,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-ABLATION_STRATEGIES = ("noise_stability", "noise_stability_m", "noise_stability_d")
+# each ablation arm runs noise_stability with this selector (None: the config's)
+ABLATION_ARMS = {"noise_stability": None,
+                 "noise_stability_m": "top_magnitude",
+                 "noise_stability_d": "k_center_normalized"}
 SINGLE_SAMPLE_STRATEGIES = ("noise_stability", "bald_mcdropout")
 
 
@@ -227,8 +258,9 @@ def _means_csv(names, arm_rows):
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
     # every arm is built, and so checked, before the first one runs
-    arms = {strategy: replace(cfg, strategy=strategy)
-            for strategy in ABLATION_STRATEGIES}
+    arms = {name: replace(cfg, strategy="noise_stability",
+                          selector=selector or cfg.selector)
+            for name, selector in ABLATION_ARMS.items()}
     if args.single_sample:
         # budget-1 uncertainty-only comparison: 50 noise samplings vs 50
         # Monte Carlo dropout samplings
@@ -242,10 +274,12 @@ def cmd_ablate(args) -> int:
     for name, sub in arms.items():
         sub_dir = out_dir / name
         sub_dir.mkdir(parents=True, exist_ok=True)
-        rows[name] = _execute_run(sub, sub_dir)
+        # the ablation arms share a strategy, so their curve.csv names the arm
+        rows[name] = _execute_run(sub, sub_dir,
+                                  name if name in ABLATION_ARMS else None)
         print(f"ablation arm {name} done", file=sys.stderr)
     _write_atomic(out_dir / "ablation.csv", _means_csv(
-        ABLATION_STRATEGIES, [rows[s] for s in ABLATION_STRATEGIES]))
+        list(ABLATION_ARMS), [rows[name] for name in ABLATION_ARMS]))
     if args.single_sample:
         _write_atomic(out_dir / "single_sample.csv", _means_csv(
             SINGLE_SAMPLE_STRATEGIES,

@@ -21,6 +21,9 @@ from .seeding import derive_seed, rng
 from .selection import METHODS, SEEDED_METHODS, SelectionRequest, select
 
 RETRAIN_MODES = ("from_scratch", "warm_start")
+# the baselines, then the paper's method, whose picking rule is ``selector``
+STRATEGIES = ("random", "entropy", "coreset", "badge", "bald_mcdropout",
+              "noise_stability")
 
 
 @dataclass
@@ -112,7 +115,9 @@ class ExperimentConfig:
     bald_samples: int = 50
 
     def __post_init__(self):
-        baselines.validate_strategy(self.strategy)
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {self.strategy!r}; "
+                              f"valid strategies: {', '.join(STRATEGIES)}")
         if self.selector not in METHODS:
             raise ConfigError(f"unknown selector {self.selector!r}; valid: {METHODS}")
         if self.retrain_mode not in RETRAIN_MODES:
@@ -258,11 +263,8 @@ def evaluate(model, test: data.Dataset) -> float:
 
 def _noise_strategy_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
                           strategy_seed):
-    method = {"noise_stability": cfg.selector,
-              "noise_stability_m": "top_magnitude",
-              "noise_stability_d": "k_center_normalized"}[cfg.strategy]
-    seeded = (cfg.seed_from_labeled and cfg.strategy == "noise_stability"
-              and method in SEEDED_METHODS and len(labeled_x) > 0)
+    seeded = (cfg.seed_from_labeled and cfg.selector in SEEDED_METHODS
+              and len(labeled_x) > 0)
     # a row does not depend on the other rows of the call, so embedding the
     # labeled rows below the pool gives the bytes of a separate call
     rows = np.vstack([pool_x, labeled_x]) if seeded else pool_x
@@ -270,7 +272,7 @@ def _noise_strategy_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
     n = len(pool_x)
     req = SelectionRequest(embeddings=matrix[:n], budget=budget,
                            seeds_from_labeled=matrix[n:] if seeded else None,
-                           seed=strategy_seed, method=method)
+                           seed=strategy_seed, method=cfg.selector)
     return select(req)
 
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DimensionError, InvalidStateError, NonFiniteError
+from .exceptions import (ConfigError, DataError, DimensionError, InvalidStateError,
+                         NonFiniteError)
 
 TAP_FEATURE = "feature"
 TAP_PREDICTIVE = "predictive"
@@ -579,13 +580,29 @@ class TrainConfig:
                                   f"got {value!r} with 'adam'")
 
 
+def _class_targets(model, y):
+    """``y`` as int64 class indices when the model ends in a Softmax, else
+    as given. DataError names the first row whose target is not an integer
+    in ``[0, C)``, C the width of the last Linear layer."""
+    if not isinstance(model.layers[-1], Softmax):
+        return y
+    y = np.asarray(y)
+    classes = next(layer for layer in reversed(model.layers)
+                   if layer.n_params).weight.shape[0]
+    bad = np.flatnonzero(~((y >= 0) & (y < classes) & (y == np.floor(y))))
+    if bad.size:
+        raise DataError(f"target row {bad[0]} ({y.flat[bad[0]]}) is not a "
+                        f"class index in [0, {classes})")
+    return y.astype(np.int64)
+
+
 def _loss_and_grad(model, output, y):
     """Per-example losses and the gradient of their batch mean w.r.t. the
-    model output: cross-entropy on class indices when the model ends in a
-    Softmax, squared error otherwise."""
+    model output: cross-entropy on the int64 class indices of
+    ``_class_targets`` when the model ends in a Softmax, squared error
+    otherwise."""
     b = output.shape[0]
     if isinstance(model.layers[-1], Softmax):
-        y = np.asarray(y, dtype=np.int64)
         p_true = output[np.arange(b), y]
         grad = np.zeros_like(output)
         grad[np.arange(b), y] = -1.0 / (b * p_true)
@@ -647,7 +664,8 @@ def loss_gradient(model, x, y):
     a new vector."""
     batch, _ = _as_batch(x)
     flat = np.empty(model.n_params())
-    losses = _backprop(model, batch, y, _param_views(model, flat), False, None)
+    losses = _backprop(model, batch, _class_targets(model, y),
+                       _param_views(model, flat), False, None)
     return flat, losses
 
 
@@ -727,6 +745,7 @@ def train(model, labeled, cfg: TrainConfig):
     if xs.ndim != 2 or ys.shape[:1] != xs.shape[:1]:
         raise DimensionError("train expects an (X, y) pair: X of shape (N, D) "
                              "and one target per row")
+    ys = _class_targets(model, ys)
     n = xs.shape[0]
     if n == 0:
         if cfg.epochs > 0:

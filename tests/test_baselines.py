@@ -195,16 +195,6 @@ class TestBaldMcDropout:
             baselines.select_bald_mcdropout(model, np.zeros((3, 2)), 1, 1, seed=0)
 
 
-class TestStrategyNames:
-    def test_known_names_accepted(self):
-        for name in baselines.STRATEGIES:
-            assert baselines.validate_strategy(name) == name
-
-    def test_unknown_name_lists_valid_strategies(self):
-        with pytest.raises(ConfigError, match="noise_stability"):
-            baselines.validate_strategy("qbc")
-
-
 class TestRowsAlone:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(500, 700),
            n_labeled=st.integers(0, 40))

@@ -34,6 +34,12 @@ def test_every_workload_config_loads(monkeypatch):
         assert (runner.cfg is None) == (workload.config is None), name
 
 
+def test_every_workload_strategy_exists(monkeypatch):
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        assert set(workload.strategies) <= set(noisestab.STRATEGIES), name
+
+
 def test_one_kernel_round_passes_every_check(monkeypatch):
     kernels = _perfbench_module(monkeypatch, "kernels")
     times, failed = kernels.KernelBench(noisestab, 0).round()

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noisestab import cli, theory
@@ -49,14 +50,17 @@ class TestRun:
         assert (tmp_path / "a" / "reports.jsonl").read_bytes() == \
             (tmp_path / "b" / "reports.jsonl").read_bytes()
 
+    # noise_stability_d is an ablation arm, no longer a strategy
+    @pytest.mark.parametrize("name", ["nosuch", "noise_stability_d"])
     def test_unknown_strategy_exits_2_and_lists_names(self, config_path,
-                                                      tmp_path, capsys):
-        code = run_cli("run", str(config_path), "--out", str(tmp_path / "o"),
-                       "--strategy", "nosuch")
-        captured = capsys.readouterr()
+                                                      tmp_path, capsys, name):
+        out = tmp_path / "o"
+        code = run_cli("run", str(config_path), "--out", str(out),
+                       "--strategy", name)
         assert code == 2
-        assert "noise_stability" in captured.err
-        assert "random" in captured.err
+        assert f"{name!r}; valid strategies: random, entropy, coreset, badge, " \
+            "bald_mcdropout, noise_stability\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_curve_csv_schema(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -78,6 +82,44 @@ class TestRun:
         assert doc["config"]["noise"]["samplings"] == 5
         assert len(doc["config_sha256"]) == 64
         assert doc["finished_at"] is not None
+
+    def test_manifest_records_the_numeric_environment(self, config_path,
+                                                      tmp_path):
+        out = tmp_path / "out"
+        run_cli("run", str(config_path), "--out", str(out), "--seeds", "0")
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert set(env) == {"numpy_version", "simd_extensions", "openblas_core"}
+        assert env["numpy_version"] == np.__version__
+        assert env["simd_extensions"] == \
+            np.show_config(mode="dicts")["SIMD Extensions"]
+
+    def test_numpy_without_show_config_mode_records_null_simd(
+            self, config_path, tmp_path, monkeypatch):
+        def show_config(*args):  # numpy < 1.26 takes no mode argument
+            raise AssertionError("show_config called without mode")
+        monkeypatch.setattr(np, "show_config", show_config)
+        cli._environment.cache_clear()
+        try:
+            out = tmp_path / "out"
+            run_cli("run", str(config_path), "--out", str(out), "--seeds", "0")
+        finally:
+            cli._environment.cache_clear()
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["simd_extensions"] is None
+        assert env["numpy_version"] == np.__version__
+
+    def test_manifest_names_the_openblas_core_in_use(self, config_path, tmp_path):
+        if cli._environment()["openblas_core"] is None:
+            pytest.skip("numpy here does not bundle scipy-openblas")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "noisestab", "run", str(config_path),
+             "--out", str(out), "--seeds", "0"],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"})
+        assert proc.returncode == 0, proc.stderr
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["openblas_core"] == "Haswell"
 
     def test_seed_override_changes_report_count(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -406,6 +448,55 @@ class TestAblate:
         assert run_cli("ablate", str(config_path), "--out", str(out),
                        "--single-sample") == 2
         assert "dropout" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestAblationArmsAreSelectors:
+    """Each ablation arm is the noise_stability strategy run with a selector:
+    the config's own, top_magnitude or k_center_normalized."""
+
+    @staticmethod
+    def _run_and_ablate(tmp_path, doc, selector):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("ablate", str(path), "--out", str(tmp_path / "abl")) == 0
+        path.write_text(json.dumps(dict(doc, selector=selector)))
+        assert run_cli("run", str(path), "--out", str(tmp_path / "run")) == 0
+        return tmp_path / "abl", tmp_path / "run"
+
+    @pytest.mark.parametrize("arm,selector", [
+        ("noise_stability_m", "top_magnitude"),
+        ("noise_stability_d", "k_center_normalized")])
+    def test_arm_equals_a_run_with_its_selector(self, tmp_path, arm, selector):
+        abl, run = self._run_and_ablate(tmp_path, dict(TINY_CONFIG, seeds=[0]),
+                                        selector)
+        assert (abl / arm / "reports.jsonl").read_bytes() == \
+            (run / "reports.jsonl").read_bytes()
+        config = json.loads((abl / arm / "manifest.json").read_text())["config"]
+        assert (config["strategy"], config["selector"]) == ("noise_stability",
+                                                            selector)
+        curve = (abl / arm / "curve.csv").read_text().splitlines()
+        assert curve[1].split(",")[2] == arm
+
+    def test_direction_arm_is_seeded_like_the_main_arm(self, tmp_path):
+        doc = dict(TINY_CONFIG, seeds=[0], seed_from_labeled=True)
+        abl, run = self._run_and_ablate(tmp_path, doc, "k_center_normalized")
+        assert (abl / "noise_stability_d" / "reports.jsonl").read_bytes() == \
+            (run / "reports.jsonl").read_bytes()
+
+
+class TestRemovedStrategyAliases:
+    @pytest.mark.parametrize("argv", [("run",), ("ablate",),
+                                      ("sweep", "--param", "selector",
+                                       "--values", "k_center")])
+    def test_alias_in_a_config_file_exits_2_before_any_output(
+            self, tmp_path, capsys, argv):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, strategy="noise_stability_m")))
+        out = tmp_path / "o"
+        assert run_cli(argv[0], str(path), *argv[1:], "--out", str(out)) == 2
+        assert "'noise_stability_m'; valid strategies: random, entropy, coreset, " \
+            "badge, bald_mcdropout, noise_stability\n" in capsys.readouterr().err
         assert not out.exists()
 
 

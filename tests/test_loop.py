@@ -138,17 +138,14 @@ class TestRunActiveLearning:
         assert metrics["random"].selected != metrics["noise_stability"].selected
 
     def test_every_strategy_runs_end_to_end(self):
-        for strategy in ("random", "entropy", "coreset", "badge",
-                         "noise_stability", "noise_stability_m",
-                         "noise_stability_d"):
-            reports = run_single_seed(blob_config(strategy=strategy, cycles=2), 1)
+        for strategy in loop.STRATEGIES:
+            # BALD samples dropout masks, so it needs a dropout model
+            model = {"hidden": [8], "dropout": 0.25 if strategy == "bald_mcdropout"
+                     else 0.0}
+            reports = run_single_seed(blob_config(strategy=strategy, cycles=2,
+                                                  model=model, bald_samples=10), 1)
             assert len(reports) == 2
             assert len(reports[0].selected) == 6
-        reports = run_single_seed(
-            blob_config(strategy="bald_mcdropout", cycles=2,
-                        model={"hidden": [8], "dropout": 0.25},
-                        bald_samples=10), 1)
-        assert len(reports[0].selected) == 6
 
     def test_selected_indices_come_from_previous_unlabeled_pool(self):
         reports = run_single_seed(blob_config(strategy="noise_stability"), 5)
@@ -178,14 +175,11 @@ def separate_calls_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
     noise_cfg = replace(cfg.noise, seed=noise_seed)
     matrix = stability.pool_embeddings(model, pool_x, noise_cfg)
     seeds = None
-    if cfg.seed_from_labeled and cfg.strategy == "noise_stability" and len(labeled_x):
+    if cfg.seed_from_labeled and len(labeled_x):
         seeds = stability.pool_embeddings(model, labeled_x, noise_cfg)
-    method = {"noise_stability": cfg.selector,
-              "noise_stability_m": "top_magnitude",
-              "noise_stability_d": "k_center_normalized"}[cfg.strategy]
     return select(SelectionRequest(embeddings=matrix, budget=budget,
                                    seeds_from_labeled=seeds, seed=strategy_seed,
-                                   method=method))
+                                   method=cfg.selector))
 
 
 class TestSeedFromLabeled:
@@ -312,6 +306,22 @@ class TestConfigValidation:
         record = report(1, 0.9, 0).to_record()
         assert "wall_time" not in record
         assert record["metric"] == 0.9
+
+
+class TestStrategyNames:
+    def test_known_names_accepted(self):
+        for name in loop.STRATEGIES:
+            cfg = blob_config(strategy=name, model={"hidden": [8], "dropout": 0.25})
+            assert cfg.strategy == name
+
+    @pytest.mark.parametrize("name", ["qbc", "noise_stability_m",
+                                      "noise_stability_d"])
+    def test_unknown_name_lists_valid_strategies(self, name):
+        valid = "random, entropy, coreset, badge, bald_mcdropout, noise_stability"
+        with pytest.raises(ConfigError, match=f"{name}'; valid strategies: {valid}$"):
+            blob_config(strategy=name)
+        with pytest.raises(ConfigError, match=valid):
+            replace(blob_config(), strategy=name)
 
 
 class TestNonFiniteGuard:

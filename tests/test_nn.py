@@ -1,4 +1,5 @@
 import contextlib
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisestab import nn, stability
-from noisestab.exceptions import (ConfigError, DimensionError,
+from noisestab.exceptions import (ConfigError, DataError, DimensionError,
                                   InvalidStateError, NonFiniteError)
 
 
@@ -754,6 +755,45 @@ class TestTrain:
         with pytest.raises(DimensionError, match=r"\(X, y\) pair"):
             nn.train(model, (np.zeros((3, 2)), np.array([0, 1, 0, 1])),
                      nn.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("ys,row", [([0.7, 1.3, 2.9, -1.0], "row 0 (0.7)"),
+                                        ([0, 1, 2, -1], "row 3 (-1)"),
+                                        ([0, 3, 1, 2], "row 1 (3)"),
+                                        ([0.0, 1.0, np.nan, 2.0], "row 2 (nan)")])
+    def test_softmax_targets_must_be_class_indices(self, ys, row):
+        # a float target used to be truncated, and -1 to wrap to the last class
+        model = nn.build_mlp(2, [4], 3, seed=0)
+        before = nn.flatten_params(model)
+        xs = np.zeros((4, 2))
+        match = re.escape(f"target {row} is not a class index in [0, 3)")
+        with pytest.raises(DataError, match=match):
+            nn.train(model, (xs, ys), nn.TrainConfig(epochs=2))
+        with pytest.raises(DataError, match=match):
+            nn.loss_gradient(model, xs, ys)
+        assert np.array_equal(nn.flatten_params(model), before)
+
+    def test_integral_float_targets_train_as_class_indices(self):
+        xs = np.random.default_rng(4).normal(size=(9, 2))
+        ys = np.array([0, 1, 2] * 3)
+        cfg = nn.TrainConfig(epochs=3, batch_size=4, seed=1)
+        models = [nn.build_mlp(2, [4], 3, seed=0) for _ in range(2)]
+        assert nn.train(models[0], (xs, ys), cfg) == \
+            nn.train(models[1], (xs, ys.astype(float)), cfg)
+        assert np.array_equal(nn.flatten_params(models[0]),
+                              nn.flatten_params(models[1]))
+
+    def test_targets_are_checked_once_per_call(self, monkeypatch):
+        # on the whole target array, never once per step
+        calls = []
+        check = nn._class_targets
+        monkeypatch.setattr(nn, "_class_targets",
+                            lambda model, y: (calls.append(len(y)),
+                                              check(model, y))[1])
+        gen = np.random.default_rng(2)
+        nn.train(nn.build_mlp(2, [4], 2, seed=5),
+                 (gen.normal(size=(10, 2)), gen.integers(0, 2, size=10)),
+                 nn.TrainConfig(epochs=3, batch_size=4))
+        assert calls == [10]
 
     def test_same_seed_reproduces_parameters_bit_exactly(self):
         gen = np.random.default_rng(6)
