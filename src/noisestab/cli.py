@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__, nn, theory
 from .config import config_hash, load_experiment_config, resolved_dict
 from .exceptions import ConfigError, NoiseStabError
-from .loop import aggregate_runs, check_initial_pool, run_active_learning
+from .loop import (BALD_SAMPLES, aggregate_runs, check_initial_pool,
+                   run_active_learning)
 
 SUITES = ("second_moment", "jacobian", "distance", "inner", "concentration",
           "efficiency", "all")
@@ -155,6 +156,17 @@ CHECK_SAMPLINGS = 12000
 CONCENTRATION_TRIALS = 50000
 
 
+def _check_seed(text):
+    """``--seed`` as an integer; numpy's SeedSequence takes no negative."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def run_check_suite(suite, seed):
     linear, mlp, scalar = _check_models(seed)
     x_lin = np.array([0.9, -0.4, 0.2, 0.7])
@@ -262,11 +274,11 @@ def cmd_ablate(args) -> int:
                           selector=selector or cfg.selector)
             for name, selector in ABLATION_ARMS.items()}
     if args.single_sample:
-        # budget-1 uncertainty-only comparison: 50 noise samplings vs 50
-        # Monte Carlo dropout samplings
+        # budget-1 uncertainty-only comparison: as many noise samplings as
+        # BALD's Monte Carlo dropout samplings
         arms.update({f"single_sample_{strategy}": replace(
             cfg, strategy=strategy, budget=1,
-            noise=replace(cfg.noise, samplings=50), bald_samples=50)
+            noise=replace(cfg.noise, samplings=BALD_SAMPLES))
             for strategy in SINGLE_SAMPLE_STRATEGIES})
     check_initial_pool(cfg)  # the arms share the dataset and initial_labeled
     out_dir = _out_dir(args.out, Path(args.config).stem + "-ablate")
@@ -305,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_p = sub.add_parser("check", help="run theory verification suites")
     check_p.add_argument("--suite", default="all", choices=SUITES)
-    check_p.add_argument("--seed", type=int, default=0)
+    check_p.add_argument("--seed", type=_check_seed, default=0)
     check_p.set_defaults(func=cmd_check)
 
     sweep_p = sub.add_parser("sweep", help="re-run a config over a parameter grid")

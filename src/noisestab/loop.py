@@ -1,8 +1,9 @@
 """Cycle orchestration: retrain, score, select, annotate, evaluate.
 
-One run executes C cycles for one seed: train on the labeled pool, embed or
-score the unlabeled pool with the configured strategy, move the selected batch
-into the labeled pool, and evaluate on the held-out test split. Data split,
+One run executes C cycles for one seed: train a model built afresh from the
+run's init seed on the labeled pool, embed or score the unlabeled pool with
+the configured strategy, move the selected batch into the labeled pool, and
+evaluate on the held-out test split. Data split,
 model init, training, and strategy randomness use independently derived
 streams, so switching strategies never perturbs the data or the initial pool.
 """
@@ -20,10 +21,11 @@ from .exceptions import ConfigError, DataError, InvalidStateError, NonFiniteErro
 from .seeding import derive_seed, rng
 from .selection import METHODS, SEEDED_METHODS, SelectionRequest, select
 
-RETRAIN_MODES = ("from_scratch", "warm_start")
 # the baselines, then the paper's method, whose picking rule is ``selector``
 STRATEGIES = ("random", "entropy", "coreset", "badge", "bald_mcdropout",
               "noise_stability")
+# Monte Carlo dropout passes per bald_mcdropout selection
+BALD_SAMPLES = 50
 
 
 @dataclass
@@ -109,10 +111,8 @@ class ExperimentConfig:
     noise: stability.NoiseConfig
     train: nn.TrainConfig
     seeds: list[int]
-    retrain_mode: str = "from_scratch"
     selector: str = "k_center"
     seed_from_labeled: bool = False
-    bald_samples: int = 50
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -120,8 +120,6 @@ class ExperimentConfig:
                               f"valid strategies: {', '.join(STRATEGIES)}")
         if self.selector not in METHODS:
             raise ConfigError(f"unknown selector {self.selector!r}; valid: {METHODS}")
-        if self.retrain_mode not in RETRAIN_MODES:
-            raise ConfigError(f"retrain_mode must be one of {RETRAIN_MODES}")
         task = dataset_task(self.dataset)
         if (self.strategy in ("entropy", "badge", "bald_mcdropout")
                 and task != "classification"):
@@ -294,7 +292,7 @@ def _strategy_picks(cfg, model, train_pool, pool_state, budget, run_seed, cycle)
         feats, probs = nn.forward(model, x_u)
         return baselines.select_badge(feats, probs, budget, strategy_seed)
     if cfg.strategy == "bald_mcdropout":
-        return baselines.select_bald_mcdropout(model, x_u, cfg.bald_samples,
+        return baselines.select_bald_mcdropout(model, x_u, BALD_SAMPLES,
                                                budget, strategy_seed)
     noise_seed = derive_seed(run_seed, "noise", cycle)
     return _noise_strategy_picks(cfg, model, x_u, x_l, budget, noise_seed,
@@ -307,16 +305,14 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
     pool_state = PoolState.initial(len(train_pool), cfg.initial_labeled,
                                    rng(run_seed, "init-pool"))
     init_seed = derive_seed(run_seed, "model-init")
-    model = None
     reports = []
     for cycle in range(1, cfg.cycles + 1):
         start = time.perf_counter()
         warnings = []
         if not pool_state.labeled and cfg.train.epochs > 0:
             raise ConfigError("labeled pool is empty at training time")
-        if model is None or cfg.retrain_mode == "from_scratch":
-            model = build_model(cfg.model, train_pool.inputs.shape[1],
-                                train_pool.task, train_pool.n_classes, init_seed)
+        model = build_model(cfg.model, train_pool.inputs.shape[1],
+                            train_pool.task, train_pool.n_classes, init_seed)
         labeled_size = len(pool_state.labeled)
         train_cfg = replace(cfg.train, seed=derive_seed(run_seed, "train", cycle))
         curve = nn.train(model, (train_pool.inputs[pool_state.labeled],

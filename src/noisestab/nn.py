@@ -1,7 +1,7 @@
 """Minimal dense MLP engine on float64 numpy arrays.
 
 Provides layered feed-forward models with a designated feature tap, one
-fixed-order eval forward, training with SGD/Adam (in place on one flat
+fixed-order eval forward, training with Adam (in place on one flat
 parameter vector), flattened parameter views, in-place perturbation with
 bit-exact restore (one direction, or a stack of directions evaluated in one
 eval forward), and Jacobian oracles (backprop and central differences).
@@ -538,18 +538,21 @@ def finite_diff_jacobian(model, x, tap=TAP_FEATURE, scope=SCOPE_FEATURE, h=1e-5)
     return jac
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
-    """Optimizer and loop settings for train(). Experiment configs cannot set
-    ``seed``; the loop derives one per run seed and cycle."""
+    """Loop settings for train(), which always runs Adam at ``ADAM_BETA1``,
+    ``ADAM_BETA2`` and ``ADAM_EPS``; ``optimizer`` only names it. Experiment
+    configs cannot set ``seed``; the loop derives one per run seed and
+    cycle."""
 
     optimizer: str = "adam"
     lr: float = 1e-3
-    momentum: float = 0.0
-    weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 50
     batch_size: int = 32
     seed: int = 0
@@ -561,23 +564,9 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        # written as "not in range" so that NaN fails too
-        for key in ("beta1", "beta2"):
-            value = getattr(self, key)
-            if not 0 <= value < 1:
-                raise ConfigError(f"{key} must be in [0, 1), got {value!r}")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps!r}")
-        for key in ("momentum", "weight_decay"):
-            value = getattr(self, key)
-            if not value >= 0:
-                raise ConfigError(f"{key} must be >= 0, got {value!r}")
-            # Adam has neither, and would train as if the key were absent
-            if value and self.optimizer == "adam":
-                raise ConfigError(f"{key} applies only to optimizer 'sgd'; "
-                                  f"got {value!r} with 'adam'")
+        if self.optimizer != "adam":
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}; "
+                              "the only optimizer is 'adam'")
 
 
 def _class_targets(model, y):
@@ -669,34 +658,15 @@ def loss_gradient(model, x, y):
     return flat, losses
 
 
-class _SgdState:
-    """SGD with momentum and weight decay, stepping θ in place. Each step
-    evaluates, elementwise and in this order,
-    ``g = grad + wd·θ``, ``vel = μ·vel + g``, ``θ = θ − lr·vel``."""
-
-    def __init__(self, cfg, n):
-        self.cfg = cfg
-        self.velocity = np.zeros(n)
-        self.scratch = np.empty(n)
-
-    def step(self, theta, grad):
-        cfg, vel, g = self.cfg, self.velocity, self.scratch
-        np.multiply(cfg.weight_decay, theta, out=g)
-        np.add(grad, g, out=g)
-        np.multiply(cfg.momentum, vel, out=vel)
-        np.add(vel, g, out=vel)
-        np.multiply(cfg.lr, vel, out=g)
-        np.subtract(theta, g, out=theta)
-
-
 class _AdamState:
     """Adam (Kingma & Ba 2015), stepping θ in place. Each step evaluates,
     elementwise and in this order, ``m = β1·m + (1−β1)·g``,
     ``v = β2·v + ((1−β2)·g)·g`` and
-    ``θ = θ − (lr·(m/(1−β1ᵗ))) / (√(v/(1−β2ᵗ)) + eps)``."""
+    ``θ = θ − (lr·(m/(1−β1ᵗ))) / (√(v/(1−β2ᵗ)) + eps)``, with β1, β2 and
+    eps the ``ADAM_*`` constants."""
 
-    def __init__(self, cfg, n):
-        self.cfg = cfg
+    def __init__(self, lr, n):
+        self.lr = lr
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
@@ -704,20 +674,20 @@ class _AdamState:
         self.denom = np.empty(n)
 
     def step(self, theta, grad):
-        cfg, m, v, step, denom = self.cfg, self.m, self.v, self.step_buf, self.denom
+        m, v, step, denom = self.m, self.v, self.step_buf, self.denom
         self.t += 1
-        np.multiply(cfg.beta1, m, out=m)
-        np.multiply(1 - cfg.beta1, grad, out=step)
+        np.multiply(ADAM_BETA1, m, out=m)
+        np.multiply(1 - ADAM_BETA1, grad, out=step)
         np.add(m, step, out=m)
-        np.multiply(cfg.beta2, v, out=v)
-        np.multiply(1 - cfg.beta2, grad, out=step)
+        np.multiply(ADAM_BETA2, v, out=v)
+        np.multiply(1 - ADAM_BETA2, grad, out=step)
         np.multiply(step, grad, out=step)
         np.add(v, step, out=v)
-        np.divide(m, 1 - cfg.beta1 ** self.t, out=step)
-        np.multiply(cfg.lr, step, out=step)
-        np.divide(v, 1 - cfg.beta2 ** self.t, out=denom)
+        np.divide(m, 1 - ADAM_BETA1 ** self.t, out=step)
+        np.multiply(self.lr, step, out=step)
+        np.divide(v, 1 - ADAM_BETA2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
-        np.add(denom, cfg.eps, out=denom)
+        np.add(denom, ADAM_EPS, out=denom)
         np.divide(step, denom, out=step)
         np.subtract(theta, step, out=theta)
 
@@ -755,7 +725,7 @@ def train(model, labeled, cfg: TrainConfig):
     theta = flatten_params(model, SCOPE_ALL)
     grad = np.empty_like(theta)
     grads = _param_views(model, grad)
-    state = (_SgdState if cfg.optimizer == "sgd" else _AdamState)(cfg, theta.size)
+    state = _AdamState(cfg.lr, theta.size)
     curve = []
     try:
         for i, (weight, bias) in _param_views(model, theta).items():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisestab import cli, theory
+from noisestab import baselines, cli, theory
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -172,9 +172,7 @@ class TestRun:
         ("dataset", "classes", "1", "dataset.classes must be >= 2"),
         ("dataset", "noise_std", "-1", "dataset.noise_std must be >= 0"),
         ("dataset", "centers_seed", "-1", "dataset.centers_seed must be >= 0"),
-        ("train", "beta1", "1.0", "beta1 must be in [0, 1)"),
-        ("train", "eps", "0", "eps must be > 0"),
-        ("train", "weight_decay", "0.5", "weight_decay applies only to optimizer 'sgd'")])
+        ("train", "optimizer", '"sgd"', "unknown optimizer 'sgd'")])
     def test_bad_value_exits_2_before_the_manifest(self, tmp_path, capsys,
                                                    section, key, literal,
                                                    message):
@@ -218,19 +216,34 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
-    @pytest.mark.parametrize("loss", ["cross_entropy", "squared_error"])
-    def test_train_loss_key_exits_2_before_any_output(self, tmp_path, capsys,
-                                                      command, loss):
-        # the loss follows the model's head, so the key is gone; an old
-        # config naming it must not load with the value ignored
-        doc = dict(TINY_CONFIG, train=dict(TINY_CONFIG["train"], loss=loss))
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("train", "loss", "cross_entropy", "unknown key(s) in train: ['loss']"),
+        ("train", "loss", "squared_error", "unknown key(s) in train: ['loss']"),
+        ("train", "momentum", 0.0, "unknown key(s) in train: ['momentum']"),
+        ("train", "weight_decay", 0.0, "unknown key(s) in train: ['weight_decay']"),
+        ("train", "beta1", 0.9, "unknown key(s) in train: ['beta1']"),
+        ("train", "beta2", 0.999, "unknown key(s) in train: ['beta2']"),
+        ("train", "eps", 1e-8, "unknown key(s) in train: ['eps']"),
+        ("train", "optimizer", "sgd", "unknown optimizer 'sgd'"),
+        (None, "retrain_mode", "from_scratch",
+         "unknown key(s) in config: ['retrain_mode']"),
+        (None, "bald_samples", 1, "unknown key(s) in config: ['bald_samples']")])
+    def test_removed_key_exits_2_before_any_output(self, tmp_path, capsys,
+                                                   command, section, key, value,
+                                                   message):
+        # the loss follows the model's head and training is always Adam,
+        # retrained from scratch, so these keys are gone (at their old
+        # defaults too); an old config naming one must not load with the
+        # value ignored. bald_samples 1 used to fail only after cycle 1.
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        (doc[section] if section else doc)[key] = value
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "o"
         extra = ("--param", "zeta", "--values", "1e-3") if command == "sweep" else ()
         assert run_cli(command, str(path), "--out", str(out), *extra) == 2
         captured = capsys.readouterr()
-        assert "unknown key(s) in train: ['loss']" in captured.err
+        assert message in captured.err
         assert captured.out == ""
         assert not out.exists()
 
@@ -340,6 +353,17 @@ class TestCheck:
             run_cli("check", "--suite", "nosuch")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_exits_2_naming_the_flag(self, capsys, seed):
+        # a negative seed used to exit 1 with SeedSequence's ValueError
+        # traceback, once the first check had started
+        with pytest.raises(SystemExit) as exc:
+            run_cli("check", "--suite", "second_moment", "--seed", seed)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --seed:" in captured.err
+        assert captured.out == ""
+
 
 class TestSweep:
     def test_zeta_grid_produces_five_arms(self, config_path, tmp_path):
@@ -423,12 +447,21 @@ class TestAblate:
         # identical initial pools and training seeds make cycle-1 metrics equal
         assert first[2] == first[3] == first[4]
 
-    def test_single_sample_mode_pins_sampling_counts(self, tmp_path):
+    def test_single_sample_mode_pins_sampling_counts(self, tmp_path,
+                                                      monkeypatch):
         doc = dict(TINY_CONFIG, model={"hidden": [8], "dropout": 0.2},
                    seeds=[0], cycles=2)
         path = tmp_path / "d.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "abl"
+        bald = baselines.select_bald_mcdropout
+        mc_samples = []
+
+        def recording_bald(model, pool, samples, budget, seed):
+            mc_samples.append(samples)
+            return bald(model, pool, samples, budget, seed)
+
+        monkeypatch.setattr(baselines, "select_bald_mcdropout", recording_bald)
         code = run_cli("ablate", str(path), "--out", str(out), "--single-sample")
         assert code == 0
         lines = (out / "single_sample.csv").read_text().splitlines()
@@ -439,7 +472,8 @@ class TestAblate:
             (out / "single_sample_bald_mcdropout" / "manifest.json").read_text())
         assert ns_manifest["config"]["noise"]["samplings"] == 50
         assert ns_manifest["config"]["budget"] == 1
-        assert bald_manifest["config"]["bald_samples"] == 50
+        assert bald_manifest["config"]["budget"] == 1
+        assert mc_samples == [50, 50]
 
 
     def test_single_sample_without_dropout_exits_2_before_any_arm_runs(

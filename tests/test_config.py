@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from noisestab.config import (config_hash, experiment_from_dict,
                               load_experiment_config, resolved_dict)
 from noisestab.exceptions import ConfigError
+from noisestab.loop import ExperimentConfig
 from noisestab.nn import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,7 +30,8 @@ class TestParsing:
         assert cfg.noise.zeta == 1e-3
         assert cfg.noise.samplings == 30
         assert cfg.noise.tap == "predictive"
-        assert cfg.retrain_mode == "from_scratch"
+        assert cfg.selector == "k_center"
+        assert cfg.train == TrainConfig()
 
     def test_regression_dataset_defaults_to_feature_tap(self):
         doc = dict(MINIMAL, dataset={"kind": "linear_regression", "n": 20,
@@ -93,7 +96,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("path,value", [
         ("cycles", 2.7), ("budget", "15"), ("initial_labeled", True),
-        ("bald_samples", 50.0), ("seeds.0", 1.0), ("noise.samplings", 30.5),
+        ("seeds.0", 1.0), ("noise.samplings", 30.5),
         ("train.epochs", 2.5), ("train.batch_size", "32"),
         ("seed_from_labeled", "false"), ("seed_from_labeled", 0),
         ("noise.zeta", "1e-3"), ("train.lr", "0.01"),
@@ -115,7 +118,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("section,key,literal", [
         ("noise", "zeta", "NaN"), ("train", "lr", "Infinity"),
-        ("train", "momentum", "-Infinity"), ("dataset", "noise_std", "NaN"),
+        ("train", "lr", "-Infinity"), ("dataset", "noise_std", "NaN"),
         ("dataset", "test_fraction", "NaN"), ("model", "dropout", "NaN")])
     def test_non_finite_number_rejected_naming_the_key(self, tmp_path, section,
                                                        key, literal):
@@ -195,29 +198,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^{message}"):
             experiment_from_dict(dict(MINIMAL, dataset=dataset))
 
-    @pytest.mark.parametrize("train,message", [
-        ({"beta1": 1.0}, "beta1 must be in [0, 1)"),
-        ({"beta1": -0.1}, "beta1 must be in [0, 1)"),
-        ({"beta2": 1.0}, "beta2 must be in [0, 1)"),
-        ({"eps": 0.0}, "eps must be > 0"),
-        ({"eps": -1e-8}, "eps must be > 0"),
-        ({"optimizer": "sgd", "momentum": -0.9}, "momentum must be >= 0"),
-        ({"optimizer": "sgd", "weight_decay": -1e-3}, "weight_decay must be >= 0"),
-        ({"momentum": 0.9}, "momentum applies only to optimizer 'sgd'"),
-        ({"optimizer": "adam", "weight_decay": 0.5},
-         "weight_decay applies only to optimizer 'sgd'")])
-    def test_optimizer_settings_that_do_nothing_or_blow_up_rejected(self, train,
-                                                                    message):
-        # beta1 1.0 divided by zero in training; Adam trained as if momentum
-        # and weight_decay were 0
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
-            experiment_from_dict(dict(MINIMAL, train=train))
+    @pytest.mark.parametrize("optimizer", ["sgd", "Adam"])
+    def test_optimizer_other_than_adam_rejected(self, optimizer):
+        # training is one fixed Adam recipe; the removed keys of other
+        # recipes are checked in tests/test_cli.py
+        message = f"unknown optimizer '{optimizer}'; the only optimizer is 'adam'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            experiment_from_dict(dict(MINIMAL, train={"optimizer": optimizer}))
 
-    def test_optimizer_settings_at_the_edges_load(self):
-        for train in ({"beta1": 0.0, "beta2": 0.0, "eps": 1e-300},
-                      {"optimizer": "adam", "momentum": 0.0, "weight_decay": 0.0},
-                      {"optimizer": "sgd", "momentum": 0.9, "weight_decay": 0.5}):
-            experiment_from_dict(dict(MINIMAL, train=train))
+    def test_adam_named_or_left_out_loads_the_same(self):
+        named = experiment_from_dict(dict(MINIMAL, train={"optimizer": "adam"}))
+        assert named == experiment_from_dict(MINIMAL)
+        assert named.train == TrainConfig()
 
     def test_seeds_must_be_a_list(self):
         with pytest.raises(ConfigError, match="seeds must be a JSON list"):
@@ -234,6 +226,10 @@ class TestParsing:
             partial = key in ("noise", "train")
             assert snapshot[key] == ({**snapshot[key], **value} if partial
                                      else value)
+        # and it names every top-level key, so a key added or removed without
+        # a README change fails here
+        assert sorted(doc) == sorted(field.name for field in
+                                     dataclasses.fields(ExperimentConfig))
 
 
 class TestManifestRoundtrip:
@@ -253,15 +249,16 @@ class TestManifestRoundtrip:
 
     @pytest.mark.parametrize("name,digest", [
         ("blobs_accept",
-         "e79e430b28a7aada765a4a695804659b6bcbf5613f315e764d7fbd6fa3f92d17"),
+         "d3ff3b91fbe341ef781477ed916052559e6ef42a187af79edf173b7306794a19"),
         ("blobs_demo",
-         "3bacdd2765ca45f06ff2f37641d258f3f60430d1e3daa56ee5a72c2544d1b6f4"),
+         "d28450ce0102d7507fbc1715253380a743702b66093a3716e784e49242993ace"),
         ("regression_demo",
-         "f9629db813ed650ab8f97bce40ca3e3d152b1d7e19e6b7116fbba43efbfa37b4")])
+         "31976f7c386bfbc20bf74a03522fb0129d9572ca72372b8a79f568224c2aeffb")])
     def test_shipped_config_hashes_are_pinned(self, name, digest):
         # the hash names a run's config in its manifest; reading the schema
-        # another way must not move it. Pinned once the train.loss key, which
-        # the model's head now decides, left the resolved config.
+        # another way must not move it. Pinned once the fixed training recipe
+        # took Adam's constants, momentum, weight_decay, retrain_mode and
+        # bald_samples out of the resolved config.
         cfg = load_experiment_config(ROOT / "configs" / f"{name}.json")
         assert config_hash(cfg) == digest
 
