@@ -157,17 +157,36 @@ CONCENTRATION_TRIALS = 50000
 
 
 def _check_seed(text):
-    """``--seed`` as an integer; numpy's SeedSequence takes no negative."""
+    """``--seed`` as an integer; numpy's SeedSequence takes no negative, and
+    the checks seed their streams with the seed modulo 2**64."""
     try:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    if not 0 <= seed < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
     return seed
 
 
+# the efficiency sweep's dimension, pool sizes and epsilon
+EFFICIENCY_SWEEP = (200, (32, 64, 128, 256, 512, 1024), 0.5)
+
+
 def run_check_suite(suite, seed):
+    """The suite's reports in a fixed order. The efficiency searches, the
+    longest part of ``all``, start first and run in worker processes while
+    the other checks run here; their report is built last."""
+    if suite not in ("efficiency", "all"):
+        return _parent_checks(suite, seed)
+    with theory.EfficiencySearches(*EFFICIENCY_SWEEP, seed) as searches:
+        reports = _parent_checks(suite, seed)
+        reports.append(theory.efficiency_report(*EFFICIENCY_SWEEP, seed,
+                                                searches=searches))
+    return reports
+
+
+def _parent_checks(suite, seed):
+    """Every check of the suite but the efficiency sweep, in suite order."""
     linear, mlp, scalar = _check_models(seed)
     x_lin = np.array([0.9, -0.4, 0.2, 0.7])
     x_a = np.array([0.4, -1.1, 0.6])
@@ -195,9 +214,6 @@ def run_check_suite(suite, seed):
             reports.append(theory.concentration_monotonicity(
                 kind, 200, [4, 8, 16, 32], 0.25, 400,
                 [seed + i for i in range(10)]))
-    if suite in ("efficiency", "all"):
-        reports.append(theory.efficiency_report(
-            200, [32, 64, 128, 256, 512, 1024], 0.5, seed))
     return reports
 
 

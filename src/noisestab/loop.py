@@ -129,6 +129,13 @@ class ExperimentConfig:
             raise ConfigError("strategy 'bald_mcdropout' needs model.dropout > 0")
         if not self.seeds:
             raise ConfigError("seeds list must not be empty")
+        # streams are seeded by the seed modulo 2**64, so a seed outside that
+        # range, or a repeat, would run a seed twice and count it twice
+        for i, seed in enumerate(self.seeds):
+            if not 0 <= seed < 2 ** 64:
+                raise ConfigError(f"seeds[{i}] must be in [0, 2**64), got {seed!r}")
+            if seed in self.seeds[:i]:
+                raise ConfigError(f"seeds[{i}] repeats seed {seed!r}")
         if self.cycles < 1:
             raise ConfigError("cycles must be >= 1")
         if self.budget < 0:

@@ -85,13 +85,20 @@ def sample_directions(n, samplings, seed) -> np.ndarray:
         raise ConfigError("samplings must be >= 1")
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     t = gen.standard_normal((samplings, n))
-    norms = np.linalg.norm(t, axis=1, keepdims=True)
+    # row norms in blocks of rows, so no temporary is the size of t; a row's
+    # norm has the same bits in a block as in the whole array
+    norms = np.empty((samplings, 1))
+    rows = max(1, _CHUNK_ENTRIES // n)
+    for start in range(0, samplings, rows):
+        norms[start:start + rows] = np.linalg.norm(t[start:start + rows], axis=1,
+                                                   keepdims=True)
     # a zero draw has probability zero; resample defensively if it happens
     while np.any(norms == 0.0):
         bad = norms[:, 0] == 0.0
         t[bad] = gen.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(t, axis=1, keepdims=True)
-    return t / norms
+        norms[bad] = np.linalg.norm(t[bad], axis=1, keepdims=True)
+    t /= norms
+    return t
 
 
 def perturbation_set(model, cfg: NoiseConfig) -> PerturbationSet:

@@ -457,6 +457,62 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+class EfficiencySearches:
+    """The efficiency sweep's per-pool ``required_samplings`` searches, started
+    on entry so that other work can run while they do.
+
+    On entry the arguments are checked and, when more than one CPU is usable,
+    one search per pool size is submitted to worker processes (up to one per
+    usable CPU), the largest pool first because its search takes longest.
+    ``table()`` collects the answers in ``pool_sizes`` order; with one usable
+    CPU it runs the searches there, in this process. On exit searches not yet
+    started are cancelled and the workers are joined, also when the block
+    raises. A search reads no state that another search writes, and draws only
+    from streams seeded by (seed, N, K), so neither the number of workers nor
+    the order in which they finish changes a bit of the table.
+    """
+
+    def __init__(self, n, pool_sizes, epsilon, seed, target=0.05, trials=200):
+        self.args = (n, list(pool_sizes), epsilon, seed, target, trials)
+        self._executor = None
+        self._futures = {}
+
+    def _search_args(self, i):
+        n, pool_sizes, epsilon, seed, target, trials = self.args
+        return n, pool_sizes[i], epsilon, seed, target, trials
+
+    def __enter__(self):
+        n, pool_sizes, epsilon, _, target, trials = self.args
+        _check_sweep_args(n, pool_sizes, epsilon, target, trials)
+        workers = min(len(pool_sizes), _usable_cpus())
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(workers)
+            try:
+                for i in sorted(range(len(pool_sizes)), key=lambda i: -pool_sizes[i]):
+                    self._futures[i] = self._executor.submit(required_samplings,
+                                                             *self._search_args(i))
+            except BaseException:
+                self.__exit__()
+                raise
+        return self
+
+    def __exit__(self, *exc):
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+        return False
+
+    def table(self):
+        """{"pool_size", "required_samplings"} rows in ``pool_sizes`` order."""
+        pool_sizes = self.args[1]
+        ks = [self._futures[i].result() if self._futures
+              else required_samplings(*self._search_args(i))
+              for i in range(len(pool_sizes))]
+        return [{"pool_size": int(pool_size), "required_samplings": int(k)}
+                for pool_size, k in zip(pool_sizes, ks)]
+
+
 def sampling_efficiency_sweep(n, pool_sizes, epsilon, seed, target=0.05,
                               trials=200):
     """Smallest K keeping the simultaneous failure probability below target,
@@ -464,40 +520,35 @@ def sampling_efficiency_sweep(n, pool_sizes, epsilon, seed, target=0.05,
 
     Each pool size is searched on its own from K=1 by ``required_samplings``.
     No answer is carried over from a smaller pool, so a table that rises with
-    N is a measured result, not an artefact of the search. The searches run
-    in worker processes, up to one per usable CPU, with the largest pool
-    submitted first because its search takes longest; with one usable CPU
-    they run in this process. A search reads no state that another search
-    writes, and draws only from streams seeded by (seed, N, K), and the table
-    is put together in ``pool_sizes`` order, so neither the number of workers
-    nor the order in which they finish changes a bit of it. Returns a list of
-    {"pool_size", "required_samplings"} rows; sub-linear growth shows as K
+    N is a measured result, not an artefact of the search. The searches run as
+    ``EfficiencySearches`` runs them: in worker processes when more than one
+    CPU is usable, and the table's bits do not depend on that. Returns a list
+    of {"pool_size", "required_samplings"} rows; sub-linear growth shows as K
     ratios far below pool-size ratios.
     """
-    _check_sweep_args(n, pool_sizes, epsilon, target, trials)
-    args = [(n, pool_size, epsilon, seed, target, trials) for pool_size in pool_sizes]
-    workers = min(len(pool_sizes), _usable_cpus())
-    if workers == 1:
-        ks = [required_samplings(*a) for a in args]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        largest_first = sorted(range(len(args)), key=lambda i: -pool_sizes[i])
-        with ProcessPoolExecutor(workers) as executor:
-            futures = {i: executor.submit(required_samplings, *args[i])
-                       for i in largest_first}
-            ks = [futures[i].result() for i in range(len(args))]
-    return [{"pool_size": int(pool_size), "required_samplings": int(k)}
-            for pool_size, k in zip(pool_sizes, ks)]
+    with EfficiencySearches(n, pool_sizes, epsilon, seed, target, trials) as searches:
+        return searches.table()
 
 
 def efficiency_report(n, pool_sizes, epsilon, seed, target=0.05, trials=200,
-                      threshold=None) -> CheckReport:
+                      threshold=None, searches=None) -> CheckReport:
     """Summary report: K growth ratio across the sweep against the pool-size
-    ratio (sub-linear growth passes)."""
+    ratio (sub-linear growth passes).
+
+    ``searches``, an entered ``EfficiencySearches`` over the same arguments,
+    supplies a table whose searches are already running; without it the sweep
+    runs here.
+    """
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS["efficiency_ratio"]
-    table = sampling_efficiency_sweep(n, pool_sizes, epsilon, seed,
-                                      target=target, trials=trials)
+    args = (n, list(pool_sizes), epsilon, seed, target, trials)
+    if searches is None:
+        table = sampling_efficiency_sweep(*args)
+    elif searches.args != args:
+        raise ValueError(f"searches were started for {searches.args!r}, "
+                         f"not {args!r}")
+    else:
+        table = searches.table()
     k_first = table[0]["required_samplings"]
     k_last = table[-1]["required_samplings"]
     stat = k_last / max(k_first, 1)

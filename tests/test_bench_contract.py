@@ -1,13 +1,17 @@
 """The benchmark (perfbench/) calls the package by name, loads the shipped
 configs and builds its own ``TrainConfig``; a change that breaks any of that
 must fail here, in well under a second, rather than in the benchmark's own
-self-test."""
+self-test. The theory job, which runs worker processes, is run here too (a
+few seconds): its spans must record in this process and its workers must be
+gone when it returns."""
 
 import importlib
+import multiprocessing
 import sys
 from pathlib import Path
 
 import noisestab
+import noisestab.cli  # noqa: F401  (the theory job calls ns.cli)
 import noisestab.config  # noqa: F401  (the benchmark reads ns.config)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,3 +49,24 @@ def test_one_kernel_round_passes_every_check(monkeypatch):
     times, failed = kernels.KernelBench(noisestab, 0).round()
     assert failed == []
     assert set(times) == set(kernels.KERNELS)
+
+
+def test_theory_job_passes_and_records_its_spans_untraced_and_traced(
+        monkeypatch):
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    spans = _perfbench_module(monkeypatch, "spans")
+    runner = workloads.JobRunner(noisestab, workloads.WORKLOADS["theory_check"],
+                                 ROOT)
+    job = runner.run(0)
+    assert job.ok, job.problems + job.failures
+    assert multiprocessing.active_children() == []
+    with spans.Tracer() as tracer:
+        traced = runner.run(0)
+    assert traced.ok, traced.problems + traced.failures
+    assert traced.records == job.records
+    # a span wrapper is a local closure: a checked function that ran in a
+    # worker process, or was not called through its module, records nothing
+    calls = {name: stats.calls for name, stats in tracer.stats.items()
+             if name.startswith("theory.")}
+    assert calls and all(c > 0 for c in calls.values()), calls
+    assert multiprocessing.active_children() == []

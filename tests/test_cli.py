@@ -146,6 +146,21 @@ class TestRun:
         assert "--seeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds,message", [
+        ("-1", "seeds[0] must be in [0, 2**64)"),
+        ("0,18446744073709551616", "seeds[1] must be in [0, 2**64)"),
+        ("1,0,1", "seeds[2] repeats seed 1")],
+        ids=["negative", "2**64", "repeat"])
+    def test_aliased_or_repeated_seeds_exit_2_before_any_output(
+            self, config_path, tmp_path, capsys, seeds, message):
+        # -1 used to run as 18446744073709551615, and a repeated seed was
+        # counted twice in n_seeds
+        out = tmp_path / "o"
+        assert run_cli("run", str(config_path), "--out", str(out),
+                       "--seeds", seeds) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dataset,strategy,needs", [
         ({"kind": "linear_regression", "n": 60, "dim": 3, "noise_std": 0.1},
          "entropy", "classification"),
@@ -353,10 +368,11 @@ class TestCheck:
             run_cli("check", "--suite", "nosuch")
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("seed", ["-1", "x"])
+    @pytest.mark.parametrize("seed", ["-1", "x", "18446744073709551616"])
     def test_bad_seed_exits_2_naming_the_flag(self, capsys, seed):
         # a negative seed used to exit 1 with SeedSequence's ValueError
-        # traceback, once the first check had started
+        # traceback, once the first check had started; 2**64 ran seed 0's
+        # concentration trials under another label
         with pytest.raises(SystemExit) as exc:
             run_cli("check", "--suite", "second_moment", "--seed", seed)
         assert exc.value.code == 2

@@ -215,6 +215,24 @@ class TestParsing:
         with pytest.raises(ConfigError, match="seeds must be a JSON list"):
             experiment_from_dict(dict(MINIMAL, seeds=5))
 
+    @pytest.mark.parametrize("seeds,message", [
+        ([0, -1], r"seeds[1] must be in [0, 2**64), got -1"),
+        ([2 ** 64], r"seeds[0] must be in [0, 2**64), got 18446744073709551616"),
+        ([3, 0, 3], "seeds[2] repeats seed 3"),
+        ([0, 0], "seeds[1] repeats seed 0")],
+        ids=["negative", "2**64", "repeat", "repeated-zero"])
+    def test_seeds_outside_64_bits_or_repeated_rejected(self, seeds, message):
+        # streams are seeded by the seed modulo 2**64, so -1 and 2**64 - 1 ran
+        # the same experiment, and a repeat was counted twice in n_seeds
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            experiment_from_dict(dict(MINIMAL, seeds=seeds))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(experiment_from_dict(MINIMAL), seeds=seeds)
+
+    def test_largest_64_bit_seed_loads(self):
+        assert experiment_from_dict(dict(MINIMAL, seeds=[0, 2 ** 64 - 1])).seeds == [
+            0, 2 ** 64 - 1]
+
     def test_readme_example_loads(self):
         readme = (ROOT / "README.md").read_text()
         example = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)

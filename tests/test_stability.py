@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -64,6 +66,26 @@ class TestSampleDirections:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ConfigError):
             sample_directions(0, 4, seed=0)
+
+    @pytest.mark.parametrize("n,samplings", [(10, 5), (10, 10000), (1, 70000),
+                                             (40000, 2)])
+    def test_bits_equal_the_whole_array_division(self, n, samplings):
+        # the norms are taken in blocks of rows; K=10000 at n=10 and K=70000
+        # at n=1 span several blocks, and n=40000 puts one row in a block
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(8)))
+        t = gen.standard_normal((samplings, n))
+        expected = t / np.linalg.norm(t, axis=1, keepdims=True)
+        assert sample_directions(n, samplings, seed=8).tobytes() == expected.tobytes()
+
+    def test_peak_memory_stays_near_the_result(self):
+        # whole-array t * t and t / norms temporaries used to double the peak
+        tracemalloc.start()
+        try:
+            u = sample_directions(10, 100000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * u.nbytes
 
     def test_second_moment_approaches_isotropy(self):
         # (1/K) sum u u^T -> I/n; modest K here, the tight version lives in

@@ -330,6 +330,72 @@ class TestParallelSweep:
         assert multiprocessing.active_children() == []
 
 
+SUITE_ORDER = (["second_moment", "second_moment_trace", "jacobian_norm",
+                "jacobian_norm", "distance_equivalence",
+                "inner_product_equivalence"]
+               + [name for kind in theory.CONCENTRATION_KINDS
+                  for name in (f"concentration_{kind}",
+                               f"concentration_monotonic_{kind}")]
+               + ["sampling_efficiency"])
+
+
+def fail_in_parent(*args, **kwargs):
+    raise FloatingPointError("raised in a parent-side check")
+
+
+class TestOverlappedCheckSuite:
+    """``run_check_suite`` starts the efficiency searches before the other
+    checks and collects them last; neither the overlap nor the worker count
+    may show in its reports, and no worker may outlive the call."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_do_not_depend_on_the_cpu_count(self, monkeypatch, seed):
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 3)
+        parallel = [r.to_json() for r in cli.run_check_suite("all", seed)]
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse_workers)
+        inline = [r.to_json() for r in cli.run_check_suite("all", seed)]
+        assert parallel == inline
+        assert [json.loads(line)["name"] for line in parallel] == SUITE_ORDER
+
+    def test_no_worker_outlives_a_raise_in_a_parent_check(self, monkeypatch):
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(theory, "check_second_moment", fail_in_parent)
+        with pytest.raises(FloatingPointError, match="parent-side check"):
+            cli.run_check_suite("all", 0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="a patched function reaches workers only by fork")
+    def test_worker_error_reaches_the_caller_with_its_type(self, monkeypatch):
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(theory, "simultaneous_failures", fail_in_worker)
+        with pytest.raises(FloatingPointError, match="raised inside a search"):
+            cli.run_check_suite("all", 0)
+        assert multiprocessing.active_children() == []
+
+    def test_report_refuses_searches_for_other_arguments(self, monkeypatch):
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 1)
+        with theory.EfficiencySearches(50, [4, 16], 0.5, 5, trials=40) as searches:
+            with pytest.raises(ValueError, match="searches were started for"):
+                theory.efficiency_report(50, [4, 16], 0.5, 6, trials=40,
+                                         searches=searches)
+            report = theory.efficiency_report(50, [4, 16], 0.5, 5, trials=40,
+                                              searches=searches)
+        assert report.details["table"] == theory.sampling_efficiency_sweep(
+            50, [4, 16], 0.5, 5, trials=40)
+
+    def test_bad_arguments_fail_on_entry_before_any_worker(self, monkeypatch):
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse_workers)
+        with pytest.raises(ValueError, match="target must be in"):
+            with theory.EfficiencySearches(50, [4, 16], 0.5, 5, target=1.5):
+                pass
+
+
 class TestTrialInputs:
     """Arguments no trial could use are rejected before the first trial or
     worker starts. A NaN epsilon used to pass a concentration check, and a
