@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import nn
+from . import nn, seeding
 from .exceptions import ConfigError, DataError
 from .selection import SelectionRequest, greedy_k_center, kmeans_pp, top_scores
 
@@ -18,7 +18,7 @@ def select_random(pool_size, budget, seed):
     """Uniform sample without replacement, deterministic per seed."""
     if budget > pool_size:
         raise ConfigError(f"budget {budget} exceeds pool size {pool_size}")
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    gen = seeding.rng(seed)
     return [int(i) for i in gen.choice(pool_size, size=budget, replace=False)]
 
 
@@ -107,7 +107,7 @@ def select_bald_mcdropout(model, pool, mc_samples, budget, seed):
         raise ConfigError(f"budget {budget} exceeds pool size {pool.shape[0]}")
     probs = []
     for t in range(mc_samples):
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, t])))
+        gen = seeding.rng(seed, t)
         out, _ = nn._forward_cached(model, pool, len(model.layers), True, gen)
         probs.append(out)
     return top_scores(bald_scores(np.stack(probs)), budget)

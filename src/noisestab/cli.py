@@ -157,8 +157,8 @@ CONCENTRATION_TRIALS = 50000
 
 
 def _check_seed(text):
-    """``--seed`` as an integer; numpy's SeedSequence takes no negative, and
-    the checks seed their streams with the seed modulo 2**64."""
+    """``--seed`` as an integer in [0, 2**64), the range of run seeds;
+    ``seeding`` takes a seed as it is, never modulo 2**64."""
     try:
         seed = int(text)
     except ValueError:
@@ -230,9 +230,14 @@ def _parse_sweep_values(param, raw):
         raise ConfigError("sweep needs a non-empty values list")
     cast = {"zeta": float, "K": int}.get(param, str)
     try:
-        return [cast(v) for v in values]
+        cast_values = [cast(v) for v in values]
     except ValueError:
         raise ConfigError(f"non-numeric {param} value in {values}") from None
+    for i, value in enumerate(cast_values):  # equal values share one arm dir
+        if value in cast_values[:i]:
+            first = values[cast_values.index(value)]
+            raise ConfigError(f"sweep value {values[i]!r} repeats {first!r}")
+    return cast_values
 
 
 def _sweep_variant(cfg, param, value):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import seeding
 from .exceptions import DataError, FormatError
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -54,18 +55,14 @@ class Dataset:
                        numeric_columns=self.numeric_columns)
 
 
-def _gen(seed):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def gen_blobs(n_per_class, n_classes, dim, centers_seed, noise_std, seed,
               center_scale=4.0) -> Dataset:
     """Balanced Gaussian clusters; centers drawn once from centers_seed, point
     noise from seed."""
     if n_classes < 2 or dim < 1 or noise_std < 0:
         raise DataError("need n_classes >= 2, dim >= 1, noise_std >= 0")
-    centers = _gen(centers_seed).normal(0.0, center_scale, size=(n_classes, dim))
-    gen = _gen(seed)
+    centers = seeding.rng(centers_seed).normal(0.0, center_scale, size=(n_classes, dim))
+    gen = seeding.rng(seed)
     inputs = np.vstack([
         centers[c] + gen.normal(0.0, noise_std, size=(n_per_class, dim))
         for c in range(n_classes)
@@ -80,7 +77,7 @@ def gen_two_moons(n, noise_std, seed) -> Dataset:
     around (0, 0), class 1 on the lower one around (1, 0.5)."""
     if noise_std < 0:
         raise DataError("noise_std must be >= 0")
-    gen = _gen(seed)
+    gen = seeding.rng(seed)
     n0 = n // 2 + n % 2
     n1 = n // 2
     t0 = np.linspace(0.0, np.pi, n0)
@@ -99,8 +96,8 @@ def gen_linear_regression(n, dim, weight_seed, noise_std, seed) -> Dataset:
     weight_seed."""
     if noise_std < 0:
         raise DataError("noise_std must be >= 0")
-    w_star = _gen(weight_seed).normal(0.0, 1.0, size=dim)
-    gen = _gen(seed)
+    w_star = seeding.rng(weight_seed).normal(0.0, 1.0, size=dim)
+    gen = seeding.rng(seed)
     inputs = gen.normal(0.0, 1.0, size=(n, dim))
     targets = inputs @ w_star + gen.normal(0.0, noise_std, size=n)
     return Dataset(inputs=inputs, targets=targets, task="regression")
@@ -237,7 +234,7 @@ def split(dataset: Dataset, test_fraction, seed):
     classification."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError("test_fraction must be in (0, 1)")
-    gen = _gen(seed)
+    gen = seeding.rng(seed)
     n = len(dataset)
     if dataset.task == "classification":
         test_idx = []

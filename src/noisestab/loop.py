@@ -129,8 +129,8 @@ class ExperimentConfig:
             raise ConfigError("strategy 'bald_mcdropout' needs model.dropout > 0")
         if not self.seeds:
             raise ConfigError("seeds list must not be empty")
-        # streams are seeded by the seed modulo 2**64, so a seed outside that
-        # range, or a repeat, would run a seed twice and count it twice
+        # ``seeding`` takes a seed as it is (numpy rejects a negative one), and
+        # a repeat would run a seed twice and count it twice
         for i, seed in enumerate(self.seeds):
             if not 0 <= seed < 2 ** 64:
                 raise ConfigError(f"seeds[{i}] must be in [0, 2**64), got {seed!r}")
@@ -237,11 +237,14 @@ def check_ranges(dataset: dict, model: dict):
 
 
 def check_initial_pool(cfg: ExperimentConfig):
-    """ConfigError when initial_labeled exceeds the training pool, found
-    before a run writes anything. The pool size follows from the dataset's
-    class counts and test fraction, not from the run seed, so the first
-    seed's split answers for every seed."""
-    train_pool, _ = build_dataset(cfg.dataset, cfg.seeds[0])
+    """ConfigError, found before a run writes anything, when initial_labeled
+    exceeds the training pool or the test split is empty. Neither size depends
+    on the run seed, so the first seed's split answers for every seed."""
+    train_pool, test = build_dataset(cfg.dataset, cfg.seeds[0])
+    if len(test) == 0:
+        fraction = {**DATASET_DEFAULTS, **cfg.dataset}["test_fraction"]
+        raise ConfigError(f"dataset.test_fraction {fraction!r} leaves no test "
+                          f"example out of {len(train_pool)}")
     if cfg.initial_labeled > len(train_pool):
         raise ConfigError(f"initial_labeled {cfg.initial_labeled} exceeds the "
                           f"pool of {len(train_pool)} examples")

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeding
 from .exceptions import (ConfigError, DataError, DimensionError, InvalidStateError,
                          NonFiniteError)
 
@@ -295,7 +296,7 @@ def build_mlp(input_dim, hidden, output_dim, *, task="classification",
     Linear. The default feature tap sits just before the final Linear, so the
     body is the hidden stack and the head is the output layer.
     """
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    gen = seeding.rng(seed)
     layers = []
     prev = input_dim
     for width in hidden:
@@ -721,7 +722,7 @@ def train(model, labeled, cfg: TrainConfig):
         if cfg.epochs > 0:
             raise InvalidStateError("cannot train on an empty labeled set")
         return []
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    gen = seeding.rng(cfg.seed)
     theta = flatten_params(model, SCOPE_ALL)
     grad = np.empty_like(theta)
     grads = _param_views(model, grad)

@@ -1,9 +1,9 @@
 """Deterministic derivation of independent random streams from one run seed.
 
-Every stochastic component (data split, model init, training shuffles,
-strategy randomness, noise directions) pulls its own stream derived from the
-run seed plus a purpose label, so changing one component never perturbs the
-others.
+Every stochastic component (data, model init, training shuffles, strategy
+randomness, noise directions, theory trials) pulls its own stream, derived
+here and nowhere else from a seed plus purpose labels, so changing one
+component never perturbs the others. A seed is never wrapped to 64 bits.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ def _label_int(label) -> int:
 
 def seed_sequence(seed: int, *labels) -> np.random.SeedSequence:
     """SeedSequence for ``seed`` specialized by any number of purpose labels."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_label_int(lb) for lb in labels]
-    return np.random.SeedSequence(entropy)
+    return np.random.SeedSequence([int(seed)] + [_label_int(lb) for lb in labels])
 
 
 def rng(seed: int, *labels) -> np.random.Generator:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeding
 from .exceptions import ConfigError, DimensionError, NonFiniteError
 
 METHODS = ("k_center", "kmeans_pp", "top_magnitude", "k_center_normalized")
@@ -125,7 +126,7 @@ def kmeans_pp(req: SelectionRequest):
     x = req.embeddings
     if req.budget == 0:
         return []
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(req.seed)))
+    gen = seeding.rng(req.seed)
     n = x.shape[0]
     first = int(gen.integers(n))
     picks = [first]

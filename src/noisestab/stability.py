@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import nn, seeding
 from .exceptions import ConfigError, DimensionError, InvalidStateError
 
 _TAPS = (nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS)
@@ -83,7 +83,7 @@ def sample_directions(n, samplings, seed) -> np.ndarray:
         raise ConfigError("direction dimension n must be >= 1")
     if samplings < 1:
         raise ConfigError("samplings must be >= 1")
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    gen = seeding.rng(seed)
     t = gen.standard_normal((samplings, n))
     # row norms in blocks of rows, so no temporary is the size of t; a row's
     # norm has the same bits in a block as in the whole array

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import nn, seeding
 from .stability import NoiseConfig, embedding, perturbation_set, sample_directions
 
 DENOM_FLOOR = 1e-12
@@ -172,11 +172,6 @@ def _projection_matrix(n, samplings, rng_k) -> np.ndarray:
     return np.sqrt(n / samplings) * t
 
 
-def _trial_rng(seed, trial):
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, int(trial)])))
-
-
 CONCENTRATION_KINDS = ("magnitude", "distance", "inner_product")
 
 
@@ -212,7 +207,7 @@ def failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float:
     _check_concentration_args(kind, n, samplings, epsilon, trials)
     violations = 0
     for t in range(trials):
-        gen = _trial_rng(seed, t)
+        gen = seeding.rng(seed, t)
         q = _projection_matrix(n, samplings, gen)
         if kind == "magnitude":
             g = gen.standard_normal(n)
@@ -294,9 +289,8 @@ def reduced_failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float
     _check_concentration_args(kind, n, samplings, epsilon, trials)
     if kind == "inner_product" and n < 2:
         raise ValueError("inner_product bound needs n >= 2")
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        int(seed) & 0xFFFFFFFFFFFFFFFF,
-        spawn_key=(CONCENTRATION_KINDS.index(kind),))))
+    streams = seeding.seed_sequence(seed).spawn(len(CONCENTRATION_KINDS))
+    gen = np.random.Generator(np.random.PCG64(streams[CONCENTRATION_KINDS.index(kind)]))
     rows = max(1, _BLOCK_DOUBLES // (2 * samplings))
     violations = 0
     for start in range(0, trials, rows):
@@ -383,7 +377,7 @@ def simultaneous_failures(n, pool_size, samplings, epsilon, trials, seed):
     m = min(samplings, n)
     rows = max(1, _BLOCK_DOUBLES // m)
     for t in range(trials):
-        gen = _trial_rng(seed, t)
+        gen = seeding.rng(seed, t)
         lam = _projection_spectrum(n, samplings, gen)
         failed = False
         for start in range(0, pool_size, rows):
@@ -421,9 +415,7 @@ def required_samplings(n, pool_size, epsilon, seed, target, trials) -> int:
     _check_sweep_args(n, [pool_size], epsilon, target, trials)
 
     def fails(k):
-        eval_seed = np.random.SeedSequence(
-            [int(seed) & 0xFFFFFFFFFFFFFFFF, int(pool_size), int(k)]
-        ).generate_state(1)[0]
+        eval_seed = seeding.seed_sequence(seed, pool_size, k).generate_state(1)[0]
         failures = 0
         outcomes = simultaneous_failures(n, pool_size, k, epsilon, trials,
                                          int(eval_seed))

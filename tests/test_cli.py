@@ -231,6 +231,24 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+    def test_empty_test_split_exits_2_before_any_output(self, tmp_path, capsys,
+                                                        command):
+        # 0.01 of each class of 30 rounds to no test example; the run used to
+        # write its manifest and train cycle 1 before finding that
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["dataset"]["test_fraction"] = 0.01
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        extra = ("--param", "zeta", "--values", "1e-3") if command == "sweep" else ()
+        assert run_cli(command, str(path), "--out", str(out), *extra) == 2
+        captured = capsys.readouterr()
+        assert ("dataset.test_fraction 0.01 leaves no test example out of 90"
+                in captured.err)
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
     @pytest.mark.parametrize("section,key,value,message", [
         ("train", "loss", "cross_entropy", "unknown key(s) in train: ['loss']"),
         ("train", "loss", "squared_error", "unknown key(s) in train: ['loss']"),
@@ -424,6 +442,24 @@ class TestSweep:
         out = tmp_path / "s"
         assert run_cli("sweep", str(config_path), "--param", param,
                        "--values", values, "--out", str(out), "--seeds", "0") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param,values,message", [
+        ("zeta", "1e-3,0.001", "sweep value '0.001' repeats '1e-3'"),
+        ("zeta", "1e-3,2e-3,1E-3", "sweep value '1E-3' repeats '1e-3'"),
+        ("K", "30,30", "sweep value '30' repeats '30'"),
+        ("K", "5,05", "sweep value '05' repeats '5'"),
+        ("selector", "k_center,kmeans_pp,k_center",
+         "sweep value 'k_center' repeats 'k_center'")],
+        ids=["zeta-1e-3,0.001", "zeta-1E-3", "K-30,30", "K-05", "selector"])
+    def test_repeated_value_exits_2_before_any_arm_runs(
+            self, config_path, tmp_path, capsys, param, values, message):
+        # equal values share one arm directory: the second arm used to
+        # overwrite the first and add its rows to sweep.csv a second time
+        out = tmp_path / "s"
+        assert run_cli("sweep", str(config_path), "--param", param,
+                       "--values", values, "--out", str(out), "--seeds", "0") == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from noisestab import data, nn
+from noisestab import data, nn, seeding
 from noisestab.exceptions import DataError, FormatError
 
 
@@ -61,7 +61,7 @@ class TestLinearRegression:
     def test_ols_recovers_true_weights_within_noise(self):
         ds = data.gen_linear_regression(5000, 3, weight_seed=3, noise_std=0.1,
                                         seed=4)
-        w_star = data._gen(3).normal(0.0, 1.0, size=3)
+        w_star = seeding.rng(3).normal(0.0, 1.0, size=3)
         w, *_ = np.linalg.lstsq(ds.inputs, ds.targets, rcond=None)
         # estimator std is about noise_std / sqrt(n)
         assert np.abs(w - w_star).max() < 5 * 0.1 / np.sqrt(5000)

@@ -311,6 +311,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             replace(blob_config(), **change)
 
+    @pytest.mark.parametrize("dataset, total", [
+        # 0.01 of 40 rounds to no example, per class and over the whole set
+        ({"kind": "blobs", "n_per_class": 40, "classes": 3, "dim": 3,
+          "noise_std": 1.0}, 120),
+        ({"kind": "two_moons", "n": 40, "noise_std": 0.1}, 40),
+        ({"kind": "linear_regression", "n": 40, "dim": 3, "noise_std": 0.1}, 40)],
+        ids=["blobs", "two_moons", "linear_regression"])
+    @pytest.mark.parametrize("seeds", [[0], [5, 6]])
+    def test_empty_test_split_found_before_the_run(self, dataset, total, seeds):
+        cfg = blob_config(dataset={**dataset, "test_fraction": 0.01}, seeds=seeds)
+        with pytest.raises(ConfigError, match=f"dataset.test_fraction 0.01 leaves "
+                                              f"no test example out of {total}"):
+            loop.check_initial_pool(cfg)
+        loop.check_initial_pool(replace(cfg, dataset={**dataset,
+                                                      "test_fraction": 0.05}))
+
     def test_wall_time_not_serialized(self):
         record = report(1, 0.9, 0).to_record()
         assert "wall_time" not in record

@@ -6,7 +6,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from noisestab import cli, nn, theory
+from noisestab import cli, nn, seeding, theory
 from noisestab.stability import NoiseConfig, embedding, perturbation_set
 
 
@@ -169,7 +169,7 @@ def direct_simultaneous_failure(n, pool_size, samplings, epsilon, trials, seed):
     under one shared, explicitly drawn projection."""
     failures = 0
     for t in range(trials):
-        gen = theory._trial_rng(seed, t)
+        gen = seeding.rng(seed, t)
         q = theory._projection_matrix(n, samplings, gen)
         g = gen.standard_normal((pool_size, n))
         z = g @ q.T
@@ -218,7 +218,7 @@ class TestReducedSamplers:
     @pytest.mark.parametrize("n, samplings", [(200, 24), (12, 12), (5, 9)])
     def test_projection_spectrum_sums_to_n(self, n, samplings):
         # trace(Q Q^T) = (n/K) * K exactly, for the Bartlett and direct paths
-        lam = theory._projection_spectrum(n, samplings, theory._trial_rng(3, 0))
+        lam = theory._projection_spectrum(n, samplings, seeding.rng(3, 0))
         assert lam.shape == (min(n, samplings),)
         assert lam.sum() == pytest.approx(n, rel=1e-12)
         assert lam.min() > -1e-12
