@@ -43,11 +43,12 @@ def _out_dir(arg, default_name):
     return path
 
 
-def _write_atomic(path: Path, text: str):
+def _write_atomic(path: Path, lines):
+    """Write ``lines``, each ended by a newline, to ``path`` atomically."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent))
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -91,7 +92,7 @@ def _write_manifest(out_dir: Path, cfg, started_at, finished_at=None):
         "started_at": started_at,
         "finished_at": finished_at,
     }
-    _write_atomic(out_dir / "manifest.json", json.dumps(doc, indent=2) + "\n")
+    _write_atomic(out_dir / "manifest.json", [json.dumps(doc, indent=2)])
 
 
 def _timestamp():
@@ -111,31 +112,41 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
-def _execute_run(cfg, out_dir: Path, strategy_label=None):
-    """Run every seed, then write reports.jsonl and curve.csv atomically."""
-    _write_manifest(out_dir, cfg, _timestamp())
-    per_seed = run_active_learning(cfg)
-    lines = [json.dumps(report.to_record())
-             for reports in per_seed for report in reports]
-    _write_atomic(out_dir / "reports.jsonl", "\n".join(lines) + "\n")
-    label = strategy_label or cfg.strategy
-    rows = aggregate_runs(per_seed)
-    csv_lines = [CURVE_HEADER]
-    csv_lines += [f"{r['cycle']},{r['labeled_size']},{label},"
-                  f"{r['metric_mean']!r},{r['metric_std']!r},{r['n_seeds']}"
-                  for r in rows]
-    _write_atomic(out_dir / "curve.csv", "\n".join(csv_lines) + "\n")
-    _write_manifest(out_dir, cfg, _timestamp(), _timestamp())
-    return rows
+def _curve_rows(label, rows):
+    """curve.csv's data lines, one per aggregated cycle row."""
+    return [f"{r['cycle']},{r['labeled_size']},{label},"
+            f"{r['metric_mean']!r},{r['metric_std']!r},{r['n_seeds']}"
+            for r in rows]
+
+
+def _run_arms(args, arms):
+    """Run each ``(subdirectory, cfg, curve label)`` arm, built and so checked
+    by the caller: manifest.json, reports.jsonl and curve.csv go to that
+    subdirectory of the command's output directory, made once the arms'
+    shared dataset has passed its check. Returns it and each arm's rows."""
+    check_initial_pool(arms[0][1])
+    out_dir = _out_dir(args.out, f"{Path(args.config).stem}-{args.command}")
+    arm_rows = []
+    for sub, cfg, label in arms:
+        arm_dir = out_dir / sub
+        arm_dir.mkdir(parents=True, exist_ok=True)
+        started_at = _timestamp()
+        _write_manifest(arm_dir, cfg, started_at)
+        per_seed = run_active_learning(cfg)
+        _write_atomic(arm_dir / "reports.jsonl", [
+            json.dumps(report.to_record()) for reports in per_seed for report in reports])
+        rows = aggregate_runs(per_seed)
+        _write_atomic(arm_dir / "curve.csv", [CURVE_HEADER] + _curve_rows(label, rows))
+        _write_manifest(arm_dir, cfg, started_at, _timestamp())
+        print(f"wrote {arm_dir}/reports.jsonl and curve.csv "
+              f"({len(rows)} cycles x {len(cfg.seeds)} seeds)", file=sys.stderr)
+        arm_rows.append(rows)
+    return out_dir, arm_rows
 
 
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
-    check_initial_pool(cfg)
-    out_dir = _out_dir(args.out, Path(args.config).stem + "-run")
-    rows = _execute_run(cfg, out_dir)
-    print(f"wrote {out_dir}/reports.jsonl and curve.csv "
-          f"({len(rows)} cycles x {len(cfg.seeds)} seeds)", file=sys.stderr)
+    _run_arms(args, [("", cfg, cfg.strategy)])
     return 0
 
 
@@ -253,21 +264,15 @@ def cmd_sweep(args) -> int:
     if cfg.strategy != "noise_stability":
         raise ConfigError(f"sweep parameter {args.param!r} applies to "
                           "the noise_stability strategy only")
+    values = _parse_sweep_values(args.param, args.values)
     # every arm is built, and so checked, before the first one runs
-    arms = [(value, _sweep_variant(cfg, args.param, value))
-            for value in _parse_sweep_values(args.param, args.values)]
-    check_initial_pool(cfg)  # the arms share the dataset and initial_labeled
-    out_dir = _out_dir(args.out, Path(args.config).stem + "-sweep")
-    merged = [f"param,value,{CURVE_HEADER}"]
-    for value, sub in arms:
-        sub_dir = out_dir / f"{args.param}={value}"
-        sub_dir.mkdir(parents=True, exist_ok=True)
-        rows = _execute_run(sub, sub_dir)
-        merged += [f"{args.param},{value},{r['cycle']},{r['labeled_size']},"
-                   f"{cfg.strategy},{r['metric_mean']!r},{r['metric_std']!r},"
-                   f"{r['n_seeds']}" for r in rows]
-        print(f"sweep arm {args.param}={value} done", file=sys.stderr)
-    _write_atomic(out_dir / "sweep.csv", "\n".join(merged) + "\n")
+    out_dir, arm_rows = _run_arms(args, [
+        (f"{args.param}={value}", _sweep_variant(cfg, args.param, value),
+         cfg.strategy) for value in values])
+    merged = [f"param,value,{CURVE_HEADER}"] + [
+        f"{args.param},{value},{line}" for value, rows in zip(values, arm_rows)
+        for line in _curve_rows(cfg.strategy, rows)]
+    _write_atomic(out_dir / "sweep.csv", merged)
     print(f"wrote {out_dir}/sweep.csv", file=sys.stderr)
     return 0
 
@@ -279,44 +284,35 @@ ABLATION_ARMS = {"noise_stability": None,
 SINGLE_SAMPLE_STRATEGIES = ("noise_stability", "bald_mcdropout")
 
 
-def _means_csv(names, arm_rows):
+def _write_means(path, names, arm_rows):
     """One line per cycle: cycle, labeled size and each arm's metric mean."""
     lines = ["cycle,labeled_size," + ",".join(names)]
     for i, row in enumerate(arm_rows[0]):
         means = ",".join(repr(rows[i]["metric_mean"]) for rows in arm_rows)
         lines.append(f"{row['cycle']},{row['labeled_size']},{means}")
-    return "\n".join(lines) + "\n"
+    _write_atomic(path, lines)
 
 
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
-    # every arm is built, and so checked, before the first one runs
-    arms = {name: replace(cfg, strategy="noise_stability",
-                          selector=selector or cfg.selector)
-            for name, selector in ABLATION_ARMS.items()}
+    # every arm is built, and so checked, before the first one runs; the
+    # ablation arms share a strategy, so their curve.csv names the arm
+    arms = [(name, replace(cfg, strategy="noise_stability",
+                           selector=selector or cfg.selector), name)
+            for name, selector in ABLATION_ARMS.items()]
     if args.single_sample:
         # budget-1 uncertainty-only comparison: as many noise samplings as
         # BALD's Monte Carlo dropout samplings
-        arms.update({f"single_sample_{strategy}": replace(
+        arms += [(f"single_sample_{strategy}", replace(
             cfg, strategy=strategy, budget=1,
-            noise=replace(cfg.noise, samplings=BALD_SAMPLES))
-            for strategy in SINGLE_SAMPLE_STRATEGIES})
-    check_initial_pool(cfg)  # the arms share the dataset and initial_labeled
-    out_dir = _out_dir(args.out, Path(args.config).stem + "-ablate")
-    rows = {}
-    for name, sub in arms.items():
-        sub_dir = out_dir / name
-        sub_dir.mkdir(parents=True, exist_ok=True)
-        # the ablation arms share a strategy, so their curve.csv names the arm
-        rows[name] = _execute_run(sub, sub_dir,
-                                  name if name in ABLATION_ARMS else None)
-        print(f"ablation arm {name} done", file=sys.stderr)
-    _write_atomic(out_dir / "ablation.csv", _means_csv(
-        list(ABLATION_ARMS), [rows[name] for name in ABLATION_ARMS]))
+            noise=replace(cfg.noise, samplings=BALD_SAMPLES)), strategy)
+            for strategy in SINGLE_SAMPLE_STRATEGIES]
+    out_dir, arm_rows = _run_arms(args, arms)
+    n = len(ABLATION_ARMS)
+    _write_means(out_dir / "ablation.csv", ABLATION_ARMS, arm_rows[:n])
     if args.single_sample:
-        _write_atomic(out_dir / "single_sample.csv", _means_csv(
-            SINGLE_SAMPLE_STRATEGIES,
-            [rows[f"single_sample_{s}"] for s in SINGLE_SAMPLE_STRATEGIES]))
+        _write_means(out_dir / "single_sample.csv", SINGLE_SAMPLE_STRATEGIES,
+                     arm_rows[n:])
     print(f"wrote {out_dir}/ablation.csv", file=sys.stderr)
     return 0
 

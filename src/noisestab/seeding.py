@@ -14,9 +14,11 @@ import numpy as np
 
 
 def _label_int(label) -> int:
-    if isinstance(label, (int, np.integer)):
-        return int(label) & 0xFFFFFFFF
-    return zlib.crc32(str(label).encode("utf-8"))
+    if not isinstance(label, (int, np.integer)):
+        return zlib.crc32(str(label).encode("utf-8"))
+    if not 0 <= label < 2 ** 32:  # so that no two integer labels alias
+        raise ValueError(f"integer label must be in [0, 2**32), got {label}")
+    return int(label)
 
 
 def seed_sequence(seed: int, *labels) -> np.random.SeedSequence:

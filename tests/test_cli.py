@@ -83,6 +83,17 @@ class TestRun:
         assert len(doc["config_sha256"]) == 64
         assert doc["finished_at"] is not None
 
+    def test_manifest_keeps_the_start_time(self, config_path, tmp_path,
+                                           monkeypatch):
+        # the finished manifest used to take a second fresh stamp as started_at
+        stamps = iter(["start", "finish"])
+        monkeypatch.setattr(cli, "_timestamp", lambda: next(stamps))
+        out = tmp_path / "out"
+        assert run_cli("run", str(config_path), "--out", str(out),
+                       "--seeds", "0") == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert (doc["started_at"], doc["finished_at"]) == ("start", "finish")
+
     def test_manifest_records_the_numeric_environment(self, config_path,
                                                       tmp_path):
         out = tmp_path / "out"
@@ -535,6 +546,45 @@ class TestAblate:
                        "--single-sample") == 2
         assert "dropout" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestArmRunner:
+    """run, sweep and ablate write each arm through one runner, so an arm's
+    files are those of a run of its config, and sweep.csv repeats the arms'
+    curve rows."""
+
+    @pytest.mark.parametrize("param,values", [("zeta", "1e-4,1e-2"),
+                                              ("selector", "k_center,kmeans_pp")])
+    def test_sweep_rows_are_the_arms_curve_rows(self, config_path, tmp_path,
+                                                param, values):
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", str(config_path), "--param", param,
+                       "--values", values, "--out", str(out), "--seeds", "0") == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        values = list(dict.fromkeys(line.split(",")[1] for line in lines[1:]))
+        assert sorted(d.name for d in out.iterdir() if d.is_dir()) == \
+            sorted(f"{param}={value}" for value in values)
+        expected = [f"{param},{value},{line}" for value in values
+                    for line in (out / f"{param}={value}" / "curve.csv")
+                    .read_text().splitlines()[1:]]
+        assert len(values) == 2 and lines[1:] == expected
+
+    def test_single_sample_arms_equal_runs_of_their_configs(self, tmp_path):
+        doc = dict(TINY_CONFIG, model={"hidden": [8], "dropout": 0.2},
+                   seeds=[0])
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("ablate", str(path), "--out", str(tmp_path / "abl"),
+                       "--single-sample") == 0
+        for strategy in cli.SINGLE_SAMPLE_STRATEGIES:
+            path.write_text(json.dumps(dict(
+                doc, strategy=strategy, budget=1,
+                noise=dict(doc["noise"], samplings=50))))
+            run = tmp_path / f"run-{strategy}"
+            assert run_cli("run", str(path), "--out", str(run)) == 0
+            arm = tmp_path / "abl" / f"single_sample_{strategy}"
+            assert (arm / "reports.jsonl").read_bytes() == \
+                (run / "reports.jsonl").read_bytes()
 
 
 class TestAblationArmsAreSelectors:

@@ -56,6 +56,16 @@ def test_negative_seed_raises(call):
         call()
 
 
+@pytest.mark.parametrize("label", [2 ** 32, -1, np.int64(-1), 2 ** 64])
+def test_integer_label_outside_32_bits_raises(label):
+    # a label used to be masked to 32 bits: 2**32 gave label 0's stream and
+    # -1 gave label 2**32 - 1's
+    with pytest.raises(ValueError, match=r"integer label must be in \[0, 2\*\*32\)"):
+        seeding.seed_sequence(0, label)
+    with pytest.raises(ValueError, match="integer label"):
+        seeding.rng(7, 3, label)
+
+
 def test_only_seeding_builds_a_seed_sequence_or_wraps_a_seed():
     offenders = [
         f"{path.name}:{lineno}"

@@ -1,7 +1,7 @@
-import concurrent.futures
 import json
 import math
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -306,8 +306,7 @@ class TestParallelSweep:
         parallel = theory.sampling_efficiency_sweep(n, pool_sizes, 0.5, seed,
                                                     trials=60)
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            refuse_workers)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse_workers)
         inline = theory.sampling_efficiency_sweep(n, pool_sizes, 0.5, seed,
                                                   trials=60)
         assert parallel == inline
@@ -354,8 +353,7 @@ class TestOverlappedCheckSuite:
         parallel = [r.to_json() for r in cli.run_check_suite("all", seed)]
         assert multiprocessing.active_children() == []
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            refuse_workers)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse_workers)
         inline = [r.to_json() for r in cli.run_check_suite("all", seed)]
         assert parallel == inline
         assert [json.loads(line)["name"] for line in parallel] == SUITE_ORDER
@@ -365,6 +363,21 @@ class TestOverlappedCheckSuite:
         monkeypatch.setattr(theory, "check_second_moment", fail_in_parent)
         with pytest.raises(FloatingPointError, match="parent-side check"):
             cli.run_check_suite("all", 0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="a patched function reaches workers only by fork")
+    def test_a_raise_stops_running_searches_without_waiting(self, monkeypatch):
+        # the workers used to be shut down by waiting for every search that
+        # had started, so a parent-side raise came out only once they ended
+        monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(theory, "simultaneous_failures",
+                            lambda *args, **kwargs: time.sleep(20))
+        monkeypatch.setattr(theory, "check_second_moment", fail_in_parent)
+        start = time.monotonic()
+        with pytest.raises(FloatingPointError, match="parent-side check"):
+            cli.run_check_suite("all", 0)
+        assert time.monotonic() - start < 5
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -389,8 +402,7 @@ class TestOverlappedCheckSuite:
 
     def test_bad_arguments_fail_on_entry_before_any_worker(self, monkeypatch):
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            refuse_workers)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse_workers)
         with pytest.raises(ValueError, match="target must be in"):
             with theory.EfficiencySearches(50, [4, 16], 0.5, 5, target=1.5):
                 pass
@@ -410,8 +422,7 @@ class TestTrialInputs:
         ({"pool_sizes": []}, "pool_sizes")])
     def test_sweep_rejects(self, monkeypatch, change, name):
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            refuse_workers)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse_workers)
         monkeypatch.setattr(theory, "simultaneous_failures", refuse_workers)
         args = {"n": 50, "pool_sizes": [4, 8], "epsilon": 0.5, "seed": 0,
                 "target": 0.05, "trials": 20, **change}
