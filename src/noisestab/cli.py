@@ -35,10 +35,8 @@ CURVE_HEADER = "cycle,labeled_size,strategy,metric_mean,metric_std,n_seeds"
 
 
 def _out_dir(arg, default_name):
-    root = Path(os.environ.get("NOISESTAB_OUT_ROOT", "."))
-    path = Path(arg) if arg else Path(default_name)
-    if not path.is_absolute():
-        path = root / path
+    # an absolute path, joined to the root, replaces it
+    path = Path(os.environ.get("NOISESTAB_OUT_ROOT", ".")) / (arg or default_name)
     path.mkdir(parents=True, exist_ok=True)
     return path
 

@@ -398,9 +398,8 @@ def _check_sweep_args(n, pool_sizes, epsilon, target, trials):
         raise ValueError(f"target must be in (0, 1), got {target!r}")
     if not pool_sizes:
         raise ValueError("pool_sizes must not be empty")
-    for pool_size in pool_sizes:
-        if pool_size < 1:
-            raise ValueError(f"pool sizes must be >= 1, got {pool_size!r}")
+    if min(pool_sizes) < 1:
+        raise ValueError(f"pool sizes must be >= 1, got {min(pool_sizes)!r}")
 
 
 def required_samplings(n, pool_size, epsilon, seed, target, trials) -> int:
@@ -454,20 +453,20 @@ class EfficiencySearches:
     on entry so that other work can run while they do.
 
     On entry the arguments are checked and, when more than one CPU is usable,
-    one search per pool size is submitted to a pool of worker processes (up
-    to one per usable CPU), the largest pool first because its search takes
-    longest. ``table()`` collects the answers in ``pool_sizes`` order; with
-    one usable CPU it runs the searches there, in this process. On exit the
-    workers are terminated, running searches included, and joined, also when
-    the block raises. A search reads no state that another search writes,
-    and draws only from streams seeded by (seed, N, K), so neither the number
-    of workers nor the order in which they finish changes a bit of the table.
+    one search per pool size is submitted to worker processes (up to one per
+    usable CPU), the largest pool first because its search takes longest.
+    ``table()`` collects the answers in ``pool_sizes`` order; with one usable
+    CPU it runs the searches there, in this process. On exit the workers are
+    joined, and first terminated if a search is unfinished (the block raised).
+    A search reads no state that another search writes, and draws only from
+    streams seeded by (seed, N, K), so neither the number of workers nor the
+    order in which they finish changes a bit of the table.
     """
 
     def __init__(self, n, pool_sizes, epsilon, seed, target=0.05, trials=200):
         self.args = (n, list(pool_sizes), epsilon, seed, target, trials)
-        self._pool = None
-        self._results = {}
+        self._executor = None
+        self._futures = {}
 
     def _search_args(self, i):
         n, pool_sizes, epsilon, seed, target, trials = self.args
@@ -478,28 +477,30 @@ class EfficiencySearches:
         _check_sweep_args(n, pool_sizes, epsilon, target, trials)
         workers = min(len(pool_sizes), _usable_cpus())
         if workers > 1:
-            import multiprocessing  # not at module level: it costs ~10 ms
-            self._pool = multiprocessing.Pool(workers)
+            from concurrent.futures import ProcessPoolExecutor
+            self._executor = ProcessPoolExecutor(workers)
             try:
                 for i in sorted(range(len(pool_sizes)), key=lambda i: -pool_sizes[i]):
-                    self._results[i] = self._pool.apply_async(
-                        required_samplings, self._search_args(i))
+                    self._futures[i] = self._executor.submit(required_samplings,
+                                                             *self._search_args(i))
             except BaseException:
                 self.__exit__()
                 raise
         return self
 
     def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        if self._executor is not None:
+            if not all(f.done() for f in self._futures.values()):
+                for process in list(self._executor._processes.values()):
+                    process.terminate()
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
         return False
 
     def table(self):
         """{"pool_size", "required_samplings"} rows in ``pool_sizes`` order."""
         pool_sizes = self.args[1]
-        ks = [self._results[i].get() if self._results
+        ks = [self._futures[i].result() if self._futures
               else required_samplings(*self._search_args(i))
               for i in range(len(pool_sizes))]
         return [{"pool_size": int(pool_size), "required_samplings": int(k)}

@@ -145,6 +145,14 @@ class TestRun:
         run_cli("run", str(config_path), "--out", "nested/run1")
         assert (tmp_path / "nested" / "run1" / "curve.csv").exists()
 
+    def test_output_root_env_var_leaves_absolute_out(self, config_path,
+                                                     tmp_path, monkeypatch):
+        monkeypatch.setenv("NOISESTAB_OUT_ROOT", str(tmp_path / "root"))
+        assert run_cli("run", str(config_path), "--out",
+                       str(tmp_path / "abs")) == 0
+        assert (tmp_path / "abs" / "curve.csv").exists()
+        assert not (tmp_path / "root").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert run_cli("run", str(tmp_path / "absent.json")) == 2
 
@@ -553,21 +561,21 @@ class TestArmRunner:
     files are those of a run of its config, and sweep.csv repeats the arms'
     curve rows."""
 
-    @pytest.mark.parametrize("param,values", [("zeta", "1e-4,1e-2"),
-                                              ("selector", "k_center,kmeans_pp")])
+    @pytest.mark.parametrize("param,values,written", [
+        ("zeta", "1e-4,1e-2", ["0.0001", "0.01"]),
+        ("selector", "k_center,kmeans_pp", ["k_center", "kmeans_pp"])])
     def test_sweep_rows_are_the_arms_curve_rows(self, config_path, tmp_path,
-                                                param, values):
+                                                param, values, written):
         out = tmp_path / "sweep"
         assert run_cli("sweep", str(config_path), "--param", param,
                        "--values", values, "--out", str(out), "--seeds", "0") == 0
-        lines = (out / "sweep.csv").read_text().splitlines()
-        values = list(dict.fromkeys(line.split(",")[1] for line in lines[1:]))
         assert sorted(d.name for d in out.iterdir() if d.is_dir()) == \
-            sorted(f"{param}={value}" for value in values)
-        expected = [f"{param},{value},{line}" for value in values
+            [f"{param}={value}" for value in written]
+        expected = [f"{param},{value},{line}" for value in written
                     for line in (out / f"{param}={value}" / "curve.csv")
                     .read_text().splitlines()[1:]]
-        assert len(values) == 2 and lines[1:] == expected
+        assert expected
+        assert (out / "sweep.csv").read_text().splitlines()[1:] == expected
 
     def test_single_sample_arms_equal_runs_of_their_configs(self, tmp_path):
         doc = dict(TINY_CONFIG, model={"hidden": [8], "dropout": 0.2},

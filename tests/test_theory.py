@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -306,7 +309,8 @@ class TestParallelSweep:
         parallel = theory.sampling_efficiency_sweep(n, pool_sizes, 0.5, seed,
                                                     trials=60)
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(multiprocessing, "Pool", refuse_workers)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse_workers)
         inline = theory.sampling_efficiency_sweep(n, pool_sizes, 0.5, seed,
                                                   trials=60)
         assert parallel == inline
@@ -327,6 +331,29 @@ class TestParallelSweep:
         with pytest.raises(FloatingPointError, match="raised inside a search"):
             theory.sampling_efficiency_sweep(50, [4, 16], 0.5, seed=5, trials=40)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="a patched function reaches workers only by fork")
+    def test_a_killed_worker_raises_instead_of_hanging(self):
+        # in a child interpreter with a deadline, so a hang fails the test
+        # rather than stopping the suite
+        proc = subprocess.run([sys.executable, "-c", KILLED_WORKER],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "BrokenProcessPool []\n"
+
+
+KILLED_WORKER = """
+import multiprocessing, os, signal
+from concurrent.futures.process import BrokenProcessPool
+from noisestab import theory
+theory._usable_cpus = lambda: 2
+theory.simultaneous_failures = lambda *a, **k: os.kill(os.getpid(), signal.SIGKILL)
+try:
+    theory.sampling_efficiency_sweep(50, [4, 16], 0.5, seed=5, trials=40)
+except BrokenProcessPool:
+    print("BrokenProcessPool", multiprocessing.active_children())
+"""
 
 
 SUITE_ORDER = (["second_moment", "second_moment_trace", "jacobian_norm",
@@ -353,7 +380,8 @@ class TestOverlappedCheckSuite:
         parallel = [r.to_json() for r in cli.run_check_suite("all", seed)]
         assert multiprocessing.active_children() == []
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(multiprocessing, "Pool", refuse_workers)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse_workers)
         inline = [r.to_json() for r in cli.run_check_suite("all", seed)]
         assert parallel == inline
         assert [json.loads(line)["name"] for line in parallel] == SUITE_ORDER
@@ -402,7 +430,8 @@ class TestOverlappedCheckSuite:
 
     def test_bad_arguments_fail_on_entry_before_any_worker(self, monkeypatch):
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "Pool", refuse_workers)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse_workers)
         with pytest.raises(ValueError, match="target must be in"):
             with theory.EfficiencySearches(50, [4, 16], 0.5, 5, target=1.5):
                 pass
@@ -422,7 +451,8 @@ class TestTrialInputs:
         ({"pool_sizes": []}, "pool_sizes")])
     def test_sweep_rejects(self, monkeypatch, change, name):
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "Pool", refuse_workers)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            refuse_workers)
         monkeypatch.setattr(theory, "simultaneous_failures", refuse_workers)
         args = {"n": 50, "pool_sizes": [4, 8], "epsilon": 0.5, "seed": 0,
                 "target": 0.05, "trials": 20, **change}
