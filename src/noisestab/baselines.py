@@ -46,10 +46,10 @@ def select_entropy(probs, budget):
     return top_scores(entropy_rows(probs), budget)
 
 
-def select_coreset(features, labeled_features, budget, seed=0):
+def select_coreset(features, labeled_features, budget):
     """Greedy k-center on raw feature vectors, seeded from labeled features."""
     req = SelectionRequest(embeddings=features, budget=budget,
-                           seeds_from_labeled=labeled_features, seed=seed)
+                           seeds_from_labeled=labeled_features)
     return greedy_k_center(req)
 
 

@@ -152,9 +152,9 @@ def _check_models(seed):
     """Small deterministic models used by the default check suites."""
     linear = nn.MlpModel([nn.Linear(np.array([[0.6, -0.8, 0.3, 0.5]]))], 1)
     mlp = nn.build_mlp(2, [8], 3, task="classification", seed=seed)
+    # scalar tap over the whole Linear/ReLU/Linear stack
     scalar = nn.build_mlp(3, [8], 1, task="regression", seed=seed + 1,
-                          feature_tap=None)
-    scalar.feature_tap = len(scalar.layers)  # scalar tap over the whole stack
+                          feature_tap=3)
     return linear, mlp, scalar
 
 

@@ -5,8 +5,8 @@ in) plus the tool version determine every byte of the run's outputs. Flags may
 override fields but never extend the schema; unknown keys are rejected.
 
 Keys, JSON types and defaults are read from the ``ExperimentConfig``,
-``NoiseConfig`` and ``TrainConfig`` fields and from the dataset and model
-tables in ``loop``; nothing here declares them again.
+``ModelConfig``, ``NoiseConfig`` and ``TrainConfig`` fields; only the dataset
+is still a table, ``DATASETS`` in ``loop``. Nothing here declares them again.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import typing
 
 from .exceptions import ConfigError
-from .loop import (DATASET_COMMON_KEYS, DATASET_DEFAULTS, DATASETS, MODEL_KEYS,
+from .loop import (DATASET_COMMON_KEYS, DATASET_DEFAULTS, DATASETS,
                    ExperimentConfig, dataset_task)
 from .nn import TAP_FEATURE
 
@@ -35,12 +35,13 @@ _JSON_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean",
 
 def _schema(cls):
     """A dataclass's settable keys with their types, and its required keys:
-    those without a default, except the sections (noise, train), whose keys
-    all have defaults."""
+    those without a default or default factory, except the sections (model,
+    noise, train), whose keys all have defaults."""
     hints = typing.get_type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.name != _DERIVED]
     return ({f.name: hints[f.name] for f in fields},
             [f.name for f in fields if f.default is dataclasses.MISSING
+             and f.default_factory is dataclasses.MISSING
              and not dataclasses.is_dataclass(hints[f.name])])
 
 
@@ -88,7 +89,6 @@ def experiment_from_dict(doc: dict) -> ExperimentConfig:
     keys = DATASETS[dataset["kind"]][1]
     _check_section(dataset, {**DATASET_COMMON_KEYS, **keys},
                    [key for key in keys if key not in DATASET_DEFAULTS], "dataset")
-    _check_section(doc["model"], MODEL_KEYS, (), "model")
     for name, section in _SECTIONS.items():
         fields = doc.get(name, {})
         _check_section(fields, *_schema(section), name)
@@ -113,7 +113,7 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
     """Full config snapshot with every default filled in (JSON-ready)."""
     doc = dataclasses.asdict(cfg)
     for name in _SECTIONS:
-        del doc[name][_DERIVED]
+        doc[name].pop(_DERIVED, None)
     return doc
 
 

@@ -95,15 +95,33 @@ class CycleReport:
 
 
 @dataclass
+class ModelConfig:
+    """The MLP's hidden widths and its dropout rate, one Dropout after each
+    hidden ReLU when the rate is above 0."""
+
+    hidden: list[int] = field(default_factory=lambda: [16])
+    dropout: float = 0.0
+
+    def __post_init__(self):
+        for i, width in enumerate(self.hidden):
+            if width < 1:
+                raise ConfigError(f"model.hidden[{i}] must be >= 1, got {width!r}")
+        if not 0 <= self.dropout < 1:
+            raise ConfigError(f"model.dropout must be in [0, 1), got {self.dropout!r}")
+
+
+@dataclass
 class ExperimentConfig:
     """One experiment. The fields are the config schema: their names are the
     top-level keys, their annotations the JSON types, and their defaults the
-    values of keys left out (a left-out noise or train section takes its own
-    dataclass's defaults). ``__post_init__`` holds every rule that spans
-    fields, so a ``dataclasses.replace`` override is checked as a load is."""
+    values of keys left out (a left-out model, noise or train section takes
+    its own dataclass's defaults; only the dataset is still a table).
+    ``__post_init__`` fills in the dataset defaults and holds every rule that
+    spans fields, so a ``dataclasses.replace`` override is filled and checked
+    as a load is."""
 
     dataset: dict
-    model: dict
+    model: ModelConfig
     strategy: str
     cycles: int
     budget: int
@@ -121,11 +139,15 @@ class ExperimentConfig:
         if self.selector not in METHODS:
             raise ConfigError(f"unknown selector {self.selector!r}; valid: {METHODS}")
         task = dataset_task(self.dataset)
+        # the file's keys in their order, then the defaults of the ones left out
+        own = {**DATASET_COMMON_KEYS, **DATASETS[self.dataset["kind"]][1]}
+        self.dataset = {**self.dataset, **{
+            key: value for key, value in DATASET_DEFAULTS.items()
+            if key in own and key not in self.dataset}}
         if (self.strategy in ("entropy", "badge", "bald_mcdropout")
                 and task != "classification"):
             raise ConfigError(f"strategy {self.strategy!r} needs a classification task")
-        if (self.strategy == "bald_mcdropout"
-                and not {**MODEL_DEFAULTS, **self.model}["dropout"] > 0):
+        if self.strategy == "bald_mcdropout" and not self.model.dropout > 0:
             raise ConfigError("strategy 'bald_mcdropout' needs model.dropout > 0")
         if not self.seeds:
             raise ConfigError("seeds list must not be empty")
@@ -142,7 +164,7 @@ class ExperimentConfig:
             raise ConfigError("budget must be >= 0")
         if self.initial_labeled < 1 and self.train.epochs > 0:
             raise ConfigError("initial_labeled must be >= 1 when training runs")
-        check_ranges(self.dataset, self.model)
+        check_ranges(self.dataset)
 
 
 # each dataset kind's task and its own keys, with their JSON types
@@ -179,7 +201,6 @@ def build_dataset(spec: dict, run_seed: int):
     seeds (cluster centers, true regression weights) come from the dataset
     entry itself, so the task stays fixed across repeats.
     """
-    spec = {**DATASET_DEFAULTS, **spec}
     kind = spec["kind"]
     gen_seed = derive_seed(run_seed, "data")
     split_seed = derive_seed(run_seed, "split")
@@ -202,11 +223,6 @@ def build_dataset(spec: dict, run_seed: int):
     return train_pool, test
 
 
-# model keys with their JSON types, and the values of keys left out
-MODEL_KEYS = {"hidden": list[int], "dropout": float}
-MODEL_DEFAULTS = {"hidden": [16], "dropout": 0.0}
-
-
 # the least value of each dataset key that has one: counts of examples and
 # input dims, classes, scales and geometry seeds
 DATASET_MINIMA = {"n_per_class": 1, "classes": 2, "dim": 1, "n": 1,
@@ -216,24 +232,18 @@ DATASET_MINIMA = {"n_per_class": 1, "classes": 2, "dim": 1, "n": 1,
 DATASET_FILE_KEYS = ("images", "labels", "path")
 
 
-def check_ranges(dataset: dict, model: dict):
-    """Reject dataset and model values the run could not use, at load rather
-    than once the run has started: out of range, or naming no file."""
+def check_ranges(dataset: dict):
+    """Reject dataset values the run could not use, at load rather than once
+    the run has started: out of range, or naming no file."""
     for key, least in DATASET_MINIMA.items():
         if dataset.get(key, least) < least:
             raise ConfigError(f"dataset.{key} must be >= {least}, got {dataset[key]!r}")
     for key in DATASET_FILE_KEYS:
         if key in dataset and not os.path.isfile(dataset[key]):
             raise ConfigError(f"dataset.{key} names no file: {dataset[key]!r}")
-    fraction = {**DATASET_DEFAULTS, **dataset}["test_fraction"]
+    fraction = dataset["test_fraction"]
     if not 0 < fraction < 1:
         raise ConfigError(f"dataset.test_fraction must be in (0, 1), got {fraction!r}")
-    model = {**MODEL_DEFAULTS, **model}
-    for i, width in enumerate(model["hidden"]):
-        if width < 1:
-            raise ConfigError(f"model.hidden[{i}] must be >= 1, got {width!r}")
-    if not 0 <= model["dropout"] < 1:
-        raise ConfigError(f"model.dropout must be in [0, 1), got {model['dropout']!r}")
 
 
 def check_initial_pool(cfg: ExperimentConfig):
@@ -242,7 +252,7 @@ def check_initial_pool(cfg: ExperimentConfig):
     on the run seed, so the first seed's split answers for every seed."""
     train_pool, test = build_dataset(cfg.dataset, cfg.seeds[0])
     if len(test) == 0:
-        fraction = {**DATASET_DEFAULTS, **cfg.dataset}["test_fraction"]
+        fraction = cfg.dataset["test_fraction"]
         raise ConfigError(f"dataset.test_fraction {fraction!r} leaves no test "
                           f"example out of {len(train_pool)}")
     if cfg.initial_labeled > len(train_pool):
@@ -250,11 +260,10 @@ def check_initial_pool(cfg: ExperimentConfig):
                           f"pool of {len(train_pool)} examples")
 
 
-def build_model(spec: dict, input_dim, task, n_classes, seed) -> nn.MlpModel:
-    spec = {**MODEL_DEFAULTS, **spec}
+def build_model(spec: ModelConfig, input_dim, task, n_classes, seed) -> nn.MlpModel:
     output_dim = n_classes if task == "classification" else 1
-    return nn.build_mlp(input_dim, list(spec["hidden"]), output_dim,
-                        task=task, dropout=spec["dropout"], seed=seed)
+    return nn.build_mlp(input_dim, spec.hidden, output_dim,
+                        task=task, dropout=spec.dropout, seed=seed)
 
 
 def evaluate(model, test: data.Dataset) -> float:
@@ -297,7 +306,7 @@ def _strategy_picks(cfg, model, train_pool, pool_state, budget, run_seed, cycle)
     if cfg.strategy == "coreset":
         feats, _ = nn.forward(model, np.vstack([x_u, x_l]))
         n = len(x_u)
-        return baselines.select_coreset(feats[:n], feats[n:], budget, strategy_seed)
+        return baselines.select_coreset(feats[:n], feats[n:], budget)
     if cfg.strategy == "badge":
         feats, probs = nn.forward(model, x_u)
         return baselines.select_badge(feats, probs, budget, strategy_seed)

@@ -349,6 +349,25 @@ class TestRun:
             assert one == two and one.strip(), strategy
 
 
+class TestRuntimeFailure:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_exits_1_with_one_json_line(self, tmp_path, capsys):
+        # Adam's steps are about lr in size, so lr=1e300 drives the
+        # parameters to infinity and NaN in the first cycle
+        doc = json.loads((CONFIGS / "blobs_demo.json").read_text())
+        doc["train"]["lr"] = 1e300
+        doc["seeds"] = [0]
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {
+            "error": "NonFiniteError",
+            "message": "seed 0, cycle 1, phase train: "
+                       "loss or parameters are NaN or infinite"}
+
+
 class TestCheck:
     def test_suite_filter_emits_only_matching_reports(self, capsys):
         code = run_cli("check", "--suite", "second_moment", "--seed", "1")

@@ -22,6 +22,9 @@ MINIMAL = {
     "initial_labeled": 4,
     "seeds": [0],
 }
+REGRESSION = dict(MINIMAL, dataset={"kind": "linear_regression", "n": 20,
+                                    "dim": 2, "noise_std": 0.1})
+NO_MODEL = {key: value for key, value in MINIMAL.items() if key != "model"}
 
 
 class TestParsing:
@@ -34,9 +37,7 @@ class TestParsing:
         assert cfg.train == TrainConfig()
 
     def test_regression_dataset_defaults_to_feature_tap(self):
-        doc = dict(MINIMAL, dataset={"kind": "linear_regression", "n": 20,
-                                     "dim": 2, "noise_std": 0.1})
-        cfg = experiment_from_dict(doc)
+        cfg = experiment_from_dict(REGRESSION)
         assert cfg.noise.tap == "feature"
         assert cfg.train == TrainConfig()
 
@@ -267,18 +268,35 @@ class TestManifestRoundtrip:
 
     @pytest.mark.parametrize("name,digest", [
         ("blobs_accept",
-         "d3ff3b91fbe341ef781477ed916052559e6ef42a187af79edf173b7306794a19"),
+         "1baac64ef2886d0958587c352e63faa4a3eca321a673ca2607b6f9639e90219e"),
         ("blobs_demo",
-         "d28450ce0102d7507fbc1715253380a743702b66093a3716e784e49242993ace"),
+         "c5e12bc5022ae429fa5d135a3bccc408245028911f5d906e6aef5a5d7632bec3"),
         ("regression_demo",
-         "31976f7c386bfbc20bf74a03522fb0129d9572ca72372b8a79f568224c2aeffb")])
+         "962b48682fa3b9a0fd688057d4735b573596fc9e3e798f602f52bd54c2cee129")])
     def test_shipped_config_hashes_are_pinned(self, name, digest):
         # the hash names a run's config in its manifest; reading the schema
         # another way must not move it. Pinned once the fixed training recipe
         # took Adam's constants, momentum, weight_decay, retrain_mode and
-        # bald_samples out of the resolved config.
+        # bald_samples out of the resolved config, and moved once the
+        # resolved config took in the dataset and model defaults.
         cfg = load_experiment_config(ROOT / "configs" / f"{name}.json")
         assert config_hash(cfg) == digest
+
+    @pytest.mark.parametrize("base,section,value", [
+        (MINIMAL, "model", {"hidden": [4], "dropout": 0.0}),
+        (NO_MODEL, "model", {"hidden": [16], "dropout": 0.0}),
+        (MINIMAL, "dataset", dict(MINIMAL["dataset"], test_fraction=0.3)),
+        (MINIMAL, "dataset", dict(MINIMAL["dataset"], centers_seed=0)),
+        (MINIMAL, "dataset", dict(MINIMAL["dataset"], center_scale=4.0)),
+        (REGRESSION, "dataset", dict(REGRESSION["dataset"], weight_seed=0))],
+        ids=["model.dropout", "model", "test_fraction", "centers_seed",
+             "center_scale", "weight_seed"])
+    def test_spelled_out_default_hashes_as_left_out(self, base, section, value):
+        # a run that writes the same bytes is named by the same config
+        left_out = experiment_from_dict(base)
+        spelled = experiment_from_dict(dict(base, **{section: value}))
+        assert resolved_dict(spelled) == resolved_dict(left_out)
+        assert config_hash(spelled) == config_hash(left_out)
 
     def test_hash_changes_with_content(self):
         cfg_a = experiment_from_dict(MINIMAL)

@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -176,6 +177,61 @@ class TestRunActiveLearning:
         for ra, rb in zip(a, b):
             assert [r.to_record() for r in ra] == [r.to_record() for r in rb]
 
+
+class TestFileDatasetsThroughTheLoop:
+    """The idx and csv kinds run a whole loop, not only their loaders."""
+
+    @staticmethod
+    def idx_dataset(tmp_path):
+        # 3 classes of six 2x2 images; the default split keeps 4 per class
+        gen = np.random.default_rng(4)
+        labels = np.repeat(np.arange(3, dtype=np.uint8), 6)
+        images = gen.integers(0, 256, size=(18, 2, 2), dtype=np.uint8)
+        images_path, labels_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images_path.write_bytes(struct.pack(">IIII", 0x803, 18, 2, 2)
+                                + images.tobytes())
+        labels_path.write_bytes(struct.pack(">II", 0x801, 18) + labels.tobytes())
+        return {"kind": "idx", "images": str(images_path),
+                "labels": str(labels_path)}
+
+    @staticmethod
+    def csv_dataset(tmp_path):
+        # two numeric columns on different scales, one categorical, a target
+        gen = np.random.default_rng(5)
+        lines = ["a,b,color,y"] + [
+            f"{gen.normal(3.0, 2.0)!r},{gen.normal(-50.0, 10.0)!r},"
+            f"{gen.choice(['red', 'green', 'blue'])},{gen.normal()!r}"
+            for _ in range(20)]
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return {"kind": "csv", "path": str(path), "test_fraction": 0.25,
+                "schema": {"a": "numeric", "b": "numeric",
+                           "color": "categorical", "y": "target"}}
+
+    @pytest.mark.parametrize("strategy", ["random", "noise_stability"])
+    @pytest.mark.parametrize("kind", ["idx", "csv"])
+    def test_labeled_pool_grows_by_the_budget(self, tmp_path, kind, strategy):
+        dataset = getattr(self, f"{kind}_dataset")(tmp_path)
+        cfg = blob_config(dataset=dataset, strategy=strategy, cycles=2, budget=2,
+                          initial_labeled=3, seeds=[0, 1],
+                          model={"hidden": [4]}, noise={"samplings": 4})
+        for reports in run_active_learning(cfg):
+            assert [r.labeled_size for r in reports] == [3, 5]
+            assert all(len(r.selected) == 2 for r in reports)
+            assert all(np.isfinite(r.metric) for r in reports)
+
+    def test_csv_numeric_columns_scaled_by_the_training_split(self, tmp_path):
+        cfg = blob_config(dataset=self.csv_dataset(tmp_path))
+        train_pool, test = loop.build_dataset(cfg.dataset, 0)
+        assert (len(train_pool), len(test)) == (15, 5)
+        columns = train_pool.numeric_columns
+        assert len(columns) == 2
+        numeric = train_pool.inputs[:, columns]
+        np.testing.assert_allclose(numeric.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(numeric.std(axis=0), 1.0, rtol=1e-12)
+        # scaled after the split: the test rows are not in the statistics
+        both = np.vstack([numeric, test.inputs[:, columns]])
+        assert np.all(np.abs(both.mean(axis=0)) > 1e-3)
 
 def separate_calls_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
                          strategy_seed):
