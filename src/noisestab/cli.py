@@ -25,8 +25,7 @@ import numpy as np
 from . import __version__, nn, theory
 from .config import config_hash, load_experiment_config, resolved_dict
 from .exceptions import ConfigError, NoiseStabError
-from .loop import (BALD_SAMPLES, aggregate_runs, check_initial_pool,
-                   run_active_learning)
+from .loop import aggregate_runs, check_initial_pool, run_active_learning
 
 SUITES = ("second_moment", "jacobian", "distance", "inner", "concentration",
           "efficiency", "all")
@@ -37,7 +36,11 @@ CURVE_HEADER = "cycle,labeled_size,strategy,metric_mean,metric_std,n_seeds"
 def _out_dir(arg, default_name):
     # an absolute path, joined to the root, replaces it
     path = Path(os.environ.get("NOISESTAB_OUT_ROOT", ".")) / (arg or default_name)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, or one on the way there
+        raise ConfigError(f"cannot make output directory {path}: "
+                          f"{exc.strerror}") from None
     return path
 
 
@@ -98,14 +101,14 @@ def _timestamp():
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise ConfigError("--seeds must be comma-separated integers, "
                               f"got {args.seeds!r}") from None
         cfg = replace(cfg, seeds=seeds)
-    if getattr(args, "strategy", None):
+    if getattr(args, "strategy", None) is not None:
         cfg = replace(cfg, strategy=args.strategy)
     return cfg
 
@@ -254,22 +257,25 @@ def _sweep_variant(cfg, param, value):
         return replace(cfg, noise=replace(cfg.noise, zeta=value))
     if param == "K":
         return replace(cfg, noise=replace(cfg.noise, samplings=value))
-    return replace(cfg, selector=value)
+    return replace(cfg, **{param: value})  # strategy or selector
 
 
 def cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
-    if cfg.strategy != "noise_stability":
+    if args.param != "strategy" and cfg.strategy != "noise_stability":
         raise ConfigError(f"sweep parameter {args.param!r} applies to "
                           "the noise_stability strategy only")
     values = _parse_sweep_values(args.param, args.values)
-    # every arm is built, and so checked, before the first one runs
+    # every arm is built, and so checked, before the first one runs; its
+    # curve label is its own strategy
+    variants = [_sweep_variant(cfg, args.param, value) for value in values]
     out_dir, arm_rows = _run_arms(args, [
-        (f"{args.param}={value}", _sweep_variant(cfg, args.param, value),
-         cfg.strategy) for value in values])
+        (f"{args.param}={value}", variant, variant.strategy)
+        for value, variant in zip(values, variants)])
     merged = [f"param,value,{CURVE_HEADER}"] + [
-        f"{args.param},{value},{line}" for value, rows in zip(values, arm_rows)
-        for line in _curve_rows(cfg.strategy, rows)]
+        f"{args.param},{value},{line}"
+        for value, variant, rows in zip(values, variants, arm_rows)
+        for line in _curve_rows(variant.strategy, rows)]
     _write_atomic(out_dir / "sweep.csv", merged)
     print(f"wrote {out_dir}/sweep.csv", file=sys.stderr)
     return 0
@@ -279,38 +285,22 @@ def cmd_sweep(args) -> int:
 ABLATION_ARMS = {"noise_stability": None,
                  "noise_stability_m": "top_magnitude",
                  "noise_stability_d": "k_center_normalized"}
-SINGLE_SAMPLE_STRATEGIES = ("noise_stability", "bald_mcdropout")
-
-
-def _write_means(path, names, arm_rows):
-    """One line per cycle: cycle, labeled size and each arm's metric mean."""
-    lines = ["cycle,labeled_size," + ",".join(names)]
-    for i, row in enumerate(arm_rows[0]):
-        means = ",".join(repr(rows[i]["metric_mean"]) for rows in arm_rows)
-        lines.append(f"{row['cycle']},{row['labeled_size']},{means}")
-    _write_atomic(path, lines)
 
 
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
     # every arm is built, and so checked, before the first one runs; the
     # ablation arms share a strategy, so their curve.csv names the arm
-    arms = [(name, replace(cfg, strategy="noise_stability",
-                           selector=selector or cfg.selector), name)
-            for name, selector in ABLATION_ARMS.items()]
-    if args.single_sample:
-        # budget-1 uncertainty-only comparison: as many noise samplings as
-        # BALD's Monte Carlo dropout samplings
-        arms += [(f"single_sample_{strategy}", replace(
-            cfg, strategy=strategy, budget=1,
-            noise=replace(cfg.noise, samplings=BALD_SAMPLES)), strategy)
-            for strategy in SINGLE_SAMPLE_STRATEGIES]
-    out_dir, arm_rows = _run_arms(args, arms)
-    n = len(ABLATION_ARMS)
-    _write_means(out_dir / "ablation.csv", ABLATION_ARMS, arm_rows[:n])
-    if args.single_sample:
-        _write_means(out_dir / "single_sample.csv", SINGLE_SAMPLE_STRATEGIES,
-                     arm_rows[n:])
+    out_dir, arm_rows = _run_arms(args, [
+        (name, replace(cfg, strategy="noise_stability",
+                       selector=selector or cfg.selector), name)
+        for name, selector in ABLATION_ARMS.items()])
+    # one line per cycle: cycle, labeled size and each arm's metric mean
+    lines = ["cycle,labeled_size," + ",".join(ABLATION_ARMS)]
+    for i, row in enumerate(arm_rows[0]):
+        means = ",".join(repr(rows[i]["metric_mean"]) for rows in arm_rows)
+        lines.append(f"{row['cycle']},{row['labeled_size']},{means}")
+    _write_atomic(out_dir / "ablation.csv", lines)
     print(f"wrote {out_dir}/ablation.csv", file=sys.stderr)
     return 0
 
@@ -337,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="re-run a config over a parameter grid")
     sweep_p.add_argument("config")
-    sweep_p.add_argument("--param", required=True, choices=("zeta", "K", "selector"))
+    sweep_p.add_argument("--param", required=True,
+                         choices=("zeta", "K", "selector", "strategy"))
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated values for the swept parameter")
     sweep_p.add_argument("--out", default=None)
@@ -348,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     ablate_p.add_argument("config")
     ablate_p.add_argument("--out", default=None)
     ablate_p.add_argument("--seeds", default=None)
-    ablate_p.add_argument("--single-sample", action="store_true",
-                          help="also run the budget-1 comparison against "
-                               "MC-dropout BALD (needs a dropout model)")
     ablate_p.set_defaults(func=cmd_ablate)
     return parser
 

@@ -20,6 +20,8 @@ from .exceptions import DataError, FormatError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+# the kinds a CSV schema gives a column
+SCHEMA_KINDS = ("numeric", "categorical", "target")
 
 
 @dataclass
@@ -170,6 +172,13 @@ def load_csv_tabular(path, schema) -> Dataset:
     missing = [c for c in header if c not in schema]
     if missing:
         raise DataError(f"schema does not cover columns: {missing}")
+    unknown = [c for c in schema if c not in header]
+    if unknown:
+        raise DataError(f"schema names columns not in the header: {unknown}")
+    for c, kind in schema.items():
+        if kind not in SCHEMA_KINDS:
+            raise DataError(f"schema kind {kind!r} of column {c!r} is not one "
+                            f"of {', '.join(SCHEMA_KINDS)}")
     targets_cols = [c for c in header if schema[c] == "target"]
     if len(targets_cols) != 1:
         raise DataError(f"schema must mark exactly one target column, got {targets_cols}")

@@ -234,13 +234,18 @@ DATASET_FILE_KEYS = ("images", "labels", "path")
 
 def check_ranges(dataset: dict):
     """Reject dataset values the run could not use, at load rather than once
-    the run has started: out of range, or naming no file."""
+    the run has started: out of range, naming no file, or a CSV column of an
+    unknown kind."""
     for key, least in DATASET_MINIMA.items():
         if dataset.get(key, least) < least:
             raise ConfigError(f"dataset.{key} must be >= {least}, got {dataset[key]!r}")
     for key in DATASET_FILE_KEYS:
         if key in dataset and not os.path.isfile(dataset[key]):
             raise ConfigError(f"dataset.{key} names no file: {dataset[key]!r}")
+    for column, kind in dataset.get("schema", {}).items():
+        if kind not in data.SCHEMA_KINDS:
+            raise ConfigError(f"dataset.schema[{column!r}] must be one of "
+                              f"{', '.join(data.SCHEMA_KINDS)}, got {kind!r}")
     fraction = dataset["test_fraction"]
     if not 0 < fraction < 1:
         raise ConfigError(f"dataset.test_fraction must be in (0, 1), got {fraction!r}")

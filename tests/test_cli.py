@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisestab import baselines, cli, theory
+from noisestab import baselines, cli, loop, theory
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -196,6 +196,48 @@ class TestRun:
         assert needs in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command,flag,message", [
+        ("run", "--strategy", "unknown strategy ''"),
+        ("run", "--seeds", "--seeds must be comma-separated integers, got ''"),
+        ("sweep", "--seeds", "--seeds must be comma-separated integers, got ''"),
+        ("ablate", "--seeds", "--seeds must be comma-separated integers, got ''")])
+    def test_empty_override_exits_2_before_any_output(self, config_path, tmp_path,
+                                                      capsys, command, flag,
+                                                      message):
+        # an empty value used to be taken for no flag: the config's own
+        # strategy or seeds ran, and the command exited 0
+        out = tmp_path / "o"
+        extra = ("--param", "zeta", "--values", "1e-3") if command == "sweep" else ()
+        assert run_cli(command, str(config_path), "--out", str(out), *extra,
+                       flag, "") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_file_exits_2_before_the_manifest(self, config_path,
+                                                           tmp_path, capsys):
+        # mkdir used to die with a bare FileExistsError traceback, exit 1
+        out = tmp_path / "o"
+        out.write_text("")
+        assert run_cli("run", str(config_path), "--out", str(out)) == 2
+        assert f"cannot make output directory {out}" in capsys.readouterr().err
+        assert out.read_text() == ""
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_unknown_csv_schema_kind_exits_2_before_any_output(self, tmp_path,
+                                                               capsys):
+        # a mistyped kind used to drop the column from the layout and die in
+        # the load with a bare "'2' is not in list", exit 1
+        table = tmp_path / "t.csv"
+        table.write_text("x,y\n" + "".join(f"{i},{i / 2}\n" for i in range(20)))
+        dataset = {"kind": "csv", "path": str(table),
+                   "schema": {"x": "numerc", "y": "target"}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, dataset=dataset)))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 2
+        assert ("dataset.schema['x'] must be one of numeric, categorical, "
+                "target, got 'numerc'") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section,key,literal,message", [
         ("noise", "zeta", "NaN", "noise.zeta must be a finite number"),
@@ -474,7 +516,8 @@ class TestSweep:
                        "--values", "small", "--out", str(tmp_path / "s")) == 2
 
     @pytest.mark.parametrize("param,values", [("K", "2,0"), ("zeta", "1e-3,-1"),
-                                              ("selector", "k_center,k_dpp")])
+                                              ("selector", "k_center,k_dpp"),
+                                              ("strategy", "random,nosuch")])
     def test_bad_arm_exits_2_before_any_arm_runs(self, config_path, tmp_path,
                                                  capsys, param, values):
         out = tmp_path / "s"
@@ -488,8 +531,11 @@ class TestSweep:
         ("K", "30,30", "sweep value '30' repeats '30'"),
         ("K", "5,05", "sweep value '05' repeats '5'"),
         ("selector", "k_center,kmeans_pp,k_center",
-         "sweep value 'k_center' repeats 'k_center'")],
-        ids=["zeta-1e-3,0.001", "zeta-1E-3", "K-30,30", "K-05", "selector"])
+         "sweep value 'k_center' repeats 'k_center'"),
+        ("strategy", "random,entropy,random",
+         "sweep value 'random' repeats 'random'")],
+        ids=["zeta-1e-3,0.001", "zeta-1E-3", "K-30,30", "K-05", "selector",
+             "strategy"])
     def test_repeated_value_exits_2_before_any_arm_runs(
             self, config_path, tmp_path, capsys, param, values, message):
         # equal values share one arm directory: the second arm used to
@@ -509,12 +555,92 @@ class TestSweep:
         assert "zeta must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_sweep_on_non_noise_strategy_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("param,values", [("zeta", "1e-3"), ("K", "3"),
+                                              ("selector", "kmeans_pp")])
+    def test_sweep_on_non_noise_strategy_exits_2(self, tmp_path, capsys, param,
+                                                 values):
         doc = dict(TINY_CONFIG, strategy="random")
         path = tmp_path / "r.json"
         path.write_text(json.dumps(doc))
-        assert run_cli("sweep", str(path), "--param", "zeta",
-                       "--values", "1e-3", "--out", str(tmp_path / "s")) == 2
+        out = tmp_path / "s"
+        assert run_cli("sweep", str(path), "--param", param,
+                       "--values", values, "--out", str(out)) == 2
+        assert (f"sweep parameter {param!r} applies to the noise_stability "
+                "strategy only") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_strategy_sweep_labels_each_arm_with_its_strategy(
+            self, config_path, tmp_path):
+        # the arms differ in their strategy only, so sweep.csv's strategy
+        # column repeats the swept value
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", str(config_path), "--param", "strategy",
+                       "--values", "random,noise_stability", "--out", str(out),
+                       "--seeds", "0") == 0
+        rows = [line.split(",") for line in
+                (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["strategy", "random"]] * 2 + \
+            [["strategy", "noise_stability"]] * 2
+        assert all(row[1] == row[4] for row in rows)
+        for strategy in ("random", "noise_stability"):
+            manifest = json.loads(
+                (out / f"strategy={strategy}" / "manifest.json").read_text())
+            assert manifest["config"]["strategy"] == strategy
+
+    @pytest.mark.parametrize("dataset,values,needs", [
+        ({"kind": "linear_regression", "n": 60, "dim": 3, "noise_std": 0.1},
+         "random,entropy", "strategy 'entropy' needs a classification task"),
+        (TINY_CONFIG["dataset"], "noise_stability,bald_mcdropout",
+         "strategy 'bald_mcdropout' needs model.dropout > 0")],
+        ids=["entropy-on-regression", "bald-without-dropout"])
+    def test_strategy_that_does_not_fit_exits_2_before_any_arm_runs(
+            self, tmp_path, capsys, dataset, values, needs):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, dataset=dataset)))
+        out = tmp_path / "s"
+        assert run_cli("sweep", str(path), "--param", "strategy",
+                       "--values", values, "--out", str(out)) == 2
+        assert needs in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bald_arm_draws_the_fixed_monte_carlo_passes(self, tmp_path,
+                                                         monkeypatch):
+        doc = dict(TINY_CONFIG, model={"hidden": [8], "dropout": 0.2},
+                   seeds=[0], cycles=2)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        bald = baselines.select_bald_mcdropout
+        mc_samples = []
+
+        def recording_bald(model, pool, samples, budget, seed):
+            mc_samples.append(samples)
+            return bald(model, pool, samples, budget, seed)
+
+        monkeypatch.setattr(baselines, "select_bald_mcdropout", recording_bald)
+        assert run_cli("sweep", str(path), "--param", "strategy",
+                       "--values", "bald_mcdropout", "--out", str(tmp_path / "s")) == 0
+        assert mc_samples == [loop.BALD_SAMPLES] * 2
+
+    def test_every_strategy_of_a_seed_shares_cycle_one(self, tmp_path):
+        # paired per-seed comparisons of strategies are exact only if the
+        # data, split, initial pool and training are shared
+        doc = dict(TINY_CONFIG, model={"hidden": [8], "dropout": 0.2},
+                   cycles=1, seeds=[0, 1])
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "s"
+        assert run_cli("sweep", str(path), "--param", "strategy",
+                       "--values", ",".join(loop.STRATEGIES),
+                       "--out", str(out)) == 0
+        firsts = []
+        for strategy in loop.STRATEGIES:
+            records = [json.loads(line) for line in
+                       (out / f"strategy={strategy}" / "reports.jsonl")
+                       .read_text().splitlines()]
+            firsts.append([(r["seed"], r["labeled_size"], r["metric"],
+                            r["loss_curve"]) for r in records if r["cycle"] == 1])
+        assert len(firsts) == 6 and len(firsts[0]) == 2
+        assert all(first == firsts[0] for first in firsts)
 
 
 class TestAblate:
@@ -536,43 +662,6 @@ class TestAblate:
         first = (out / "ablation.csv").read_text().splitlines()[1].split(",")
         # identical initial pools and training seeds make cycle-1 metrics equal
         assert first[2] == first[3] == first[4]
-
-    def test_single_sample_mode_pins_sampling_counts(self, tmp_path,
-                                                      monkeypatch):
-        doc = dict(TINY_CONFIG, model={"hidden": [8], "dropout": 0.2},
-                   seeds=[0], cycles=2)
-        path = tmp_path / "d.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "abl"
-        bald = baselines.select_bald_mcdropout
-        mc_samples = []
-
-        def recording_bald(model, pool, samples, budget, seed):
-            mc_samples.append(samples)
-            return bald(model, pool, samples, budget, seed)
-
-        monkeypatch.setattr(baselines, "select_bald_mcdropout", recording_bald)
-        code = run_cli("ablate", str(path), "--out", str(out), "--single-sample")
-        assert code == 0
-        lines = (out / "single_sample.csv").read_text().splitlines()
-        assert lines[0] == "cycle,labeled_size,noise_stability,bald_mcdropout"
-        ns_manifest = json.loads(
-            (out / "single_sample_noise_stability" / "manifest.json").read_text())
-        bald_manifest = json.loads(
-            (out / "single_sample_bald_mcdropout" / "manifest.json").read_text())
-        assert ns_manifest["config"]["noise"]["samplings"] == 50
-        assert ns_manifest["config"]["budget"] == 1
-        assert bald_manifest["config"]["budget"] == 1
-        assert mc_samples == [50, 50]
-
-
-    def test_single_sample_without_dropout_exits_2_before_any_arm_runs(
-            self, config_path, tmp_path, capsys):
-        out = tmp_path / "abl"
-        assert run_cli("ablate", str(config_path), "--out", str(out),
-                       "--single-sample") == 2
-        assert "dropout" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestArmRunner:
@@ -596,22 +685,24 @@ class TestArmRunner:
         assert expected
         assert (out / "sweep.csv").read_text().splitlines()[1:] == expected
 
-    def test_single_sample_arms_equal_runs_of_their_configs(self, tmp_path):
+    def test_strategy_sweep_arms_equal_runs_of_their_configs(self, tmp_path):
+        # the budget-1 comparison against MC-dropout BALD: as many noise
+        # samplings as BALD's Monte Carlo passes
         doc = dict(TINY_CONFIG, model={"hidden": [8], "dropout": 0.2},
-                   seeds=[0])
+                   seeds=[0], budget=1,
+                   noise=dict(TINY_CONFIG["noise"], samplings=loop.BALD_SAMPLES))
         path = tmp_path / "d.json"
         path.write_text(json.dumps(doc))
-        assert run_cli("ablate", str(path), "--out", str(tmp_path / "abl"),
-                       "--single-sample") == 0
-        for strategy in cli.SINGLE_SAMPLE_STRATEGIES:
-            path.write_text(json.dumps(dict(
-                doc, strategy=strategy, budget=1,
-                noise=dict(doc["noise"], samplings=50))))
+        assert run_cli("sweep", str(path), "--param", "strategy", "--values",
+                       "noise_stability,bald_mcdropout",
+                       "--out", str(tmp_path / "s")) == 0
+        for strategy in ("noise_stability", "bald_mcdropout"):
             run = tmp_path / f"run-{strategy}"
-            assert run_cli("run", str(path), "--out", str(run)) == 0
-            arm = tmp_path / "abl" / f"single_sample_{strategy}"
-            assert (arm / "reports.jsonl").read_bytes() == \
-                (run / "reports.jsonl").read_bytes()
+            assert run_cli("run", str(path), "--out", str(run),
+                           "--strategy", strategy) == 0
+            arm = tmp_path / "s" / f"strategy={strategy}"
+            for name in ("reports.jsonl", "curve.csv"):
+                assert (arm / name).read_bytes() == (run / name).read_bytes()
 
 
 class TestAblationArmsAreSelectors:
@@ -658,6 +749,16 @@ class TestRemovedStrategyAliases:
         path.write_text(json.dumps(dict(TINY_CONFIG, strategy="noise_stability_m")))
         out = tmp_path / "o"
         assert run_cli(argv[0], str(path), *argv[1:], "--out", str(out)) == 2
+        assert "'noise_stability_m'; valid strategies: random, entropy, coreset, " \
+            "badge, bald_mcdropout, noise_stability\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alias_as_a_strategy_sweep_value_exits_2_before_any_output(
+            self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("sweep", str(config_path), "--param", "strategy",
+                       "--values", "random,noise_stability_m",
+                       "--out", str(out)) == 2
         assert "'noise_stability_m'; valid strategies: random, entropy, coreset, " \
             "badge, bald_mcdropout, noise_stability\n" in capsys.readouterr().err
         assert not out.exists()

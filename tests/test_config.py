@@ -185,6 +185,18 @@ class TestParsing:
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
                 experiment_from_dict(dict(MINIMAL, dataset=dataset))
 
+    @pytest.mark.parametrize("kind", ["numerc", "Numeric", "", 1, None])
+    def test_unknown_csv_schema_kind_rejected_naming_column_and_kind(
+            self, tmp_path, kind):
+        table = tmp_path / "t.csv"
+        table.write_text("x,y\n1,2\n")
+        dataset = {"kind": "csv", "path": str(table),
+                   "schema": {"x": kind, "y": "target"}}
+        message = ("dataset.schema['x'] must be one of numeric, categorical, "
+                   f"target, got {kind!r}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            experiment_from_dict(dict(MINIMAL, dataset=dataset))
+
     @pytest.mark.parametrize("dataset,message", [
         ({"kind": "linear_regression", "n": 20, "dim": 2, "noise_std": 0.1,
           "weight_seed": -1}, "dataset.weight_seed must be >= 0"),

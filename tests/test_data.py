@@ -192,6 +192,19 @@ class TestCsvLoader:
             data.load_csv_tabular(csv_path, {"color": "categorical",
                                              "price": "target"})
 
+    def test_schema_column_not_in_the_header_rejected(self, csv_path):
+        # such a key used to be ignored
+        with pytest.raises(DataError, match=r"not in the header: \['weight'\]"):
+            data.load_csv_tabular(csv_path, dict(self.SCHEMA, weight="numeric"))
+
+    def test_unknown_schema_kind_names_column_and_kind(self, csv_path):
+        # a mistyped kind used to drop the column from the layout, and the
+        # load died with a bare "'2' is not in list"
+        with pytest.raises(DataError, match="schema kind 'numerc' of column "
+                                            "'width' is not one of numeric, "
+                                            "categorical, target"):
+            data.load_csv_tabular(csv_path, dict(self.SCHEMA, width="numerc"))
+
 
 class TestSplit:
     def test_stratified_even_split_is_balanced(self):
