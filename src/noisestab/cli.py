@@ -1,4 +1,4 @@
-"""Command-line surface: run | check | sweep | ablate.
+"""Command-line surface: run | check | sweep.
 
 Exit codes: 0 on success (for check: all reports passed), 1 on runtime
 failure (structured error on stderr), 2 on usage or configuration errors.
@@ -33,9 +33,7 @@ SUITES = ("second_moment", "jacobian", "distance", "inner", "concentration",
 CURVE_HEADER = "cycle,labeled_size,strategy,metric_mean,metric_std,n_seeds"
 
 
-def _out_dir(arg, default_name):
-    # an absolute path, joined to the root, replaces it
-    path = Path(os.environ.get("NOISESTAB_OUT_ROOT", ".")) / (arg or default_name)
+def _make_dir(path: Path):
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file of that name, or one on the way there
@@ -113,41 +111,41 @@ def _apply_overrides(cfg, args):
     return cfg
 
 
-def _curve_rows(label, rows):
-    """curve.csv's data lines, one per aggregated cycle row."""
-    return [f"{r['cycle']},{r['labeled_size']},{label},"
-            f"{r['metric_mean']!r},{r['metric_std']!r},{r['n_seeds']}"
-            for r in rows]
-
-
 def _run_arms(args, arms):
-    """Run each ``(subdirectory, cfg, curve label)`` arm, built and so checked
-    by the caller: manifest.json, reports.jsonl and curve.csv go to that
-    subdirectory of the command's output directory, made once the arms'
-    shared dataset has passed its check. Returns it and each arm's rows."""
+    """Run each ``(subdirectory, cfg)`` arm, built and so checked by the
+    caller: manifest.json, reports.jsonl and curve.csv, labelled with the
+    arm's strategy, go to that subdirectory of the command's output
+    directory. Every arm's directory is made once the arms' shared dataset
+    has passed its check, before the first arm runs. Returns the output
+    directory and each arm's curve.csv data lines."""
+    if args.out == "":
+        raise ConfigError("--out must name a directory, got ''")
     check_initial_pool(arms[0][1])
-    out_dir = _out_dir(args.out, f"{Path(args.config).stem}-{args.command}")
-    arm_rows = []
-    for sub, cfg, label in arms:
-        arm_dir = out_dir / sub
-        arm_dir.mkdir(parents=True, exist_ok=True)
+    # an absolute --out, joined to the root, replaces it
+    out_dir = Path(os.environ.get("NOISESTAB_OUT_ROOT", ".")) / (
+        args.out or f"{Path(args.config).stem}-{args.command}")
+    arm_dirs = [_make_dir(out_dir / sub) for sub, _ in arms]
+    arm_lines = []
+    for arm_dir, (_, cfg) in zip(arm_dirs, arms):
         started_at = _timestamp()
         _write_manifest(arm_dir, cfg, started_at)
         per_seed = run_active_learning(cfg)
         _write_atomic(arm_dir / "reports.jsonl", [
             json.dumps(report.to_record()) for reports in per_seed for report in reports])
-        rows = aggregate_runs(per_seed)
-        _write_atomic(arm_dir / "curve.csv", [CURVE_HEADER] + _curve_rows(label, rows))
+        lines = [f"{r['cycle']},{r['labeled_size']},{cfg.strategy},"
+                 f"{r['metric_mean']!r},{r['metric_std']!r},{r['n_seeds']}"
+                 for r in aggregate_runs(per_seed)]
+        _write_atomic(arm_dir / "curve.csv", [CURVE_HEADER] + lines)
         _write_manifest(arm_dir, cfg, started_at, _timestamp())
         print(f"wrote {arm_dir}/reports.jsonl and curve.csv "
-              f"({len(rows)} cycles x {len(cfg.seeds)} seeds)", file=sys.stderr)
-        arm_rows.append(rows)
-    return out_dir, arm_rows
+              f"({len(lines)} cycles x {len(cfg.seeds)} seeds)", file=sys.stderr)
+        arm_lines.append(lines)
+    return out_dir, arm_lines
 
 
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_experiment_config(args.config), args)
-    _run_arms(args, [("", cfg, cfg.strategy)])
+    _run_arms(args, [("", cfg)])
     return 0
 
 
@@ -266,42 +264,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep parameter {args.param!r} applies to "
                           "the noise_stability strategy only")
     values = _parse_sweep_values(args.param, args.values)
-    # every arm is built, and so checked, before the first one runs; its
-    # curve label is its own strategy
-    variants = [_sweep_variant(cfg, args.param, value) for value in values]
-    out_dir, arm_rows = _run_arms(args, [
-        (f"{args.param}={value}", variant, variant.strategy)
-        for value, variant in zip(values, variants)])
-    merged = [f"param,value,{CURVE_HEADER}"] + [
+    # every arm is built, and so checked, before the first one runs
+    out_dir, arm_lines = _run_arms(args, [
+        (f"{args.param}={value}", _sweep_variant(cfg, args.param, value))
+        for value in values])
+    _write_atomic(out_dir / "sweep.csv", [f"param,value,{CURVE_HEADER}"] + [
         f"{args.param},{value},{line}"
-        for value, variant, rows in zip(values, variants, arm_rows)
-        for line in _curve_rows(variant.strategy, rows)]
-    _write_atomic(out_dir / "sweep.csv", merged)
+        for value, lines in zip(values, arm_lines) for line in lines])
     print(f"wrote {out_dir}/sweep.csv", file=sys.stderr)
-    return 0
-
-
-# each ablation arm runs noise_stability with this selector (None: the config's)
-ABLATION_ARMS = {"noise_stability": None,
-                 "noise_stability_m": "top_magnitude",
-                 "noise_stability_d": "k_center_normalized"}
-
-
-def cmd_ablate(args) -> int:
-    cfg = _apply_overrides(load_experiment_config(args.config), args)
-    # every arm is built, and so checked, before the first one runs; the
-    # ablation arms share a strategy, so their curve.csv names the arm
-    out_dir, arm_rows = _run_arms(args, [
-        (name, replace(cfg, strategy="noise_stability",
-                       selector=selector or cfg.selector), name)
-        for name, selector in ABLATION_ARMS.items()])
-    # one line per cycle: cycle, labeled size and each arm's metric mean
-    lines = ["cycle,labeled_size," + ",".join(ABLATION_ARMS)]
-    for i, row in enumerate(arm_rows[0]):
-        means = ",".join(repr(rows[i]["metric_mean"]) for rows in arm_rows)
-        lines.append(f"{row['cycle']},{row['labeled_size']},{means}")
-    _write_atomic(out_dir / "ablation.csv", lines)
-    print(f"wrote {out_dir}/ablation.csv", file=sys.stderr)
     return 0
 
 
@@ -309,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noisestab",
         description="Noise-stability active learning: experiments, theory "
-                    "checks, sweeps, and ablations.")
+                    "checks and parameter sweeps.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -335,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seeds", default=None)
     sweep_p.set_defaults(func=cmd_sweep)
 
-    ablate_p = sub.add_parser("ablate", help="magnitude/direction ablation runs")
-    ablate_p.add_argument("config")
-    ablate_p.add_argument("--out", default=None)
-    ablate_p.add_argument("--seeds", default=None)
-    ablate_p.set_defaults(func=cmd_ablate)
     return parser
 
 

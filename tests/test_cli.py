@@ -34,6 +34,15 @@ def config_path(tmp_path):
     return path
 
 
+# the commands whose pre-output checks are tested: a run, a one-arm zeta
+# sweep, and the selector sweep that runs the magnitude/direction ablation
+COMMAND_ARGS = {
+    "run": ("run", ()),
+    "sweep": ("sweep", ("--param", "zeta", "--values", "1e-3")),
+    "selector_sweep": ("sweep", ("--param", "selector", "--values",
+                                 "k_center,top_magnitude,k_center_normalized"))}
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
 
@@ -50,7 +59,7 @@ class TestRun:
         assert (tmp_path / "a" / "reports.jsonl").read_bytes() == \
             (tmp_path / "b" / "reports.jsonl").read_bytes()
 
-    # noise_stability_d is an ablation arm, no longer a strategy
+    # noise_stability_d is now the k_center_normalized selector, not a strategy
     @pytest.mark.parametrize("name", ["nosuch", "noise_stability_d"])
     def test_unknown_strategy_exits_2_and_lists_names(self, config_path,
                                                       tmp_path, capsys, name):
@@ -200,18 +209,34 @@ class TestRun:
         ("run", "--strategy", "unknown strategy ''"),
         ("run", "--seeds", "--seeds must be comma-separated integers, got ''"),
         ("sweep", "--seeds", "--seeds must be comma-separated integers, got ''"),
-        ("ablate", "--seeds", "--seeds must be comma-separated integers, got ''")])
+        ("selector_sweep", "--seeds",
+         "--seeds must be comma-separated integers, got ''")])
     def test_empty_override_exits_2_before_any_output(self, config_path, tmp_path,
                                                       capsys, command, flag,
                                                       message):
         # an empty value used to be taken for no flag: the config's own
         # strategy or seeds ran, and the command exited 0
         out = tmp_path / "o"
-        extra = ("--param", "zeta", "--values", "1e-3") if command == "sweep" else ()
+        command, extra = COMMAND_ARGS[command]
         assert run_cli(command, str(config_path), "--out", str(out), *extra,
                        flag, "") == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_empty_out_exits_2_before_any_output(self, config_path, tmp_path,
+                                                 capsys, monkeypatch, command):
+        # an empty --out used to be taken for no flag: the command wrote
+        # <config>-<command> under the output root and exited 0
+        root = tmp_path / "root"
+        monkeypatch.setenv("NOISESTAB_OUT_ROOT", str(root))
+        command, extra = COMMAND_ARGS[command]
+        assert run_cli(command, str(config_path), "--out", "", *extra,
+                       "--seeds", "0") == 2
+        captured = capsys.readouterr()
+        assert "--out must name a directory, got ''" in captured.err
+        assert captured.out == ""
+        assert not root.exists()
 
     def test_out_naming_a_file_exits_2_before_the_manifest(self, config_path,
                                                            tmp_path, capsys):
@@ -277,7 +302,7 @@ class TestRun:
         assert f"dataset.{key} names no file" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "selector_sweep"])
     def test_initial_labeled_beyond_the_pool_exits_2_before_any_output(
             self, tmp_path, capsys, command):
         # three classes of 30 keep 22 each after the 0.25 split: a pool of 66;
@@ -285,13 +310,13 @@ class TestRun:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(TINY_CONFIG, initial_labeled=100000)))
         out = tmp_path / "o"
-        extra = ("--param", "zeta", "--values", "1e-3") if command == "sweep" else ()
+        command, extra = COMMAND_ARGS[command]
         assert run_cli(command, str(path), "--out", str(out), *extra) == 2
         assert ("initial_labeled 100000 exceeds the pool of 66 examples"
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "selector_sweep"])
     def test_empty_test_split_exits_2_before_any_output(self, tmp_path, capsys,
                                                         command):
         # 0.01 of each class of 30 rounds to no test example; the run used to
@@ -301,7 +326,7 @@ class TestRun:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "o"
-        extra = ("--param", "zeta", "--values", "1e-3") if command == "sweep" else ()
+        command, extra = COMMAND_ARGS[command]
         assert run_cli(command, str(path), "--out", str(out), *extra) == 2
         captured = capsys.readouterr()
         assert ("dataset.test_fraction 0.01 leaves no test example out of 90"
@@ -309,7 +334,7 @@ class TestRun:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "ablate"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "selector_sweep"])
     @pytest.mark.parametrize("section,key,value,message", [
         ("train", "loss", "cross_entropy", "unknown key(s) in train: ['loss']"),
         ("train", "loss", "squared_error", "unknown key(s) in train: ['loss']"),
@@ -334,7 +359,7 @@ class TestRun:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "o"
-        extra = ("--param", "zeta", "--values", "1e-3") if command == "sweep" else ()
+        command, extra = COMMAND_ARGS[command]
         assert run_cli(command, str(path), "--out", str(out), *extra) == 2
         captured = capsys.readouterr()
         assert message in captured.err
@@ -569,6 +594,21 @@ class TestSweep:
                 "strategy only") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_arm_directory_that_cannot_be_made_exits_2_before_any_arm_runs(
+            self, config_path, tmp_path, capsys):
+        # the second arm's mkdir used to die with a bare FileExistsError
+        # traceback, exit 1, after the first arm had run and written its files
+        out = tmp_path / "o2"
+        out.mkdir()
+        (out / "zeta=0.001").write_text("")
+        assert run_cli("sweep", str(config_path), "--param", "zeta",
+                       "--values", "1e-4,1e-3", "--out", str(out),
+                       "--seeds", "0") == 2
+        assert (f"cannot make output directory {out / 'zeta=0.001'}"
+                in capsys.readouterr().err)
+        assert [p for p in out.rglob("*")
+                if p.name in ("manifest.json", "reports.jsonl")] == []
+
     def test_strategy_sweep_labels_each_arm_with_its_strategy(
             self, config_path, tmp_path):
         # the arms differ in their strategy only, so sweep.csv's strategy
@@ -643,35 +683,15 @@ class TestSweep:
         assert all(first == firsts[0] for first in firsts)
 
 
-class TestAblate:
-    def test_merged_csv_has_exactly_three_strategy_columns(self, config_path,
-                                                           tmp_path):
-        out = tmp_path / "abl"
-        code = run_cli("ablate", str(config_path), "--out", str(out),
-                       "--seeds", "0,1")
-        assert code == 0
-        lines = (out / "ablation.csv").read_text().splitlines()
-        header = lines[0].split(",")
-        assert header == ["cycle", "labeled_size", "noise_stability",
-                          "noise_stability_m", "noise_stability_d"]
-        assert len(lines) == 1 + TINY_CONFIG["cycles"]
-
-    def test_arms_share_cycle_one_training(self, config_path, tmp_path):
-        out = tmp_path / "abl"
-        run_cli("ablate", str(config_path), "--out", str(out), "--seeds", "0,1")
-        first = (out / "ablation.csv").read_text().splitlines()[1].split(",")
-        # identical initial pools and training seeds make cycle-1 metrics equal
-        assert first[2] == first[3] == first[4]
-
-
 class TestArmRunner:
-    """run, sweep and ablate write each arm through one runner, so an arm's
-    files are those of a run of its config, and sweep.csv repeats the arms'
-    curve rows."""
+    """run and sweep write each arm through one runner, so an arm's files are
+    those of a run of its config, and sweep.csv repeats the arms' curve
+    rows."""
 
     @pytest.mark.parametrize("param,values,written", [
         ("zeta", "1e-4,1e-2", ["0.0001", "0.01"]),
-        ("selector", "k_center,kmeans_pp", ["k_center", "kmeans_pp"])])
+        ("selector", "k_center,k_center_normalized,kmeans_pp,top_magnitude",
+         ["k_center", "k_center_normalized", "kmeans_pp", "top_magnitude"])])
     def test_sweep_rows_are_the_arms_curve_rows(self, config_path, tmp_path,
                                                 param, values, written):
         out = tmp_path / "sweep"
@@ -704,43 +724,46 @@ class TestArmRunner:
             for name in ("reports.jsonl", "curve.csv"):
                 assert (arm / name).read_bytes() == (run / name).read_bytes()
 
-
-class TestAblationArmsAreSelectors:
-    """Each ablation arm is the noise_stability strategy run with a selector:
-    the config's own, top_magnitude or k_center_normalized."""
-
-    @staticmethod
-    def _run_and_ablate(tmp_path, doc, selector):
+    @pytest.mark.parametrize("seed_from_labeled", [False, True])
+    def test_selector_sweep_arms_equal_runs_with_their_selector(
+            self, tmp_path, seed_from_labeled):
+        # the magnitude/direction ablation: top_magnitude keeps only large
+        # gradients and k_center_normalized only diverse ones, each against
+        # the noise_stability strategy's own k_center
+        selectors = ("k_center", "top_magnitude", "k_center_normalized")
+        doc = dict(TINY_CONFIG, seeds=[0, 1], seed_from_labeled=seed_from_labeled)
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
-        assert run_cli("ablate", str(path), "--out", str(tmp_path / "abl")) == 0
-        path.write_text(json.dumps(dict(doc, selector=selector)))
-        assert run_cli("run", str(path), "--out", str(tmp_path / "run")) == 0
-        return tmp_path / "abl", tmp_path / "run"
-
-    @pytest.mark.parametrize("arm,selector", [
-        ("noise_stability_m", "top_magnitude"),
-        ("noise_stability_d", "k_center_normalized")])
-    def test_arm_equals_a_run_with_its_selector(self, tmp_path, arm, selector):
-        abl, run = self._run_and_ablate(tmp_path, dict(TINY_CONFIG, seeds=[0]),
-                                        selector)
-        assert (abl / arm / "reports.jsonl").read_bytes() == \
-            (run / "reports.jsonl").read_bytes()
-        config = json.loads((abl / arm / "manifest.json").read_text())["config"]
-        assert (config["strategy"], config["selector"]) == ("noise_stability",
-                                                            selector)
-        curve = (abl / arm / "curve.csv").read_text().splitlines()
-        assert curve[1].split(",")[2] == arm
-
-    def test_direction_arm_is_seeded_like_the_main_arm(self, tmp_path):
-        doc = dict(TINY_CONFIG, seeds=[0], seed_from_labeled=True)
-        abl, run = self._run_and_ablate(tmp_path, doc, "k_center_normalized")
-        assert (abl / "noise_stability_d" / "reports.jsonl").read_bytes() == \
-            (run / "reports.jsonl").read_bytes()
+        assert run_cli("sweep", str(path), "--param", "selector",
+                       "--values", ",".join(selectors),
+                       "--out", str(tmp_path / "s")) == 0
+        firsts = []
+        for selector in selectors:
+            arm = tmp_path / "s" / f"selector={selector}"
+            path.write_text(json.dumps(dict(doc, selector=selector)))
+            run = tmp_path / f"run-{selector}"
+            assert run_cli("run", str(path), "--out", str(run)) == 0
+            assert (arm / "reports.jsonl").read_bytes() == \
+                (run / "reports.jsonl").read_bytes()
+            config = json.loads((arm / "manifest.json").read_text())["config"]
+            assert (config["strategy"], config["selector"]) == \
+                ("noise_stability", selector)
+            assert [line.split(",")[2] for line in
+                    (arm / "curve.csv").read_text().splitlines()[1:]] == \
+                ["noise_stability"] * TINY_CONFIG["cycles"]
+            # identical initial pools and training seeds share cycle 1
+            records = [json.loads(line) for line in
+                       (arm / "reports.jsonl").read_text().splitlines()]
+            firsts.append([(r["seed"], r["metric"], r["loss_curve"])
+                           for r in records if r["cycle"] == 1])
+        assert len(firsts[0]) == 2
+        assert all(first == firsts[0] for first in firsts)
 
 
 class TestRemovedStrategyAliases:
-    @pytest.mark.parametrize("argv", [("run",), ("ablate",),
+    @pytest.mark.parametrize("argv", [("run",),
+                                      ("sweep", "--param", "selector", "--values",
+                                       "k_center,top_magnitude,k_center_normalized"),
                                       ("sweep", "--param", "selector",
                                        "--values", "k_center")])
     def test_alias_in_a_config_file_exits_2_before_any_output(
@@ -769,6 +792,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli("run", str(config_path), "--frobnicate")
         assert exc.value.code == 2
+
+    def test_removed_ablate_command_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # its arms are a selector sweep now
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NOISESTAB_OUT_ROOT", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ablate", str(CONFIGS / "blobs_demo.json"))
+        assert exc.value.code == 2
+        assert "invalid choice: 'ablate'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_flag_prints_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
