@@ -235,19 +235,24 @@ def cmd_check(args) -> int:
 
 
 def _parse_sweep_values(param, raw):
-    values = [v for v in (s.strip() for s in raw.split(",")) if v]
-    if not values:
-        raise ConfigError("sweep needs a non-empty values list")
-    cast = {"zeta": float, "K": int}.get(param, str)
-    try:
-        cast_values = [cast(v) for v in values]
-    except ValueError:
-        raise ConfigError(f"non-numeric {param} value in {values}") from None
-    for i, value in enumerate(cast_values):  # equal values share one arm dir
-        if value in cast_values[:i]:
-            first = values[cast_values.index(value)]
-            raise ConfigError(f"sweep value {values[i]!r} repeats {first!r}")
-    return cast_values
+    """The ``--values`` items as values of ``param``; ConfigError naming the
+    first item that is empty, not of the parameter's type, or a repeat."""
+    cast, kind = {"zeta": (float, "a number"),
+                  "K": (int, "an integer")}.get(param, (str, None))
+    items = [s.strip() for s in raw.split(",")]
+    values = []
+    for i, item in enumerate(items):
+        if not item:
+            raise ConfigError(f"--values item {i + 1} is empty in {raw!r}")
+        try:
+            value = cast(item)
+        except ValueError:
+            raise ConfigError(f"--values item {i + 1} {item!r} is not {kind}") from None
+        if value in values:  # equal values share one arm dir
+            first = items[values.index(value)]
+            raise ConfigError(f"sweep value {item!r} repeats {first!r}")
+        values.append(value)
+    return values
 
 
 def _sweep_variant(cfg, param, value):

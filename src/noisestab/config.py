@@ -21,16 +21,12 @@ import typing
 from .exceptions import ConfigError
 from .loop import (DATASET_COMMON_KEYS, DATASET_DEFAULTS, DATASETS,
                    ExperimentConfig, dataset_task)
-from .nn import TAP_FEATURE
 
-# noise and training seeds are derived per run seed and cycle, so neither is
-# settable
-_DERIVED = "seed"
-# the dataclass defaults serve classification; regression reads the deep
-# feature
-_REGRESSION_DEFAULTS = {"noise": {"tap": TAP_FEATURE}}
-_JSON_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean",
-               list: "list", dict: "object"}
+# noise and training seeds are derived per run seed and cycle, and the noise
+# tap follows the dataset's task, so none of them is settable
+_DERIVED = ("seed", "tap")
+_JSON_NAMES = {int: "integer", float: "number", str: "string", list: "list",
+               dict: "object"}
 
 
 def _schema(cls):
@@ -38,7 +34,7 @@ def _schema(cls):
     those without a default or default factory, except the sections (model,
     noise, train), whose keys all have defaults."""
     hints = typing.get_type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if f.name != _DERIVED]
+    fields = [f for f in dataclasses.fields(cls) if f.name not in _DERIVED]
     return ({f.name: hints[f.name] for f in fields},
             [f.name for f in fields if f.default is dataclasses.MISSING
              and f.default_factory is dataclasses.MISSING
@@ -54,12 +50,12 @@ _TOP_SCHEMA.update(dict.fromkeys(_SECTIONS, dict))
 
 def _check_type(value, kind, name):
     """Reject a value that is not of its declared JSON type, so "15", 2.7 or
-    "false" never load as a different value. A float key takes any finite
-    JSON number (``json`` reads NaN and Infinity too), a bool is never a
-    number, and ``list[int]`` checks each entry."""
+    true never load as a different value. A float key takes any finite
+    JSON number (``json`` reads NaN and Infinity too), no key takes a bool
+    (nor reads one as a number), and ``list[int]`` checks each entry."""
     base = typing.get_origin(kind) or kind
     ok = isinstance(value, (int, float) if base is float else base)
-    if not ok or (isinstance(value, bool) and base is not bool):
+    if not ok or isinstance(value, bool):
         raise ConfigError(f"{name} must be a JSON {_JSON_NAMES[base]}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
@@ -85,15 +81,13 @@ def experiment_from_dict(doc: dict) -> ExperimentConfig:
     _check_section(doc, _TOP_SCHEMA, _TOP_REQUIRED, "config")
     doc = copy.deepcopy(doc)
     dataset = doc["dataset"]
-    task = dataset_task(dataset)
+    dataset_task(dataset)  # ConfigError for an unknown kind
     keys = DATASETS[dataset["kind"]][1]
     _check_section(dataset, {**DATASET_COMMON_KEYS, **keys},
                    [key for key in keys if key not in DATASET_DEFAULTS], "dataset")
     for name, section in _SECTIONS.items():
         fields = doc.get(name, {})
         _check_section(fields, *_schema(section), name)
-        if task == "regression":
-            fields = {**_REGRESSION_DEFAULTS.get(name, {}), **fields}
         doc[name] = section(**fields)
     return ExperimentConfig(**doc)
 
@@ -113,7 +107,8 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
     """Full config snapshot with every default filled in (JSON-ready)."""
     doc = dataclasses.asdict(cfg)
     for name in _SECTIONS:
-        doc[name].pop(_DERIVED, None)
+        for key in _DERIVED:
+            doc[name].pop(key, None)
     return doc
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import baselines, data, nn, stability
 from .exceptions import ConfigError, DataError, InvalidStateError, NonFiniteError
 from .seeding import derive_seed, rng
-from .selection import METHODS, SEEDED_METHODS, SelectionRequest, select
+from .selection import METHODS, SelectionRequest, select
 
 # the baselines, then the paper's method, whose picking rule is ``selector``
 STRATEGIES = ("random", "entropy", "coreset", "badge", "bald_mcdropout",
@@ -116,9 +116,10 @@ class ExperimentConfig:
     top-level keys, their annotations the JSON types, and their defaults the
     values of keys left out (a left-out model, noise or train section takes
     its own dataclass's defaults; only the dataset is still a table).
-    ``__post_init__`` fills in the dataset defaults and holds every rule that
-    spans fields, so a ``dataclasses.replace`` override is filled and checked
-    as a load is."""
+    ``__post_init__`` fills in the dataset defaults, sets the noise tap from
+    the dataset's task (the predictive output for classification, the deep
+    feature for regression) and holds every rule that spans fields, so a
+    ``dataclasses.replace`` override is filled and checked as a load is."""
 
     dataset: dict
     model: ModelConfig
@@ -130,7 +131,6 @@ class ExperimentConfig:
     train: nn.TrainConfig
     seeds: list[int]
     selector: str = "k_center"
-    seed_from_labeled: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -144,6 +144,8 @@ class ExperimentConfig:
         self.dataset = {**self.dataset, **{
             key: value for key, value in DATASET_DEFAULTS.items()
             if key in own and key not in self.dataset}}
+        tap = nn.TAP_PREDICTIVE if task == "classification" else nn.TAP_FEATURE
+        self.noise = replace(self.noise, tap=tap)
         if (self.strategy in ("entropy", "badge", "bald_mcdropout")
                 and task != "classification"):
             raise ConfigError(f"strategy {self.strategy!r} needs a classification task")
@@ -283,32 +285,17 @@ def evaluate(model, test: data.Dataset) -> float:
     return float(np.mean(np.abs(out[:, 0] - test.targets)))
 
 
-def _noise_strategy_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
-                          strategy_seed):
-    seeded = (cfg.seed_from_labeled and cfg.selector in SEEDED_METHODS
-              and len(labeled_x) > 0)
-    # a row does not depend on the other rows of the call, so embedding the
-    # labeled rows below the pool gives the bytes of a separate call
-    rows = np.vstack([pool_x, labeled_x]) if seeded else pool_x
-    matrix = stability.pool_embeddings(model, rows, replace(cfg.noise, seed=noise_seed))
-    n = len(pool_x)
-    req = SelectionRequest(embeddings=matrix[:n], budget=budget,
-                           seeds_from_labeled=matrix[n:] if seeded else None,
-                           seed=strategy_seed, method=cfg.selector)
-    return select(req)
-
-
 def _strategy_picks(cfg, model, train_pool, pool_state, budget, run_seed, cycle):
     """Positions into the unlabeled list, mapped to global indices by caller."""
     strategy_seed = derive_seed(run_seed, "strategy", cycle)
     x_u = train_pool.inputs[pool_state.unlabeled]
-    x_l = train_pool.inputs[pool_state.labeled]
     if cfg.strategy == "random":
         return baselines.select_random(len(pool_state.unlabeled), budget, strategy_seed)
     if cfg.strategy == "entropy":
         _, probs = nn.forward(model, x_u)
         return baselines.select_entropy(probs, budget)
     if cfg.strategy == "coreset":
+        x_l = train_pool.inputs[pool_state.labeled]
         feats, _ = nn.forward(model, np.vstack([x_u, x_l]))
         n = len(x_u)
         return baselines.select_coreset(feats[:n], feats[n:], budget)
@@ -318,9 +305,10 @@ def _strategy_picks(cfg, model, train_pool, pool_state, budget, run_seed, cycle)
     if cfg.strategy == "bald_mcdropout":
         return baselines.select_bald_mcdropout(model, x_u, BALD_SAMPLES,
                                                budget, strategy_seed)
-    noise_seed = derive_seed(run_seed, "noise", cycle)
-    return _noise_strategy_picks(cfg, model, x_u, x_l, budget, noise_seed,
-                                 strategy_seed)
+    noise_cfg = replace(cfg.noise, seed=derive_seed(run_seed, "noise", cycle))
+    return select(SelectionRequest(
+        embeddings=stability.pool_embeddings(model, x_u, noise_cfg),
+        budget=budget, seed=strategy_seed, method=cfg.selector))
 
 
 def run_single_seed(cfg: ExperimentConfig, run_seed: int):

@@ -37,7 +37,6 @@ from .exceptions import (ConfigError, DataError, DimensionError, InvalidStateErr
 
 TAP_FEATURE = "feature"
 TAP_PREDICTIVE = "predictive"
-TAP_LOGITS = "logits"
 
 SCOPE_FEATURE = "feature_only"
 SCOPE_ALL = "all"
@@ -273,10 +272,6 @@ class MlpModel:
         if tap == TAP_FEATURE:
             return self.feature_tap
         if tap == TAP_PREDICTIVE:
-            return len(self.layers)
-        if tap == TAP_LOGITS:
-            if isinstance(self.layers[-1], Softmax):
-                return len(self.layers) - 1
             return len(self.layers)
         raise ConfigError(f"unknown tap {tap!r}")
 

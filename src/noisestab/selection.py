@@ -16,12 +16,13 @@ from . import seeding
 from .exceptions import ConfigError, DimensionError, NonFiniteError
 
 METHODS = ("k_center", "kmeans_pp", "top_magnitude", "k_center_normalized")
-# the methods that start from ``seeds_from_labeled``; the others ignore it
-SEEDED_METHODS = ("k_center", "k_center_normalized")
 
 
 @dataclass
 class SelectionRequest:
+    """One selection call. Only ``k_center`` reads ``seeds_from_labeled``;
+    the other methods ignore it."""
+
     embeddings: np.ndarray  # (N, L)
     budget: int
     seeds_from_labeled: np.ndarray | None = None  # (M, L)
@@ -177,24 +178,17 @@ def k_center_normalized(req: SelectionRequest):
     nonzero = np.flatnonzero(norms > 0.0)
     unit = np.zeros_like(x)
     unit[nonzero] = x[nonzero] / norms[nonzero, None]
-    seeds = req.seeds_from_labeled
-    if seeds is not None:
-        seed_norms = np.linalg.norm(seeds, axis=1)
-        keep = seed_norms > 0.0
-        seeds = seeds[keep] / seed_norms[keep, None] if np.any(keep) else None
     picks = []
-    if seeds is None and nonzero.size:
+    if nonzero.size:
         # the unit norms differ only by rounding: the first pick seeds the rest
         picks.append(int(np.argmax(norms)))
-        nonzero = nonzero[nonzero != picks[0]]
-        seeds = unit[picks]
-    inner_budget = min(req.budget - len(picks), nonzero.size)
-    sub = SelectionRequest(embeddings=unit[nonzero], budget=inner_budget,
-                           seeds_from_labeled=seeds, seed=req.seed)
-    picks += [int(nonzero[i]) for i in greedy_k_center(sub)]
-    if len(picks) < req.budget:
-        zeros = np.flatnonzero(norms == 0.0)
-        picks.extend(int(i) for i in zeros[: req.budget - len(picks)])
+        rest = nonzero[nonzero != picks[0]]
+        sub = SelectionRequest(embeddings=unit[rest],
+                               budget=min(req.budget - 1, rest.size),
+                               seeds_from_labeled=unit[picks], seed=req.seed)
+        picks += [int(rest[i]) for i in greedy_k_center(sub)]
+    zeros = np.flatnonzero(norms == 0.0)
+    picks.extend(int(i) for i in zeros[: req.budget - len(picks)])
     return picks
 
 

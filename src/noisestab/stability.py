@@ -17,7 +17,7 @@ import numpy as np
 from . import nn, seeding
 from .exceptions import ConfigError, DimensionError, InvalidStateError
 
-_TAPS = (nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS)
+_TAPS = (nn.TAP_FEATURE, nn.TAP_PREDICTIVE)
 
 # entries one chunk of directions may take (the size of
 # selection._BLOCK_ENTRIES): each direction costs its activations over the
@@ -31,10 +31,10 @@ _CHUNK_ENTRIES = 32768
 class NoiseConfig:
     """Noise magnitude and sampling settings for one embedding pass.
 
-    ``tap`` picks where deviations are read: the deep feature, the post-softmax
-    predictive output (default for classification), or the pre-softmax logits.
-    ``seed`` picks the directions; experiment configs cannot set it, because
-    the loop derives one per run seed and cycle.
+    ``tap`` picks where deviations are read: the deep feature or the
+    predictive output. ``seed`` picks the directions. Experiment configs set
+    neither: the loop derives a seed per run seed and cycle, and the tap
+    follows the dataset's task (``loop.ExperimentConfig``).
     """
 
     zeta: float = 1e-3

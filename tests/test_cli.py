@@ -346,14 +346,20 @@ class TestRun:
         ("train", "optimizer", "sgd", "unknown optimizer 'sgd'"),
         (None, "retrain_mode", "from_scratch",
          "unknown key(s) in config: ['retrain_mode']"),
-        (None, "bald_samples", 1, "unknown key(s) in config: ['bald_samples']")])
+        (None, "bald_samples", 1, "unknown key(s) in config: ['bald_samples']"),
+        ("noise", "tap", "feature", "unknown key(s) in noise: ['tap']"),
+        ("noise", "tap", "logits", "unknown key(s) in noise: ['tap']"),
+        (None, "seed_from_labeled", False,
+         "unknown key(s) in config: ['seed_from_labeled']")])
     def test_removed_key_exits_2_before_any_output(self, tmp_path, capsys,
                                                    command, section, key, value,
                                                    message):
-        # the loss follows the model's head and training is always Adam,
-        # retrained from scratch, so these keys are gone (at their old
-        # defaults too); an old config naming one must not load with the
-        # value ignored. bald_samples 1 used to fail only after cycle 1.
+        # the loss follows the model's head, the noise tap the dataset's task,
+        # training is always Adam, retrained from scratch, and selection is
+        # never seeded from the labeled pool, so these keys are gone (at
+        # their old defaults too); an old config naming one must not load
+        # with the value ignored. bald_samples 1 used to fail only after
+        # cycle 1.
         doc = json.loads(json.dumps(TINY_CONFIG))
         (doc[section] if section else doc)[key] = value
         path = tmp_path / "c.json"
@@ -540,6 +546,22 @@ class TestSweep:
         assert run_cli("sweep", str(config_path), "--param", "zeta",
                        "--values", "small", "--out", str(tmp_path / "s")) == 2
 
+    @pytest.mark.parametrize("param,values,message", [
+        ("zeta", "1e-3,,1e-2", "--values item 2 is empty"),
+        ("selector", "k_center, ,top_magnitude,", "--values item 2 is empty"),
+        ("selector", "k_center,top_magnitude,", "--values item 3 is empty"),
+        ("K", "3.0", "--values item 1 '3.0' is not an integer")],
+        ids=["zeta-empty", "selector-blank", "selector-trailing", "K-3.0"])
+    def test_empty_or_mistyped_item_exits_2_naming_it(
+            self, config_path, tmp_path, capsys, param, values, message):
+        # an empty item used to be dropped, so the sweep ran fewer arms than
+        # it was given and exited 0
+        out = tmp_path / "s"
+        assert run_cli("sweep", str(config_path), "--param", param,
+                       "--values", values, "--out", str(out), "--seeds", "0") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("param,values", [("K", "2,0"), ("zeta", "1e-3,-1"),
                                               ("selector", "k_center,k_dpp"),
                                               ("strategy", "random,nosuch")])
@@ -724,14 +746,12 @@ class TestArmRunner:
             for name in ("reports.jsonl", "curve.csv"):
                 assert (arm / name).read_bytes() == (run / name).read_bytes()
 
-    @pytest.mark.parametrize("seed_from_labeled", [False, True])
-    def test_selector_sweep_arms_equal_runs_with_their_selector(
-            self, tmp_path, seed_from_labeled):
+    def test_selector_sweep_arms_equal_runs_with_their_selector(self, tmp_path):
         # the magnitude/direction ablation: top_magnitude keeps only large
         # gradients and k_center_normalized only diverse ones, each against
         # the noise_stability strategy's own k_center
         selectors = ("k_center", "top_magnitude", "k_center_normalized")
-        doc = dict(TINY_CONFIG, seeds=[0, 1], seed_from_labeled=seed_from_labeled)
+        doc = dict(TINY_CONFIG, seeds=[0, 1])
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
         assert run_cli("sweep", str(path), "--param", "selector",

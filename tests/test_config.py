@@ -41,6 +41,18 @@ class TestParsing:
         assert cfg.noise.tap == "feature"
         assert cfg.train == TrainConfig()
 
+    @pytest.mark.parametrize("before,after,tap", [
+        (MINIMAL, REGRESSION, "feature"), (REGRESSION, MINIMAL, "predictive")],
+        ids=["to-regression", "to-classification"])
+    def test_tap_follows_the_task_when_replace_moves_the_dataset(
+            self, before, after, tap):
+        # the regression tap used to be set by the JSON loader alone, so a
+        # replace-built regression config read the predictive output
+        cfg = dataclasses.replace(experiment_from_dict(before),
+                                  dataset=after["dataset"])
+        assert cfg.noise.tap == tap
+        assert cfg == experiment_from_dict(after)
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             experiment_from_dict(dict(MINIMAL, gpu=True))
@@ -83,12 +95,15 @@ class TestParsing:
 
     @pytest.mark.parametrize("section,key,value", [("noise", "seed", 3),
                                                    ("noise", "scope", "all"),
+                                                   ("noise", "tap", "predictive"),
                                                    ("train", "seed", 3)],
-                             ids=["noise.seed", "noise.scope", "train.seed"])
+                             ids=["noise.seed", "noise.scope", "noise.tap",
+                                  "train.seed"])
     def test_derived_seed_and_scope_keys_rejected(self, tmp_path, section, key,
                                                   value):
-        # loop derives both seeds per run seed and cycle, and the scope
-        # follows the tap, so a value here could never change the output
+        # loop derives both seeds per run seed and cycle, the tap follows the
+        # task and the scope the tap, so a value here could never change the
+        # output
         path = tmp_path / "derived.json"
         path.write_text(json.dumps(dict(MINIMAL, **{section: {key: value}})))
         with pytest.raises(ConfigError, match=f"unknown key.* in {section}: "
@@ -99,7 +114,6 @@ class TestParsing:
         ("cycles", 2.7), ("budget", "15"), ("initial_labeled", True),
         ("seeds.0", 1.0), ("noise.samplings", 30.5),
         ("train.epochs", 2.5), ("train.batch_size", "32"),
-        ("seed_from_labeled", "false"), ("seed_from_labeled", 0),
         ("noise.zeta", "1e-3"), ("train.lr", "0.01"),
         ("dataset.n_per_class", 20.5), ("dataset.noise_std", "2"),
         ("dataset.test_fraction", "0.3"), ("model.hidden", 24),
@@ -264,9 +278,15 @@ class TestParsing:
 
 
 class TestManifestRoundtrip:
-    def test_resolved_snapshot_reparses_to_the_same_config(self):
-        cfg = experiment_from_dict(MINIMAL)
+    @pytest.mark.parametrize("name", ["minimal", "blobs_accept", "blobs_demo",
+                                      "regression_demo"])
+    def test_resolved_snapshot_reparses_to_the_same_config(self, name):
+        cfg = (experiment_from_dict(MINIMAL) if name == "minimal" else
+               load_experiment_config(ROOT / "configs" / f"{name}.json"))
         snapshot = resolved_dict(cfg)
+        # the derived keys stay out of the snapshot, which must load
+        assert not {"seed", "tap"} & set(snapshot["noise"])
+        assert "seed" not in snapshot["train"]
         # the manifest snapshot alone must reproduce the run
         reparsed = experiment_from_dict(json.loads(json.dumps(snapshot)))
         assert resolved_dict(reparsed) == snapshot
@@ -280,17 +300,18 @@ class TestManifestRoundtrip:
 
     @pytest.mark.parametrize("name,digest", [
         ("blobs_accept",
-         "1baac64ef2886d0958587c352e63faa4a3eca321a673ca2607b6f9639e90219e"),
+         "9cac57d2345e182b30d74febe52744bf8d919c51912a224dc71bd9ca1f09ed6a"),
         ("blobs_demo",
-         "c5e12bc5022ae429fa5d135a3bccc408245028911f5d906e6aef5a5d7632bec3"),
+         "47645d4bead7229cd38bd972fe1078db2f8e513786d76f36ea88ad5a6c789368"),
         ("regression_demo",
-         "962b48682fa3b9a0fd688057d4735b573596fc9e3e798f602f52bd54c2cee129")])
+         "6db708bc67a36b34c7aa30b31042116901b75e4ea4c16e6b3db6533fbc9b7bec")])
     def test_shipped_config_hashes_are_pinned(self, name, digest):
         # the hash names a run's config in its manifest; reading the schema
         # another way must not move it. Pinned once the fixed training recipe
         # took Adam's constants, momentum, weight_decay, retrain_mode and
-        # bald_samples out of the resolved config, and moved once the
-        # resolved config took in the dataset and model defaults.
+        # bald_samples out of the resolved config, moved once the resolved
+        # config took in the dataset and model defaults, and once more when
+        # noise.tap and seed_from_labeled left it.
         cfg = load_experiment_config(ROOT / "configs" / f"{name}.json")
         assert config_hash(cfg) == digest
 

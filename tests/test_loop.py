@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisestab import cli, loop, nn, stability
+from noisestab import loop, nn, stability
 from noisestab.config import experiment_from_dict
 from noisestab.exceptions import (ConfigError, DataError, InvalidStateError,
                                   NonFiniteError)
 from noisestab.loop import (CycleReport, PoolState, aggregate_runs, evaluate,
                             run_active_learning, run_single_seed)
-from noisestab.selection import SelectionRequest, select
 
 BLOBS_DEMO = Path(__file__).resolve().parent.parent / "configs" / "blobs_demo.json"
 
@@ -233,27 +232,10 @@ class TestFileDatasetsThroughTheLoop:
         both = np.vstack([numeric, test.inputs[:, columns]])
         assert np.all(np.abs(both.mean(axis=0)) > 1e-3)
 
-def separate_calls_picks(cfg, model, pool_x, labeled_x, budget, noise_seed,
-                         strategy_seed):
-    """``loop._noise_strategy_picks`` as first written: the labeled set is
-    embedded by a second ``pool_embeddings`` call."""
-    noise_cfg = replace(cfg.noise, seed=noise_seed)
-    matrix = stability.pool_embeddings(model, pool_x, noise_cfg)
-    seeds = None
-    if cfg.seed_from_labeled and len(labeled_x):
-        seeds = stability.pool_embeddings(model, labeled_x, noise_cfg)
-    return select(SelectionRequest(embeddings=matrix, budget=budget,
-                                   seeds_from_labeled=seeds, seed=strategy_seed,
-                                   method=cfg.selector))
-
-
-class TestSeedFromLabeled:
-    @pytest.mark.parametrize("selector,seeded", [("k_center", True),
-                                                 ("k_center_normalized", True),
-                                                 ("kmeans_pp", False),
-                                                 ("top_magnitude", False)])
-    def test_one_pool_embeddings_call_per_cycle(self, monkeypatch, selector,
-                                                seeded):
+class TestNoiseStabilityPicks:
+    @pytest.mark.parametrize("selector", ["k_center", "k_center_normalized",
+                                          "kmeans_pp", "top_magnitude"])
+    def test_one_pool_embeddings_call_per_cycle(self, monkeypatch, selector):
         calls = []
         real = stability.pool_embeddings
 
@@ -262,26 +244,11 @@ class TestSeedFromLabeled:
             return real(model, pool, cfg)
 
         monkeypatch.setattr(stability, "pool_embeddings", counting)
-        cfg = blob_config(strategy="noise_stability", seed_from_labeled=True,
-                          selector=selector)
+        cfg = blob_config(strategy="noise_stability", selector=selector)
         run_single_seed(cfg, 0)
-        # the labeled rows ride along only for the selectors that use them
+        # one call per cycle, over the unlabeled rows only
         pool_size = 90
-        unlabeled = [pool_size - 9 - 6 * c for c in range(cfg.cycles)]
-        assert calls == ([pool_size] * cfg.cycles if seeded else unlabeled)
-
-    def test_reports_equal_separate_embedding_calls_byte_for_byte(
-            self, monkeypatch, tmp_path):
-        doc = json.loads(BLOBS_DEMO.read_text())
-        doc["seed_from_labeled"] = True
-        config = tmp_path / "seeded.json"
-        config.write_text(json.dumps(doc))
-        argv = ["run", str(config), "--seeds", "0", "--out"]
-        assert cli.main(argv + [str(tmp_path / "stacked")]) == 0
-        monkeypatch.setattr(loop, "_noise_strategy_picks", separate_calls_picks)
-        assert cli.main(argv + [str(tmp_path / "separate")]) == 0
-        stacked = (tmp_path / "stacked" / "reports.jsonl").read_bytes()
-        assert stacked == (tmp_path / "separate" / "reports.jsonl").read_bytes()
+        assert calls == [pool_size - 9 - 6 * c for c in range(cfg.cycles)]
 
 
 class TestEvaluate:

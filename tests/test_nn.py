@@ -206,7 +206,7 @@ class TestFeatureMajorForward:
             nn.apply_perturbation(
                 model, 0.1 * gen.normal(size=(stack, model.n_params(scope))), scope)
         with np.errstate(all="ignore"):
-            for tap in (nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS):
+            for tap in (nn.TAP_FEATURE, nn.TAP_PREDICTIVE):
                 boundary = model.tap_boundary(tap)
                 assert_same_bytes(nn.forward_to(model, xs, boundary),
                                   reference_forward_to(model, xs, boundary))
@@ -425,7 +425,7 @@ class TestStackedPerturbation:
 
     @given(seed=st.integers(0, 2**32 - 1), bias=st.booleans(),
            scope=st.sampled_from([nn.SCOPE_FEATURE, nn.SCOPE_ALL]),
-           tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS]))
+           tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE]))
     @settings(max_examples=40)
     def test_each_direction_has_the_bits_of_a_separate_apply(self, seed, bias,
                                                               scope, tap):

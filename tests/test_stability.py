@@ -101,7 +101,6 @@ class TestNoiseConfig:
     def test_tap_determines_scope(self):
         assert NoiseConfig(tap=nn.TAP_FEATURE).scope == nn.SCOPE_FEATURE
         assert NoiseConfig(tap=nn.TAP_PREDICTIVE).scope == nn.SCOPE_ALL
-        assert NoiseConfig(tap=nn.TAP_LOGITS).scope == nn.SCOPE_ALL
 
     def test_invalid_magnitude_rejected(self):
         with pytest.raises(ConfigError):
@@ -296,7 +295,7 @@ class TestPoolEmbeddings:
             call[what]()
 
     @given(pool_size=st.integers(0, 12), samplings=st.integers(1, 6),
-           tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS]),
+           tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE]),
            seed=st.integers(0, 2**32 - 1))
     @example(pool_size=0, samplings=3, tap=nn.TAP_PREDICTIVE, seed=0)
     @example(pool_size=1, samplings=3, tap=nn.TAP_FEATURE, seed=1)
@@ -317,7 +316,7 @@ class TestPoolEmbeddings:
             assert np.array_equal(embs[i], scale * np.concatenate(blocks))
 
     @given(pool_size=st.sampled_from([0, 1, 4, 6000]), samplings=st.integers(1, 9),
-           tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE, nn.TAP_LOGITS]),
+           tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE]),
            scope=st.sampled_from([nn.SCOPE_FEATURE, nn.SCOPE_ALL]),
            bias=st.booleans(), dropout=st.sampled_from([0.0, 0.3]),
            budget=st.sampled_from(["one", "few_rows", "all", "default"]),
@@ -326,7 +325,7 @@ class TestPoolEmbeddings:
              bias=True, dropout=0.3, budget="default", seed=0)
     @example(pool_size=4, samplings=9, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_ALL,
              bias=True, dropout=0.3, budget="few_rows", seed=2)
-    @example(pool_size=0, samplings=5, tap=nn.TAP_LOGITS, scope=nn.SCOPE_FEATURE,
+    @example(pool_size=0, samplings=5, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_FEATURE,
              bias=False, dropout=0.0, budget="one", seed=1)
     @settings(max_examples=60)
     def test_chunked_kernel_matches_per_direction_reference(
