@@ -14,15 +14,17 @@ Conventions:
   * ReLU subgradient at 0 is 0;
   * dropout uses inverted scaling, so eval-mode forward is unscaled.
 
-The eval pass (``_infer``, behind ``forward`` and ``forward_to``) runs with
-numpy's ufunc buffer set to ``_INFER_BUFSIZE`` elements. Numpy sends a
-broadcast that is small next to its buffer down a buffered loop that costs
-several times the unbuffered one, and ``Linear.infer``'s ``(out, 1) x (1, N)``
-multiply-adds at pool sizes are such broadcasts. Every op of the pass is
-elementwise or a max, so the buffer size cannot move a bit there. It can
-elsewhere: a strided ``sum`` reduces in buffer-sized pieces, so its bits
-depend on the buffer size, and training, selection and theory run at the
-caller's setting, which the pass restores on return and on raise.
+The eval pass (``_infer``, behind ``forward`` and ``forward_to``) and
+``train`` run with numpy's ufunc buffer set to ``_INFER_BUFSIZE`` elements.
+Numpy sends a broadcast that is small next to its buffer down a buffered loop
+that costs several times the unbuffered one. ``Linear.infer``'s
+``(out, 1) x (1, N)`` multiply-adds at pool sizes are such broadcasts, and
+training's small per-step calls measured faster at that size too. The eval
+pass is elementwise or a max, so the buffer size cannot move a bit there.
+Training's reductions (the softmax normalizer, bias gradients and the epoch
+loss) are tested at several buffer sizes against a loop run at the caller's.
+Both restore the caller's size on return and on raise; selection and theory
+run at it.
 """
 
 from __future__ import annotations
@@ -210,7 +212,8 @@ class Softmax:
     @staticmethod
     def _shifted_exp(x, axis):
         shifted = x - x.max(axis=axis, keepdims=True)
-        np.clip(shifted, _SOFTMAX_MIN_SHIFTED, None, out=shifted)
+        # the bits of np.clip with no upper bound, without its Python wrapper
+        np.maximum(shifted, _SOFTMAX_MIN_SHIFTED, out=shifted)
         return np.exp(shifted)
 
     def forward(self, x, train, rng):
@@ -582,21 +585,31 @@ def _class_targets(model, y):
 
 
 def _loss_and_grad(model, output, y):
-    """Per-example losses and the gradient of their batch mean w.r.t. the
-    model output: cross-entropy on the int64 class indices of
-    ``_class_targets`` when the model ends in a Softmax, squared error
-    otherwise."""
+    """Per-example losses and the gradient of their batch mean, and the index
+    of the top layer that gradient enters. After a Softmax the loss is
+    cross-entropy on the int64 class indices of ``_class_targets`` and the
+    gradient is taken at the logits, so the Softmax layer is skipped;
+    otherwise it is squared error at the model output.
+
+    The logits gradient has the bits of the output gradient
+    ``-1/(b·p_true)`` at the label pushed through ``Softmax.backward``:
+    that row sum holds one nonzero term, ``v = (-1/(b·p_true))·p_true``, so
+    the gradient is ``0 - p·v`` off the label and ``v - p_true·v`` on it."""
     b = output.shape[0]
+    top = len(model.layers) - 1
     if isinstance(model.layers[-1], Softmax):
-        p_true = output[np.arange(b), y]
-        grad = np.zeros_like(output)
-        grad[np.arange(b), y] = -1.0 / (b * p_true)
-        return -np.log(p_true), grad
+        rows = np.arange(b)
+        p_true = output[rows, y]
+        v = (-1.0 / (b * p_true)) * p_true
+        grad = np.multiply(output, v[:, None])
+        np.subtract(0.0, grad, out=grad)
+        grad[rows, y] = v - p_true * v
+        return -np.log(p_true), grad, top - 1
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
     diff = output - y
-    return (diff * diff).sum(axis=1), 2.0 * diff / b
+    return (diff * diff).sum(axis=1), 2.0 * diff / b, top
 
 
 def _param_views(model, flat):
@@ -627,9 +640,9 @@ def _backprop(model, x, y, grads, train, rng):
     parameter lies below it.
     """
     out, caches = _forward_cached(model, x, len(model.layers), train, rng)
-    losses, grad = _loss_and_grad(model, out, y)
+    losses, grad, top = _loss_and_grad(model, out, y)
     first = min(grads, default=len(model.layers))
-    for i in range(len(model.layers) - 1, first - 1, -1):
+    for i in range(top, first - 1, -1):
         layer = model.layers[i]
         if i not in grads:
             grad = layer.backward(grad, caches[i])
@@ -703,6 +716,11 @@ def train(model, labeled, cfg: TrainConfig):
     When the call returns or raises, the layers get owned copies of θ again,
     and none of them aliases a buffer of the call.
 
+    Each epoch gathers its shuffled rows once and takes its batches as
+    slices of them. The call runs at numpy's ufunc buffer ``_INFER_BUFSIZE``
+    and restores the caller's size on return and on raise; its bits do not
+    depend on either size.
+
     Identical seed + data + config reproduce bit-identical final parameters.
     """
     xs, ys = labeled
@@ -722,21 +740,25 @@ def train(model, labeled, cfg: TrainConfig):
     grad = np.empty_like(theta)
     grads = _param_views(model, grad)
     state = _AdamState(cfg.lr, theta.size)
+    shuffled_losses, epoch_losses = np.empty(n), np.empty(n)
     curve = []
+    previous = np.setbufsize(_INFER_BUFSIZE)
     try:
         for i, (weight, bias) in _param_views(model, theta).items():
             model.layers[i].weight, model.layers[i].bias = weight, bias
         for _ in range(cfg.epochs):
             order = gen.permutation(n)
+            xs_epoch, ys_epoch = xs[order], ys[order]
+            for start in range(0, n, cfg.batch_size):
+                batch = slice(start, start + cfg.batch_size)
+                shuffled_losses[batch] = _backprop(model, xs_epoch[batch],
+                                                   ys_epoch[batch], grads, True, gen)
+                state.step(theta, grad)
             # scatter per-example losses back to canonical positions so the
             # epoch mean does not depend on the shuffle's summation order
-            epoch_losses = np.zeros(n)
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                epoch_losses[idx] = _backprop(model, xs[idx], ys[idx], grads,
-                                              True, gen)
-                state.step(theta, grad)
+            epoch_losses[order] = shuffled_losses
             curve.append(float(epoch_losses.sum() / n))
     finally:
+        np.setbufsize(previous)
         _write_params(model, theta, SCOPE_ALL)
     return curve

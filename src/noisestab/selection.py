@@ -88,6 +88,57 @@ class _Distances:
         return np.sqrt(self.out, out=self.out)
 
 
+def _nearest_seed_distances(dist, seeds):
+    """Distance from every row of ``dist.points`` to its nearest seed row,
+    with the bits of the minimum of ``dist.to(c)`` over the seeds c.
+
+    Each block of rows takes one BLAS product with the seeds and keeps, per
+    row, only the seeds the Gram estimate cannot rule out as its nearest
+    (see ``greedy_k_center``). The kept pairs are recomputed in
+    ``dist.diff`` with ``to``'s ops, subtract, square and ``np.add.reduce``
+    over a contiguous row, and the smallest is square-rooted; ``sqrt`` is
+    monotone, so that is the smallest square root. No BLAS bit reaches the
+    result. The screen's (rows, seeds) temporaries hold about
+    ``_BLOCK_ENTRIES`` entries. One seed skips the screen.
+    """
+    x = dist.points
+    n, width = x.shape
+    if seeds.shape[0] == 1:
+        return dist.to(seeds[0]).copy()
+    out = np.empty(n)
+    block = max(1, _BLOCK_ENTRIES // seeds.shape[0])
+    tol = 8.0 * (width + 8) * 2.0 ** -53
+    # overflow gives an infinity or a NaN, and such a row keeps every seed
+    with np.errstate(over="ignore", invalid="ignore"):
+        seed_sq = np.einsum("ij,ij->i", seeds, seeds)
+        for start in range(0, n, block):
+            rows = x[start:start + block]
+            margin = np.einsum("ij,ij->i", rows, rows)[:, None] + seed_sq
+            approx = rows @ seeds.T
+            approx *= -2.0
+            approx += margin
+            margin *= tol
+            margin += 1e-300
+            upper = approx + margin
+            bound = upper.min(axis=1)
+            screened = np.isfinite(bound) & np.isfinite(upper.max(axis=1))
+            approx -= margin
+            keep = approx <= bound[:, None]
+            keep[~screened] = True
+            row_of, seed_of = np.nonzero(keep)
+            sq = np.empty(row_of.size)
+            for p in range(0, row_of.size, dist.block):
+                d = dist.diff[:min(dist.block, row_of.size - p)]
+                np.take(rows, row_of[p:p + len(d)], axis=0, out=d)
+                np.subtract(d, seeds[seed_of[p:p + len(d)]], out=d)
+                np.multiply(d, d, out=d)
+                np.add.reduce(d, axis=1, out=sq[p:p + len(d)])
+            firsts = np.zeros(rows.shape[0], dtype=np.intp)
+            np.cumsum(keep.sum(axis=1)[:-1], out=firsts[1:])
+            np.minimum.reduceat(sq, firsts, out=out[start:start + rows.shape[0]])
+    return np.sqrt(out, out=out)
+
+
 def greedy_k_center(req: SelectionRequest):
     """Farthest-point traversal with exact Euclidean distances.
 
@@ -96,6 +147,21 @@ def greedy_k_center(req: SelectionRequest):
     embedding. Picked rows leave the argmax, so once every remaining
     distance is 0 (fewer distinct rows than the budget) each further pick is
     the lowest unpicked index. Returns distinct picks in selection order.
+
+    With M > 1 seeds, a Gram screen skips the exact distances of seeds that
+    cannot be a row's nearest. Let u = 2^-53, γ_n = n·u/(1 − n·u), L the
+    embedding width, P = |x|² + |c|² and T = |x − c|² ≤ 2P. The exact
+    squared distance S (subtract, square, sum) has |S − T| ≤ γ_{L+2}·T
+    ≤ 2γ_{L+2}·P. The screen's estimate D = (|x|² + |c|²) − 2·x·c takes
+    each of |x|², |c|² and the BLAS dot x·c in any order, with or without
+    FMA, to within γ_L times |x|², |c|² and Σ|x_k·c_k| ≤ P/2, and two more
+    roundings, so |D − T| ≤ (2γ_L + 3u)·P. Hence |S − D| ≤ (4L + 7)·u·P to
+    first order. The margin E = 8·(L + 8)·u·P + 1e-300 is over twice that,
+    which covers the roundings of P, E and D ± E, and its absolute term
+    covers underflow: at most 5L + 5 roundings of 2^-1075 each. Then the
+    nearest seed c* has S* ≤ min_c (D + E), and a seed with D − E above
+    that bound is not nearest. A row whose D ± E overflowed keeps every
+    seed.
     """
     x = req.embeddings
     if req.budget == 0:
@@ -103,9 +169,7 @@ def greedy_k_center(req: SelectionRequest):
     dist = _Distances(x)
     picks = []
     if req.seeds_from_labeled is not None:
-        min_dist = np.full(x.shape[0], np.inf)
-        for center in req.seeds_from_labeled:
-            np.minimum(min_dist, dist.to(center), out=min_dist)
+        min_dist = _nearest_seed_distances(dist, req.seeds_from_labeled)
     else:
         first = int(np.argmax(np.linalg.norm(x, axis=1)))
         picks.append(first)

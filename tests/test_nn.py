@@ -878,6 +878,96 @@ class TestTrain:
         assert len(calls) == 1
 
 
+# one below train's own buffer, numpy's default and one above every array of
+# the cases below
+TRAIN_CALLER_BUFSIZES = [16, 8192, 65536]
+
+
+def saturated_case(classes, batch_size):
+    """(model, (X, y), cfg) whose true-class logits sit more than 700 below
+    the row maximum at the start, so ``p_true`` comes from the clip floor."""
+    gen = np.random.default_rng(classes * 100 + batch_size)
+    model = nn.build_mlp(3, [5], classes, seed=classes)
+    head = model.layers[-2]
+    head.bias[:] = 0.0
+    head.bias[0] = 900.0
+    xs = gen.normal(size=(40, 3))
+    ys = gen.integers(1, classes, size=40)
+    cfg = nn.TrainConfig(lr=0.05, epochs=3, batch_size=batch_size, seed=classes)
+    return model, (xs, ys), cfg
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("classes", [2, 10])
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    def test_saturated_softmax_matches_the_reference_bit_for_bit(self, classes,
+                                                                 batch_size):
+        model, (xs, ys), cfg = saturated_case(classes, batch_size)
+        logits, _ = nn._forward_cached(model, xs, len(model.layers) - 1)
+        shifted = logits[np.arange(len(ys)), ys] - logits.max(axis=1)
+        assert (shifted < nn._SOFTMAX_MIN_SHIFTED).all()
+        expected_model = model.copy()
+        expected_curve = reference_train(expected_model, (xs, ys), cfg)
+        curve = nn.train(model, (xs, ys), cfg)
+        assert curve[0] > -nn._SOFTMAX_MIN_SHIFTED - 1.0
+        assert np.array_equal(curve, expected_curve)
+        assert np.array_equal(nn.flatten_params(model),
+                              nn.flatten_params(expected_model))
+
+    @given(training_case())
+    @settings(max_examples=40)
+    def test_bits_do_not_depend_on_the_callers_buffer(self, case):
+        model, labeled, cfg = case
+        results = []
+        for size in TRAIN_CALLER_BUFSIZES:
+            trained = model.copy()
+            with caller_bufsize(size):
+                curve = nn.train(trained, labeled, cfg)
+                assert np.getbufsize() == size
+            results.append((np.asarray(curve).tobytes(),
+                            nn.flatten_params(trained).tobytes()))
+        assert results[1:] == results[:1] * (len(results) - 1)
+
+    def test_wide_batches_do_not_depend_on_the_callers_buffer(self):
+        # reductions longer than every buffer size: a 300-row epoch loss, and
+        # 256-row bias-gradient sums into a one-output regression head
+        gen = np.random.default_rng(8)
+        xs = gen.normal(size=(300, 6))
+        ys = gen.normal(size=300)
+        cfg = nn.TrainConfig(lr=0.01, epochs=2, batch_size=256, seed=3)
+        results = []
+        for size in TRAIN_CALLER_BUFSIZES:
+            model = nn.build_mlp(6, [40], 1, task="regression", seed=1)
+            with caller_bufsize(size):
+                curve = nn.train(model, (xs, ys), cfg)
+            results.append((curve, nn.flatten_params(model).tobytes()))
+        assert results[1:] == results[:1] * (len(results) - 1)
+
+    def test_steps_run_at_the_pass_buffer_size(self, monkeypatch):
+        seen = []
+        backprop = nn._backprop
+        monkeypatch.setattr(nn, "_backprop", lambda *args: (
+            seen.append(np.getbufsize()), backprop(*args))[1])
+        gen = np.random.default_rng(2)
+        with caller_bufsize(8192):
+            nn.train(nn.build_mlp(2, [4], 2, seed=5),
+                     (gen.normal(size=(10, 2)), gen.integers(0, 2, size=10)),
+                     nn.TrainConfig(epochs=2, batch_size=4))
+        assert seen == [nn._INFER_BUFSIZE] * 6
+
+    @pytest.mark.parametrize("size", TRAIN_CALLER_BUFSIZES)
+    def test_callers_buffer_is_restored_when_training_raises(self, size):
+        model = nn.build_mlp(3, [4], 2, seed=5)
+        gen = np.random.default_rng(1)
+        with caller_bufsize(size):
+            # the first Linear's width check raises inside the first step
+            with pytest.raises(DimensionError):
+                nn.train(model, (gen.normal(size=(6, 4)),
+                                 gen.integers(0, 2, size=6)),
+                         nn.TrainConfig(epochs=1))
+            assert np.getbufsize() == size
+
+
 class TestDropout:
     def test_eval_mode_is_identity(self):
         layer = nn.Dropout(0.4)

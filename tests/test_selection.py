@@ -373,6 +373,95 @@ class TestBufferedDistances:
         }
 
 
+def reference_nearest_seed_distances(points, seeds):
+    """Distance to the nearest seed, one fresh difference matrix per seed, as
+    reference_greedy_k_center seeds its traversal."""
+    min_dist = np.full(points.shape[0], np.inf)
+    for center in seeds:
+        np.minimum(min_dist, reference_distances_to(points, center), out=min_dist)
+    return min_dist
+
+
+@st.composite
+def screen_case(draw):
+    """(points, seeds, block entries) where a Gram estimate of the squared
+    distances is least reliable: a large common offset cancels in
+    |x|^2 + |c|^2 - 2 x.c, seeds repeat or sit one ulp apart, magnitudes
+    near the squares' overflow and underflow, and 2 to 300 seeds across
+    row blocks of every size."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, width = draw(st.integers(1, 120)), draw(st.integers(1, 40))
+    m = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["plain", "offset", "duplicate", "ulp",
+                                 "huge", "tiny"]))
+    scale = {"huge": 1e150, "tiny": 1e-160}.get(kind, 1.0)
+    base = scale * gen.normal(size=(n + m, width))
+    if kind == "offset":
+        base += 10.0 ** draw(st.floats(4.0, 8.0)) * gen.normal(size=width)
+    points, seeds = base[:n], base[n:]
+    if kind == "duplicate":
+        seeds = seeds[gen.integers(max(1, m // 4), size=m)]
+        points[: n // 2] = seeds[gen.integers(m, size=n // 2)]
+    elif kind == "ulp":
+        seeds[1::2] = np.nextafter(seeds[::2][: m // 2], np.inf)
+        points[: n // 2] = seeds[gen.integers(m, size=n // 2)]
+    entries = draw(st.sampled_from([1, width, 3 * width, m, 7 * m, None]))
+    return points, seeds, entries
+
+
+class TestSeedScreen:
+    @given(case=screen_case(), budget_frac=st.floats(0.0, 1.0))
+    @settings(max_examples=120)
+    def test_min_dist_and_picks_equal_the_reference_bit_for_bit(self, case,
+                                                                 budget_frac):
+        points, seeds, entries = case
+        request = req(points, int(round(budget_frac * len(points))),
+                      seeds_from_labeled=seeds)
+        with pytest.MonkeyPatch.context() as mp:
+            if entries is not None:
+                mp.setattr(selection, "_BLOCK_ENTRIES", entries)
+            min_dist = selection._nearest_seed_distances(
+                selection._Distances(points), seeds)
+            picks = greedy_k_center(request)
+        assert min_dist.tobytes() == \
+            reference_nearest_seed_distances(points, seeds).tobytes()
+        assert picks == distinct_reference_k_center(request)
+
+    @pytest.mark.parametrize("entries", [None, 1, 64])
+    def test_rows_whose_screen_overflows_keep_every_seed(self, entries):
+        # |x|^2 overflows to inf, so the Gram estimate is inf - inf = NaN,
+        # while the exact differences stay small
+        gen = np.random.default_rng(5)
+        points = 1e154 * (1.0 + 1e-9 * gen.normal(size=(50, 4)))
+        seeds = 1e154 * (1.0 + 1e-9 * gen.normal(size=(30, 4)))
+        with pytest.MonkeyPatch.context() as mp:
+            if entries is not None:
+                mp.setattr(selection, "_BLOCK_ENTRIES", entries)
+            min_dist = selection._nearest_seed_distances(
+                selection._Distances(points), seeds)
+        assert np.isfinite(min_dist).all()
+        assert min_dist.tobytes() == \
+            reference_nearest_seed_distances(points, seeds).tobytes()
+
+    def test_separated_seeds_are_computed_exactly_for_few_pairs(self,
+                                                                monkeypatch):
+        # one exact difference per pool row and per seed that could be its
+        # nearest, not one per (row, seed) pair
+        gen = np.random.default_rng(3)
+        centers = 50.0 * gen.normal(size=(40, 8))
+        seeds = centers + gen.normal(size=(40, 8))
+        points = centers[gen.integers(40, size=500)] + gen.normal(size=(500, 8))
+        differences = []
+        subtract = np.subtract
+        monkeypatch.setattr(np, "subtract", lambda a, b, **kw: (
+            differences.append(len(a)), subtract(a, b, **kw))[1])
+        min_dist = selection._nearest_seed_distances(
+            selection._Distances(points), seeds)
+        assert min_dist.tobytes() == \
+            reference_nearest_seed_distances(points, seeds).tobytes()
+        assert 500 <= sum(differences) < 2 * 500
+
+
 class TestDispatch:
     def test_select_routes_by_method(self):
         points = [[3.0], [1.0], [2.0]]
