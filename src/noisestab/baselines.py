@@ -53,19 +53,11 @@ def select_coreset(features, labeled_features, budget):
     return greedy_k_center(req)
 
 
-def badge_embedding(feature, probs):
-    """Pseudo-label gradient embedding: block i is (p_i - 1[yhat=i]) * z,
-    blocks concatenated in class order (yhat = argmax p, ties to the lowest
-    class)."""
-    z = np.asarray(feature, dtype=np.float64)
-    p = np.asarray(probs, dtype=np.float64)
-    if z.ndim != 1 or p.ndim != 1:
-        raise DataError("badge_embedding expects one feature vector and one distribution")
-    return badge_embeddings(z[None, :], p[None, :])[0]
-
-
 def badge_embeddings(features, probs):
-    """badge_embedding of every (feature, distribution) row pair of a pool."""
+    """Pseudo-label gradient embeddings of the (feature, distribution) row
+    pairs of a pool: row r's block i is (p_ri - 1[yhat_r=i]) * z_r, blocks
+    concatenated in class order (yhat_r = argmax p_r, ties to the lowest
+    class)."""
     features = np.asarray(features, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
     coeff = probs.copy()

@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -43,8 +42,13 @@ def _make_dir(path: Path):
 
 
 def _write_atomic(path: Path, lines):
-    """Write ``lines``, each ended by a newline, to ``path`` atomically."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent))
+    """Write ``lines``, each ended by a newline, to ``path`` atomically.
+
+    The temporary file is created with mode 0o666, so the file gets what
+    ``open`` would give it: that mode less the umask.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write("\n".join(lines) + "\n")

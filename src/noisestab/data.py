@@ -169,6 +169,11 @@ def load_csv_tabular(path, schema) -> Dataset:
         except StopIteration:
             raise FormatError(f"{path}: empty file, expected a header row") from None
         rows = list(reader)
+    # each row is read as a dict keyed by the header, which would keep only
+    # the last of two same-named columns
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise DataError(f"header repeats columns: {repeated}")
     missing = [c for c in header if c not in schema]
     if missing:
         raise DataError(f"schema does not cover columns: {missing}")

@@ -4,7 +4,7 @@ Provides layered feed-forward models with a designated feature tap, one
 fixed-order eval forward, training with Adam (in place on one flat
 parameter vector), flattened parameter views, in-place perturbation with
 bit-exact restore (one direction, or a stack of directions evaluated in one
-eval forward), and Jacobian oracles (backprop and central differences).
+eval forward), and the analytic Jacobian of a tap (backprop).
 
 Conventions:
   * all numeric data is float64; inputs may be single examples ``(D,)`` or
@@ -516,27 +516,6 @@ def jacobian(model, x, tap=TAP_FEATURE, scope=SCOPE_FEATURE):
     return np.hstack(columns)
 
 
-def finite_diff_jacobian(model, x, tap=TAP_FEATURE, scope=SCOPE_FEATURE, h=1e-5):
-    """Central-difference Jacobian oracle, (f(θ+h·eⱼ) − f(θ−h·eⱼ)) / 2h."""
-    if h <= 0:
-        raise ConfigError("finite-difference step h must be positive")
-    boundary = model.tap_boundary(tap)
-    work = model.copy()
-    theta = flatten_params(work, scope)
-    base = np.atleast_1d(forward_to(work, x, boundary))
-    jac = np.zeros((base.size, theta.size))
-    for j in range(theta.size):
-        step = np.zeros_like(theta)
-        step[j] = h
-        set_params(work, theta + step, scope)
-        plus = np.atleast_1d(forward_to(work, x, boundary))
-        set_params(work, theta - step, scope)
-        minus = np.atleast_1d(forward_to(work, x, boundary))
-        jac[:, j] = (plus - minus) / (2.0 * h)
-    set_params(work, theta, scope)
-    return jac
-
-
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -654,17 +633,6 @@ def _backprop(model, x, y, grads, train, rng):
         if i > first:
             grad = grad @ layer.weight
     return losses
-
-
-def loss_gradient(model, x, y):
-    """Flat gradient of the batch-mean loss w.r.t. all parameters, plus the
-    per-example loss values: one eval-mode step of ``train``'s backprop, into
-    a new vector."""
-    batch, _ = _as_batch(x)
-    flat = np.empty(model.n_params())
-    losses = _backprop(model, batch, _class_targets(model, y),
-                       _param_views(model, flat), False, None)
-    return flat, losses
 
 
 class _AdamState:

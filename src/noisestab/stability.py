@@ -159,28 +159,13 @@ def _embed(model, xs, pset):
     return blocks.reshape(xs.shape[0], pset.samplings * blocks.shape[2])
 
 
-def _single_example(x, what):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError(f"{what} expects a single example vector")
-    nn.check_finite_rows(x[None, :], f"{what} input")
-    return x[None, :]
-
-
-def deviation_block(model, x, pset: PerturbationSet, k) -> np.ndarray:
-    """Normalized output deviation (d,) of one example for direction k."""
-    return _deviations(model, _single_example(x, "deviation_block"), pset,
-                       pset.directions[[k]])[0, 0]
-
-
 def embedding(model, x, pset: PerturbationSet) -> np.ndarray:
     """Deviation embedding (K*d,) of a single example under a prepared set."""
-    return _embed(model, _single_example(x, "embedding"), pset)[0]
-
-
-def uncertainty_score(vector) -> float:
-    """Euclidean length of an embedding vector (the selection criterion)."""
-    return float(np.linalg.norm(vector))
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DimensionError("embedding expects a single example vector")
+    nn.check_finite_rows(x[None, :], "embedding input")
+    return _embed(model, x[None, :], pset)[0]
 
 
 def pool_embeddings(model, pool, cfg: NoiseConfig) -> np.ndarray:

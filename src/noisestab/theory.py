@@ -195,45 +195,6 @@ def _check_concentration_args(kind, n, samplings, epsilon, trials):
         raise ValueError("inner_product bound needs epsilon in (0, 1)")
 
 
-def failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float:
-    """Fraction of independent trials violating the stated concentration bound.
-
-    This is the direct reference simulation: each trial draws fresh
-    n-dimensional gradient vectors and a fresh K x n projection, on derived
-    per-trial streams, so the result is schedule-independent. The checks run
-    ``reduced_failure_fraction``, which has the same law at a fraction of the
-    cost.
-    """
-    _check_concentration_args(kind, n, samplings, epsilon, trials)
-    violations = 0
-    for t in range(trials):
-        gen = seeding.rng(seed, t)
-        q = _projection_matrix(n, samplings, gen)
-        if kind == "magnitude":
-            g = gen.standard_normal(n)
-            z = q @ g
-            violations += abs(np.linalg.norm(z) - np.linalg.norm(g)) > epsilon * np.linalg.norm(g)
-        elif kind == "distance":
-            g_i = gen.standard_normal(n)
-            g_j = gen.standard_normal(n)
-            diff = g_i - g_j
-            z = q @ diff
-            violations += abs(np.linalg.norm(z) - np.linalg.norm(diff)) > epsilon * np.linalg.norm(diff)
-        else:
-            g_i = gen.standard_normal(n)
-            g_j = gen.standard_normal(n)
-            gh_i = g_i / np.linalg.norm(g_i)
-            gh_j = g_j / np.linalg.norm(g_j)
-            z_i = q @ gh_i
-            z_j = q @ gh_j
-            cos_hat = float(z_i @ z_j / (np.linalg.norm(z_i) * np.linalg.norm(z_j)))
-            cos_true = float(gh_i @ gh_j)
-            lo = (cos_true - epsilon) / (1.0 + epsilon) ** 2
-            hi = (cos_true + epsilon) / (1.0 - epsilon) ** 2
-            violations += cos_hat < lo or cos_hat > hi
-    return violations / trials
-
-
 # Reduced samplers draw trials and pool vectors in arrays of at most this
 # many doubles.
 _BLOCK_DOUBLES = 2 ** 17
@@ -283,9 +244,12 @@ def _reduced_violations(kind, gen, n, samplings, epsilon, size) -> np.ndarray:
 
 
 def reduced_failure_fraction(kind, n, samplings, epsilon, trials, seed) -> float:
-    """``failure_fraction`` sampled exactly in law from low-dimensional
-    coordinates (see ``_reduced_violations``), vectorised over blocks of
-    trials; one stream per (seed, kind)."""
+    """Fraction of trials violating the stated concentration bound, sampled
+    exactly in law from low-dimensional coordinates (see
+    ``_reduced_violations``), vectorised over blocks of trials; one stream per
+    (seed, kind). The direct reference simulation, which draws each trial's
+    n-dimensional gradients and K x n projection, lives in
+    ``tests/oracles.py``."""
     _check_concentration_args(kind, n, samplings, epsilon, trials)
     if kind == "inner_product" and n < 2:
         raise ValueError("inner_product bound needs n >= 2")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from noisestab import baselines, nn
 from noisestab.exceptions import ConfigError, DataError, NonFiniteError
+from oracles import loss_gradient
 
 
 class TestSelectRandom:
@@ -94,13 +95,14 @@ class TestBadgeEmbedding:
     def test_confident_prediction_embeds_to_zero(self):
         z = np.array([0.3, -0.7, 1.1])
         p = np.array([0.0, 1.0, 0.0])
-        assert np.array_equal(baselines.badge_embedding(z, p), np.zeros(9))
+        emb = baselines.badge_embeddings(z[None], p[None])[0]
+        assert np.array_equal(emb, np.zeros(9))
 
     def test_uniform_probabilities_block_norms(self):
         z = np.array([1.0, 2.0])
         c = 4
         p = np.full(c, 1.0 / c)
-        emb = baselines.badge_embedding(z, p)
+        emb = baselines.badge_embeddings(z[None], p[None])[0]
         z_norm = np.linalg.norm(z)
         for i in range(c):
             block = emb[i * 2:(i + 1) * 2]
@@ -118,14 +120,15 @@ class TestBadgeEmbedding:
             head = nn.MlpModel([nn.Linear(logits_w.copy()), nn.Softmax()], 1)
             _, p = nn.forward(head, z)
             pseudo = int(np.argmax(p))
-            grad, _ = nn.loss_gradient(head, z, np.array([pseudo]))
-            assert np.abs(baselines.badge_embedding(z, p) - grad).max() < 1e-10
+            grad, _ = loss_gradient(head, z, np.array([pseudo]))
+            emb = baselines.badge_embeddings(z[None], p[None])[0]
+            assert np.abs(emb - grad).max() < 1e-10
 
     def test_norm_identity(self):
         gen = np.random.default_rng(29)
         z = gen.normal(size=5)
         p = gen.dirichlet(np.ones(3))
-        emb = baselines.badge_embedding(z, p)
+        emb = baselines.badge_embeddings(z[None], p[None])[0]
         coeff = p.copy()
         coeff[np.argmax(p)] -= 1.0
         assert np.linalg.norm(emb) == pytest.approx(
@@ -137,8 +140,8 @@ class TestBadgeEmbedding:
         probs = gen.dirichlet(np.ones(3), size=6)
         batch = baselines.badge_embeddings(feats, probs)
         for i in range(6):
-            assert np.array_equal(batch[i],
-                                  baselines.badge_embedding(feats[i], probs[i]))
+            assert np.array_equal(batch[i], baselines.badge_embeddings(
+                feats[i][None], probs[i][None])[0])
 
 
 class TestBaldMcDropout:
@@ -220,4 +223,5 @@ class TestRowsAlone:
             assert prob.tobytes() == probs[i].tobytes()
             assert baselines.entropy_rows(prob[None])[0] == scores[i]
             assert coreset_feats[i].tobytes() == feat.tobytes()
-            assert baselines.badge_embedding(feat, prob).tobytes() == emb[i].tobytes()
+            assert (baselines.badge_embeddings(feat[None], prob[None])[0].tobytes()
+                    == emb[i].tobytes())

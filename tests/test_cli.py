@@ -780,6 +780,39 @@ class TestArmRunner:
         assert all(first == firsts[0] for first in firsts)
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_every_output_file_has_the_umasks_mode(self, config_path, tmp_path,
+                                                   umask):
+        # files used to be written through mkstemp, so they stayed 0o600
+        # whatever the umask
+        previous = os.umask(umask)
+        try:
+            assert run_cli("run", str(config_path), "--out",
+                           str(tmp_path / "run"), "--seeds", "0") == 0
+            assert run_cli("sweep", str(config_path), "--param", "zeta",
+                           "--values", "1e-3,1e-2", "--out",
+                           str(tmp_path / "sweep"), "--seeds", "0") == 0
+        finally:
+            os.umask(previous)
+        files = sorted(p for p in tmp_path.rglob("*")
+                       if p.is_file() and p != config_path)
+        assert {p.name for p in files} == {"manifest.json", "reports.jsonl",
+                                           "curve.csv", "sweep.csv"}
+        assert len(files) == 3 + 3 * 2 + 1
+        for path in files:
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path
+
+    def test_a_write_that_raises_leaves_no_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_atomic(tmp_path / "out.csv", ["a,b"])
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRemovedStrategyAliases:
     @pytest.mark.parametrize("argv", [("run",),
                                       ("sweep", "--param", "selector", "--values",

@@ -187,6 +187,14 @@ class TestCsvLoader:
                                             f"column '{column}' at row 2"):
             data.load_csv_tabular(path, {"num": "numeric", "y": "target"})
 
+    def test_repeated_header_column_rejected(self, tmp_path):
+        # the rows used to load as inputs [[10, 10], [20, 20]]: each row was
+        # a dict keyed by the header, so the last "a" replaced the first
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a,y\n1,10,0.5\n2,20,0.7\n")
+        with pytest.raises(DataError, match=r"header repeats columns: \['a'\]"):
+            data.load_csv_tabular(path, {"a": "numeric", "y": "target"})
+
     def test_schema_must_cover_all_columns(self, csv_path):
         with pytest.raises(DataError, match="cover"):
             data.load_csv_tabular(csv_path, {"color": "categorical",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from noisestab import nn, stability
 from noisestab.exceptions import (ConfigError, DataError, DimensionError,
                                   InvalidStateError, NonFiniteError)
+from oracles import finite_diff_jacobian, loss_gradient
 
 
 class TestForward:
@@ -492,7 +493,7 @@ class TestJacobian:
         for tap, scope in ((nn.TAP_FEATURE, nn.SCOPE_FEATURE),
                            (nn.TAP_PREDICTIVE, nn.SCOPE_ALL)):
             jac = nn.jacobian(model, x, tap=tap, scope=scope)
-            fd = nn.finite_diff_jacobian(model, x, tap=tap, scope=scope, h=1e-5)
+            fd = finite_diff_jacobian(model, x, tap=tap, scope=scope, h=1e-5)
             assert np.abs(jac - fd).max() < 1e-6
 
     def test_unknown_tap_rejected(self, hand_232_model):
@@ -525,8 +526,8 @@ class TestJacobian:
             if near_kink:
                 continue
             jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_ALL)
-            fd = nn.finite_diff_jacobian(model, x, tap=nn.TAP_PREDICTIVE,
-                                         scope=nn.SCOPE_ALL, h=1e-5)
+            fd = finite_diff_jacobian(model, x, tap=nn.TAP_PREDICTIVE,
+                                      scope=nn.SCOPE_ALL, h=1e-5)
             assert np.abs(jac - fd).max() < 1e-5
             checked += 1
 
@@ -535,7 +536,7 @@ class TestFiniteDiff:
     def test_exact_on_linear_model(self, scalar_linear_model):
         x = np.array([0.9, -0.4, 0.2, 0.7])
         jac = nn.jacobian(scalar_linear_model, x)
-        fd = nn.finite_diff_jacobian(scalar_linear_model, x, h=1e-4)
+        fd = finite_diff_jacobian(scalar_linear_model, x, h=1e-4)
         assert np.abs(jac - fd).max() < 1e-10
 
     def test_halving_h_shrinks_error_on_smooth_input(self):
@@ -547,8 +548,8 @@ class TestFiniteDiff:
         jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_ALL)
         errs = []
         for h in (1e-2, 5e-3, 2.5e-3):
-            fd = nn.finite_diff_jacobian(model, x, tap=nn.TAP_PREDICTIVE,
-                                         scope=nn.SCOPE_ALL, h=h)
+            fd = finite_diff_jacobian(model, x, tap=nn.TAP_PREDICTIVE,
+                                      scope=nn.SCOPE_ALL, h=h)
             errs.append(np.abs(fd - jac).max())
         assert errs[0] > errs[1] > errs[2]
 
@@ -556,13 +557,13 @@ class TestFiniteDiff:
         # bias-free net at x = 0 stays 0 for every parameter value
         model = nn.MlpModel([nn.Linear(np.ones((3, 2))), nn.ReLU(),
                              nn.Linear(np.ones((2, 3)))], 2)
-        fd = nn.finite_diff_jacobian(model, np.zeros(2), tap=nn.TAP_PREDICTIVE,
-                                     scope=nn.SCOPE_ALL, h=1e-4)
+        fd = finite_diff_jacobian(model, np.zeros(2), tap=nn.TAP_PREDICTIVE,
+                                  scope=nn.SCOPE_ALL, h=1e-4)
         assert np.array_equal(fd, np.zeros_like(fd))
 
     def test_nonpositive_h_rejected(self, scalar_linear_model):
         with pytest.raises(ConfigError):
-            nn.finite_diff_jacobian(scalar_linear_model, np.zeros(4), h=0.0)
+            finite_diff_jacobian(scalar_linear_model, np.zeros(4), h=0.0)
 
 
 def reference_loss(model, out, y):
@@ -583,7 +584,7 @@ def reference_loss(model, out, y):
 def reference_loss_gradient(model, x, y, mode="eval", rng=None):
     """The loss gradient the in-place training step replaced: backprop through
     every layer, including the input gradient of the first Linear, then one
-    concatenation. Kept as the oracle ``nn.loss_gradient`` and the training
+    concatenation. Kept as the oracle ``loss_gradient`` and the training
     step must match bit for bit."""
     batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
     out, caches = nn._forward_cached(model, batch, len(model.layers),
@@ -755,7 +756,7 @@ class TestTrain:
         with pytest.raises(DataError, match=match):
             nn.train(model, (xs, ys), nn.TrainConfig(epochs=2))
         with pytest.raises(DataError, match=match):
-            nn.loss_gradient(model, xs, ys)
+            loss_gradient(model, xs, ys)
         assert np.array_equal(nn.flatten_params(model), before)
 
     def test_integral_float_targets_train_as_class_indices(self):
@@ -821,7 +822,7 @@ class TestTrain:
     @settings(max_examples=60)
     def test_loss_gradient_matches_the_reference_bit_for_bit(self, case):
         model, (xs, ys), _ = case
-        grad, losses = nn.loss_gradient(model, xs, ys)
+        grad, losses = loss_gradient(model, xs, ys)
         expected, expected_losses = reference_loss_gradient(model, xs, ys)
         assert np.array_equal(grad, expected)
         assert np.array_equal(losses, expected_losses)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from noisestab import baselines, data, nn, seeding, stability, theory
+from oracles import failure_fraction
 
 SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
 SRC = pathlib.Path(seeding.__file__).parent
@@ -42,7 +43,7 @@ class TestStreamBits:
 
 @pytest.mark.parametrize("call", [
     lambda: theory.concentration_trial("magnitude", 10, 4, 0.5, 5, seed=-1),
-    lambda: theory.failure_fraction("magnitude", 10, 4, 0.5, 5, seed=-1),
+    lambda: failure_fraction("magnitude", 10, 4, 0.5, 5, seed=-1),
     lambda: theory.required_samplings(10, 4, 0.5, -1, 0.1, 5),
     lambda: nn.build_mlp(3, [4], 2, seed=-1),
     lambda: data.gen_two_moons(10, 0.1, seed=-1),

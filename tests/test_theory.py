@@ -11,6 +11,7 @@ import pytest
 
 from noisestab import cli, nn, seeding, theory
 from noisestab.stability import NoiseConfig, embedding, perturbation_set
+from oracles import failure_fraction
 
 
 @pytest.fixture
@@ -153,13 +154,13 @@ class TestConcentration:
         assert fracs[0] > fracs[1] > fracs[2] > 0.0
 
     def test_deterministic_per_seed(self):
-        a = theory.failure_fraction("inner_product", 100, 16, 0.4, 200, seed=3)
-        b = theory.failure_fraction("inner_product", 100, 16, 0.4, 200, seed=3)
+        a = failure_fraction("inner_product", 100, 16, 0.4, 200, seed=3)
+        b = failure_fraction("inner_product", 100, 16, 0.4, 200, seed=3)
         assert a == b
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            theory.failure_fraction("volume", 10, 4, 0.5, 10, seed=0)
+            failure_fraction("volume", 10, 4, 0.5, 10, seed=0)
 
     def test_report_cites_bound_form(self):
         report = theory.concentration_trial("magnitude", 50, 16, 0.5, 50, seed=4)
@@ -198,7 +199,7 @@ class TestReducedSamplers:
         ("inner_product", 2, 8, 0.3),   # ~0.44, no chi^2 term left
     ])
     def test_matches_direct_failure_fraction(self, kind, n, samplings, epsilon):
-        direct = theory.failure_fraction(kind, n, samplings, epsilon, 3000, seed=31)
+        direct = failure_fraction(kind, n, samplings, epsilon, 3000, seed=31)
         reduced = theory.reduced_failure_fraction(kind, n, samplings, epsilon,
                                                   12000, seed=32)
         assert 0.05 < reduced < 0.5
@@ -471,7 +472,7 @@ class TestTrialInputs:
     def test_concentration_rejects(self, kind, change, name):
         args = {"n": 200, "samplings": 64, "epsilon": 0.5, "trials": 100,
                 "seed": 0, **change}
-        for check in (theory.failure_fraction, theory.reduced_failure_fraction,
+        for check in (failure_fraction, theory.reduced_failure_fraction,
                       theory.concentration_trial):
             with pytest.raises(ValueError, match=f"^{name} must"):
                 check(kind, **args)
