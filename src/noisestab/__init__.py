@@ -17,8 +17,7 @@ from .data import (Dataset, gen_blobs, gen_linear_regression, gen_two_moons,
 from .loop import (STRATEGIES, CycleReport, ExperimentConfig, PoolState,
                    aggregate_runs, evaluate, run_active_learning, run_single_seed)
 from .nn import (MlpModel, TrainConfig, apply_perturbation, build_mlp,
-                 flatten_params, forward, jacobian, remove_perturbation,
-                 set_params, train)
+                 flatten_params, forward, jacobian, remove_perturbation, train)
 from .selection import (SelectionRequest, greedy_k_center, k_center_normalized,
                         kmeans_pp, select, top_magnitude)
 from .stability import (NoiseConfig, PerturbationSet, embedding,

@@ -157,9 +157,8 @@ def _check_models(seed):
     """Small deterministic models used by the default check suites."""
     linear = nn.MlpModel([nn.Linear(np.array([[0.6, -0.8, 0.3, 0.5]]))], 1)
     mlp = nn.build_mlp(2, [8], 3, task="classification", seed=seed)
-    # scalar tap over the whole Linear/ReLU/Linear stack
-    scalar = nn.build_mlp(3, [8], 1, task="regression", seed=seed + 1,
-                          feature_tap=3)
+    # one output, read at the predictive tap: the whole Linear/ReLU/Linear stack
+    scalar = nn.build_mlp(3, [8], 1, task="regression", seed=seed + 1)
     return linear, mlp, scalar
 
 
@@ -216,11 +215,11 @@ def _parent_checks(suite, seed):
             mlp, np.array([0.5, -1.0]), CHECK_SAMPLINGS, seed,
             tap=nn.TAP_PREDICTIVE))
     if suite in ("distance", "all"):
-        reports.append(theory.check_distance_equivalence(scalar, x_a, x_b,
-                                                         CHECK_SAMPLINGS, seed))
+        reports.append(theory.check_distance_equivalence(
+            scalar, x_a, x_b, CHECK_SAMPLINGS, seed, tap=nn.TAP_PREDICTIVE))
     if suite in ("inner", "all"):
         reports.append(theory.check_inner_product_equivalence(
-            scalar, x_a, x_b, CHECK_SAMPLINGS, seed))
+            scalar, x_a, x_b, CHECK_SAMPLINGS, seed, tap=nn.TAP_PREDICTIVE))
     if suite in ("concentration", "all"):
         for kind in theory.CONCENTRATION_KINDS:
             reports.append(theory.concentration_trial(kind, 200, 64, 0.5,

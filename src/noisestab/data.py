@@ -162,13 +162,15 @@ def load_csv_tabular(path, schema) -> Dataset:
     output positions recorded so standardize() can z-score them from training
     statistics after the split.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+    if header is None:
+        raise FormatError(f"{path}: empty file, expected a header row")
     # each row is read as a dict keyed by the header, which would keep only
     # the last of two same-named columns
     repeated = sorted({c for c in header if header.count(c) > 1})

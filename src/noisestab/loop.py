@@ -230,6 +230,9 @@ def build_dataset(spec: dict, run_seed: int):
 DATASET_MINIMA = {"n_per_class": 1, "classes": 2, "dim": 1, "n": 1,
                   "noise_std": 0, "center_scale": 0, "centers_seed": 0,
                   "weight_seed": 0}
+# a stratified split needs two members of each class: blobs have
+# n_per_class of each, and two_moons puts n // 2 in its smaller class
+DATASET_SPLIT_MINIMA = {"blobs": {"n_per_class": 2}, "two_moons": {"n": 4}}
 # the dataset keys that name an input file (idx images and labels, csv path)
 DATASET_FILE_KEYS = ("images", "labels", "path")
 
@@ -241,6 +244,10 @@ def check_ranges(dataset: dict):
     for key, least in DATASET_MINIMA.items():
         if dataset.get(key, least) < least:
             raise ConfigError(f"dataset.{key} must be >= {least}, got {dataset[key]!r}")
+    for key, least in DATASET_SPLIT_MINIMA.get(dataset["kind"], {}).items():
+        if dataset.get(key, least) < least:
+            raise ConfigError(f"dataset.{key} must be >= {least} so that each "
+                              f"class can be split, got {dataset[key]!r}")
     for key in DATASET_FILE_KEYS:
         if key in dataset and not os.path.isfile(dataset[key]):
             raise ConfigError(f"dataset.{key} names no file: {dataset[key]!r}")

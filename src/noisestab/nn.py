@@ -6,6 +6,10 @@ parameter vector), flattened parameter views, in-place perturbation with
 bit-exact restore (one direction, or a stack of directions evaluated in one
 eval forward), and the analytic Jacobian of a tap (backprop).
 
+A tap names both the output that is read and the parameters that move it:
+the parameters of ``layers[:model.tap_boundary(tap)]``. The predictive tap,
+the default, covers every parameter.
+
 Conventions:
   * all numeric data is float64; inputs may be single examples ``(D,)`` or
     batches ``(B, D)``;
@@ -39,9 +43,6 @@ from .exceptions import (ConfigError, DataError, DimensionError, InvalidStateErr
 
 TAP_FEATURE = "feature"
 TAP_PREDICTIVE = "predictive"
-
-SCOPE_FEATURE = "feature_only"
-SCOPE_ALL = "all"
 
 # Shifted logits below this underflow exp() to exactly 0; clipping keeps
 # softmax outputs strictly positive without visibly changing probabilities.
@@ -245,8 +246,8 @@ class MlpModel:
     """Ordered layer stack with a feature tap splitting it into f (body) and g (head).
 
     ``feature_tap`` is a layer boundary in ``[1, len(layers)]``: the output
-    after ``layers[:feature_tap]`` is the feature vector, and the layers before
-    the tap own the feature-scope parameters.
+    after ``layers[:feature_tap]`` is the feature vector, and the parameters
+    of those layers are the ones that move it.
     """
 
     def __init__(self, layers, feature_tap):
@@ -258,17 +259,11 @@ class MlpModel:
             )
         self.layers = list(layers)
         self.feature_tap = int(feature_tap)
-        self._pristine = None  # (scope, saved flat params) while a perturbation is applied
+        self._pristine = None  # (tap, saved flat params) while a perturbation is applied
 
-    def scope_layers(self, scope):
-        if scope == SCOPE_FEATURE:
-            return range(self.feature_tap)
-        if scope == SCOPE_ALL:
-            return range(len(self.layers))
-        raise ConfigError(f"unknown parameter scope {scope!r}")
-
-    def n_params(self, scope=SCOPE_ALL) -> int:
-        return sum(self.layers[i].n_params for i in self.scope_layers(scope))
+    def n_params(self, tap=TAP_PREDICTIVE) -> int:
+        """Parameters of the layers before the tap's boundary."""
+        return sum(layer.n_params for layer in self.layers[:self.tap_boundary(tap)])
 
     def tap_boundary(self, tap) -> int:
         """Layer boundary whose post-activation realizes the given tap."""
@@ -287,12 +282,13 @@ class MlpModel:
 
 
 def build_mlp(input_dim, hidden, output_dim, *, task="classification",
-              dropout=0.0, bias=True, seed=0, feature_tap=None) -> MlpModel:
+              dropout=0.0, bias=True, seed=0) -> MlpModel:
     """Construct and He-initialize a Linear/ReLU(/Dropout) stack.
 
     Classification models end in Linear + Softmax, regression models in a bare
-    Linear. The default feature tap sits just before the final Linear, so the
-    body is the hidden stack and the head is the output layer.
+    Linear. The feature tap sits just before the final Linear, so the body
+    is the hidden stack and the head is the output layer; with no hidden
+    stack it sits after the output Linear.
     """
     gen = seeding.rng(seed)
     layers = []
@@ -305,16 +301,12 @@ def build_mlp(input_dim, hidden, output_dim, *, task="classification",
             layers.append(Dropout(dropout))
         prev = width
     w = gen.normal(0.0, np.sqrt(1.0 / prev), size=(output_dim, prev))
-    tap_default = len(layers) if layers else None
+    feature_tap = len(layers) or 1
     layers.append(Linear(w, np.zeros(output_dim) if bias else None))
     if task == "classification":
         layers.append(Softmax())
     elif task != "regression":
         raise ConfigError(f"unknown task {task!r}")
-    if feature_tap is None:
-        # with no hidden stack the only boundary before the head is degenerate;
-        # fall back to tapping the raw output layer
-        feature_tap = tap_default if tap_default else 1
     return MlpModel(layers, feature_tap)
 
 
@@ -408,43 +400,35 @@ def forward_to(model, x, boundary):
     return acts[0] if squeeze else acts
 
 
-def flatten_params(model, scope=SCOPE_ALL):
-    """Scoped parameters as one vector, layer-major then row-major."""
-    parts = [model.layers[i].flat_params()
-             for i in model.scope_layers(scope) if model.layers[i].n_params]
+def flatten_params(model, tap=TAP_PREDICTIVE):
+    """Parameters before the tap as one vector, layer-major then row-major."""
+    parts = [layer.flat_params() for layer in model.layers[:model.tap_boundary(tap)]
+             if layer.n_params]
     if not parts:
         return np.zeros(0)
     return np.concatenate(parts)
 
 
-def set_params(model, vec, scope=SCOPE_ALL):
-    """Write a flat vector back into the scoped layers (inverse of flatten)."""
-    vec = np.asarray(vec, dtype=np.float64)
-    expected = model.n_params(scope)
-    if vec.shape != (expected,):
-        raise DimensionError(f"expected parameter vector of length {expected}, got {vec.shape}")
-    _write_params(model, vec, scope)
-
-
-def _write_params(model, vec, scope):
-    """Write an (n,) vector, or a (Kc, n) stack, into the scoped layers."""
+def _write_params(model, vec, tap=TAP_PREDICTIVE):
+    """Write an (n,) vector, or a (Kc, n) stack, into the layers before the
+    tap (inverse of ``flatten_params``)."""
     offset = 0
-    for i in model.scope_layers(scope):
-        layer = model.layers[i]
+    for layer in model.layers[:model.tap_boundary(tap)]:
         if layer.n_params == 0:
             continue
         layer.set_flat_params(vec[..., offset:offset + layer.n_params])
         offset += layer.n_params
 
 
-def apply_perturbation(model, delta, scope=SCOPE_ALL):
-    """Add ``delta`` to the scoped parameters, keeping a pristine copy.
+def apply_perturbation(model, delta, tap=TAP_PREDICTIVE):
+    """Add ``delta`` to the parameters before the tap, keeping a pristine copy.
 
     ``delta`` is one direction, shape (n,), or a stack of Kc directions,
-    shape (Kc, n). A stack leaves each scoped Linear holding (Kc, out, in)
-    weights, ``current + delta`` broadcast over the stack, so row k has the
-    bits a separate apply of ``delta[k]`` would give. Until the matching
-    ``remove_perturbation`` only ``forward_to`` evaluates such a model.
+    shape (Kc, n). A stack leaves each Linear before the tap holding
+    (Kc, out, in) weights, ``current + delta`` broadcast over the stack, so
+    row k has the bits a separate apply of ``delta[k]`` would give. Until the
+    matching ``remove_perturbation`` only ``forward_to`` evaluates such a
+    model.
 
     Restoring from the saved copy (rather than subtracting) makes
     apply/remove bit-exact under floating-point non-associativity.
@@ -452,27 +436,28 @@ def apply_perturbation(model, delta, scope=SCOPE_ALL):
     if model._pristine is not None:
         raise InvalidStateError("a perturbation is already applied; remove it first")
     delta = np.asarray(delta, dtype=np.float64)
-    current = flatten_params(model, scope)
+    current = flatten_params(model, tap)
     if delta.ndim not in (1, 2) or delta.shape[-1:] != current.shape:
         raise DimensionError(
             f"delta shape {delta.shape} is neither ({current.size},) nor a "
-            f"(Kc, {current.size}) stack of scoped parameter vectors"
+            f"(Kc, {current.size}) stack of parameter vectors before the tap"
         )
-    model._pristine = (scope, current)
-    _write_params(model, current + delta, scope)
+    model._pristine = (tap, current)
+    _write_params(model, current + delta, tap)
 
 
 def remove_perturbation(model):
     """Restore the parameters saved by the matching apply_perturbation."""
     if model._pristine is None:
         raise InvalidStateError("no perturbation to remove")
-    scope, saved = model._pristine
-    _write_params(model, saved, scope)
+    tap, saved = model._pristine
+    _write_params(model, saved, tap)
     model._pristine = None
 
 
-def jacobian(model, x, tap=TAP_FEATURE, scope=SCOPE_FEATURE):
-    """Analytic Jacobian of the tap output w.r.t. the scoped flat parameters.
+def jacobian(model, x, tap=TAP_FEATURE):
+    """Analytic Jacobian of the tap output w.r.t. the flat parameters before
+    the tap, in ``flatten_params`` order.
 
     Row i is the gradient of output coordinate i; computed by backpropagating
     the full identity seed matrix in one sweep (one backward per layer, all
@@ -485,7 +470,7 @@ def jacobian(model, x, tap=TAP_FEATURE, scope=SCOPE_FEATURE):
     out, caches = _forward_cached(model, xb, boundary)
     d = out.shape[1]
     grad = np.eye(d)
-    blocks = {}
+    blocks = []  # each Linear layer's columns, last layer first
     for i in range(boundary - 1, -1, -1):
         layer = model.layers[i]
         # caches were built for a 1-row batch; every backward here is linear in
@@ -497,23 +482,13 @@ def jacobian(model, x, tap=TAP_FEATURE, scope=SCOPE_FEATURE):
             parts = [grad_w.reshape(d, -1)]
             if layer.bias is not None:
                 parts.append(grad)
-            blocks[i] = np.hstack(parts)
+            blocks.append(np.hstack(parts))
             grad = grad @ layer.weight
         else:
             grad = layer.backward(grad, cache)
-    columns = []
-    for i in model.scope_layers(scope):
-        layer = model.layers[i]
-        if layer.n_params == 0:
-            continue
-        if i in blocks:
-            columns.append(blocks[i])
-        else:
-            # parameters in scope but downstream of the tap cannot move it
-            columns.append(np.zeros((d, layer.n_params)))
-    if not columns:
+    if not blocks:
         return np.zeros((d, 0))
-    return np.hstack(columns)
+    return np.hstack(blocks[::-1])
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
@@ -704,7 +679,7 @@ def train(model, labeled, cfg: TrainConfig):
             raise InvalidStateError("cannot train on an empty labeled set")
         return []
     gen = seeding.rng(cfg.seed)
-    theta = flatten_params(model, SCOPE_ALL)
+    theta = flatten_params(model)
     grad = np.empty_like(theta)
     grads = _param_views(model, grad)
     state = _AdamState(cfg.lr, theta.size)
@@ -728,5 +703,5 @@ def train(model, labeled, cfg: TrainConfig):
             curve.append(float(epoch_losses.sum() / n))
     finally:
         np.setbufsize(previous)
-        _write_params(model, theta, SCOPE_ALL)
+        _write_params(model, theta)
     return curve

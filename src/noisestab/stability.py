@@ -1,10 +1,10 @@
 """Parameter-noise deviation embeddings.
 
 One cycle's noise is a shared set of K unit directions u and a scale equal to
-zeta times the L2 norm of the scoped parameters. Each unlabeled example is
-embedded by the concatenation of its K normalized output deviations, scaled by
-sqrt(n/K); the embedding's length is the uncertainty score and its direction
-drives diverse batch selection.
+zeta times the L2 norm of the parameters before the tap, the ones the noise
+moves. Each unlabeled example is embedded by the concatenation of its K
+normalized output deviations, scaled by sqrt(n/K); the embedding's length is
+the uncertainty score and its direction drives diverse batch selection.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ _TAPS = (nn.TAP_FEATURE, nn.TAP_PREDICTIVE)
 
 # entries one chunk of directions may take (the size of
 # selection._BLOCK_ENTRIES): each direction costs its activations over the
-# rows, N times the widest layer up to the tap, plus its copy of the scoped
-# parameters. A pool of thousands runs one direction per pass; a single
-# example runs hundreds.
+# rows, N times the widest layer up to the tap, plus its copy of the
+# parameters before the tap. A pool of thousands runs one direction per pass;
+# a single example runs hundreds.
 _CHUNK_ENTRIES = 32768
 
 
@@ -31,8 +31,9 @@ _CHUNK_ENTRIES = 32768
 class NoiseConfig:
     """Noise magnitude and sampling settings for one embedding pass.
 
-    ``tap`` picks where deviations are read: the deep feature or the
-    predictive output. ``seed`` picks the directions. Experiment configs set
+    ``tap`` picks where deviations are read, the deep feature or the
+    predictive output, and so the parameters the noise moves: those before
+    it. ``seed`` picks the directions. Experiment configs set
     neither: the loop derives a seed per run seed and cycle, and the tap
     follows the dataset's task (``loop.ExperimentConfig``).
     """
@@ -50,22 +51,15 @@ class NoiseConfig:
         if self.tap not in _TAPS:
             raise ConfigError(f"unknown tap {self.tap!r}")
 
-    @property
-    def scope(self) -> str:
-        """The parameters that feed the tap: the body for the feature tap, all
-        parameters for the output taps."""
-        return nn.SCOPE_FEATURE if self.tap == nn.TAP_FEATURE else nn.SCOPE_ALL
-
 
 @dataclass
 class PerturbationSet:
-    """K unit directions, the shared scale zeta * ||theta||, and the tap and
-    parameter scope they apply to."""
+    """K unit directions over the parameters before the tap, the shared
+    scale zeta * ||theta||, and the tap."""
 
     directions: np.ndarray  # (K, n), rows unit-norm
     magnitude: float
     tap: str
-    scope: str
 
     @property
     def n(self) -> int:
@@ -103,14 +97,14 @@ def sample_directions(n, samplings, seed) -> np.ndarray:
 
 def perturbation_set(model, cfg: NoiseConfig) -> PerturbationSet:
     """Sample the cycle's directions and attach the scale from the current
-    scoped parameter norm."""
-    n = model.n_params(cfg.scope)
+    norm of the parameters before the tap."""
+    n = model.n_params(cfg.tap)
     directions = sample_directions(n, cfg.samplings, cfg.seed)
-    theta_norm = float(np.linalg.norm(nn.flatten_params(model, cfg.scope)))
+    theta_norm = float(np.linalg.norm(nn.flatten_params(model, cfg.tap)))
     if theta_norm == 0.0:
-        raise InvalidStateError("scoped parameters have zero norm; cannot scale noise")
+        raise InvalidStateError("parameters before the tap have zero norm; cannot scale noise")
     return PerturbationSet(directions=directions, magnitude=cfg.zeta * theta_norm,
-                           tap=cfg.tap, scope=cfg.scope)
+                           tap=cfg.tap)
 
 
 def _chunk_size(model, boundary, n_rows, n_params):
@@ -140,13 +134,11 @@ def _deviations(model, xs, pset, directions):
     for start in range(0, n_dirs, chunk):
         stop = min(start + chunk, n_dirs)
         nn.apply_perturbation(model, pset.magnitude * directions[start:stop],
-                              pset.scope)
+                              pset.tap)
         try:
             perturbed = nn.forward_to(model, xs, boundary)
         finally:
             nn.remove_perturbation(model)
-        # perturbed is (Kc, N, d), or (N, d) when no scoped layer precedes
-        # the tap
         by_direction[start:stop] = (perturbed - base) / pset.magnitude
     return out
 

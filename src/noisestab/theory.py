@@ -111,7 +111,7 @@ def check_jacobian_norm(model, x, samplings, seed, zeta=1e-4,
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS["jacobian_norm"]
     cfg = NoiseConfig(zeta=zeta, samplings=samplings, seed=seed, tap=tap)
-    jac = nn.jacobian(model, x, tap=cfg.tap, scope=cfg.scope)
+    jac = nn.jacobian(model, x, tap=tap)
     frob2 = float(np.sum(jac * jac))
     if frob2 == 0.0:
         return CheckReport.make("jacobian_norm", samplings, 0.0, threshold, seed,
@@ -128,8 +128,8 @@ def _pair_embeddings(model, x_i, x_j, samplings, seed, zeta, tap):
     pset = perturbation_set(model, cfg)
     e_i = embedding(model, np.asarray(x_i, dtype=np.float64), pset)
     e_j = embedding(model, np.asarray(x_j, dtype=np.float64), pset)
-    j_i = nn.jacobian(model, x_i, tap=cfg.tap, scope=cfg.scope)
-    j_j = nn.jacobian(model, x_j, tap=cfg.tap, scope=cfg.scope)
+    j_i = nn.jacobian(model, x_i, tap=tap)
+    j_j = nn.jacobian(model, x_j, tap=tap)
     return e_i, e_j, j_i, j_j
 
 

@@ -4,7 +4,8 @@ No run, check, sweep or benchmark calls these; tests do. Each computes
 directly what the package computes another way:
 
 * ``finite_diff_jacobian``: central differences, the oracle for
-  ``nn.jacobian``;
+  ``nn.jacobian``, through ``set_params``, which writes a flat vector back
+  into the layers before a tap;
 * ``loss_gradient``: one eval-mode step of ``nn.train``'s backprop into a new
   vector, the autodiff side of the BADGE identity;
 * ``deviation_block``: one example's deviation for one direction, through
@@ -19,28 +20,37 @@ import path of its test modules.
 import numpy as np
 
 from noisestab import nn, seeding, stability, theory
-from noisestab.exceptions import ConfigError
+from noisestab.exceptions import ConfigError, DimensionError
 
 
-def finite_diff_jacobian(model, x, tap=nn.TAP_FEATURE, scope=nn.SCOPE_FEATURE,
-                         h=1e-5):
+def set_params(model, vec, tap=nn.TAP_PREDICTIVE):
+    """Write a flat vector into the layers before the tap (inverse of
+    ``nn.flatten_params``)."""
+    vec = np.asarray(vec, dtype=np.float64)
+    expected = model.n_params(tap)
+    if vec.shape != (expected,):
+        raise DimensionError(f"expected parameter vector of length {expected}, got {vec.shape}")
+    nn._write_params(model, vec, tap)
+
+
+def finite_diff_jacobian(model, x, tap=nn.TAP_FEATURE, h=1e-5):
     """Central-difference Jacobian oracle, (f(θ+h·eⱼ) − f(θ−h·eⱼ)) / 2h."""
     if h <= 0:
         raise ConfigError("finite-difference step h must be positive")
     boundary = model.tap_boundary(tap)
     work = model.copy()
-    theta = nn.flatten_params(work, scope)
+    theta = nn.flatten_params(work, tap)
     base = np.atleast_1d(nn.forward_to(work, x, boundary))
     jac = np.zeros((base.size, theta.size))
     for j in range(theta.size):
         step = np.zeros_like(theta)
         step[j] = h
-        nn.set_params(work, theta + step, scope)
+        set_params(work, theta + step, tap)
         plus = np.atleast_1d(nn.forward_to(work, x, boundary))
-        nn.set_params(work, theta - step, scope)
+        set_params(work, theta - step, tap)
         minus = np.atleast_1d(nn.forward_to(work, x, boundary))
         jac[:, j] = (plus - minus) / (2.0 * h)
-    nn.set_params(work, theta, scope)
+    set_params(work, theta, tap)
     return jac
 
 

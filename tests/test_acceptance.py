@@ -49,9 +49,8 @@ def test_criterion_01_jacobian_norm_identity():
     model = nn.build_mlp(2, [8], 3, task="classification", seed=202)
     x = np.array([0.5, -1.0])
     start = time.perf_counter()
-    jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_ALL)
-    fd = finite_diff_jacobian(model, x, tap=nn.TAP_PREDICTIVE,
-                              scope=nn.SCOPE_ALL, h=1e-5)
+    jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE)
+    fd = finite_diff_jacobian(model, x, tap=nn.TAP_PREDICTIVE, h=1e-5)
     oracle_gap = float(np.abs(jac - fd).max())
     check = theory.check_jacobian_norm(model, x, 5000, seed=11, zeta=1e-4,
                                        tap=nn.TAP_PREDICTIVE, threshold=0.05)

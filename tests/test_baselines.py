@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from noisestab import baselines, nn
 from noisestab.exceptions import ConfigError, DataError, NonFiniteError
-from oracles import loss_gradient
+from oracles import loss_gradient, set_params
 
 
 class TestSelectRandom:
@@ -209,7 +209,7 @@ class TestRowsAlone:
         # what else is in the pool
         gen = np.random.default_rng(seed)
         model = nn.build_mlp(8, [24], 4, seed=seed % 2**31)
-        nn.set_params(model, gen.normal(0.0, 0.5, size=model.n_params()))
+        set_params(model, gen.normal(0.0, 0.5, size=model.n_params()))
         pool = gen.normal(0.0, 2.0, size=(n, 8))
         labeled = gen.normal(0.0, 2.0, size=(n_labeled, 8))
         feats, probs = nn.forward(model, pool)

@@ -165,6 +165,24 @@ class TestRun:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert run_cli("run", str(tmp_path / "absent.json")) == 2
 
+    @pytest.mark.parametrize("kind,message", [
+        ("directory", "error: cannot read config file {}: "),
+        ("utf16", "error: config file {} is not UTF-8 text")],
+        ids=["directory", "utf16"])
+    def test_unreadable_config_exits_2_before_any_output(self, tmp_path, capsys,
+                                                         monkeypatch, kind, message):
+        # each used to exit 1 with a bare IsADirectoryError or
+        # UnicodeDecodeError traceback
+        path = tmp_path / "c.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", str(path)) == 2
+        assert capsys.readouterr().err.startswith(message.format(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     @pytest.mark.parametrize("seeds", ["1,,2", "a"])
     def test_malformed_seeds_exit_2_naming_the_flag(self, config_path, tmp_path,
                                                      capsys, seeds):
@@ -268,6 +286,7 @@ class TestRun:
         ("noise", "zeta", "NaN", "noise.zeta must be a finite number"),
         ("train", "lr", "Infinity", "train.lr must be a finite number"),
         ("dataset", "n_per_class", "-3", "dataset.n_per_class must be >= 1"),
+        ("dataset", "n_per_class", "1", "dataset.n_per_class must be >= 2"),
         ("dataset", "test_fraction", "1.5", "dataset.test_fraction must be in"),
         ("model", "dropout", "1.5", "model.dropout must be in"),
         ("dataset", "classes", "1", "dataset.classes must be >= 2"),
@@ -439,6 +458,22 @@ class TestRuntimeFailure:
             "error": "NonFiniteError",
             "message": "seed 0, cycle 1, phase train: "
                        "loss or parameters are NaN or infinite"}
+
+    def test_csv_that_is_not_utf8_exits_1_before_any_output(self, tmp_path,
+                                                            capsys):
+        # the dataset check used to die with a bare UnicodeDecodeError
+        table = tmp_path / "t.csv"
+        table.write_bytes(b"x,y\n" + b"".join(f"{i},{i / 2}\n".encode()
+                                              for i in range(20)) + b"\xff,1\n")
+        dataset = {"kind": "csv", "path": str(table),
+                   "schema": {"x": "numeric", "y": "target"}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, dataset=dataset)))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "FormatError", "message": f"{table}: not UTF-8 text"}
+        assert not out.exists()
 
 
 class TestCheck:

@@ -86,6 +86,15 @@ class TestParsing:
         bad.write_text("{nope")
         with pytest.raises(ConfigError, match="valid JSON"):
             load_experiment_config(bad)
+        # each used to raise a bare IsADirectoryError or UnicodeDecodeError
+        with pytest.raises(ConfigError,
+                           match=f"^cannot read config file {re.escape(str(tmp_path))}: "):
+            load_experiment_config(tmp_path)
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError,
+                           match=f"^config file {re.escape(str(utf16))} is not UTF-8"):
+            load_experiment_config(utf16)
 
     def test_k_dpp_selector_rejected_at_load(self, tmp_path):
         path = tmp_path / "k_dpp.json"
@@ -149,6 +158,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("dataset", "n_per_class", -3, "dataset.n_per_class must be >= 1"),
+        ("dataset", "n_per_class", 1, "dataset.n_per_class must be >= 2"),
         ("dataset", "classes", 0, "dataset.classes must be >= 2"),
         ("dataset", "dim", 0, "dataset.dim must be >= 1"),
         ("dataset", "test_fraction", 1.5, "dataset.test_fraction must be in"),
@@ -217,7 +227,9 @@ class TestParsing:
         ({"kind": "linear_regression", "n": 20, "dim": 2, "noise_std": -0.1},
          "dataset.noise_std must be >= 0"),
         ({"kind": "two_moons", "n": 20, "noise_std": -0.5},
-         "dataset.noise_std must be >= 0")])
+         "dataset.noise_std must be >= 0"),
+        ({"kind": "two_moons", "n": 1, "noise_std": 0.1}, "dataset.n must be >= 4"),
+        ({"kind": "two_moons", "n": 3, "noise_std": 0.1}, "dataset.n must be >= 4")])
     def test_seeds_and_noise_of_other_dataset_kinds_range_checked(self, dataset,
                                                                   message):
         # a negative seed used to die in SeedSequence with a bare ValueError,

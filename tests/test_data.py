@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -193,6 +194,13 @@ class TestCsvLoader:
         path = tmp_path / "dup.csv"
         path.write_text("a,a,y\n1,10,0.5\n2,20,0.7\n")
         with pytest.raises(DataError, match=r"header repeats columns: \['a'\]"):
+            data.load_csv_tabular(path, {"a": "numeric", "y": "target"})
+
+    def test_file_that_is_not_utf8_names_the_path(self, tmp_path):
+        # used to raise a bare UnicodeDecodeError
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,y\n1,0.5\n\xff,0.7\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not UTF-8"):
             data.load_csv_tabular(path, {"a": "numeric", "y": "target"})
 
     def test_schema_must_cover_all_columns(self, csv_path):

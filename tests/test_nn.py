@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from noisestab import nn, stability
 from noisestab.exceptions import (ConfigError, DataError, DimensionError,
                                   InvalidStateError, NonFiniteError)
-from oracles import finite_diff_jacobian, loss_gradient
+from oracles import finite_diff_jacobian, loss_gradient, set_params
 
 
 class TestForward:
@@ -168,25 +168,24 @@ class TestFeatureMajorForward:
            dropout=st.sampled_from([0.0, 0.3]),
            n_rows=st.one_of(st.integers(0, 40), st.just(_PAST_CHUNK_BUDGET_ROWS)),
            stack=st.integers(0, 3),
-           scope=st.sampled_from([nn.SCOPE_FEATURE, nn.SCOPE_ALL]),
            special=st.booleans(), signed_zero=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     @example(depth=1, width=6, dim=1, task="classification", classes=3,
              bias=True, dropout=0.0, n_rows=_PAST_CHUNK_BUDGET_ROWS, stack=0,
-             scope=nn.SCOPE_ALL, special=True, signed_zero=True, seed=1)
+             special=True, signed_zero=True, seed=1)
     @example(depth=1, width=5, dim=2, task="classification", classes=3,
-             bias=True, dropout=0.0, n_rows=9, stack=3, scope=nn.SCOPE_ALL,
-             special=True, signed_zero=False, seed=4)
+             bias=True, dropout=0.0, n_rows=9, stack=3, special=True,
+             signed_zero=False, seed=4)
     @example(depth=2, width=3, dim=2, task="classification", classes=4,
-             bias=True, dropout=0.3, n_rows=1, stack=1, scope=nn.SCOPE_FEATURE,
-             special=False, signed_zero=True, seed=2)
+             bias=True, dropout=0.3, n_rows=1, stack=1, special=False,
+             signed_zero=True, seed=2)
     @example(depth=0, width=1, dim=3, task="regression", classes=2, bias=False,
-             dropout=0.0, n_rows=0, stack=0, scope=nn.SCOPE_ALL, special=True,
-             signed_zero=False, seed=3)
+             dropout=0.0, n_rows=0, stack=0, special=True, signed_zero=False,
+             seed=3)
     @settings(max_examples=60)
     def test_equals_the_row_major_reference_bit_for_bit(
             self, depth, width, dim, task, classes, bias, dropout, n_rows, stack,
-            scope, special, signed_zero, seed):
+            special, signed_zero, seed):
         gen = np.random.default_rng(seed)
         model = nn.build_mlp(dim, [width] * depth, classes, task=task,
                              dropout=dropout, bias=bias, seed=seed)
@@ -205,7 +204,7 @@ class TestFeatureMajorForward:
             xs[-1:] = -1.0
         if stack:
             nn.apply_perturbation(
-                model, 0.1 * gen.normal(size=(stack, model.n_params(scope))), scope)
+                model, 0.1 * gen.normal(size=(stack, model.n_params())))
         with np.errstate(all="ignore"):
             for tap in (nn.TAP_FEATURE, nn.TAP_PREDICTIVE):
                 boundary = model.tap_boundary(tap)
@@ -261,14 +260,14 @@ class TestEvalBufferSize:
         boundary = model.tap_boundary(tap)
         cfg = stability.NoiseConfig(samplings=3, seed=5, tap=tap)
         stack = 1e-3 * np.random.default_rng(6).normal(
-            size=(2, model.n_params(cfg.scope)))
+            size=(2, model.n_params(tap)))
         outputs = []
         for size in CALLER_BUFSIZES:
             got = []
             with caller_bufsize(size):
                 got.append(nn.forward_to(model, pool, boundary))
                 assert np.getbufsize() == size
-                nn.apply_perturbation(model, stack, cfg.scope)
+                nn.apply_perturbation(model, stack, tap)
                 try:
                     got.append(nn.forward_to(model, pool, boundary))
                     assert np.getbufsize() == size
@@ -335,13 +334,13 @@ class TestFlattenParams:
 
     def test_roundtrip_is_bit_exact(self, hand_232_model):
         vec = nn.flatten_params(hand_232_model)
-        nn.set_params(hand_232_model, vec)
+        set_params(hand_232_model, vec)
         assert np.array_equal(nn.flatten_params(hand_232_model), vec)
 
     def test_232_net_with_biases_counts_17_params(self, hand_232_model):
-        assert nn.flatten_params(hand_232_model, nn.SCOPE_ALL).shape == (17,)
-        assert hand_232_model.n_params(nn.SCOPE_ALL) == 17
-        assert hand_232_model.n_params(nn.SCOPE_FEATURE) == 9
+        assert nn.flatten_params(hand_232_model, nn.TAP_PREDICTIVE).shape == (17,)
+        assert hand_232_model.n_params(nn.TAP_PREDICTIVE) == 17
+        assert hand_232_model.n_params(nn.TAP_FEATURE) == 9
 
     def test_order_is_layer_major_then_row_major(self):
         w1 = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -356,7 +355,7 @@ class TestFlattenParams:
     def test_write_back_roundtrip_for_random_vectors(self, seed):
         model = nn.build_mlp(3, [4], 2, seed=1)
         vec = np.random.default_rng(seed).normal(size=model.n_params())
-        nn.set_params(model, vec)
+        set_params(model, vec)
         assert np.array_equal(nn.flatten_params(model), vec)
 
 
@@ -383,7 +382,7 @@ class TestPerturbation:
         x = np.array([1.5, -0.5, 2.0, 0.25])
         delta = np.array([0.01, -0.02, 0.03, 0.04])
         _, base = nn.forward(scalar_linear_model, x)
-        nn.apply_perturbation(scalar_linear_model, delta, nn.SCOPE_FEATURE)
+        nn.apply_perturbation(scalar_linear_model, delta, nn.TAP_FEATURE)
         _, shifted = nn.forward(scalar_linear_model, x)
         nn.remove_perturbation(scalar_linear_model)
         assert shifted[0] - base[0] == pytest.approx(delta @ x, abs=1e-15)
@@ -403,41 +402,48 @@ class TestPerturbation:
         nn.remove_perturbation(hand_232_model)
 
 
-def _stack_case(seed, bias, scope):
+def _stack_case(seed, bias, tap=nn.TAP_PREDICTIVE):
     gen = np.random.default_rng(seed)
     model = nn.build_mlp(3, [5, 4], 3, dropout=0.25 if seed % 2 else 0.0,
                          bias=bias, seed=seed)
-    stack = gen.normal(size=(int(gen.integers(1, 6)), model.n_params(scope)))
+    stack = gen.normal(size=(int(gen.integers(1, 6)), model.n_params(tap)))
     return model, stack, gen.normal(size=(int(gen.integers(0, 7)), 3))
 
 
 class TestStackedPerturbation:
-    @given(seed=st.integers(0, 2**32 - 1), bias=st.booleans(),
-           scope=st.sampled_from([nn.SCOPE_FEATURE, nn.SCOPE_ALL]))
+    @given(seed=st.integers(0, 2**32 - 1), bias=st.booleans())
     @settings(max_examples=25)
-    def test_apply_then_remove_restores_bit_exactly(self, seed, bias, scope):
-        model, stack, _ = _stack_case(seed, bias, scope)
+    def test_apply_then_remove_restores_bit_exactly(self, seed, bias):
+        model, stack, _ = _stack_case(seed, bias)
         before = nn.flatten_params(model)
-        nn.apply_perturbation(model, stack, scope)
-        assert model.n_params(scope) == stack.shape[1]
+        nn.apply_perturbation(model, stack)
+        assert model.n_params() == stack.shape[1]
         nn.remove_perturbation(model)
         assert np.array_equal(nn.flatten_params(model), before)
         assert all(l.weight.ndim == 2 for l in model.layers if isinstance(l, nn.Linear))
 
     @given(seed=st.integers(0, 2**32 - 1), bias=st.booleans(),
-           scope=st.sampled_from([nn.SCOPE_FEATURE, nn.SCOPE_ALL]),
            tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE]))
     @settings(max_examples=40)
-    def test_each_direction_has_the_bits_of_a_separate_apply(self, seed, bias,
-                                                              scope, tap):
-        model, stack, xs = _stack_case(seed, bias, scope)
+    def test_each_direction_has_the_bits_of_a_separate_apply(self, seed, bias, tap):
+        model, stack, xs = _stack_case(seed, bias, tap)
         boundary = model.tap_boundary(tap)
-        nn.apply_perturbation(model, stack, scope)
+        after_tap = [layer for layer in model.layers[boundary:]
+                     if isinstance(layer, nn.Linear)]
+        unmoved = [layer.flat_params().tobytes() for layer in after_tap]
+        nn.apply_perturbation(model, stack, tap)
+        # the noise moves the parameters before the tap and nothing after it
+        assert all(layer.weight.ndim == 2 for layer in after_tap)
+        assert [layer.flat_params().tobytes() for layer in after_tap] == unmoved
+        # each Linear before the tap holds one (out, in) weight per direction
+        assert model.n_params(tap) == sum(
+            layer.weight[0].size + (0 if layer.bias is None else layer.bias[0].size)
+            for layer in model.layers[:boundary] if isinstance(layer, nn.Linear))
         stacked = nn.forward_to(model, xs, boundary)
         nn.remove_perturbation(model)
         assert stacked.shape == (len(stack),) + nn.forward_to(model, xs, boundary).shape
         for k, delta in enumerate(stack):
-            nn.apply_perturbation(model, delta, scope)
+            nn.apply_perturbation(model, delta, tap)
             alone = nn.forward_to(model, xs, boundary)
             nn.remove_perturbation(model)
             assert np.array_equal(stacked[k], alone)
@@ -490,21 +496,14 @@ class TestJacobian:
     def test_relu_net_matches_finite_differences(self):
         model = nn.build_mlp(2, [4], 3, task="regression", seed=11)
         x = np.array([0.8, -0.6])
-        for tap, scope in ((nn.TAP_FEATURE, nn.SCOPE_FEATURE),
-                           (nn.TAP_PREDICTIVE, nn.SCOPE_ALL)):
-            jac = nn.jacobian(model, x, tap=tap, scope=scope)
-            fd = finite_diff_jacobian(model, x, tap=tap, scope=scope, h=1e-5)
+        for tap in (nn.TAP_FEATURE, nn.TAP_PREDICTIVE):
+            jac = nn.jacobian(model, x, tap=tap)
+            fd = finite_diff_jacobian(model, x, tap=tap, h=1e-5)
             assert np.abs(jac - fd).max() < 1e-6
 
     def test_unknown_tap_rejected(self, hand_232_model):
         with pytest.raises(ConfigError):
             nn.jacobian(hand_232_model, np.zeros(2), tap="nowhere")
-
-    def test_feature_tap_with_all_scope_zeroes_head_columns(self, hand_232_model):
-        jac = nn.jacobian(hand_232_model, np.array([1.0, 2.0]),
-                          tap=nn.TAP_FEATURE, scope=nn.SCOPE_ALL)
-        assert jac.shape == (3, 17)
-        assert np.array_equal(jac[:, 9:], np.zeros((3, 8)))
 
     def test_gradient_check_sweep_over_random_nets(self):
         from conftest import random_relu_net
@@ -525,9 +524,8 @@ class TestJacobian:
                 pre = out[0]
             if near_kink:
                 continue
-            jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_ALL)
-            fd = finite_diff_jacobian(model, x, tap=nn.TAP_PREDICTIVE,
-                                      scope=nn.SCOPE_ALL, h=1e-5)
+            jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE)
+            fd = finite_diff_jacobian(model, x, tap=nn.TAP_PREDICTIVE, h=1e-5)
             assert np.abs(jac - fd).max() < 1e-5
             checked += 1
 
@@ -545,11 +543,10 @@ class TestFiniteDiff:
         # central differences would be exact regardless of h
         model = nn.build_mlp(2, [4], 2, task="classification", seed=3)
         x = np.array([0.9, 0.7])
-        jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_ALL)
+        jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE)
         errs = []
         for h in (1e-2, 5e-3, 2.5e-3):
-            fd = finite_diff_jacobian(model, x, tap=nn.TAP_PREDICTIVE,
-                                      scope=nn.SCOPE_ALL, h=h)
+            fd = finite_diff_jacobian(model, x, tap=nn.TAP_PREDICTIVE, h=h)
             errs.append(np.abs(fd - jac).max())
         assert errs[0] > errs[1] > errs[2]
 
@@ -558,7 +555,7 @@ class TestFiniteDiff:
         model = nn.MlpModel([nn.Linear(np.ones((3, 2))), nn.ReLU(),
                              nn.Linear(np.ones((2, 3)))], 2)
         fd = finite_diff_jacobian(model, np.zeros(2), tap=nn.TAP_PREDICTIVE,
-                                  scope=nn.SCOPE_ALL, h=1e-4)
+                                  h=1e-4)
         assert np.array_equal(fd, np.zeros_like(fd))
 
     def test_nonpositive_h_rejected(self, scalar_linear_model):
@@ -652,7 +649,7 @@ def reference_train(model, labeled, cfg):
                                                    mode="train", rng=gen)
             epoch_losses[idx] = losses
             theta = state.step(nn.flatten_params(model), grad)
-            nn.set_params(model, theta)
+            set_params(model, theta)
         curve.append(float(epoch_losses.sum() / n))
     return curve
 
@@ -831,8 +828,8 @@ class TestTrain:
         written = []
         write = nn._write_params
         monkeypatch.setattr(nn, "_write_params",
-                            lambda model, vec, scope: (written.append(vec),
-                                                       write(model, vec, scope)))
+                            lambda model, vec, *tap: (written.append(vec),
+                                                      write(model, vec, *tap)))
         model = nn.build_mlp(3, [5, 4], 2, seed=1)
         gen = np.random.default_rng(0)
         nn.train(model, (gen.normal(size=(20, 3)), gen.integers(0, 2, size=20)),

@@ -34,7 +34,7 @@ def reference_deviations(model, xs, pset, ks):
     base = nn.forward_to(model, xs, boundary)
     out = np.empty((base.shape[0], len(ks), base.shape[1]))
     for i, k in enumerate(ks):
-        nn.apply_perturbation(model, pset.magnitude * pset.directions[k], pset.scope)
+        nn.apply_perturbation(model, pset.magnitude * pset.directions[k], pset.tap)
         try:
             perturbed = nn.forward_to(model, xs, boundary)
         finally:
@@ -98,10 +98,6 @@ class TestSampleDirections:
 
 
 class TestNoiseConfig:
-    def test_tap_determines_scope(self):
-        assert NoiseConfig(tap=nn.TAP_FEATURE).scope == nn.SCOPE_FEATURE
-        assert NoiseConfig(tap=nn.TAP_PREDICTIVE).scope == nn.SCOPE_ALL
-
     def test_invalid_magnitude_rejected(self):
         with pytest.raises(ConfigError):
             NoiseConfig(zeta=0.0)
@@ -187,7 +183,7 @@ class TestEmbedding:
         cfg = NoiseConfig(zeta=1e-4, samplings=4000, seed=3,
                           tap=nn.TAP_PREDICTIVE)
         emb = embedding(model, x, perturbation_set(model, cfg))
-        jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_ALL)
+        jac = nn.jacobian(model, x, tap=nn.TAP_PREDICTIVE)
         frob2 = float((jac * jac).sum())
         assert abs(float(emb @ emb) - frob2) / frob2 < 0.05
 
@@ -323,25 +319,22 @@ class TestPoolEmbeddings:
 
     @given(pool_size=st.sampled_from([0, 1, 4, 6000]), samplings=st.integers(1, 9),
            tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE]),
-           scope=st.sampled_from([nn.SCOPE_FEATURE, nn.SCOPE_ALL]),
            bias=st.booleans(), dropout=st.sampled_from([0.0, 0.3]),
            budget=st.sampled_from(["one", "few_rows", "all", "default"]),
            seed=st.integers(0, 2**32 - 1))
-    @example(pool_size=6000, samplings=9, tap=nn.TAP_FEATURE, scope=nn.SCOPE_ALL,
-             bias=True, dropout=0.3, budget="default", seed=0)
-    @example(pool_size=4, samplings=9, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_ALL,
-             bias=True, dropout=0.3, budget="few_rows", seed=2)
-    @example(pool_size=0, samplings=5, tap=nn.TAP_PREDICTIVE, scope=nn.SCOPE_FEATURE,
-             bias=False, dropout=0.0, budget="one", seed=1)
+    @example(pool_size=6000, samplings=9, tap=nn.TAP_FEATURE, bias=True,
+             dropout=0.3, budget="default", seed=0)
+    @example(pool_size=4, samplings=9, tap=nn.TAP_PREDICTIVE, bias=True,
+             dropout=0.3, budget="few_rows", seed=2)
+    @example(pool_size=0, samplings=5, tap=nn.TAP_PREDICTIVE, bias=False,
+             dropout=0.0, budget="one", seed=1)
     @settings(max_examples=60)
     def test_chunked_kernel_matches_per_direction_reference(
-            self, pool_size, samplings, tap, scope, bias, dropout, budget, seed):
+            self, pool_size, samplings, tap, bias, dropout, budget, seed):
         model = nn.build_mlp(3, [6, 5], 4, dropout=dropout, bias=bias, seed=seed)
         xs = np.random.default_rng(seed).normal(size=(pool_size, 3))
         pset = perturbation_set(model, NoiseConfig(samplings=samplings, seed=seed,
                                                    tap=tap))
-        pset.scope = scope
-        pset.directions = sample_directions(model.n_params(scope), samplings, seed)
         # 6000 rows of width 6 are past the default budget on their own: one
         # direction per pass; "few_rows" fits three single-row directions
         patched = {"one": 1, "few_rows": 3 * (6 + pset.n),
