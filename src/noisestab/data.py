@@ -276,11 +276,12 @@ def split(dataset: Dataset, test_fraction, seed):
 
 def standardize(train: Dataset, test: Dataset):
     """Z-score the loader-recorded numeric columns using statistics of the
-    training split only. Zero-variance columns are centered but not divided.
+    training split only. Zero-variance columns are centered but not divided,
+    and a dataset with no recorded column (a generator's) is left as it is.
     """
-    columns = np.asarray(train.numeric_columns, dtype=np.int64)
-    if columns.size == 0:
+    if not train.numeric_columns:
         return train, test
+    columns = np.asarray(train.numeric_columns, dtype=np.int64)
     mean = train.inputs[:, columns].mean(axis=0)
     std = train.inputs[:, columns].std(axis=0)
     safe = np.where(std > 0.0, std, 1.0)

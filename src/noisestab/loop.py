@@ -8,11 +8,11 @@ model init, training, and strategy randomness use independently derived
 streams, so switching strategies never perturbs the data or the initial pool.
 """
 
-from __future__ import annotations
-
+import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -110,15 +110,48 @@ class ModelConfig:
             raise ConfigError(f"model.dropout must be in [0, 1), got {self.dropout!r}")
 
 
+_JSON_NAMES = {int: "integer", float: "number", str: "string", list: "list",
+               dict: "object"}
+
+
+def check_type(value, kind, name):
+    """Reject a value that is not of its declared JSON type, so "15", 2.7 or
+    true never load as a different value. A float key takes any finite
+    JSON number (``json`` reads NaN and Infinity too), no key takes a bool
+    (nor reads one as a number), and ``list[int]`` checks each entry."""
+    base = typing.get_origin(kind) or kind
+    ok = isinstance(value, (int, float) if base is float else base)
+    if not ok or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a JSON {_JSON_NAMES[base]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    for item_kind in typing.get_args(kind):
+        for i, item in enumerate(value):
+            check_type(item, item_kind, f"{name}[{i}]")
+
+
+def check_keys(doc, known, required, where):
+    """Reject a section that is not a JSON object, or that has a key not in
+    ``known`` or lacks one in ``required``."""
+    check_type(doc, dict, where)
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{where} is missing required key {key!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment. The fields are the config schema: their names are the
     top-level keys, their annotations the JSON types, and their defaults the
     values of keys left out (a left-out model, noise or train section takes
-    its own dataclass's defaults; only the dataset is still a table).
-    ``__post_init__`` fills in the dataset defaults, sets the noise tap from
-    the dataset's task (the predictive output for classification, the deep
-    feature for regression) and holds every rule that spans fields, so a
+    its own dataclass's defaults; ``DATASETS`` declares the dataset's keys).
+    ``__post_init__`` checks the types of the fields that are not sections
+    and the whole dataset, fills in the dataset's defaults, sets the noise tap
+    from the dataset's task (the predictive output for classification, the
+    deep feature for regression) and holds every rule that spans fields, so a
     ``dataclasses.replace`` override is filled and checked as a load is."""
 
     dataset: dict
@@ -133,17 +166,16 @@ class ExperimentConfig:
     selector: str = "k_center"
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is a class: annotations here are not postponed
+            if not is_dataclass(f.type):  # a section checks its own fields
+                check_type(getattr(self, f.name), f.type, f.name)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; "
                               f"valid strategies: {', '.join(STRATEGIES)}")
         if self.selector not in METHODS:
             raise ConfigError(f"unknown selector {self.selector!r}; valid: {METHODS}")
-        task = dataset_task(self.dataset)
-        # the file's keys in their order, then the defaults of the ones left out
-        own = {**DATASET_COMMON_KEYS, **DATASETS[self.dataset["kind"]][1]}
-        self.dataset = {**self.dataset, **{
-            key: value for key, value in DATASET_DEFAULTS.items()
-            if key in own and key not in self.dataset}}
+        self.dataset = check_dataset(self.dataset)
+        task = DATASETS[self.dataset["kind"]].task
         tap = nn.TAP_PREDICTIVE if task == "classification" else nn.TAP_FEATURE
         self.noise = replace(self.noise, tap=tap)
         if (self.strategy in ("entropy", "badge", "bald_mcdropout")
@@ -166,98 +198,99 @@ class ExperimentConfig:
             raise ConfigError("budget must be >= 0")
         if self.initial_labeled < 1 and self.train.epochs > 0:
             raise ConfigError("initial_labeled must be >= 1 when training runs")
-        check_ranges(self.dataset)
 
 
-# each dataset kind's task and its own keys, with their JSON types
+class Key(typing.NamedTuple):
+    """A dataset key: its JSON type, its default (``MISSING`` if required),
+    its least value and why, and whether it names a file that must exist."""
+
+    type: type
+    default: object = MISSING
+    least: float | None = None
+    why: str = ""
+    file: bool = False
+
+
+class DatasetKind(typing.NamedTuple):
+    """A dataset kind: its task, its own keys in order, and the call that
+    makes its examples from the dataset entry and a generator seed."""
+
+    task: str
+    keys: dict
+    make: typing.Callable
+
+
+# a stratified split needs two members of each class: blobs have
+# n_per_class of each, and two_moons puts n // 2 in its smaller class
+_SPLIT = " so that each class can be split"
+_FILE = Key(str, file=True)
+# the keys every kind takes, before its own
+_COMMON_KEYS = {"kind": Key(str), "test_fraction": Key(float, 0.3)}
 DATASETS = {
-    "blobs": ("classification", {"n_per_class": int, "classes": int, "dim": int,
-                                 "centers_seed": int, "noise_std": float,
-                                 "center_scale": float}),
-    "two_moons": ("classification", {"n": int, "noise_std": float}),
-    "linear_regression": ("regression", {"n": int, "dim": int, "weight_seed": int,
-                                         "noise_std": float}),
-    "idx": ("classification", {"images": str, "labels": str}),
-    "csv": ("regression", {"path": str, "schema": dict}),
+    "blobs": DatasetKind("classification", {
+        "n_per_class": Key(int, least=2, why=_SPLIT), "classes": Key(int, least=2),
+        "dim": Key(int, least=1), "centers_seed": Key(int, 0, least=0),
+        "noise_std": Key(float, least=0), "center_scale": Key(float, 4.0, least=0)},
+        lambda d, seed: data.gen_blobs(d["n_per_class"], d["classes"], d["dim"],
+                                       d["centers_seed"], d["noise_std"], seed,
+                                       center_scale=d["center_scale"])),
+    "two_moons": DatasetKind("classification", {
+        "n": Key(int, least=4, why=_SPLIT), "noise_std": Key(float, least=0)},
+        lambda d, seed: data.gen_two_moons(d["n"], d["noise_std"], seed)),
+    "linear_regression": DatasetKind("regression", {
+        "n": Key(int, least=1), "dim": Key(int, least=1),
+        "weight_seed": Key(int, 0, least=0), "noise_std": Key(float, least=0)},
+        lambda d, seed: data.gen_linear_regression(d["n"], d["dim"], d["weight_seed"],
+                                                   d["noise_std"], seed)),
+    "idx": DatasetKind("classification", {"images": _FILE, "labels": _FILE},
+                       lambda d, seed: data.load_idx(d["images"], d["labels"])),
+    "csv": DatasetKind("regression", {"path": _FILE, "schema": Key(dict)},
+                       lambda d, seed: data.load_csv_tabular(d["path"], d["schema"])),
 }
-# the keys every kind takes
-DATASET_COMMON_KEYS = {"kind": str, "test_fraction": float}
-# values of the optional dataset keys; every other key is required
-DATASET_DEFAULTS = {"test_fraction": 0.3, "centers_seed": 0, "center_scale": 4.0,
-                    "weight_seed": 0}
 
 
-def dataset_task(spec: dict) -> str:
-    """The task of a dataset entry's kind; ConfigError for an unknown kind."""
+def check_dataset(spec: dict) -> dict:
+    """The dataset entry with its left-out keys' defaults appended; at load
+    rather than once the run has started, ConfigError for an unknown kind, an
+    unknown, missing or mistyped key, or a value the run could not use: out of
+    range, naming no file, or a CSV column of an unknown kind."""
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in DATASETS:
         raise ConfigError(f"unknown dataset kind {kind!r}; "
                           f"valid kinds: {sorted(DATASETS)}")
-    return DATASETS[kind][0]
+    keys = {**_COMMON_KEYS, **DATASETS[kind].keys}
+    check_keys(spec, keys, [name for name, key in keys.items()
+                            if key.default is MISSING], "dataset")
+    # the entry's keys in their order, then the defaults of the ones left out
+    spec = {**spec, **{name: key.default for name, key in keys.items()
+                       if name not in spec}}
+    for name, key in keys.items():
+        check_type(spec[name], key.type, f"dataset.{name}")
+        if key.least is not None and spec[name] < key.least:
+            raise ConfigError(f"dataset.{name} must be >= {key.least}{key.why}, "
+                              f"got {spec[name]!r}")
+        if key.file and not os.path.isfile(spec[name]):
+            raise ConfigError(f"dataset.{name} names no file: {spec[name]!r}")
+    for column, column_kind in spec.get("schema", {}).items():
+        if column_kind not in data.SCHEMA_KINDS:
+            raise ConfigError(f"dataset.schema[{column!r}] must be one of "
+                              f"{', '.join(data.SCHEMA_KINDS)}, got {column_kind!r}")
+    fraction = spec["test_fraction"]
+    if not 0 < fraction < 1:
+        raise ConfigError(f"dataset.test_fraction must be in (0, 1), got {fraction!r}")
+    return spec
 
 
 def build_dataset(spec: dict, run_seed: int):
-    """Materialize (train_pool, test) for one run.
+    """Materialize (train_pool, test) for one run, CSV numeric columns z-scored.
 
     Generator noise and the split are derived from the run seed; geometry
     seeds (cluster centers, true regression weights) come from the dataset
     entry itself, so the task stays fixed across repeats.
     """
-    kind = spec["kind"]
-    gen_seed = derive_seed(run_seed, "data")
-    split_seed = derive_seed(run_seed, "split")
-    if kind == "blobs":
-        ds = data.gen_blobs(spec["n_per_class"], spec["classes"], spec["dim"],
-                            spec["centers_seed"], spec["noise_std"], gen_seed,
-                            center_scale=spec["center_scale"])
-    elif kind == "two_moons":
-        ds = data.gen_two_moons(spec["n"], spec["noise_std"], gen_seed)
-    elif kind == "linear_regression":
-        ds = data.gen_linear_regression(spec["n"], spec["dim"], spec["weight_seed"],
-                                        spec["noise_std"], gen_seed)
-    elif kind == "idx":
-        ds = data.load_idx(spec["images"], spec["labels"])
-    else:  # csv: ExperimentConfig admits only the kinds in DATASETS
-        ds = data.load_csv_tabular(spec["path"], spec["schema"])
-    train_pool, test = data.split(ds, spec["test_fraction"], split_seed)
-    if kind == "csv":
-        train_pool, test = data.standardize(train_pool, test)
-    return train_pool, test
-
-
-# the least value of each dataset key that has one: counts of examples and
-# input dims, classes, scales and geometry seeds
-DATASET_MINIMA = {"n_per_class": 1, "classes": 2, "dim": 1, "n": 1,
-                  "noise_std": 0, "center_scale": 0, "centers_seed": 0,
-                  "weight_seed": 0}
-# a stratified split needs two members of each class: blobs have
-# n_per_class of each, and two_moons puts n // 2 in its smaller class
-DATASET_SPLIT_MINIMA = {"blobs": {"n_per_class": 2}, "two_moons": {"n": 4}}
-# the dataset keys that name an input file (idx images and labels, csv path)
-DATASET_FILE_KEYS = ("images", "labels", "path")
-
-
-def check_ranges(dataset: dict):
-    """Reject dataset values the run could not use, at load rather than once
-    the run has started: out of range, naming no file, or a CSV column of an
-    unknown kind."""
-    for key, least in DATASET_MINIMA.items():
-        if dataset.get(key, least) < least:
-            raise ConfigError(f"dataset.{key} must be >= {least}, got {dataset[key]!r}")
-    for key, least in DATASET_SPLIT_MINIMA.get(dataset["kind"], {}).items():
-        if dataset.get(key, least) < least:
-            raise ConfigError(f"dataset.{key} must be >= {least} so that each "
-                              f"class can be split, got {dataset[key]!r}")
-    for key in DATASET_FILE_KEYS:
-        if key in dataset and not os.path.isfile(dataset[key]):
-            raise ConfigError(f"dataset.{key} names no file: {dataset[key]!r}")
-    for column, kind in dataset.get("schema", {}).items():
-        if kind not in data.SCHEMA_KINDS:
-            raise ConfigError(f"dataset.schema[{column!r}] must be one of "
-                              f"{', '.join(data.SCHEMA_KINDS)}, got {kind!r}")
-    fraction = dataset["test_fraction"]
-    if not 0 < fraction < 1:
-        raise ConfigError(f"dataset.test_fraction must be in (0, 1), got {fraction!r}")
+    ds = DATASETS[spec["kind"]].make(spec, derive_seed(run_seed, "data"))
+    return data.standardize(*data.split(ds, spec["test_fraction"],
+                                        derive_seed(run_seed, "split")))
 
 
 def check_initial_pool(cfg: ExperimentConfig):

@@ -285,7 +285,7 @@ class TestRun:
     @pytest.mark.parametrize("section,key,literal,message", [
         ("noise", "zeta", "NaN", "noise.zeta must be a finite number"),
         ("train", "lr", "Infinity", "train.lr must be a finite number"),
-        ("dataset", "n_per_class", "-3", "dataset.n_per_class must be >= 1"),
+        ("dataset", "n_per_class", "-3", "dataset.n_per_class must be >= 2"),
         ("dataset", "n_per_class", "1", "dataset.n_per_class must be >= 2"),
         ("dataset", "test_fraction", "1.5", "dataset.test_fraction must be in"),
         ("model", "dropout", "1.5", "model.dropout must be in"),

@@ -157,7 +157,7 @@ class TestParsing:
             load_experiment_config(path)
 
     @pytest.mark.parametrize("section,key,value,message", [
-        ("dataset", "n_per_class", -3, "dataset.n_per_class must be >= 1"),
+        ("dataset", "n_per_class", -3, "dataset.n_per_class must be >= 2"),
         ("dataset", "n_per_class", 1, "dataset.n_per_class must be >= 2"),
         ("dataset", "classes", 0, "dataset.classes must be >= 2"),
         ("dataset", "dim", 0, "dataset.dim must be >= 1"),
@@ -182,7 +182,7 @@ class TestParsing:
 
     def test_size_keys_of_other_dataset_kinds_range_checked(self):
         doc = dict(MINIMAL, dataset={"kind": "two_moons", "n": 0, "noise_std": 0.1})
-        with pytest.raises(ConfigError, match="^dataset.n must be >= 1"):
+        with pytest.raises(ConfigError, match="^dataset.n must be >= 4"):
             experiment_from_dict(doc)
         # the edges of each range load
         edges = dict(MINIMAL, dataset=dict(MINIMAL["dataset"], dim=1,
@@ -287,6 +287,85 @@ class TestParsing:
         # a README change fails here
         assert sorted(doc) == sorted(field.name for field in
                                      dataclasses.fields(ExperimentConfig))
+
+
+# each dataset kind's least value of every key that has one, and the default
+# of every key that may be left out, written out here rather than read from
+# loop.DATASETS, so a change to the declaration shows up as a failure
+LEAST = {
+    "blobs": {"n_per_class": 2, "classes": 2, "dim": 1, "centers_seed": 0,
+              "noise_std": 0, "center_scale": 0},
+    "two_moons": {"n": 4, "noise_std": 0},
+    "linear_regression": {"n": 1, "dim": 1, "weight_seed": 0, "noise_std": 0},
+}
+DEFAULTS = {
+    "blobs": {"test_fraction": 0.3, "centers_seed": 0, "center_scale": 4.0},
+    "two_moons": {"test_fraction": 0.3},
+    "linear_regression": {"test_fraction": 0.3, "weight_seed": 0},
+    "idx": {"test_fraction": 0.3},
+    "csv": {"test_fraction": 0.3},
+}
+
+
+# a config with the given dataset, built by the loader and by replace
+BUILDERS = {
+    "load": lambda dataset: experiment_from_dict(dict(MINIMAL, dataset=dataset)),
+    "replace": lambda dataset: dataclasses.replace(experiment_from_dict(MINIMAL),
+                                                   dataset=dataset),
+}
+
+
+class TestReplaceGetsTheLoadChecks:
+    @pytest.mark.parametrize("field,value,message", [
+        ("seeds", [1.5], "seeds[0] must be a JSON integer, got 1.5"),
+        ("cycles", 2.5, "cycles must be a JSON integer, got 2.5"),
+        ("budget", "3", "budget must be a JSON integer, got '3'")])
+    def test_mistyped_top_level_field_rejected_naming_it(self, field, value,
+                                                         message):
+        # seeds [1.5] used to run seed 1 and record "seed": 1.5; cycles 2.5
+        # and budget "3" raised a TypeError partway through the run
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(experiment_from_dict(MINIMAL), **{field: value})
+
+    @pytest.mark.parametrize("change,message", [
+        ({"n_per_clas": 10}, "unknown key(s) in dataset: ['n_per_clas']"),
+        ({"n_per_class": "10"}, "dataset.n_per_class must be a JSON integer"),
+        ({"n_per_class": 10.5}, "dataset.n_per_class must be a JSON integer")],
+        ids=["misspelled", "string", "float"])
+    def test_bad_dataset_key_rejected_naming_it(self, change, message):
+        # each used to build and die mid-run with a KeyError or a TypeError
+        cfg = load_experiment_config(ROOT / "configs" / "blobs_demo.json")
+        dataset = {key: value for key, value in cfg.dataset.items()
+                   if key != "n_per_class"}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            dataclasses.replace(cfg, dataset={**dataset, **change})
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    @pytest.mark.parametrize("kind,key", [
+        (kind, key) for kind, least in LEAST.items() for key in least])
+    def test_each_least_value_loads_and_one_below_is_rejected(self, build, kind,
+                                                              key):
+        dataset = {"kind": kind, **LEAST[kind]}
+        assert build(dataset).dataset == {**DEFAULTS[kind], **dataset}
+        message = f"dataset.{key} must be >= {LEAST[kind][key]}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}\\b"):
+            build(dict(dataset, **{key: LEAST[kind][key] - 1}))
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    @pytest.mark.parametrize("kind,key", [
+        (kind, key) for kind, defaults in DEFAULTS.items() for key in defaults])
+    def test_each_left_out_key_takes_its_default(self, tmp_path, build, kind, key):
+        present = tmp_path / "present"
+        present.write_bytes(b"")
+        files = {"idx": {"images": str(present), "labels": str(present)},
+                 "csv": {"path": str(present), "schema": {"y": "target"}}}
+        dataset = {"kind": kind, **LEAST.get(kind, {}), **files.get(kind, {})}
+        dataset.pop(key, None)
+        cfg = build(dataset)
+        assert cfg.dataset[key] == DEFAULTS[kind][key]
+        # the entry's own keys keep their order, and the defaults follow
+        assert list(cfg.dataset) == list(dataset) + [
+            name for name in DEFAULTS[kind] if name not in dataset]
 
 
 class TestManifestRoundtrip:
