@@ -4,56 +4,50 @@ The file is the reproducibility unit: its resolved snapshot (defaults filled
 in) plus the tool version determine every byte of the run's outputs. Flags may
 override fields but never extend the schema; unknown keys are rejected.
 
-Keys, JSON types and defaults are read from the ``ExperimentConfig``,
-``ModelConfig``, ``NoiseConfig`` and ``TrainConfig`` fields and from
-``loop.DATASETS``; nothing here declares them again. The loader checks the
-keys and the sections' values; ``ExperimentConfig`` checks its own fields
-and the dataset, so a ``dataclasses.replace``d config is checked as a load is.
+Keys and defaults are read from the ``ExperimentConfig``, ``ModelConfig``,
+``NoiseConfig`` and ``TrainConfig`` fields and from ``loop.DATASETS``;
+nothing here declares them again. The loader checks only the keys of the
+document and of its sections; each config dataclass checks the JSON types
+and ranges of its own fields when it is built, and ``ExperimentConfig`` the
+dataset, so a ``dataclasses.replace``d config is checked as a load is.
 """
-
-from __future__ import annotations
 
 import copy
 import dataclasses
 import hashlib
 import json
-import typing
 
-from .exceptions import ConfigError
-from .loop import ExperimentConfig, check_keys, check_type
+from .exceptions import ConfigError, check_keys
+from .loop import ExperimentConfig
 
 # noise and training seeds are derived per run seed and cycle, and the noise
 # tap follows the dataset's task, so none of them is settable
 _DERIVED = ("seed", "tap")
 
 
-def _schema(cls):
-    """A dataclass's settable keys with their types, and its required keys:
-    those without a default or default factory, except the sections (model,
-    noise, train), whose keys all have defaults."""
-    hints = typing.get_type_hints(cls)
+def _keys(cls):
+    """A dataclass's settable keys, and its required keys: those without a
+    default or default factory, except the sections (model, noise, train),
+    whose keys all have defaults."""
     fields = [f for f in dataclasses.fields(cls) if f.name not in _DERIVED]
-    return ({f.name: hints[f.name] for f in fields},
+    return ([f.name for f in fields],
             [f.name for f in fields if f.default is dataclasses.MISSING
              and f.default_factory is dataclasses.MISSING
-             and not dataclasses.is_dataclass(hints[f.name])])
+             and not dataclasses.is_dataclass(f.type)])
 
 
-_TOP_SCHEMA, _TOP_REQUIRED = _schema(ExperimentConfig)
-# a dataclass section is a JSON object, checked against its own dataclass
-_SECTIONS = {name: kind for name, kind in _TOP_SCHEMA.items()
-             if dataclasses.is_dataclass(kind)}
+_TOP_KEYS, _TOP_REQUIRED = _keys(ExperimentConfig)
+# a dataclass section is a JSON object of its own dataclass's keys
+_SECTIONS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)
+             if dataclasses.is_dataclass(f.type)}
 
 
 def experiment_from_dict(doc: dict) -> ExperimentConfig:
-    check_keys(doc, _TOP_SCHEMA, _TOP_REQUIRED, "config")
+    check_keys(doc, _TOP_KEYS, _TOP_REQUIRED, "config")
     doc = copy.deepcopy(doc)
     for name, section in _SECTIONS.items():
         fields = doc.get(name, {})
-        schema, required = _schema(section)
-        check_keys(fields, schema, required, name)
-        for key, value in fields.items():
-            check_type(value, schema[key], f"{name}.{key}")
+        check_keys(fields, *_keys(section), name)
         doc[name] = section(**fields)
     return ExperimentConfig(**doc)
 

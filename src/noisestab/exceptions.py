@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON type checks of
+config values, which every config dataclass runs on its own fields."""
+
+import math
+import typing
+from dataclasses import fields
 
 
 class NoiseStabError(Exception):
@@ -27,3 +32,43 @@ class FormatError(DataError):
 
 class ConfigError(NoiseStabError, ValueError):
     """An experiment configuration or request is invalid."""
+
+
+_JSON_NAMES = {int: "JSON integer", float: "JSON number", str: "JSON string",
+               list: "JSON list", dict: "JSON object"}
+
+
+def check_type(value, kind, name):
+    """Reject a value that is not of its declared JSON type, so "15", 2.7 or
+    true never load as a different value. A float takes any finite JSON
+    number (``json`` reads NaN and Infinity too), nothing takes a bool,
+    ``list[int]`` checks each entry, and a section only its dataclass."""
+    base = typing.get_origin(kind) or kind
+    ok = isinstance(value, (int, float) if base is float else base)
+    if not ok or isinstance(value, bool):
+        what = _JSON_NAMES.get(base) or f"{name} section ({base.__name__})"
+        raise ConfigError(f"{name} must be a {what}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    for item_kind in typing.get_args(kind):
+        for i, item in enumerate(value):
+            check_type(item, item_kind, f"{name}[{i}]")
+
+
+def check_fields(config, prefix=""):
+    """``check_type`` each field of a config dataclass, named ``prefix`` + its
+    name, against its annotation (a class: annotations are not postponed)."""
+    for f in fields(config):
+        check_type(getattr(config, f.name), f.type, prefix + f.name)
+
+
+def check_keys(doc, known, required, where):
+    """Reject a section that is not a JSON object, or that has a key not in
+    ``known`` or lacks one in ``required``."""
+    check_type(doc, dict, where)
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{where} is missing required key {key!r}")

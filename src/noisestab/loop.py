@@ -8,16 +8,16 @@ model init, training, and strategy randomness use independently derived
 streams, so switching strategies never perturbs the data or the initial pool.
 """
 
-import math
 import os
 import time
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, replace
 
 import numpy as np
 
 from . import baselines, data, nn, stability
-from .exceptions import ConfigError, DataError, InvalidStateError, NonFiniteError
+from .exceptions import (ConfigError, DataError, InvalidStateError, NonFiniteError,
+                         check_fields, check_keys, check_type)
 from .seeding import derive_seed, rng
 from .selection import METHODS, SelectionRequest, select
 
@@ -103,43 +103,12 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        check_fields(self, "model.")
         for i, width in enumerate(self.hidden):
             if width < 1:
                 raise ConfigError(f"model.hidden[{i}] must be >= 1, got {width!r}")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"model.dropout must be in [0, 1), got {self.dropout!r}")
-
-
-_JSON_NAMES = {int: "integer", float: "number", str: "string", list: "list",
-               dict: "object"}
-
-
-def check_type(value, kind, name):
-    """Reject a value that is not of its declared JSON type, so "15", 2.7 or
-    true never load as a different value. A float key takes any finite
-    JSON number (``json`` reads NaN and Infinity too), no key takes a bool
-    (nor reads one as a number), and ``list[int]`` checks each entry."""
-    base = typing.get_origin(kind) or kind
-    ok = isinstance(value, (int, float) if base is float else base)
-    if not ok or isinstance(value, bool):
-        raise ConfigError(f"{name} must be a JSON {_JSON_NAMES[base]}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    for item_kind in typing.get_args(kind):
-        for i, item in enumerate(value):
-            check_type(item, item_kind, f"{name}[{i}]")
-
-
-def check_keys(doc, known, required, where):
-    """Reject a section that is not a JSON object, or that has a key not in
-    ``known`` or lacks one in ``required``."""
-    check_type(doc, dict, where)
-    unknown = set(doc) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    for key in required:
-        if key not in doc:
-            raise ConfigError(f"{where} is missing required key {key!r}")
 
 
 @dataclass
@@ -148,11 +117,12 @@ class ExperimentConfig:
     top-level keys, their annotations the JSON types, and their defaults the
     values of keys left out (a left-out model, noise or train section takes
     its own dataclass's defaults; ``DATASETS`` declares the dataset's keys).
-    ``__post_init__`` checks the types of the fields that are not sections
-    and the whole dataset, fills in the dataset's defaults, sets the noise tap
-    from the dataset's task (the predictive output for classification, the
-    deep feature for regression) and holds every rule that spans fields, so a
-    ``dataclasses.replace`` override is filled and checked as a load is."""
+    ``__post_init__`` checks each field's type (a section's by its class; it
+    checks its own fields) and the whole dataset, fills in the dataset's
+    defaults, sets the noise tap from the dataset's task (the predictive
+    output for classification, the deep feature for regression) and holds
+    every rule that spans fields, so a ``dataclasses.replace`` override is
+    filled and checked as a load is."""
 
     dataset: dict
     model: ModelConfig
@@ -166,9 +136,7 @@ class ExperimentConfig:
     selector: str = "k_center"
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is a class: annotations here are not postponed
-            if not is_dataclass(f.type):  # a section checks its own fields
-                check_type(getattr(self, f.name), f.type, f.name)
+        check_fields(self)
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}; "
                               f"valid strategies: {', '.join(STRATEGIES)}")
@@ -361,8 +329,6 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
     for cycle in range(1, cfg.cycles + 1):
         start = time.perf_counter()
         warnings = []
-        if not pool_state.labeled and cfg.train.epochs > 0:
-            raise ConfigError("labeled pool is empty at training time")
         model = build_model(cfg.model, train_pool.inputs.shape[1],
                             train_pool.task, train_pool.n_classes, init_seed)
         labeled_size = len(pool_state.labeled)

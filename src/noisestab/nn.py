@@ -31,15 +31,13 @@ Both restore the caller's size on return and on raise; selection and theory
 run at it.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeding
 from .exceptions import (ConfigError, DataError, DimensionError, InvalidStateError,
-                         NonFiniteError)
+                         NonFiniteError, check_fields)
 
 TAP_FEATURE = "feature"
 TAP_PREDICTIVE = "predictive"
@@ -500,9 +498,9 @@ ADAM_EPS = 1e-8
 @dataclass
 class TrainConfig:
     """Loop settings for train(), which always runs Adam at ``ADAM_BETA1``,
-    ``ADAM_BETA2`` and ``ADAM_EPS``; ``optimizer`` only names it. Experiment
-    configs cannot set ``seed``; the loop derives one per run seed and
-    cycle."""
+    ``ADAM_BETA2`` and ``ADAM_EPS``; ``optimizer`` only names it. It checks
+    each field's JSON type and range, naming it ``train.<field>``. Experiment
+    configs cannot set ``seed``; the loop derives one per run seed and cycle."""
 
     optimizer: str = "adam"
     lr: float = 1e-3
@@ -511,12 +509,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_fields(self, "train.")
+        for key, least in (("lr", 0), ("epochs", 0), ("batch_size", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"train.{key} must be >= {least}, "
+                                  f"got {getattr(self, key)!r}")
         if self.optimizer != "adam":
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; "
                               "the only optimizer is 'adam'")

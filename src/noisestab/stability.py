@@ -7,15 +7,12 @@ normalized output deviations, scaled by sqrt(n/K); the embedding's length is
 the uncertainty score and its direction drives diverse batch selection.
 """
 
-from __future__ import annotations
-
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn, seeding
-from .exceptions import ConfigError, DimensionError, InvalidStateError
+from .exceptions import ConfigError, DimensionError, InvalidStateError, check_fields
 
 _TAPS = (nn.TAP_FEATURE, nn.TAP_PREDICTIVE)
 
@@ -29,14 +26,14 @@ _CHUNK_ENTRIES = 32768
 
 @dataclass
 class NoiseConfig:
-    """Noise magnitude and sampling settings for one embedding pass.
+    """Noise magnitude and sampling settings for one embedding pass, each
+    field checked for its JSON type and range as ``noise.<field>``.
 
     ``tap`` picks where deviations are read, the deep feature or the
     predictive output, and so the parameters the noise moves: those before
-    it. ``seed`` picks the directions. Experiment configs set
-    neither: the loop derives a seed per run seed and cycle, and the tap
-    follows the dataset's task (``loop.ExperimentConfig``).
-    """
+    it. ``seed`` picks the directions. Experiment configs set neither: the
+    loop derives a seed per run seed and cycle, and the tap follows the
+    dataset's task (``loop.ExperimentConfig``)."""
 
     zeta: float = 1e-3
     samplings: int = 30
@@ -44,10 +41,11 @@ class NoiseConfig:
     tap: str = nn.TAP_PREDICTIVE
 
     def __post_init__(self):
-        if not 0 < self.zeta < math.inf:
-            raise ConfigError(f"zeta must be a finite number > 0, got {self.zeta!r}")
+        check_fields(self, "noise.")
+        if self.zeta <= 0:
+            raise ConfigError(f"noise.zeta must be > 0, got {self.zeta!r}")
         if self.samplings < 1:
-            raise ConfigError("samplings must be >= 1")
+            raise ConfigError(f"noise.samplings must be >= 1, got {self.samplings!r}")
         if self.tap not in _TAPS:
             raise ConfigError(f"unknown tap {self.tap!r}")
 

@@ -637,6 +637,14 @@ class TestSweep:
         assert "zeta must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_samplings_exits_2_naming_the_key(self, config_path, tmp_path,
+                                                    capsys):
+        out = tmp_path / "s"
+        assert run_cli("sweep", str(config_path), "--param", "K",
+                       "--values", "3,0", "--out", str(out)) == 2
+        assert "noise.samplings must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("param,values", [("zeta", "1e-3"), ("K", "3"),
                                               ("selector", "kmeans_pp")])
     def test_sweep_on_non_noise_strategy_exits_2(self, tmp_path, capsys, param,

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from noisestab.config import (config_hash, experiment_from_dict,
 from noisestab.exceptions import ConfigError
 from noisestab.loop import ExperimentConfig
 from noisestab.nn import TrainConfig
+from noisestab.stability import NoiseConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 MINIMAL = {
@@ -366,6 +369,107 @@ class TestReplaceGetsTheLoadChecks:
         # the entry's own keys keep their order, and the defaults follow
         assert list(cfg.dataset) == list(dataset) + [
             name for name in DEFAULTS[kind] if name not in dataset]
+
+
+def _wrong_values(kind):
+    """(value, suffix) pairs of the wrong JSON type for a field declared
+    ``kind``: a bool, a string for a number, a float for an integer and NaN
+    for a number; a list's entries get the wrong values of its item type,
+    and the message names the entry by the suffix."""
+    base = typing.get_origin(kind) or kind
+    if base is list:
+        return [(True, "")] + [([value], "[0]") for value, _ in
+                               _wrong_values(typing.get_args(kind)[0])]
+    values = [True] + (["1"] if base in (int, float) else [])
+    values += [2.5] if base is int else [math.nan] if base is float else []
+    return [(value, "") for value in values]
+
+
+# every settable field of the four config dataclasses, read from their
+# declarations (the derived seed and tap left out), as (section, field,
+# wrong value, the key the message names); section is None at the top.
+# get_type_hints reads an annotation as a class whether or not it is postponed
+SECTIONS = {name: kind for name, kind in
+            typing.get_type_hints(ExperimentConfig).items()
+            if dataclasses.is_dataclass(kind)}
+DECLARED = [
+    (section, name, value, f"{section}.{name}{suffix}" if section
+     else name + suffix)
+    for section, cls in [(None, ExperimentConfig), *SECTIONS.items()]
+    for name, kind in typing.get_type_hints(cls).items()
+    if name not in ("seed", "tap", *SECTIONS)
+    for value, suffix in _wrong_values(kind)]
+
+
+class TestEveryFieldIsTypeChecked:
+    @pytest.mark.parametrize("section,key,value,name", DECLARED,
+                             ids=[f"{name}={value!r}"
+                                  for _, _, value, name in DECLARED])
+    def test_wrong_json_type_rejected_naming_the_key(self, section, key,
+                                                     value, name):
+        # a replaced section used to build with samplings 2.5 or lr NaN and
+        # fail only once the run was under way; a string for a number
+        # raised a bare TypeError
+        pattern = f"^{re.escape(name)} must be a "
+        doc = json.loads(json.dumps(MINIMAL))
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        with pytest.raises(ConfigError, match=pattern):
+            experiment_from_dict(doc)
+        cfg = experiment_from_dict(MINIMAL)
+        with pytest.raises(ConfigError, match=pattern):
+            if section:
+                dataclasses.replace(cfg, **{section: dataclasses.replace(
+                    getattr(cfg, section), **{key: value})})
+            else:
+                dataclasses.replace(cfg, **{key: value})
+
+    @pytest.mark.parametrize("section,change,message", [
+        ("noise", {"samplings": 2.5}, "noise.samplings must be a JSON integer, got 2.5"),
+        ("train", {"epochs": 2.5}, "train.epochs must be a JSON integer, got 2.5"),
+        ("train", {"lr": math.nan}, "train.lr must be a finite number, got nan"),
+        ("model", {"hidden": [8.5]}, "model.hidden[0] must be a JSON integer, got 8.5"),
+        ("noise", {"zeta": "1"}, "noise.zeta must be a JSON number, got '1'"),
+        ("model", {"hidden": 8}, "model.hidden must be a JSON list, got 8")],
+        ids=["samplings", "epochs", "lr", "hidden-entry", "zeta", "hidden"])
+    def test_replaced_section_value_rejected_at_construction(self, section,
+                                                             change, message):
+        # each used to build and raise a TypeError inside the run, or, for
+        # zeta and hidden, a bare TypeError at construction
+        cfg = load_experiment_config(ROOT / "configs" / "blobs_demo.json")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(cfg, **{section: dataclasses.replace(
+                getattr(cfg, section), **change)})
+
+    @pytest.mark.parametrize("section,value,message", [
+        ("model", {"hidden": [8]},
+         "model must be a model section (ModelConfig), got {'hidden': [8]}"),
+        ("noise", None, "noise must be a noise section (NoiseConfig), got None"),
+        ("train", NoiseConfig(),
+         "train must be a train section (TrainConfig), got NoiseConfig(")],
+        ids=["model-dict", "noise-None", "train-NoiseConfig"])
+    def test_section_that_is_not_its_dataclass_rejected(self, section, value,
+                                                        message):
+        # a dict for the model section used to build and die in build_model
+        cfg = load_experiment_config(ROOT / "configs" / "blobs_demo.json")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            dataclasses.replace(cfg, **{section: value})
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("noise", "zeta", 0.0, "noise.zeta must be > 0, got 0.0"),
+        ("noise", "zeta", -1e-3, "noise.zeta must be > 0, got -0.001"),
+        ("noise", "samplings", 0, "noise.samplings must be >= 1, got 0"),
+        ("train", "lr", -0.5, "train.lr must be >= 0, got -0.5"),
+        ("train", "epochs", -1, "train.epochs must be >= 0, got -1"),
+        ("train", "batch_size", 0, "train.batch_size must be >= 1, got 0")],
+        ids=["zeta-0", "zeta-negative", "samplings", "lr", "epochs", "batch_size"])
+    def test_out_of_range_noise_and_train_values_name_the_key(
+            self, section, key, value, message):
+        doc = dict(MINIMAL, **{section: {key: value}})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            experiment_from_dict(doc)
+        cfg = experiment_from_dict(MINIMAL)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(getattr(cfg, section), **{key: value})
 
 
 class TestManifestRoundtrip:
