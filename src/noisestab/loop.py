@@ -30,38 +30,38 @@ BALD_SAMPLES = 50
 
 @dataclass
 class PoolState:
-    """Disjoint labeled/unlabeled index sets plus the per-cycle pick history."""
+    """Which training-pool rows are labeled, as one mask. ``labeled`` and
+    ``unlabeled`` are its index views: a partition of the pool by construction."""
 
-    labeled: list
-    unlabeled: list
-    history: list = field(default_factory=list)
+    is_labeled: np.ndarray
 
     @classmethod
     def initial(cls, pool_size, initial_labeled, gen) -> "PoolState":
-        if initial_labeled > pool_size:
-            raise ConfigError("initial labeled size exceeds the pool")
-        picks = sorted(int(i) for i in
-                       gen.choice(pool_size, size=initial_labeled, replace=False))
-        rest = sorted(set(range(pool_size)) - set(picks))
-        return cls(labeled=picks, unlabeled=rest)
+        if not 0 <= initial_labeled <= pool_size:
+            raise ConfigError(f"initial_labeled {initial_labeled} not in [0, {pool_size}]")
+        is_labeled = np.zeros(pool_size, dtype=bool)
+        is_labeled[gen.choice(pool_size, size=initial_labeled, replace=False)] = True
+        return cls(is_labeled)
 
-    def acquire(self, picks):
-        picks = [int(i) for i in picks]
-        unlabeled = set(self.unlabeled)
-        if not set(picks) <= unlabeled:
+    @property
+    def labeled(self) -> np.ndarray:
+        return np.flatnonzero(self.is_labeled)
+
+    @property
+    def unlabeled(self) -> np.ndarray:
+        return np.flatnonzero(~self.is_labeled)
+
+    def acquire(self, positions) -> list:
+        """Labels ``unlabeled[positions]``; returns those rows as Python ints."""
+        unlabeled = self.unlabeled
+        positions = np.asarray(positions, dtype=np.intp)
+        if np.any((positions < 0) | (positions >= len(unlabeled))):
             raise InvalidStateError("selected indices must come from the unlabeled pool")
-        if len(set(picks)) != len(picks):
+        if len(set(positions.tolist())) != len(positions):
             raise InvalidStateError("selected indices must be distinct")
-        self.history.append(picks)
-        self.labeled = sorted(set(self.labeled) | set(picks))
-        self.unlabeled = sorted(unlabeled - set(picks))
-
-    def check_invariants(self, pool_size):
-        labeled, unlabeled = set(self.labeled), set(self.unlabeled)
-        assert not labeled & unlabeled, "labeled and unlabeled pools overlap"
-        assert labeled | unlabeled == set(range(pool_size)), "pools do not cover the data"
-        seen = [i for picks in self.history for i in picks]
-        assert len(seen) == len(set(seen)), "an index was selected twice"
+        picks = unlabeled[positions]
+        self.is_labeled[picks] = True
+        return picks.tolist()
 
 
 @dataclass
@@ -164,6 +164,8 @@ class ExperimentConfig:
             raise ConfigError("cycles must be >= 1")
         if self.budget < 0:
             raise ConfigError("budget must be >= 0")
+        if self.initial_labeled < 0:
+            raise ConfigError(f"initial_labeled must be >= 0, got {self.initial_labeled!r}")
         if self.initial_labeled < 1 and self.train.epochs > 0:
             raise ConfigError("initial_labeled must be >= 1 when training runs")
 
@@ -294,7 +296,7 @@ def evaluate(model, test: data.Dataset) -> float:
 
 
 def _strategy_picks(cfg, model, train_pool, pool_state, budget, run_seed, cycle):
-    """Positions into the unlabeled list, mapped to global indices by caller."""
+    """The budget's picks as positions into ``pool_state.unlabeled``."""
     strategy_seed = derive_seed(run_seed, "strategy", cycle)
     x_u = train_pool.inputs[pool_state.unlabeled]
     if cfg.strategy == "random":
@@ -320,7 +322,7 @@ def _strategy_picks(cfg, model, train_pool, pool_state, budget, run_seed, cycle)
 
 
 def run_single_seed(cfg: ExperimentConfig, run_seed: int):
-    """All cycles for one seed; returns the per-cycle reports."""
+    """All cycles for one seed; returns the per-cycle reports, picks as pool indices."""
     train_pool, test = build_dataset(cfg.dataset, run_seed)
     pool_state = PoolState.initial(len(train_pool), cfg.initial_labeled,
                                    rng(run_seed, "init-pool"))
@@ -345,6 +347,7 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
         if budget > len(pool_state.unlabeled):
             budget = len(pool_state.unlabeled)
             warnings.append(f"budget clamped to {budget} remaining unlabeled examples")
+        positions = []
         if budget > 0:
             try:
                 positions = _strategy_picks(cfg, model, train_pool, pool_state,
@@ -352,15 +355,11 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
             except NonFiniteError as exc:
                 raise NonFiniteError(
                     f"seed {run_seed}, cycle {cycle}, phase embed: {exc}") from exc
-            picks = [pool_state.unlabeled[p] for p in positions]
-        else:
-            picks = []
         try:
-            pool_state.acquire(picks)
+            picks = pool_state.acquire(positions)
         except InvalidStateError as exc:
             raise InvalidStateError(
                 f"seed {run_seed}, cycle {cycle}, phase select: {exc}") from exc
-        pool_state.check_invariants(len(train_pool))
         reports.append(CycleReport(
             cycle=cycle, labeled_size=labeled_size, selected=picks,
             metric=metric, metric_kind=metric_kind, loss_curve=curve,

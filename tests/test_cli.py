@@ -335,6 +335,19 @@ class TestRun:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_negative_initial_labeled_exits_2_with_one_error_line(self, tmp_path,
+                                                                  capsys):
+        # with no training it used to write the manifest and die in the first
+        # seed with numpy's bare ValueError and a traceback
+        train = dict(TINY_CONFIG["train"], epochs=0)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, initial_labeled=-5, train=train)))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: initial_labeled must be >= 0, got -5"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep", "selector_sweep"])
     def test_empty_test_split_exits_2_before_any_output(self, tmp_path, capsys,
                                                         command):

@@ -330,6 +330,18 @@ class TestReplaceGetsTheLoadChecks:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(experiment_from_dict(MINIMAL), **{field: value})
 
+    @pytest.mark.parametrize("epochs", [0, 8])
+    def test_negative_initial_labeled_rejected_at_construction(self, epochs):
+        # with no training it used to build, and the run died in
+        # PoolState.initial with numpy's bare ValueError
+        message = "initial_labeled must be >= 0, got -5"
+        train = {"epochs": epochs}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            experiment_from_dict(dict(MINIMAL, initial_labeled=-5, train=train))
+        cfg = experiment_from_dict(dict(MINIMAL, train=train))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(cfg, initial_labeled=-5)
+
     @pytest.mark.parametrize("change,message", [
         ({"n_per_clas": 10}, "unknown key(s) in dataset: ['n_per_clas']"),
         ({"n_per_class": "10"}, "dataset.n_per_class must be a JSON integer"),

@@ -37,27 +37,31 @@ def blob_config(**overrides):
 
 
 class TestPoolState:
-    def test_acquire_moves_indices_and_records_history(self):
-        pool = PoolState(labeled=[0, 1], unlabeled=[2, 3, 4])
-        pool.acquire([3])
-        assert pool.labeled == [0, 1, 3]
-        assert pool.unlabeled == [2, 4]
-        assert pool.history == [[3]]
-        pool.check_invariants(5)
+    def test_acquire_labels_the_rows_at_the_positions(self):
+        pool = PoolState(np.array([True, True, False, False, False]))
+        assert pool.acquire([1]) == [3]
+        assert pool.labeled.tolist() == [0, 1, 3]
+        assert pool.unlabeled.tolist() == [2, 4]
 
-    def test_acquiring_labeled_index_rejected(self):
-        pool = PoolState(labeled=[0], unlabeled=[1, 2])
-        with pytest.raises(InvalidStateError):
-            pool.acquire([0])
+    @pytest.mark.parametrize("position", [-1, 2])
+    def test_position_outside_the_unlabeled_rows_rejected(self, position):
+        pool = PoolState(np.array([True, False, False]))
+        with pytest.raises(InvalidStateError, match="unlabeled pool"):
+            pool.acquire([position])
+        assert pool.is_labeled.tolist() == [True, False, False]
 
     def test_duplicate_picks_rejected(self):
-        pool = PoolState(labeled=[], unlabeled=[1, 2])
-        with pytest.raises(InvalidStateError):
+        pool = PoolState(np.array([False, False, False]))
+        with pytest.raises(InvalidStateError, match="distinct"):
             pool.acquire([1, 1])
 
+    @pytest.mark.parametrize("size", [-1, 6])
+    def test_initial_size_outside_the_pool_rejected(self, size):
+        with pytest.raises(ConfigError, match=f"^initial_labeled {size} not in"):
+            PoolState.initial(5, size, np.random.default_rng(0))
+
     @given(pool_size=st.integers(1, 40), initial=st.integers(0, 40),
-           steps=st.lists(st.tuples(st.sampled_from(["valid", "labeled",
-                                                     "repeat", "outside"]),
+           steps=st.lists(st.tuples(st.sampled_from(["valid", "repeat", "outside"]),
                                     st.integers(0, 8), st.integers(0, 2**31 - 1)),
                           max_size=12))
     @settings(max_examples=60)
@@ -67,29 +71,31 @@ class TestPoolState:
                                  np.random.default_rng(pool_size))
         for kind, size, seed in steps:
             gen = np.random.default_rng(seed)
-            free = pool.unlabeled
-            picks = [int(i) for i in
-                     gen.permutation(free)[:min(size, len(free))]]
-            if kind == "labeled" and pool.labeled:
-                picks.append(int(gen.choice(pool.labeled)))
-            elif kind == "repeat" and picks:
-                picks.append(picks[int(gen.integers(len(picks)))])
+            free = len(pool.unlabeled)
+            positions = [int(p) for p in gen.permutation(free)[:min(size, free)]]
+            if kind == "repeat" and positions:
+                positions.append(positions[int(gen.integers(len(positions)))])
             elif kind == "outside":
-                picks.append(int(gen.choice([-1, pool_size, pool_size + 7])))
+                positions.append(int(gen.choice([-1, free, free + 7])))
             else:
                 kind = "valid"
-            before = (list(pool.labeled), list(pool.unlabeled), len(pool.history))
+            before = pool.is_labeled.copy()
             if kind == "valid":
-                pool.acquire(picks)
-                assert pool.history[-1] == picks
+                rows = [int(pool.unlabeled[p]) for p in positions]
+                picks = pool.acquire(positions)
+                assert picks == rows and all(type(i) is int for i in picks)
+                after = before.copy()
+                after[rows] = True
+                assert np.array_equal(pool.is_labeled, after)
             else:
                 with pytest.raises(InvalidStateError):
-                    pool.acquire(picks)
-                assert (pool.labeled, pool.unlabeled, len(pool.history)) == before
-            pool.check_invariants(pool_size)
-            assert pool.labeled == sorted(pool.labeled)
-            assert pool.unlabeled == sorted(pool.unlabeled)
-            assert not set(pool.labeled) & set(pool.unlabeled)
+                    pool.acquire(positions)
+                assert np.array_equal(pool.is_labeled, before)
+            labeled, unlabeled = pool.labeled.tolist(), pool.unlabeled.tolist()
+            assert labeled == sorted(labeled)
+            assert unlabeled == sorted(unlabeled)
+            assert not set(labeled) & set(unlabeled)
+            assert sorted(labeled + unlabeled) == list(range(pool_size))
 
 
 class TestRunActiveLearning:
@@ -146,6 +152,10 @@ class TestRunActiveLearning:
                                                   model=model), 1)
             assert len(reports) == 2
             assert len(reports[0].selected) == 6
+            # the picks come out of a numpy index array; json.dumps and the
+            # benchmark's report check need Python ints
+            assert all(type(i) is int for r in reports for i in r.selected)
+            json.dumps([r.to_record() for r in reports])
 
     def test_every_cycle_trains_from_the_same_init(self, monkeypatch):
         # one training recipe: each cycle builds the model afresh from the
@@ -434,4 +444,12 @@ class TestSelectPhase:
         monkeypatch.setattr(loop, "_strategy_picks", lambda *args: [0, 0])
         with pytest.raises(InvalidStateError,
                            match="seed 3, cycle 1, phase select: .*distinct"):
+            run_single_seed(blob_config(), 3)
+
+    def test_negative_position_is_not_wrapped_to_the_last_row(self, monkeypatch):
+        # positions used to be mapped with list indexing, so -1 labeled the
+        # last unlabeled row
+        monkeypatch.setattr(loop, "_strategy_picks", lambda *args: [-1])
+        with pytest.raises(InvalidStateError,
+                           match="seed 3, cycle 1, phase select: .*unlabeled pool"):
             run_single_seed(blob_config(), 3)
