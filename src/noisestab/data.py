@@ -154,7 +154,8 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def load_csv_tabular(path, schema) -> Dataset:
-    """Comma-delimited UTF-8 file with a header row.
+    """Comma-delimited UTF-8 file with a header row; a leading byte-order
+    mark, as Excel's "CSV UTF-8" writes, is skipped.
 
     ``schema`` maps every column name to "numeric", "categorical", or "target"
     (exactly one target). Categorical columns expand to one-hot blocks in
@@ -163,7 +164,7 @@ def load_csv_tabular(path, schema) -> Dataset:
     statistics after the split.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = list(reader)

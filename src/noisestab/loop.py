@@ -97,7 +97,8 @@ class CycleReport:
 @dataclass
 class ModelConfig:
     """The MLP's hidden widths and its dropout rate, one Dropout after each
-    hidden ReLU when the rate is above 0."""
+    hidden ReLU when the rate is above 0, so a rate above 0 needs a hidden
+    layer."""
 
     hidden: list[int] = field(default_factory=lambda: [16])
     dropout: float = 0.0
@@ -109,6 +110,9 @@ class ModelConfig:
                 raise ConfigError(f"model.hidden[{i}] must be >= 1, got {width!r}")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"model.dropout must be in [0, 1), got {self.dropout!r}")
+        if self.dropout > 0 and not self.hidden:
+            raise ConfigError("model.dropout must be 0 with no hidden layer (Dropout "
+                              f"follows each hidden ReLU), got {self.dropout!r}")
 
 
 @dataclass

@@ -13,8 +13,7 @@ the default, covers every parameter.
 Conventions:
   * all numeric data is float64; inputs may be single examples ``(D,)`` or
     batches ``(B, D)``;
-  * parameter flattening is layer-major, then row-major within a layer
-    (weight matrix raveled C-order, then bias);
+  * parameters flatten layer-major, then row-major, as ``_param_views`` states;
   * ReLU subgradient at 0 is 0;
   * dropout uses inverted scaling, so eval-mode forward is unscaled.
 
@@ -126,23 +125,6 @@ class Linear:
             np.multiply(w_j, a_j, out=term)
             out += term
         return out
-
-    def flat_params(self):
-        if self.weight.ndim != 2:
-            raise _stacked_error("flatten_params", self.weight)
-        parts = [self.weight.ravel()]
-        if self.bias is not None:
-            parts.append(self.bias)
-        return np.concatenate(parts)
-
-    def set_flat_params(self, vec):
-        """Write an (n,) vector, or a (Kc, n) stack that makes the weight
-        (Kc, out, in) and the bias (Kc, out)."""
-        shape = vec.shape[:-1] + self.weight.shape[-2:]
-        w_size = shape[-2] * shape[-1]
-        self.weight = vec[..., :w_size].reshape(shape).copy()
-        if self.bias is not None:
-            self.bias = vec[..., w_size:].copy()
 
     def copy(self):
         if self.weight.ndim != 2:
@@ -398,24 +380,51 @@ def forward_to(model, x, boundary):
     return acts[0] if squeeze else acts
 
 
+def _param_views(model, flat, tap=TAP_PREDICTIVE):
+    """``{layer index: (weight, bias or None)}`` of each parameter layer before
+    the tap, as views of ``flat``, whose last axis holds the n parameters (an
+    (n,) vector, a (Kc, n) stack, a (d, n) Jacobian). This is the one statement
+    of the flat layout: layer-major, then row-major within a layer (the weight
+    raveled C-order, then the bias). A weight view is (..., out, in)."""
+    lead = flat.shape[:-1]
+    views = {}
+    offset = 0
+    for i, layer in enumerate(model.layers[:model.tap_boundary(tap)]):
+        if not layer.n_params:
+            continue
+        rows, cols = layer.weight.shape[-2:]
+        weight = flat[..., offset:offset + rows * cols].reshape(lead + (rows, cols))
+        offset += rows * cols
+        bias = None
+        if layer.bias is not None:
+            bias = flat[..., offset:offset + rows]
+            offset += rows
+        views[i] = (weight, bias)
+    return views
+
+
 def flatten_params(model, tap=TAP_PREDICTIVE):
-    """Parameters before the tap as one vector, layer-major then row-major."""
-    parts = [layer.flat_params() for layer in model.layers[:model.tap_boundary(tap)]
-             if layer.n_params]
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
+    """Parameters before the tap as one (n,) vector in ``_param_views``
+    order. Raises ``InvalidStateError`` while a stack is applied."""
+    flat = np.empty(model.n_params(tap))
+    for i, (weight, bias) in _param_views(model, flat, tap).items():
+        layer = model.layers[i]
+        if layer.weight.ndim != 2:
+            raise _stacked_error("flatten_params", layer.weight)
+        weight[...] = layer.weight
+        if bias is not None:
+            bias[...] = layer.bias
+    return flat
 
 
 def _write_params(model, vec, tap=TAP_PREDICTIVE):
-    """Write an (n,) vector, or a (Kc, n) stack, into the layers before the
-    tap (inverse of ``flatten_params``)."""
-    offset = 0
-    for layer in model.layers[:model.tap_boundary(tap)]:
-        if layer.n_params == 0:
-            continue
-        layer.set_flat_params(vec[..., offset:offset + layer.n_params])
-        offset += layer.n_params
+    """Give each layer before the tap owned copies of its views of an (n,)
+    vector or a (Kc, n) stack (inverse of ``flatten_params``)."""
+    for i, (weight, bias) in _param_views(model, vec, tap).items():
+        layer = model.layers[i]
+        layer.weight = weight.copy()
+        if bias is not None:
+            layer.bias = bias.copy()
 
 
 def apply_perturbation(model, delta, tap=TAP_PREDICTIVE):
@@ -459,34 +468,33 @@ def jacobian(model, x, tap=TAP_FEATURE):
 
     Row i is the gradient of output coordinate i; computed by backpropagating
     the full identity seed matrix in one sweep (one backward per layer, all
-    output coordinates at once). Eval-mode semantics.
+    output coordinates at once). Eval-mode semantics. An input holding a NaN
+    or an infinity raises ``NonFiniteError``.
     """
     boundary = model.tap_boundary(tap)
     xb, _ = _as_batch(x)
     if xb.shape[0] != 1:
         raise DimensionError("jacobian expects a single example")
+    check_finite_rows(xb, "jacobian input")
     out, caches = _forward_cached(model, xb, boundary)
     d = out.shape[1]
+    jac = np.empty((d, model.n_params(tap)))
+    views = _param_views(model, jac, tap)
     grad = np.eye(d)
-    blocks = []  # each Linear layer's columns, last layer first
     for i in range(boundary - 1, -1, -1):
         layer = model.layers[i]
         # caches were built for a 1-row batch; every backward here is linear in
         # the seed rows, so the d-row grad propagates coordinate-wise
         cache = caches[i]
-        if isinstance(layer, Linear):
-            a = cache[0]  # cached input activation, (in,)
-            grad_w = grad[:, :, None] * a[None, None, :]  # (d, out, in)
-            parts = [grad_w.reshape(d, -1)]
-            if layer.bias is not None:
-                parts.append(grad)
-            blocks.append(np.hstack(parts))
+        if i in views:
+            jac_w, jac_b = views[i]
+            np.multiply(grad[:, :, None], cache[0], out=jac_w)
+            if jac_b is not None:
+                jac_b[...] = grad
             grad = grad @ layer.weight
         else:
             grad = layer.backward(grad, cache)
-    if not blocks:
-        return np.zeros((d, 0))
-    return np.hstack(blocks[::-1])
+    return jac
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
@@ -561,25 +569,6 @@ def _loss_and_grad(model, output, y):
         y = y[:, None]
     diff = output - y
     return (diff * diff).sum(axis=1), 2.0 * diff / b, top
-
-
-def _param_views(model, flat):
-    """``{layer index: (weight, bias or None)}`` of every parameter layer, as
-    views of the flat vector ``flat`` laid out in ``flatten_params`` order."""
-    views = {}
-    offset = 0
-    for i, layer in enumerate(model.layers):
-        if not layer.n_params:
-            continue
-        rows, cols = layer.weight.shape[-2:]
-        weight = flat[offset:offset + rows * cols].reshape(rows, cols)
-        offset += rows * cols
-        bias = None
-        if layer.bias is not None:
-            bias = flat[offset:offset + rows]
-            offset += rows
-        views[i] = (weight, bias)
-    return views
 
 
 def _backprop(model, x, y, grads, train, rng):

@@ -348,6 +348,20 @@ class TestRun:
             "error: initial_labeled must be >= 0, got -5"]
         assert not out.exists()
 
+    def test_dropout_without_a_hidden_layer_exits_2_with_one_error_line(self, tmp_path,
+                                                                        capsys):
+        # it used to write the manifest and train cycle 1 before BALD found no
+        # Dropout layer to sample
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, strategy="bald_mcdropout",
+                                        model={"hidden": [], "dropout": 0.25})))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model.dropout must be 0 with no hidden layer (Dropout follows "
+            "each hidden ReLU), got 0.25"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep", "selector_sweep"])
     def test_empty_test_split_exits_2_before_any_output(self, tmp_path, capsys,
                                                         command):

@@ -342,6 +342,18 @@ class TestReplaceGetsTheLoadChecks:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(cfg, initial_labeled=-5)
 
+    def test_dropout_without_a_hidden_layer_rejected_at_construction(self):
+        # it used to load: the rate did nothing, and bald_mcdropout trained
+        # cycle 1 before failing for want of a Dropout layer
+        message = ("model.dropout must be 0 with no hidden layer (Dropout "
+                   "follows each hidden ReLU), got 0.25")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            experiment_from_dict(dict(MINIMAL, model={"hidden": [], "dropout": 0.25}))
+        cfg = experiment_from_dict(dict(MINIMAL, model={"hidden": [4], "dropout": 0.25}))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(cfg, model=dataclasses.replace(cfg.model, hidden=[]))
+        assert experiment_from_dict(dict(MINIMAL, model={"hidden": []})).model.hidden == []
+
     @pytest.mark.parametrize("change,message", [
         ({"n_per_clas": 10}, "unknown key(s) in dataset: ['n_per_clas']"),
         ({"n_per_class": "10"}, "dataset.n_per_class must be a JSON integer"),

@@ -203,6 +203,18 @@ class TestCsvLoader:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not UTF-8"):
             data.load_csv_tabular(path, {"a": "numeric", "y": "target"})
 
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts with one; it used to stick to the first
+        # column name and fail with "schema does not cover columns: ['\ufeffa']"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(b"a,y\n1,0.5\n2,0.7\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        schema = {"a": "numeric", "y": "target"}
+        expected = data.load_csv_tabular(plain, schema)
+        got = data.load_csv_tabular(marked, schema)
+        assert np.array_equal(got.inputs, expected.inputs)
+        assert np.array_equal(got.targets, expected.targets)
+
     def test_schema_must_cover_all_columns(self, csv_path):
         with pytest.raises(DataError, match="cover"):
             data.load_csv_tabular(csv_path, {"color": "categorical",

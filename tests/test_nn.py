@@ -359,6 +359,55 @@ class TestFlattenParams:
         assert np.array_equal(nn.flatten_params(model), vec)
 
 
+class TestParamViews:
+    @given(seed=st.integers(0, 2**32 - 1), bias=st.booleans(),
+           tap=st.sampled_from([nn.TAP_FEATURE, nn.TAP_PREDICTIVE]),
+           lead=st.sampled_from([(), (1,), (3,)]))
+    @settings(max_examples=60, deadline=None)
+    def test_views_lay_out_the_last_axis(self, seed, bias, tap, lead):
+        # lead () is an (n,) vector; (Kc,) a stack or, read as (d,), a Jacobian
+        gen = np.random.default_rng(seed)
+        hidden = gen.integers(1, 5, size=int(gen.integers(0, 3))).tolist()
+        model = nn.build_mlp(int(gen.integers(1, 4)), hidden, int(gen.integers(1, 4)),
+                             bias=bias, seed=seed)
+        boundary = model.tap_boundary(tap)
+        flat = np.zeros(lead + (model.n_params(tap),))
+        views = nn._param_views(model, flat, tap)
+        assert list(views) == [i for i, layer in enumerate(model.layers[:boundary])
+                               if isinstance(layer, nn.Linear)]
+        for i, (weight, b) in views.items():
+            layer = model.layers[i]
+            assert weight.shape == lead + layer.weight.shape
+            assert np.shares_memory(weight, flat)
+            assert (b is None) == (layer.bias is None)
+            if b is not None:
+                assert b.shape == lead + layer.bias.shape
+                assert np.shares_memory(b, flat)
+        # layer-major, then row-major: each layer's raveled weight, then its bias
+        flat[...] = np.arange(flat.size).reshape(flat.shape)
+        read = [part.reshape(lead + (-1,)) for weight, b in views.values()
+                for part in (weight, b) if part is not None]
+        assert np.array_equal(np.concatenate(read, axis=-1), flat)
+
+        values = gen.normal(size=flat.shape)
+        twin = model.copy()
+        nn._write_params(model, values, tap)
+        for k, row in enumerate(values.reshape(-1, values.shape[-1])):
+            nn._write_params(twin, row, tap)
+            assert np.array_equal(nn.flatten_params(twin, tap), row)
+            for i, (weight, b) in views.items():
+                written, alone = model.layers[i], twin.layers[i]
+                # (out, in) weights from a vector, (Kc, out, in) from a stack
+                assert written.weight.shape == weight.shape
+                assert np.array_equal(written.weight.reshape((-1,) + alone.weight.shape)[k],
+                                      alone.weight)
+                assert not np.shares_memory(written.weight, values)
+                if b is not None:
+                    assert np.array_equal(written.bias.reshape(-1, b.shape[-1])[k],
+                                          alone.bias)
+                    assert not np.shares_memory(written.bias, values)
+
+
 class TestPerturbation:
     def test_zero_delta_leaves_outputs_unchanged(self, hand_232_model):
         x = np.array([0.4, 0.9])
@@ -430,11 +479,15 @@ class TestStackedPerturbation:
         boundary = model.tap_boundary(tap)
         after_tap = [layer for layer in model.layers[boundary:]
                      if isinstance(layer, nn.Linear)]
-        unmoved = [layer.flat_params().tobytes() for layer in after_tap]
+        unmoved = [(layer.weight.tobytes(),
+                    None if layer.bias is None else layer.bias.tobytes())
+                   for layer in after_tap]
         nn.apply_perturbation(model, stack, tap)
         # the noise moves the parameters before the tap and nothing after it
         assert all(layer.weight.ndim == 2 for layer in after_tap)
-        assert [layer.flat_params().tobytes() for layer in after_tap] == unmoved
+        assert [(layer.weight.tobytes(),
+                 None if layer.bias is None else layer.bias.tobytes())
+                for layer in after_tap] == unmoved
         # each Linear before the tap holds one (out, in) weight per direction
         assert model.n_params(tap) == sum(
             layer.weight[0].size + (0 if layer.bias is None else layer.bias[0].size)
@@ -504,6 +557,14 @@ class TestJacobian:
     def test_unknown_tap_rejected(self, hand_232_model):
         with pytest.raises(ConfigError):
             nn.jacobian(hand_232_model, np.zeros(2), tap="nowhere")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, value):
+        # NaN used to give an all-NaN Jacobian, an infinity a RuntimeWarning
+        model = nn.build_mlp(3, [4], 2)
+        with pytest.raises(NonFiniteError,
+                           match="^jacobian input row 0 holds a NaN or infinite value$"):
+            nn.jacobian(model, [value, 0.0, 1.0])
 
     def test_gradient_check_sweep_over_random_nets(self):
         from conftest import random_relu_net
