@@ -24,5 +24,4 @@ from .stability import (NoiseConfig, PerturbationSet, embedding,
                         pool_embeddings, sample_directions)
 from .theory import (CheckReport, check_distance_equivalence,
                      check_inner_product_equivalence, check_jacobian_norm,
-                     check_second_moment, concentration_trial,
-                     sampling_efficiency_sweep)
+                     check_second_moment, concentration_trial, efficiency_report)

@@ -53,9 +53,18 @@ def experiment_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
+    def unique_keys(pairs):
+        # ``json`` keeps the last of a repeated key; a config must not repeat one
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigError(f"config file {path} repeats key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:  # a directory, say, or a file it may not read

@@ -39,27 +39,37 @@ _JSON_NAMES = {int: "JSON integer", float: "JSON number", str: "JSON string",
 
 
 def check_type(value, kind, name):
-    """Reject a value that is not of its declared JSON type, so "15", 2.7 or
+    """The value, checked against its declared JSON type, so "15", 2.7 or
     true never load as a different value. A float takes any finite JSON
-    number (``json`` reads NaN and Infinity too), nothing takes a bool,
-    ``list[int]`` checks each entry, and a section only its dataclass."""
+    number (``json`` reads NaN and Infinity too) and returns it as a float,
+    so 1 and 1.0 load alike; nothing takes a bool, ``list[int]`` checks each
+    entry, and a section only its dataclass."""
     base = typing.get_origin(kind) or kind
     ok = isinstance(value, (int, float) if base is float else base)
     if not ok or isinstance(value, bool):
         what = _JSON_NAMES.get(base) or f"{name} section ({base.__name__})"
         raise ConfigError(f"{name} must be a {what}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if base is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be a finite number, got an integer "
+                              "too large for a float") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
     for item_kind in typing.get_args(kind):
-        for i, item in enumerate(value):
-            check_type(item, item_kind, f"{name}[{i}]")
+        value = [check_type(item, item_kind, f"{name}[{i}]")
+                 for i, item in enumerate(value)]
+    return value
 
 
 def check_fields(config, prefix=""):
     """``check_type`` each field of a config dataclass, named ``prefix`` + its
-    name, against its annotation (a class: annotations are not postponed)."""
+    name, against its annotation (a class: annotations are not postponed),
+    and store the value it returns."""
     for f in fields(config):
-        check_type(getattr(config, f.name), f.type, prefix + f.name)
+        setattr(config, f.name,
+                check_type(getattr(config, f.name), f.type, prefix + f.name))
 
 
 def check_keys(doc, known, required, where):

@@ -11,7 +11,7 @@ streams, so switching strategies never perturbs the data or the initial pool.
 import os
 import time
 import typing
-from dataclasses import MISSING, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +66,7 @@ class PoolState:
 
 @dataclass
 class CycleReport:
+    seed: int
     cycle: int
     labeled_size: int
     selected: list
@@ -73,25 +74,15 @@ class CycleReport:
     metric_kind: str
     loss_curve: list
     wall_time: float
-    seed: int
     warnings: list = field(default_factory=list)
 
     def to_record(self) -> dict:
-        """Serialized form for reports.jsonl.
-
-        wall_time is deliberately omitted: the on-disk report must be
-        byte-identical across reruns of the same config and seeds.
-        """
-        return {
-            "seed": self.seed,
-            "cycle": self.cycle,
-            "labeled_size": self.labeled_size,
-            "selected": list(self.selected),
-            "metric": self.metric,
-            "metric_kind": self.metric_kind,
-            "loss_curve": list(self.loss_curve),
-            "warnings": list(self.warnings),
-        }
+        """Serialized form for reports.jsonl: the fields in declared order are
+        its keys in that order. wall_time is left out, so that the on-disk
+        report is byte-identical across reruns of the same config and seeds."""
+        record = asdict(self)
+        del record["wall_time"]
+        return record
 
 
 @dataclass
@@ -239,7 +230,7 @@ def check_dataset(spec: dict) -> dict:
     spec = {**spec, **{name: key.default for name, key in keys.items()
                        if name not in spec}}
     for name, key in keys.items():
-        check_type(spec[name], key.type, f"dataset.{name}")
+        spec[name] = check_type(spec[name], key.type, f"dataset.{name}")
         if key.least is not None and spec[name] < key.least:
             raise ConfigError(f"dataset.{name} must be >= {key.least}{key.why}, "
                               f"got {spec[name]!r}")
@@ -365,10 +356,9 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
             raise InvalidStateError(
                 f"seed {run_seed}, cycle {cycle}, phase select: {exc}") from exc
         reports.append(CycleReport(
-            cycle=cycle, labeled_size=labeled_size, selected=picks,
+            seed=run_seed, cycle=cycle, labeled_size=labeled_size, selected=picks,
             metric=metric, metric_kind=metric_kind, loss_curve=curve,
-            wall_time=time.perf_counter() - start, seed=run_seed,
-            warnings=warnings))
+            wall_time=time.perf_counter() - start, warnings=warnings))
     return reports
 
 

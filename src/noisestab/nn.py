@@ -152,9 +152,6 @@ class ReLU:
     def backward(self, grad, cache):
         return grad * cache
 
-    def copy(self):
-        return ReLU()
-
 
 class Dropout:
     """Inverted dropout: kept units divided by keep-probability at train time."""
@@ -182,9 +179,6 @@ class Dropout:
         if cache is None:
             return grad
         return grad * cache
-
-    def copy(self):
-        return Dropout(self.rate)
 
 
 class Softmax:
@@ -217,9 +211,6 @@ class Softmax:
         p = cache
         inner = (grad * p).sum(axis=1, keepdims=True)
         return p * grad - p * inner
-
-    def copy(self):
-        return Softmax()
 
 
 class MlpModel:
@@ -254,8 +245,10 @@ class MlpModel:
         raise ConfigError(f"unknown tap {tap!r}")
 
     def copy(self) -> "MlpModel":
-        """Deep copy of layers and parameters (cheap at desk scale)."""
-        return MlpModel([l.copy() for l in self.layers], self.feature_tap)
+        """Copies of its Linear layers and their parameters; the ReLU, Dropout
+        and Softmax layers hold no state that changes, so the copy shares them."""
+        return MlpModel([l.copy() if isinstance(l, Linear) else l for l in self.layers],
+                        self.feature_tap)
 
     def has_dropout(self) -> bool:
         return any(isinstance(l, Dropout) for l in self.layers)

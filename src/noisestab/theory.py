@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,16 +58,10 @@ class CheckReport:
                    details=details)
 
     def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "trials": self.trials,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "seed": self.seed,
-        }
-        if self.details:
-            doc["details"] = self.details
+        """The fields in declared order, without ``details`` when it is empty."""
+        doc = asdict(self)
+        if not self.details:
+            del doc["details"]
         return json.dumps(doc)
 
 
@@ -471,37 +465,27 @@ class EfficiencySearches:
                 for pool_size, k in zip(pool_sizes, ks)]
 
 
-def sampling_efficiency_sweep(n, pool_sizes, epsilon, seed, target=0.05,
-                              trials=200):
+def efficiency_report(n, pool_sizes, epsilon, seed, target=0.05, trials=200,
+                      threshold=None, searches=None) -> CheckReport:
     """Smallest K keeping the simultaneous failure probability below target,
-    per pool size.
+    per pool size, and the K growth ratio across them against the pool-size
+    ratio (sub-linear growth passes).
 
     Each pool size is searched on its own from K=1 by ``required_samplings``.
     No answer is carried over from a smaller pool, so a table that rises with
-    N is a measured result, not an artefact of the search. The searches run as
-    ``EfficiencySearches`` runs them: in worker processes when more than one
-    CPU is usable, and the table's bits do not depend on that. Returns a list
-    of {"pool_size", "required_samplings"} rows; sub-linear growth shows as K
-    ratios far below pool-size ratios.
-    """
-    with EfficiencySearches(n, pool_sizes, epsilon, seed, target, trials) as searches:
-        return searches.table()
-
-
-def efficiency_report(n, pool_sizes, epsilon, seed, target=0.05, trials=200,
-                      threshold=None, searches=None) -> CheckReport:
-    """Summary report: K growth ratio across the sweep against the pool-size
-    ratio (sub-linear growth passes).
-
+    N is a measured result, not an artefact of the search. ``details["table"]``
+    holds {"pool_size", "required_samplings"} rows in ``pool_sizes`` order.
     ``searches``, an entered ``EfficiencySearches`` over the same arguments,
-    supplies a table whose searches are already running; without it the sweep
-    runs here.
+    supplies a table whose searches are already running; without it one is
+    entered here. The searches run in worker processes when more than one CPU
+    is usable, and the table's bits do not depend on the worker count.
     """
     if threshold is None:
         threshold = DEFAULT_THRESHOLDS["efficiency_ratio"]
     args = (n, list(pool_sizes), epsilon, seed, target, trials)
     if searches is None:
-        table = sampling_efficiency_sweep(*args)
+        with EfficiencySearches(*args) as searches:
+            table = searches.table()
     elif searches.args != args:
         raise ValueError(f"searches were started for {searches.args!r}, "
                          f"not {args!r}")

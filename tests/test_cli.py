@@ -348,6 +348,37 @@ class TestRun:
             "error: initial_labeled must be >= 0, got -5"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, first, last", [
+        (None, "cycles", 5, 1), ("noise", "zeta", 1e-3, 1e-2)])
+    def test_repeated_key_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                      section, key, first, last):
+        # json keeps the last value of a repeated key, so such a file used to
+        # run with it silently
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        (doc[section] if section else doc)[key] = "PLACEHOLDER"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc).replace(
+            '"PLACEHOLDER"', f'{json.dumps(first)}, "{key}": {json.dumps(last)}'))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config file {path} repeats key '{key}'"]
+        assert not out.exists()
+
+    def test_integer_too_large_for_a_float_exits_2_naming_the_key(self, tmp_path,
+                                                                  capsys):
+        # a 400-digit lr used to write the manifest and die in the first Adam
+        # step with a bare OverflowError
+        train = dict(TINY_CONFIG["train"], lr=10 ** 399)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(TINY_CONFIG, train=train)))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: train.lr must be a finite number, got an integer too large "
+            "for a float"]
+        assert not out.exists()
+
     def test_dropout_without_a_hidden_layer_exits_2_with_one_error_line(self, tmp_path,
                                                                         capsys):
         # it used to write the manifest and train cycle 1 before BALD found no

@@ -550,6 +550,23 @@ class TestManifestRoundtrip:
         assert resolved_dict(spelled) == resolved_dict(left_out)
         assert config_hash(spelled) == config_hash(left_out)
 
+    @pytest.mark.parametrize("section, key, integer", [
+        ("train", "lr", 1), ("dataset", "noise_std", 2)])
+    def test_integer_value_of_a_float_key_loads_as_the_float(self, section, key,
+                                                             integer):
+        # 1 used to stay an int, so the same run hashed apart from 1.0
+        def load(value):
+            doc = json.loads(json.dumps(MINIMAL))
+            doc.setdefault(section, {})[key] = value
+            return experiment_from_dict(doc)
+
+        as_int, as_float = load(integer), load(float(integer))
+        assert config_hash(as_int) == config_hash(as_float)
+        value = resolved_dict(as_int)[section][key]
+        assert type(value) is float and value == integer
+        replaced = dataclasses.replace(as_float.train, lr=integer)
+        assert type(replaced.lr) is float
+
     def test_hash_changes_with_content(self):
         cfg_a = experiment_from_dict(MINIMAL)
         cfg_b = experiment_from_dict(dict(MINIMAL, budget=4))

@@ -1,6 +1,6 @@
 import json
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +156,19 @@ class TestRunActiveLearning:
             # benchmark's report check need Python ints
             assert all(type(i) is int for r in reports for i in r.selected)
             json.dumps([r.to_record() for r in reports])
+
+    def test_record_keys_are_the_report_fields_in_declared_order(self):
+        # reports.jsonl's bytes hang on this order, and to_record names no
+        # field itself
+        names = [f.name for f in fields(CycleReport) if f.name != "wall_time"]
+        assert names == ["seed", "cycle", "labeled_size", "selected", "metric",
+                         "metric_kind", "loss_curve", "warnings"]
+        cfg = blob_config(cycles=2, budget=90 - 9)  # cycle 2 warns it clamped
+        for strategy in ("random", "noise_stability"):
+            reports = run_single_seed(replace(cfg, strategy=strategy), 4)
+            assert reports[1].warnings
+            for report in reports:
+                assert list(report.to_record()) == names
 
     def test_every_cycle_trains_from_the_same_init(self, monkeypatch):
         # one training recipe: each cycle builds the model afresh from the

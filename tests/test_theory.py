@@ -256,8 +256,8 @@ class TestCheckSuiteSeeds:
 
 class TestEfficiencySweep:
     def test_unit_pool_needs_the_smallest_k(self):
-        table = theory.sampling_efficiency_sweep(100, [1, 16, 64], 0.5, seed=5,
-                                                 trials=120)
+        table = theory.efficiency_report(100, [1, 16, 64], 0.5, seed=5,
+                                         trials=120).details["table"]
         ks = [row["required_samplings"] for row in table]
         assert ks[0] == min(ks)
         assert ks == sorted(ks)
@@ -271,14 +271,14 @@ class TestEfficiencySweep:
         # check seed 102: per-K verdicts are Monte Carlo and not monotone in K
         # (26 passes at pool 256, 27 fails), so starting each search at the
         # previous pool size's answer read [24, 28, 32] here
-        table = theory.sampling_efficiency_sweep(200, [128, 256, 512], 0.5,
-                                                 seed=102)
+        table = theory.efficiency_report(200, [128, 256, 512], 0.5,
+                                         seed=102).details["table"]
         assert [row["required_samplings"] for row in table] == [24, 26, 30]
 
     def test_sweep_is_deterministic(self):
-        a = theory.sampling_efficiency_sweep(100, [4, 32], 0.5, seed=7, trials=100)
-        b = theory.sampling_efficiency_sweep(100, [4, 32], 0.5, seed=7, trials=100)
-        assert a == b
+        a = theory.efficiency_report(100, [4, 32], 0.5, seed=7, trials=100)
+        b = theory.efficiency_report(100, [4, 32], 0.5, seed=7, trials=100)
+        assert a.details["table"] == b.details["table"]
 
 
 def refuse_workers(*args, **kwargs):
@@ -307,13 +307,13 @@ class TestParallelSweep:
     def test_parallel_and_inline_tables_are_equal(self, monkeypatch, n,
                                                   pool_sizes, seed):
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 3)
-        parallel = theory.sampling_efficiency_sweep(n, pool_sizes, 0.5, seed,
-                                                    trials=60)
+        parallel = theory.efficiency_report(n, pool_sizes, 0.5, seed,
+                                            trials=60).details["table"]
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             refuse_workers)
-        inline = theory.sampling_efficiency_sweep(n, pool_sizes, 0.5, seed,
-                                                  trials=60)
+        inline = theory.efficiency_report(n, pool_sizes, 0.5, seed,
+                                          trials=60).details["table"]
         assert parallel == inline
         assert [row["pool_size"] for row in parallel] == pool_sizes
         assert [row["required_samplings"] for row in parallel] == [
@@ -321,7 +321,7 @@ class TestParallelSweep:
             for p in pool_sizes]
 
     def test_no_worker_outlives_the_call(self):
-        theory.sampling_efficiency_sweep(50, [4, 16], 0.5, seed=5, trials=40)
+        theory.efficiency_report(50, [4, 16], 0.5, seed=5, trials=40)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -330,7 +330,7 @@ class TestParallelSweep:
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(theory, "simultaneous_failures", fail_in_worker)
         with pytest.raises(FloatingPointError, match="raised inside a search"):
-            theory.sampling_efficiency_sweep(50, [4, 16], 0.5, seed=5, trials=40)
+            theory.efficiency_report(50, [4, 16], 0.5, seed=5, trials=40)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -351,7 +351,7 @@ from noisestab import theory
 theory._usable_cpus = lambda: 2
 theory.simultaneous_failures = lambda *a, **k: os.kill(os.getpid(), signal.SIGKILL)
 try:
-    theory.sampling_efficiency_sweep(50, [4, 16], 0.5, seed=5, trials=40)
+    theory.efficiency_report(50, [4, 16], 0.5, seed=5, trials=40)
 except BrokenProcessPool:
     print("BrokenProcessPool", multiprocessing.active_children())
 """
@@ -426,8 +426,8 @@ class TestOverlappedCheckSuite:
                                          searches=searches)
             report = theory.efficiency_report(50, [4, 16], 0.5, 5, trials=40,
                                               searches=searches)
-        assert report.details["table"] == theory.sampling_efficiency_sweep(
-            50, [4, 16], 0.5, 5, trials=40)
+        assert report.details["table"] == theory.efficiency_report(
+            50, [4, 16], 0.5, 5, trials=40).details["table"]
 
     def test_bad_arguments_fail_on_entry_before_any_worker(self, monkeypatch):
         monkeypatch.setattr(theory, "_usable_cpus", lambda: 2)
@@ -458,7 +458,7 @@ class TestTrialInputs:
         args = {"n": 50, "pool_sizes": [4, 8], "epsilon": 0.5, "seed": 0,
                 "target": 0.05, "trials": 20, **change}
         with pytest.raises(ValueError, match=f"^{name} must"):
-            theory.sampling_efficiency_sweep(**args)
+            theory.efficiency_report(**args)
         if "pool_sizes" not in change:
             args["pool_size"] = args.pop("pool_sizes")[0]
             with pytest.raises(ValueError, match=f"^{name} must"):
@@ -499,6 +499,13 @@ class TestCheckReport:
         good = theory.CheckReport.make("demo", 10, 0.01, 0.05, seed=1)
         bad = theory.CheckReport.make("demo", 10, 0.06, 0.05, seed=1)
         assert good.passed and not bad.passed
+
+    @pytest.mark.parametrize("details, extra", [({}, []), ({"n": 3}, ["details"])],
+                             ids=["without_details", "with_details"])
+    def test_json_keys_run_in_field_order(self, details, extra):
+        report = theory.CheckReport.make("demo", 10, 0.01, 0.05, seed=1, **details)
+        assert list(json.loads(report.to_json())) == [
+            "name", "trials", "statistic", "threshold", "passed", "seed", *extra]
 
     def test_json_roundtrip_holds_all_fields(self):
         report = theory.CheckReport.make("demo", 10, 0.01, 0.05, seed=1, n=3)
