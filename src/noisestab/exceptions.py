@@ -63,6 +63,15 @@ def check_type(value, kind, name):
     return value
 
 
+def check_dimension(value, name):
+    """Reject a size above 2**63 - 1, the int64 maximum and so the largest
+    array dimension numpy takes, so that it fails at load rather than
+    mid-run. A size within the bound can still be too large to allocate."""
+    if value > 2 ** 63 - 1:
+        raise ConfigError(f"{name} must be <= 2**63 - 1, the largest array "
+                          f"dimension numpy takes, got {value!r}")
+
+
 def check_fields(config, prefix=""):
     """``check_type`` each field of a config dataclass, named ``prefix`` + its
     name, against its annotation (a class: annotations are not postponed),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baselines, data, nn, stability
 from .exceptions import (ConfigError, DataError, InvalidStateError, NonFiniteError,
-                         check_fields, check_keys, check_type)
+                         check_dimension, check_fields, check_keys, check_type)
 from .seeding import derive_seed, rng
 from .selection import METHODS, SelectionRequest, select
 
@@ -99,6 +99,7 @@ class ModelConfig:
         for i, width in enumerate(self.hidden):
             if width < 1:
                 raise ConfigError(f"model.hidden[{i}] must be >= 1, got {width!r}")
+            check_dimension(width, f"model.hidden[{i}]")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"model.dropout must be in [0, 1), got {self.dropout!r}")
         if self.dropout > 0 and not self.hidden:
@@ -167,13 +168,15 @@ class ExperimentConfig:
 
 class Key(typing.NamedTuple):
     """A dataset key: its JSON type, its default (``MISSING`` if required),
-    its least value and why, and whether it names a file that must exist."""
+    its least value and why, whether it names a file that must exist, and
+    whether numpy takes it as an array dimension."""
 
     type: type
     default: object = MISSING
     least: float | None = None
     why: str = ""
     file: bool = False
+    dimension: bool = False
 
 
 class DatasetKind(typing.NamedTuple):
@@ -193,17 +196,20 @@ _FILE = Key(str, file=True)
 _COMMON_KEYS = {"kind": Key(str), "test_fraction": Key(float, 0.3)}
 DATASETS = {
     "blobs": DatasetKind("classification", {
-        "n_per_class": Key(int, least=2, why=_SPLIT), "classes": Key(int, least=2),
-        "dim": Key(int, least=1), "centers_seed": Key(int, 0, least=0),
+        "n_per_class": Key(int, least=2, why=_SPLIT, dimension=True),
+        "classes": Key(int, least=2, dimension=True),
+        "dim": Key(int, least=1, dimension=True), "centers_seed": Key(int, 0, least=0),
         "noise_std": Key(float, least=0), "center_scale": Key(float, 4.0, least=0)},
         lambda d, seed: data.gen_blobs(d["n_per_class"], d["classes"], d["dim"],
                                        d["centers_seed"], d["noise_std"], seed,
                                        center_scale=d["center_scale"])),
     "two_moons": DatasetKind("classification", {
-        "n": Key(int, least=4, why=_SPLIT), "noise_std": Key(float, least=0)},
+        "n": Key(int, least=4, why=_SPLIT, dimension=True),
+        "noise_std": Key(float, least=0)},
         lambda d, seed: data.gen_two_moons(d["n"], d["noise_std"], seed)),
     "linear_regression": DatasetKind("regression", {
-        "n": Key(int, least=1), "dim": Key(int, least=1),
+        "n": Key(int, least=1, dimension=True),
+        "dim": Key(int, least=1, dimension=True),
         "weight_seed": Key(int, 0, least=0), "noise_std": Key(float, least=0)},
         lambda d, seed: data.gen_linear_regression(d["n"], d["dim"], d["weight_seed"],
                                                    d["noise_std"], seed)),
@@ -234,6 +240,8 @@ def check_dataset(spec: dict) -> dict:
         if key.least is not None and spec[name] < key.least:
             raise ConfigError(f"dataset.{name} must be >= {key.least}{key.why}, "
                               f"got {spec[name]!r}")
+        if key.dimension:
+            check_dimension(spec[name], f"dataset.{name}")
         if key.file and not os.path.isfile(spec[name]):
             raise ConfigError(f"dataset.{name} names no file: {spec[name]!r}")
     for column, column_kind in spec.get("schema", {}).items():
@@ -347,8 +355,8 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
             try:
                 positions = _strategy_picks(cfg, model, train_pool, pool_state,
                                             budget, run_seed, cycle)
-            except NonFiniteError as exc:
-                raise NonFiniteError(
+            except (NonFiniteError, InvalidStateError) as exc:
+                raise type(exc)(
                     f"seed {run_seed}, cycle {cycle}, phase embed: {exc}") from exc
         try:
             picks = pool_state.acquire(positions)

@@ -12,16 +12,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, seeding
-from .exceptions import ConfigError, DimensionError, InvalidStateError, check_fields
+from .exceptions import (ConfigError, DimensionError, InvalidStateError,
+                         check_dimension, check_fields)
 
 _TAPS = (nn.TAP_FEATURE, nn.TAP_PREDICTIVE)
 
-# entries one chunk of directions may take (the size of
-# selection._BLOCK_ENTRIES): each direction costs its activations over the
-# rows, N times the widest layer up to the tap, plus its copy of the
-# parameters before the tap. A pool of thousands runs one direction per pass;
-# a single example runs hundreds.
-_CHUNK_ENTRIES = 32768
+# entries one chunk of directions may take: each direction costs its
+# activations over the rows, N times the widest layer up to the tap, plus its
+# copy of the parameters before the tap. At 2^16 a chunk's stacked
+# activations, Kc x widest x N entries, stay within 512 KB, and stacking
+# directions amortizes the fixed cost of each pass: numpy's per-call overhead,
+# apply_perturbation / remove_perturbation and forward_to's transpose. A pool
+# of thousands runs one direction per pass, about 600 rows at width 32 run
+# three, and a single example runs hundreds. At 2^17 the stacks pass 1 MB and
+# leave the cache.
+_CHUNK_ENTRIES = 65536
 
 
 @dataclass
@@ -46,6 +51,7 @@ class NoiseConfig:
             raise ConfigError(f"noise.zeta must be > 0, got {self.zeta!r}")
         if self.samplings < 1:
             raise ConfigError(f"noise.samplings must be >= 1, got {self.samplings!r}")
+        check_dimension(self.samplings, "noise.samplings")
         if self.tap not in _TAPS:
             raise ConfigError(f"unknown tap {self.tap!r}")
 
@@ -77,13 +83,10 @@ def sample_directions(n, samplings, seed) -> np.ndarray:
         raise ConfigError("samplings must be >= 1")
     gen = seeding.rng(seed)
     t = gen.standard_normal((samplings, n))
-    # row norms in blocks of rows, so no temporary is the size of t; a row's
-    # norm has the same bits in a block as in the whole array
+    # a row's norm has the same bits in a block as in the whole array
     norms = np.empty((samplings, 1))
-    rows = max(1, _CHUNK_ENTRIES // n)
-    for start in range(0, samplings, rows):
-        norms[start:start + rows] = np.linalg.norm(t[start:start + rows], axis=1,
-                                                   keepdims=True)
+    for rows in _row_blocks(samplings, n):
+        norms[rows] = np.linalg.norm(t[rows], axis=1, keepdims=True)
     # a zero draw has probability zero; resample defensively if it happens
     while np.any(norms == 0.0):
         bad = norms[:, 0] == 0.0
@@ -93,20 +96,45 @@ def sample_directions(n, samplings, seed) -> np.ndarray:
     return t
 
 
+def _row_blocks(n_rows, width):
+    """Slices of at most ``_CHUNK_ENTRIES // width`` rows (at least one) over
+    ``n_rows`` rows of ``width`` entries, so that a row-wise pass makes no
+    temporary the size of the whole array."""
+    step = max(1, _CHUNK_ENTRIES // width)
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
 def perturbation_set(model, cfg: NoiseConfig) -> PerturbationSet:
-    """Sample the cycle's directions and attach the scale from the current
-    norm of the parameters before the tap."""
+    """Sample the cycle's directions and attach the scale m = zeta * ||theta||
+    from the current parameters before the tap.
+
+    Raises ``InvalidStateError`` if ||theta|| is zero, or if m is below
+    float64 resolution: a direction whose theta + m u_k, the sum
+    ``nn.apply_perturbation`` writes, equals theta in every entry would give
+    an all-zero deviation, and zero embeddings leave selection to index order.
+    The check is one (K, n) compare, made in blocks of rows.
+    """
     n = model.n_params(cfg.tap)
     directions = sample_directions(n, cfg.samplings, cfg.seed)
-    theta_norm = float(np.linalg.norm(nn.flatten_params(model, cfg.tap)))
+    theta = nn.flatten_params(model, cfg.tap)
+    theta_norm = float(np.linalg.norm(theta))
     if theta_norm == 0.0:
         raise InvalidStateError("parameters before the tap have zero norm; cannot scale noise")
-    return PerturbationSet(directions=directions, magnitude=cfg.zeta * theta_norm,
-                           tap=cfg.tap)
+    magnitude = cfg.zeta * theta_norm
+    for rows in _row_blocks(cfg.samplings, n):
+        moved = np.any(theta + magnitude * directions[rows] != theta, axis=1)
+        if not moved.all():
+            k = rows.start + int(np.argmin(moved))
+            raise InvalidStateError(
+                f"noise.zeta {cfg.zeta!r} times ||theta|| {theta_norm!r} is below "
+                f"float64 resolution: direction {k} leaves every parameter before "
+                "the tap unchanged")
+    return PerturbationSet(directions=directions, magnitude=magnitude, tap=cfg.tap)
 
 
 def _chunk_size(model, boundary, n_rows, n_params):
-    """Directions per pass: as many as fit in ``_CHUNK_ENTRIES``, at least one."""
+    """Directions per pass: as many as fit in ``_CHUNK_ENTRIES``, at least one.
+    A pool of thousands gets one; about 600 rows at width 32 get three."""
     widest = max((layer.weight.shape[-2] for layer in model.layers[:boundary]
                   if isinstance(layer, nn.Linear)), default=1)
     return max(1, _CHUNK_ENTRIES // (n_rows * widest + n_params))
@@ -119,9 +147,10 @@ def _deviations(model, xs, pset, directions):
 
     One ``nn.forward_to`` over all rows for the base, then one per chunk of
     directions: each chunk is applied as one (Kc, n) stack and removed,
-    restoring the parameters bit-exactly, before the next. A row's deviation
-    for a direction has the same bits whatever the chunk size (see
-    ``nn.forward_to``).
+    restoring the parameters bit-exactly, before the next. A pool of
+    thousands runs one direction per pass, about 600 rows at width 32 run
+    three (``_chunk_size``). A row's deviation for a direction has the same
+    bits whatever the chunk size (see ``nn.forward_to``).
     """
     boundary = model.tap_boundary(pset.tap)
     base = nn.forward_to(model, xs, boundary)

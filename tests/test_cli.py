@@ -379,6 +379,27 @@ class TestRun:
             "for a float"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,value,name", [
+        ("dataset", "dim", 10 ** 20, "dataset.dim"),
+        ("model", "hidden", [10 ** 20], "model.hidden[0]"),
+        ("noise", "samplings", 10 ** 20, "noise.samplings")],
+        ids=["dim", "hidden", "samplings"])
+    def test_size_numpy_cannot_shape_exits_2_before_any_output(
+            self, tmp_path, capsys, section, key, value, name):
+        # each used to exit 1 with numpy's bare "Maximum allowed dimension
+        # exceeded": dim before any output, hidden and samplings after the
+        # manifest and cycle 1's training
+        doc = json.loads((CONFIGS / "blobs_demo.json").read_text())
+        doc[section][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("run", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {name} must be <= 2**63 - 1, the largest array dimension "
+            f"numpy takes, got {10 ** 20}"]
+        assert not out.exists()
+
     def test_dropout_without_a_hidden_layer_exits_2_with_one_error_line(self, tmp_path,
                                                                         capsys):
         # it used to write the manifest and train cycle 1 before BALD found no
@@ -516,6 +537,26 @@ class TestRuntimeFailure:
             "error": "NonFiniteError",
             "message": "seed 0, cycle 1, phase train: "
                        "loss or parameters are NaN or infinite"}
+
+    def test_noise_below_float64_resolution_exits_1_with_one_json_line(
+            self, tmp_path, capsys):
+        # at zeta 1e-20 every embedding used to be exactly zero, so the run
+        # exited 0 and greedy k-center picked rows 0, 1, ..., 14 by index
+        doc = json.loads((CONFIGS / "blobs_demo.json").read_text())
+        doc.update(seeds=[0], cycles=2)
+        doc["noise"]["zeta"] = 1e-20
+        path = tmp_path / "tiny_zeta.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err.splitlines()[-1])
+        assert error["error"] == "InvalidStateError"
+        assert error["message"].startswith(
+            "seed 0, cycle 1, phase embed: noise.zeta 1e-20 times ||theta|| ")
+        assert error["message"].endswith(
+            " is below float64 resolution: direction 0 leaves every parameter "
+            "before the tap unchanged")
 
     def test_csv_that_is_not_utf8_exits_1_before_any_output(self, tmp_path,
                                                             capsys):

@@ -171,6 +171,8 @@ class TestParsing:
         ("model", "dropout", 1.0, "model.dropout must be in"),
         ("model", "dropout", -0.1, "model.dropout must be in"),
         ("model", "hidden", [4, 0], re.escape("model.hidden[1] must be >= 1")),
+        ("model", "hidden", [4, 2 ** 63], re.escape(
+            "model.hidden[1] must be <= 2**63 - 1, the largest array dimension")),
         ("dataset", "classes", 1, "dataset.classes must be >= 2"),
         ("dataset", "noise_std", -1.0, "dataset.noise_std must be >= 0"),
         ("dataset", "centers_seed", -1, "dataset.centers_seed must be >= 0"),
@@ -191,7 +193,8 @@ class TestParsing:
         edges = dict(MINIMAL, dataset=dict(MINIMAL["dataset"], dim=1,
                                            test_fraction=0.5, classes=2,
                                            noise_std=0.0, centers_seed=0),
-                     model={"hidden": [1], "dropout": 0.0})
+                     model={"hidden": [1, 2 ** 63 - 1], "dropout": 0.0},
+                     noise={"samplings": 2 ** 63 - 1})
         experiment_from_dict(edges)
 
     @pytest.mark.parametrize("kind,key", [("idx", "images"), ("idx", "labels"),
@@ -380,6 +383,21 @@ class TestReplaceGetsTheLoadChecks:
 
     @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
     @pytest.mark.parametrize("kind,key", [
+        ("blobs", "n_per_class"), ("blobs", "classes"), ("blobs", "dim"),
+        ("two_moons", "n"), ("linear_regression", "n"), ("linear_regression", "dim")])
+    def test_each_dimension_key_takes_the_int64_maximum_and_no_more(self, build,
+                                                                   kind, key):
+        # 10**20 used to load and die mid-run with numpy's bare "Maximum
+        # allowed dimension exceeded"
+        dataset = {"kind": kind, **LEAST[kind]}
+        assert build(dict(dataset, **{key: 2 ** 63 - 1})).dataset[key] == 2 ** 63 - 1
+        message = (f"dataset.{key} must be <= 2**63 - 1, the largest array "
+                   f"dimension numpy takes, got {2 ** 63}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build(dict(dataset, **{key: 2 ** 63}))
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+    @pytest.mark.parametrize("kind,key", [
         (kind, key) for kind, defaults in DEFAULTS.items() for key in defaults])
     def test_each_left_out_key_takes_its_default(self, tmp_path, build, kind, key):
         present = tmp_path / "present"
@@ -482,10 +500,13 @@ class TestEveryFieldIsTypeChecked:
         ("noise", "zeta", 0.0, "noise.zeta must be > 0, got 0.0"),
         ("noise", "zeta", -1e-3, "noise.zeta must be > 0, got -0.001"),
         ("noise", "samplings", 0, "noise.samplings must be >= 1, got 0"),
+        ("noise", "samplings", 2 ** 63, "noise.samplings must be <= 2**63 - 1, the "
+         f"largest array dimension numpy takes, got {2 ** 63}"),
         ("train", "lr", -0.5, "train.lr must be >= 0, got -0.5"),
         ("train", "epochs", -1, "train.epochs must be >= 0, got -1"),
         ("train", "batch_size", 0, "train.batch_size must be >= 1, got 0")],
-        ids=["zeta-0", "zeta-negative", "samplings", "lr", "epochs", "batch_size"])
+        ids=["zeta-0", "zeta-negative", "samplings", "samplings-past-int64", "lr",
+             "epochs", "batch_size"])
     def test_out_of_range_noise_and_train_values_name_the_key(
             self, section, key, value, message):
         doc = dict(MINIMAL, **{section: {key: value}})

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,18 @@ class TestDeviationBlock:
         model = nn.MlpModel([nn.Linear(np.zeros((1, 3)))], 1)
         with pytest.raises(InvalidStateError):
             perturbation_set(model, feature_cfg())
+
+    def test_scale_below_float64_resolution_rejected(self, linear_model):
+        # at 1e-20 theta + m u_k rounds back to theta, so every deviation was
+        # exactly zero and every embedding too
+        norm = float(np.linalg.norm(nn.flatten_params(linear_model)))
+        message = (f"noise.zeta 1e-20 times ||theta|| {norm!r} is below float64 "
+                   "resolution: direction 0 leaves every parameter before the "
+                   "tap unchanged")
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+            perturbation_set(linear_model, feature_cfg(zeta=1e-20))
+        # a scale that moves one parameter of each direction passes
+        perturbation_set(linear_model, feature_cfg(zeta=1e-15, samplings=50))
 
 
 class TestEmbedding:
@@ -349,6 +362,24 @@ class TestPoolEmbeddings:
         assert chunked.shape == expected.shape
         assert np.array_equal(chunked, expected)
         assert np.array_equal(nn.flatten_params(model), before)
+
+    @pytest.mark.parametrize("model,tap,n_rows,chunk", [
+        (nn.build_mlp(10, [32, 16], 1, task="regression"), nn.TAP_FEATURE, 583, 3),
+        (nn.build_mlp(8, [24], 4), nn.TAP_PREDICTIVE, 1980, 1)],
+        ids=["ns_regression", "ns_blobs"])
+    def test_directions_per_pass_at_the_benchmark_shapes(self, model, tap, n_rows,
+                                                         chunk):
+        assert stability._chunk_size(model, model.tap_boundary(tap), n_rows,
+                                     model.n_params(tap)) == chunk
+
+    def test_three_directions_per_pass_give_the_bytes_of_one(self, monkeypatch):
+        model = nn.build_mlp(10, [32, 16], 1, task="regression", seed=3)
+        pool = np.random.default_rng(4).normal(size=(583, 10))
+        cfg = feature_cfg(samplings=30, seed=5)
+        stacked = pool_embeddings(model, pool, cfg)
+        monkeypatch.setattr(stability, "_CHUNK_ENTRIES", per_direction_entries(
+            model, perturbation_set(model, cfg), len(pool)))
+        assert stacked.tobytes() == pool_embeddings(model, pool, cfg).tobytes()
 
     def test_embeddings_independent_of_pool_composition(self, trained_model):
         cfg = NoiseConfig(samplings=4, seed=9)
