@@ -8,6 +8,7 @@ model init, training, and strategy randomness use independently derived
 streams, so switching strategies never perturbs the data or the initial pool.
 """
 
+import contextlib
 import os
 import time
 import typing
@@ -324,8 +325,33 @@ def _strategy_picks(cfg, model, train_pool, pool_state, budget, run_seed, cycle)
         budget=budget, seed=strategy_seed, method=cfg.selector))
 
 
+# what a non-finite value in training means; the after-training check says
+# the same, so the phase reads alike however the value was caught
+_TRAIN_NON_FINITE = "loss or parameters are NaN or infinite"
+
+
+@contextlib.contextmanager
+def _phase(run_seed, cycle, name, non_finite=None):
+    """Run one phase of a cycle with numpy's overflow, invalid-operation and
+    divide-by-zero raising, so a non-finite value stops the run where it
+    arises. A ``FloatingPointError`` becomes ``NonFiniteError`` (saying
+    ``non_finite`` if given, else numpy's message), and a ``NonFiniteError``
+    or ``InvalidStateError`` keeps its type; both are prefixed with
+    "seed S, cycle C, phase P: ". Underflow stays ignored, and the selection
+    screens, which tolerate overflow by design, set their own state."""
+    prefix = f"seed {run_seed}, cycle {cycle}, phase {name}: "
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteError(prefix + (non_finite or str(exc))) from exc
+    except (NonFiniteError, InvalidStateError) as exc:
+        raise type(exc)(prefix + str(exc)) from exc
+
+
 def run_single_seed(cfg: ExperimentConfig, run_seed: int):
-    """All cycles for one seed; returns the per-cycle reports, picks as pool indices."""
+    """All cycles for one seed; returns the per-cycle reports, picks as pool
+    indices. Each phase runs under ``_phase``."""
     train_pool, test = build_dataset(cfg.dataset, run_seed)
     pool_state = PoolState.initial(len(train_pool), cfg.initial_labeled,
                                    rng(run_seed, "init-pool"))
@@ -338,31 +364,27 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
                             train_pool.task, train_pool.n_classes, init_seed)
         labeled_size = len(pool_state.labeled)
         train_cfg = replace(cfg.train, seed=derive_seed(run_seed, "train", cycle))
-        curve = nn.train(model, (train_pool.inputs[pool_state.labeled],
-                                 train_pool.targets[pool_state.labeled]), train_cfg)
-        if not (np.all(np.isfinite(curve))
-                and np.all(np.isfinite(nn.flatten_params(model)))):
-            raise NonFiniteError(f"seed {run_seed}, cycle {cycle}, phase train: "
-                                 "loss or parameters are NaN or infinite")
+        with _phase(run_seed, cycle, "train", _TRAIN_NON_FINITE):
+            curve = nn.train(model, (train_pool.inputs[pool_state.labeled],
+                                     train_pool.targets[pool_state.labeled]),
+                             train_cfg)
+            if not (np.all(np.isfinite(curve))
+                    and np.all(np.isfinite(nn.flatten_params(model)))):
+                raise NonFiniteError(_TRAIN_NON_FINITE)
         metric_kind = "accuracy" if train_pool.task == "classification" else "mae"
-        metric = evaluate(model, test)
+        with _phase(run_seed, cycle, "evaluate"):
+            metric = evaluate(model, test)
         budget = cfg.budget
         if budget > len(pool_state.unlabeled):
             budget = len(pool_state.unlabeled)
             warnings.append(f"budget clamped to {budget} remaining unlabeled examples")
         positions = []
         if budget > 0:
-            try:
+            with _phase(run_seed, cycle, "embed"):
                 positions = _strategy_picks(cfg, model, train_pool, pool_state,
                                             budget, run_seed, cycle)
-            except (NonFiniteError, InvalidStateError) as exc:
-                raise type(exc)(
-                    f"seed {run_seed}, cycle {cycle}, phase embed: {exc}") from exc
-        try:
+        with _phase(run_seed, cycle, "select"):
             picks = pool_state.acquire(positions)
-        except InvalidStateError as exc:
-            raise InvalidStateError(
-                f"seed {run_seed}, cycle {cycle}, phase select: {exc}") from exc
         reports.append(CycleReport(
             seed=run_seed, cycle=cycle, labeled_size=labeled_size, selected=picks,
             metric=metric, metric_kind=metric_kind, loss_curve=curve,

@@ -63,12 +63,13 @@ _BLOCK_ENTRIES = 32768
 class _Distances:
     """Euclidean distances from every row of an (N, L) matrix to a center.
 
-    Owns a block of B = _BLOCK_ENTRIES // L difference rows and the (N,)
-    result, so a selection call allocates them once, not on every pick. ``to``
-    returns the result buffer, which its next call overwrites. Each row is
-    squared, summed with ``np.add.reduce`` and square-rooted, which is how
-    ``np.linalg.norm(d, axis=1)`` computes it, so the distances keep their
-    bits whatever the block size.
+    Owns a block of B = _BLOCK_ENTRIES // L difference rows, a block of as
+    many center rows, the (N,) result and the squared row norms the Gram
+    screen reads, so a selection call allocates them once, not on every pick.
+    ``to`` returns the result buffer, which its next call overwrites. Each
+    row is squared, summed with ``np.add.reduce`` and square-rooted, which is
+    how ``np.linalg.norm(d, axis=1)`` computes it, so the distances keep
+    their bits whatever the block size.
     """
 
     def __init__(self, points):
@@ -76,7 +77,10 @@ class _Distances:
         width = max(1, points.shape[1])
         self.block = min(max(1, _BLOCK_ENTRIES // width), points.shape[0])
         self.diff = np.empty((self.block, points.shape[1]))
+        self.centers = np.empty_like(self.diff)
         self.out = np.empty(points.shape[0])
+        with np.errstate(over="ignore"):
+            self.sq = np.einsum("ij,ij->i", points, points)
 
     def to(self, center):
         for start in range(0, self.points.shape[0], self.block):
@@ -87,56 +91,83 @@ class _Distances:
             np.add.reduce(d, axis=1, out=self.out[start:start + rows.shape[0]])
         return np.sqrt(self.out, out=self.out)
 
+    def squared(self, row_of, centers, center_of):
+        """Exact squared distances of the pairs (``points[row_of[p]]``,
+        ``centers[center_of[p]]``), with ``to``'s ops: the pair's rows are
+        gathered into the block buffers (one center is tiled once), subtracted
+        contiguously, squared and summed with ``np.add.reduce``."""
+        sq = np.empty(row_of.size)
+        tiled = centers.shape[0] == 1
+        if tiled:
+            self.centers[:min(self.block, row_of.size)] = centers
+        for p in range(0, row_of.size, self.block):
+            d = self.diff[:min(self.block, row_of.size - p)]
+            c = self.centers[:len(d)]
+            # mode="clip" writes straight into ``out``; the default buffers it
+            np.take(self.points, row_of[p:p + len(d)], axis=0, out=d, mode="clip")
+            if not tiled:
+                np.take(centers, center_of[p:p + len(d)], axis=0, out=c,
+                        mode="clip")
+            np.subtract(d, c, out=d)
+            np.multiply(d, d, out=d)
+            np.add.reduce(d, axis=1, out=sq[p:p + len(d)])
+        return sq
 
-def _nearest_seed_distances(dist, seeds):
-    """Distance from every row of ``dist.points`` to its nearest seed row,
-    with the bits of the minimum of ``dist.to(c)`` over the seeds c.
 
-    Each block of rows takes one BLAS product with the seeds and keeps, per
-    row, only the seeds the Gram estimate cannot rule out as its nearest
-    (see ``greedy_k_center``). The kept pairs are recomputed in
-    ``dist.diff`` with ``to``'s ops, subtract, square and ``np.add.reduce``
-    over a contiguous row, and the smallest is square-rooted; ``sqrt`` is
-    monotone, so that is the smallest square root. No BLAS bit reaches the
-    result. The screen's (rows, seeds) temporaries hold about
-    ``_BLOCK_ENTRIES`` entries. One seed skips the screen.
+def _nearest_center_distances(dist, centers, min_dist=None):
+    """Lower ``min_dist``, the distance from every row of ``dist.points`` to
+    its nearest center so far (+inf by default), to the distance to its
+    nearest row of ``centers`` where that is smaller; returns it, updated in
+    place. A pick is one center against the current minimum; seeding is M
+    centers against +inf.
+
+    Each block of rows takes one BLAS product with the centers, and keeps a
+    (row, center) pair only if the Gram estimate cannot rule the center out
+    (see ``greedy_k_center``). The kept pairs get exact squared distances
+    (``dist.squared``), the smallest per row is square-rooted, and ``sqrt``
+    is monotone, so each entry has the bits of the minimum of ``dist.to(c)``
+    over all centers c. No BLAS bit reaches the result. The screen's
+    (rows, centers) temporaries hold about max(N, ``_BLOCK_ENTRIES``)
+    entries: a pick screens every row at once, with (N,) temporaries like
+    ``min_dist``.
     """
     x = dist.points
     n, width = x.shape
-    if seeds.shape[0] == 1:
-        return dist.to(seeds[0]).copy()
-    out = np.empty(n)
-    block = max(1, _BLOCK_ENTRIES // seeds.shape[0])
+    if min_dist is None:
+        min_dist = np.full(n, np.inf)
+    block = max(1, max(n, _BLOCK_ENTRIES) // centers.shape[0])
     tol = 8.0 * (width + 8) * 2.0 ** -53
-    # overflow gives an infinity or a NaN, and such a row keeps every seed
-    with np.errstate(over="ignore", invalid="ignore"):
-        seed_sq = np.einsum("ij,ij->i", seeds, seeds)
-        for start in range(0, n, block):
-            rows = x[start:start + block]
-            margin = np.einsum("ij,ij->i", rows, rows)[:, None] + seed_sq
-            approx = rows @ seeds.T
+    with np.errstate(over="ignore"):
+        center_sq = np.einsum("ij,ij->i", centers, centers)
+    for start in range(0, n, block):
+        current = min_dist[start:start + block]
+        # overflow gives an infinity or a NaN, and such a pair is kept
+        with np.errstate(over="ignore", invalid="ignore"):
+            margin = dist.sq[start:start + block, None] + center_sq
+            approx = x[start:start + block] @ centers.T
             approx *= -2.0
             approx += margin
             margin *= tol
             margin += 1e-300
-            upper = approx + margin
-            bound = upper.min(axis=1)
-            screened = np.isfinite(bound) & np.isfinite(upper.max(axis=1))
+            # the current minimum squared, rounded up; a picked row, at
+            # -inf, gets -inf
+            bound = np.abs(current)
+            bound *= current
+            bound *= 1.0 + 2.0 ** -50
+            bound += 1e-300
+            if centers.shape[0] > 1:
+                # one center's own D + E never rules it out; a D + E that
+                # overflowed to -inf bounds nothing, so its row keeps every pair
+                reach = (approx + margin).min(axis=1)
+                reach[np.isneginf(reach)] = np.nan
+                np.minimum(bound, reach, out=bound)
             approx -= margin
-            keep = approx <= bound[:, None]
-            keep[~screened] = True
-            row_of, seed_of = np.nonzero(keep)
-            sq = np.empty(row_of.size)
-            for p in range(0, row_of.size, dist.block):
-                d = dist.diff[:min(dist.block, row_of.size - p)]
-                np.take(rows, row_of[p:p + len(d)], axis=0, out=d)
-                np.subtract(d, seeds[seed_of[p:p + len(d)]], out=d)
-                np.multiply(d, d, out=d)
-                np.add.reduce(d, axis=1, out=sq[p:p + len(d)])
-            firsts = np.zeros(rows.shape[0], dtype=np.intp)
-            np.cumsum(keep.sum(axis=1)[:-1], out=firsts[1:])
-            np.minimum.reduceat(sq, firsts, out=out[start:start + rows.shape[0]])
-    return np.sqrt(out, out=out)
+            skip = approx > bound[:, None]
+            skip &= approx < np.inf
+        row_of, center_of = np.nonzero(~skip)
+        kept = dist.squared(row_of + start, centers, center_of)
+        np.minimum.at(current, row_of, np.sqrt(kept, out=kept))
+    return min_dist
 
 
 def greedy_k_center(req: SelectionRequest):
@@ -148,20 +179,29 @@ def greedy_k_center(req: SelectionRequest):
     distance is 0 (fewer distinct rows than the budget) each further pick is
     the lowest unpicked index. Returns distinct picks in selection order.
 
-    With M > 1 seeds, a Gram screen skips the exact distances of seeds that
-    cannot be a row's nearest. Let u = 2^-53, γ_n = n·u/(1 − n·u), L the
-    embedding width, P = |x|² + |c|² and T = |x − c|² ≤ 2P. The exact
-    squared distance S (subtract, square, sum) has |S − T| ≤ γ_{L+2}·T
-    ≤ 2γ_{L+2}·P. The screen's estimate D = (|x|² + |c|²) − 2·x·c takes
-    each of |x|², |c|² and the BLAS dot x·c in any order, with or without
-    FMA, to within γ_L times |x|², |c|² and Σ|x_k·c_k| ≤ P/2, and two more
-    roundings, so |D − T| ≤ (2γ_L + 3u)·P. Hence |S − D| ≤ (4L + 7)·u·P to
-    first order. The margin E = 8·(L + 8)·u·P + 1e-300 is over twice that,
-    which covers the roundings of P, E and D ± E, and its absolute term
-    covers underflow: at most 5L + 5 roundings of 2^-1075 each. Then the
-    nearest seed c* has S* ≤ min_c (D + E), and a seed with D − E above
-    that bound is not nearest. A row whose D ± E overflowed keeps every
-    seed.
+    The seeding and every pick screen their exact distances with a Gram
+    estimate (``_nearest_center_distances``). Let u = 2^-53,
+    γ_n = n·u/(1 − n·u), L the embedding width, P = |x|² + |c|² and
+    T = |x − c|² ≤ 2P. The exact squared distance S (subtract, square, sum)
+    has |S − T| ≤ γ_{L+2}·T ≤ 2γ_{L+2}·P. The screen's estimate
+    D = (|x|² + |c|²) − 2·x·c takes each of |x|², |c|² and the BLAS dot x·c
+    in any order, with or without FMA, to within γ_L times |x|², |c|² and
+    Σ|x_k·c_k| ≤ P/2, and two more roundings, so |D − T| ≤ (2γ_L + 3u)·P.
+    Hence |S − D| ≤ (4L + 7)·u·P to first order. The margin
+    E = 8·(L + 8)·u·P + 1e-300 is over twice that, which covers the
+    roundings of P, E and D ± E, and its absolute term covers underflow: at
+    most 5L + 5 roundings of 2^-1075 each. So D − E ≤ S ≤ D + E.
+
+    A pair is skipped when D − E exceeds the row's bound, the smaller of:
+    - min_c (D + E), at least the nearest center's S; a center above it is
+      not the nearest;
+    - the row's current minimum m, squared and rounded up: fl(m·m) is at
+      least m²·(1 − u), or m² − 2^-1075 once it underflows, so
+      fl(fl(m·m)·(1 + 2^-50)) + 1e-300 is at least m². A center with S above
+      m² has fl(sqrt(S)) ≥ fl(sqrt(m²)) = m and cannot lower it.
+    An estimate that overflowed is an infinity or a NaN, never a finite
+    value: a pair whose D − E is not finite is kept, and so is every pair of
+    a row whose bound is a NaN or whose min_c (D + E) is -inf.
     """
     x = req.embeddings
     if req.budget == 0:
@@ -169,7 +209,7 @@ def greedy_k_center(req: SelectionRequest):
     dist = _Distances(x)
     picks = []
     if req.seeds_from_labeled is not None:
-        min_dist = _nearest_seed_distances(dist, req.seeds_from_labeled)
+        min_dist = _nearest_center_distances(dist, req.seeds_from_labeled)
     else:
         first = int(np.argmax(np.linalg.norm(x, axis=1)))
         picks.append(first)
@@ -178,7 +218,7 @@ def greedy_k_center(req: SelectionRequest):
     while len(picks) < req.budget:
         nxt = int(np.argmax(min_dist))
         picks.append(nxt)
-        np.minimum(min_dist, dist.to(x[nxt]), out=min_dist)
+        _nearest_center_distances(dist, x[nxt:nxt + 1], min_dist)
         min_dist[nxt] = -np.inf
     return picks
 
@@ -187,7 +227,11 @@ def kmeans_pp(req: SelectionRequest):
     """Standard D^2 seeding: uniform first center, then each next center drawn
     with probability proportional to squared distance to the nearest chosen
     one. Degenerate all-zero distances fall back to a uniform draw over the
-    unchosen indices. Deterministic per seed."""
+    unchosen indices. Deterministic per seed.
+
+    The distances are kept as exact distances, screened as in
+    ``greedy_k_center``, and squared for each draw; squaring is monotone on
+    non-negatives, so the minimum of the squares has the same bits."""
     x = req.embeddings
     if req.budget == 0:
         return []
@@ -198,8 +242,10 @@ def kmeans_pp(req: SelectionRequest):
     chosen = np.zeros(n, dtype=bool)
     chosen[first] = True
     dist = _Distances(x)
-    d2 = dist.to(x[first]) ** 2
+    min_dist = dist.to(x[first]).copy()
     while len(picks) < req.budget:
+        d2 = np.square(min_dist)
+        d2[chosen] = 0.0
         total = d2.sum()
         if total <= 0.0:
             candidates = np.flatnonzero(~chosen)
@@ -208,9 +254,7 @@ def kmeans_pp(req: SelectionRequest):
             nxt = int(gen.choice(n, p=d2 / total))
         picks.append(nxt)
         chosen[nxt] = True
-        step = dist.to(x[nxt])
-        np.minimum(d2, np.square(step, out=step), out=d2)
-        d2[chosen] = 0.0
+        _nearest_center_distances(dist, x[nxt:nxt + 1], min_dist)
     return picks
 
 

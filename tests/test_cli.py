@@ -558,6 +558,40 @@ class TestRuntimeFailure:
             " is below float64 resolution: direction 0 leaves every parameter "
             "before the tap unchanged")
 
+    def test_untrained_zero_biases_below_output_resolution_exit_1(
+            self, tmp_path, capsys):
+        # with no training the biases stay 0, so the parameter check passes;
+        # every embedding used to be exactly zero and the run exited 0
+        doc = json.loads((CONFIGS / "blobs_demo.json").read_text())
+        doc.update(seeds=[0], cycles=1)
+        doc["noise"]["zeta"] = 1e-20
+        doc["train"]["epochs"] = 0
+        path = tmp_path / "untrained.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["error"] == "InvalidStateError"
+        assert error["message"].startswith(
+            "seed 0, cycle 1, phase embed: noise.zeta 1e-20 times ||theta|| ")
+        assert error["message"].endswith(
+            " is below float64 resolution: direction 0 leaves every output at "
+            "the tap unchanged")
+
+    def test_overflow_in_a_phase_exits_1_naming_seed_cycle_and_phase(
+            self, tmp_path, capsys):
+        # inputs near 1e300 overflow Adam's step; the run used to exit 0 with
+        # lowest-index coreset picks
+        doc = json.loads((CONFIGS / "blobs_demo.json").read_text())
+        doc.update(seeds=[0], cycles=2, strategy="coreset")
+        doc["dataset"]["center_scale"] = 1e300
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "NonFiniteError",
+            "message": "seed 0, cycle 1, phase train: "
+                       "loss or parameters are NaN or infinite"}
+
     def test_csv_that_is_not_utf8_exits_1_before_any_output(self, tmp_path,
                                                             capsys):
         # the dataset check used to die with a bare UnicodeDecodeError
@@ -671,6 +705,24 @@ class TestSweep:
                        "--values", "k_center,kmeans_pp", "--out", str(out),
                        "--seeds", "0")
         assert code == 0
+
+    def test_picks_do_not_depend_on_blas_threads(self, tmp_path):
+        # the selection screens' BLAS products may round differently with
+        # another thread count; the picks may not
+        procs = {
+            threads: subprocess.Popen(
+                [sys.executable, "-m", "noisestab", "sweep",
+                 str(CONFIGS / "blobs_demo.json"), "--param", "strategy",
+                 "--values", "coreset,badge,noise_stability", "--seeds", "0",
+                 "--out", str(tmp_path / threads)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            for threads in ("1", "2")}
+        assert all(proc.wait(timeout=300) == 0 for proc in procs.values())
+        for strategy in ("coreset", "badge", "noise_stability"):
+            one, two = ((tmp_path / threads / f"strategy={strategy}" /
+                         "reports.jsonl").read_bytes() for threads in ("1", "2"))
+            assert one == two and one.strip(), strategy
 
     def test_empty_values_exit_2(self, config_path, tmp_path, capsys):
         assert run_cli("sweep", str(config_path), "--param", "zeta",

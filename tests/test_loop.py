@@ -419,6 +419,17 @@ class TestNonFiniteGuard:
         with pytest.raises(NonFiniteError, match="seed 0, cycle 1, phase train"):
             run_single_seed(self.diverging_config(strategy="random"), 0)
 
+    @pytest.mark.parametrize("phase,target", [("evaluate", "evaluate"),
+                                              ("embed", "_strategy_picks")])
+    def test_overflow_stops_the_phase_it_arises_in(self, monkeypatch, phase,
+                                                   target):
+        # each phase runs with numpy's overflow raising, so the overflow stops
+        # the run instead of passing an infinity on
+        monkeypatch.setattr(loop, target,
+                            lambda *args: np.float64(1e300) * np.float64(1e300))
+        with pytest.raises(NonFiniteError, match=f"^seed 0, cycle 1, phase {phase}: "
+                                                 "overflow encountered in"):
+            run_single_seed(blob_config(), 0)
 
     @pytest.mark.parametrize("strategy,dropout", [
         ("noise_stability", 0.0), ("entropy", 0.0), ("bald_mcdropout", 0.3)])

@@ -420,7 +420,7 @@ class TestSeedScreen:
         with pytest.MonkeyPatch.context() as mp:
             if entries is not None:
                 mp.setattr(selection, "_BLOCK_ENTRIES", entries)
-            min_dist = selection._nearest_seed_distances(
+            min_dist = selection._nearest_center_distances(
                 selection._Distances(points), seeds)
             picks = greedy_k_center(request)
         assert min_dist.tobytes() == \
@@ -437,7 +437,7 @@ class TestSeedScreen:
         with pytest.MonkeyPatch.context() as mp:
             if entries is not None:
                 mp.setattr(selection, "_BLOCK_ENTRIES", entries)
-            min_dist = selection._nearest_seed_distances(
+            min_dist = selection._nearest_center_distances(
                 selection._Distances(points), seeds)
         assert np.isfinite(min_dist).all()
         assert min_dist.tobytes() == \
@@ -455,11 +455,85 @@ class TestSeedScreen:
         subtract = np.subtract
         monkeypatch.setattr(np, "subtract", lambda a, b, **kw: (
             differences.append(len(a)), subtract(a, b, **kw))[1])
-        min_dist = selection._nearest_seed_distances(
+        min_dist = selection._nearest_center_distances(
             selection._Distances(points), seeds)
         assert min_dist.tobytes() == \
             reference_nearest_seed_distances(points, seeds).tobytes()
         assert 500 <= sum(differences) < 2 * 500
+
+
+def near_tie_case(kind, seed):
+    """A screen_case value whose traversal meets near ties late: rows one
+    ulp from their twin, or a common offset of 1e6 that the Gram estimate
+    cancels."""
+    gen = np.random.default_rng(seed)
+    base = gen.normal(size=(60, 6))
+    if kind == "ulp":
+        base[1::2] = np.nextafter(base[::2], np.inf)
+    else:
+        base += 1e6 * gen.normal(size=6)
+    return base[:30], base[30:], None
+
+
+class TestScreenedTraversal:
+    @given(case=screen_case(), budget_frac=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=50)
+    # full traversals, where the last picks decide between near ties
+    @example(case=near_tie_case("ulp", 1), budget_frac=1.0, seed=0)
+    @example(case=near_tie_case("offset", 4), budget_frac=1.0, seed=0)
+    def test_picks_and_min_dist_equal_the_reference_bit_for_bit(
+            self, case, budget_frac, seed):
+        # every pick screens its exact distances; the pool holds the case's
+        # points and seeds, so offsets, repeats, ulp pairs and extreme
+        # magnitudes all meet the screen unseeded
+        points, seeds, entries = case
+        pool = np.vstack([points, seeds])
+        budget = int(round(budget_frac * len(pool)))
+        k_center = req(pool, budget)
+        kmeans = req(pool, budget, seed=seed, method="kmeans_pp")
+        after_pick = []
+        screened = selection._nearest_center_distances
+
+        def recording(dist, centers, min_dist=None):
+            after_pick.append(screened(dist, centers, min_dist).copy())
+            return after_pick[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            if entries is not None:
+                mp.setattr(selection, "_BLOCK_ENTRIES", entries)
+            mp.setattr(selection, "_nearest_center_distances", recording)
+            picks = greedy_k_center(k_center)
+            assert kmeans_pp(kmeans) == reference_kmeans_pp(kmeans)
+        assert picks == distinct_reference_k_center(k_center)
+        # the k-center calls come first; earlier picks sit at -inf
+        expected = reference_distances_to(pool, pool[picks[0]]) if picks else None
+        for i, nxt in enumerate(picks[1:], 1):
+            expected[picks[i - 1]] = -np.inf
+            np.minimum(expected, reference_distances_to(pool, pool[nxt]),
+                       out=expected)
+            assert after_pick[i - 1].tobytes() == expected.tobytes()
+
+    def test_separated_picks_are_computed_exactly_for_few_rows(self,
+                                                               monkeypatch):
+        # after the first pick's full pass, a pick computes exact distances
+        # only for the rows it could bring nearer, not for the whole pool
+        gen = np.random.default_rng(3)
+        centers = 50.0 * gen.normal(size=(40, 8))
+        points = centers[gen.integers(40, size=500)] + gen.normal(size=(500, 8))
+        requests = [req(points, 40), req(points, 40, seed=4, method="kmeans_pp")]
+        references = [distinct_reference_k_center(requests[0]),
+                      reference_kmeans_pp(requests[1])]
+        differences = []
+        subtract = np.subtract
+        monkeypatch.setattr(np, "subtract", lambda a, b, **kw: (
+            differences.append(len(a)), subtract(a, b, **kw))[1])
+        for request, reference in zip(requests, references):
+            differences.clear()
+            assert select(request) == reference
+            # full passes would difference 40 * 500 rows; the screen keeps
+            # about a tenth of them
+            assert 500 <= sum(differences) < 40 * 500 // 4, request.method
 
 
 class TestDispatch:

@@ -157,6 +157,25 @@ class TestDeviationBlock:
         # a scale that moves one parameter of each direction passes
         perturbation_set(linear_model, feature_cfg(zeta=1e-15, samplings=50))
 
+    def test_zero_biases_below_output_resolution_rejected(self):
+        # an untrained model's biases are 0, so theta + m u_k moves them and the
+        # parameter check passes, while every pre-activation absorbs a shift of
+        # about 1e-19 and every embedding used to be exactly zero
+        model = nn.build_mlp(8, [24], 4, seed=1)
+        pool = np.random.default_rng(0).standard_normal((50, 8))
+        cfg = NoiseConfig(zeta=1e-20)
+        norm = float(np.linalg.norm(nn.flatten_params(model)))
+        message = re.escape(f"noise.zeta 1e-20 times ||theta|| {norm!r} is below "
+                            "float64 resolution: direction 0 leaves every output "
+                            "at the tap unchanged")
+        message = f"^{message}$"
+        with pytest.raises(InvalidStateError, match=message):
+            pool_embeddings(model, pool, cfg)
+        with pytest.raises(InvalidStateError, match=message):
+            embedding(model, pool[0], perturbation_set(model, cfg))
+        # noise the outputs resolve passes
+        assert pool_embeddings(model, pool, NoiseConfig(zeta=1e-12)).all(axis=1).any()
+
 
 class TestEmbedding:
     def test_single_sampling_scales_by_sqrt_n(self, linear_model):
