@@ -5,6 +5,8 @@ import math
 import typing
 from dataclasses import fields
 
+import numpy as np
+
 
 class NoiseStabError(Exception):
     """Base class for all errors raised by this package."""
@@ -32,6 +34,22 @@ class FormatError(DataError):
 
 class ConfigError(NoiseStabError, ValueError):
     """An experiment configuration or request is invalid."""
+
+
+class OutOfMemoryError(NoiseStabError, MemoryError):
+    """An array a run needs could not be allocated."""
+
+
+def all_finite(a):
+    """Whether every entry of the float array ``a`` is finite, told by one
+    ``np.add.reduce`` over all entries, with no temporary of ``a``'s shape: a
+    NaN or an infinity always makes that sum non-finite. Only when it is not
+    finite does the entrywise ``np.isfinite`` check run, which tells a finite
+    array whose sum overflows apart. Overflow is ignored here, also under a
+    caller's ``np.errstate`` that raises on it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(a, axis=None)
+    return bool(np.isfinite(total)) or bool(np.isfinite(a).all())
 
 
 _JSON_NAMES = {int: "JSON integer", float: "JSON number", str: "JSON string",

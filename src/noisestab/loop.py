@@ -18,7 +18,8 @@ import numpy as np
 
 from . import baselines, data, nn, stability
 from .exceptions import (ConfigError, DataError, InvalidStateError, NonFiniteError,
-                         check_dimension, check_fields, check_keys, check_type)
+                         OutOfMemoryError, check_dimension, check_fields,
+                         check_keys, check_type)
 from .seeding import derive_seed, rng
 from .selection import METHODS, SelectionRequest, select
 
@@ -335,10 +336,12 @@ def _phase(run_seed, cycle, name, non_finite=None):
     """Run one phase of a cycle with numpy's overflow, invalid-operation and
     divide-by-zero raising, so a non-finite value stops the run where it
     arises. A ``FloatingPointError`` becomes ``NonFiniteError`` (saying
-    ``non_finite`` if given, else numpy's message), and a ``NonFiniteError``
-    or ``InvalidStateError`` keeps its type; both are prefixed with
-    "seed S, cycle C, phase P: ". Underflow stays ignored, and the selection
-    screens, which tolerate overflow by design, set their own state."""
+    ``non_finite`` if given, else numpy's message), a ``MemoryError``
+    becomes ``OutOfMemoryError`` with numpy's message, and a
+    ``NonFiniteError`` or ``InvalidStateError`` keeps its type; each is
+    prefixed with "seed S, cycle C, phase P: ". Underflow stays ignored, and
+    the selection screens and finiteness checks, which tolerate overflow by
+    design, set their own state."""
     prefix = f"seed {run_seed}, cycle {cycle}, phase {name}: "
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -347,6 +350,8 @@ def _phase(run_seed, cycle, name, non_finite=None):
         raise NonFiniteError(prefix + (non_finite or str(exc))) from exc
     except (NonFiniteError, InvalidStateError) as exc:
         raise type(exc)(prefix + str(exc)) from exc
+    except MemoryError as exc:
+        raise OutOfMemoryError(prefix + str(exc)) from exc
 
 
 def run_single_seed(cfg: ExperimentConfig, run_seed: int):

@@ -17,8 +17,13 @@ Conventions:
   * ReLU subgradient at 0 is 0;
   * dropout uses inverted scaling, so eval-mode forward is unscaled.
 
-The eval pass (``_infer``, behind ``forward`` and ``forward_to``) and
-``train`` run with numpy's ufunc buffer set to ``_INFER_BUFSIZE`` elements.
+The eval pass (``_infer``, behind ``forward`` and ``forward_to``) runs over
+blocks of pool columns sized by ``_PASS_ENTRIES``, every layer on one block
+before the next block starts, so a pool of any size holds only its result
+and one block's activations; a pool under twice the budget runs whole.
+
+The eval pass and ``train`` run with numpy's ufunc buffer set to
+``_INFER_BUFSIZE`` elements.
 Numpy sends a broadcast that is small next to its buffer down a buffered loop
 that costs several times the unbuffered one. ``Linear.infer``'s
 ``(out, 1) x (1, N)`` multiply-adds at pool sizes are such broadcasts, and
@@ -36,7 +41,7 @@ import numpy as np
 
 from . import seeding
 from .exceptions import (ConfigError, DataError, DimensionError, InvalidStateError,
-                         NonFiniteError, check_fields)
+                         NonFiniteError, all_finite, check_fields)
 
 TAP_FEATURE = "feature"
 TAP_PREDICTIVE = "predictive"
@@ -51,6 +56,25 @@ _SOFTMAX_MIN_SHIFTED = -700.0
 # 256 was fastest or tied at every pool and stack shape measured (CHANGES.md);
 # 1024 leaves pools of a few hundred rows slow, 16 the one-row stacks.
 _INFER_BUFSIZE = 256
+
+# float64 entries one activation of an eval pass may take, the budget of
+# three rules, all in this module: ``_block_count`` cuts a pool into blocks of
+# columns whose widest layer output takes at least this many entries,
+# ``directions_per_pass`` stacks as many directions per pass as fit in it, and
+# ``row_blocks`` cuts row-wise passes over (K, n) direction arrays. At 2^16 a
+# block's activations stay near 512 KB, in cache, and stacking directions
+# amortizes each pass's fixed costs (numpy's per-call overhead,
+# apply_perturbation / remove_perturbation): a pool of thousands runs one
+# direction per pass, about 600 rows at width 32 run three, and a single
+# example runs hundreds. At 2^17 the stacks pass 1 MB and leave the cache.
+# Blocks pay from twice the budget on. ``pool_embeddings`` (30 directions,
+# one hidden layer of 64) took 2.2 s whole and 1.05 s in blocks on 20,000
+# rows of 32, 0.24 s and 0.15 s on 3,000 rows of 32, and 8.8 s and 4.0 s on
+# 5,000 rows of 784. Cutting 1,100 rows of 784 into 1,024 and 76 columns cost
+# 17%, and into two of 550 cost 8%, so a pool under twice the budget runs
+# whole (one OpenBLAS thread, 2-core x86-64 host). Every shipped config's and
+# benchmark workload's pass runs whole.
+_PASS_ENTRIES = 65536
 
 
 # axes that move the last axis first, by ndim: one direction, or a stack
@@ -295,7 +319,11 @@ def _as_batch(x):
 def check_finite_rows(rows, what):
     """Raise ``NonFiniteError`` naming the first row of the (N, D) ``rows``
     that holds a NaN or an infinity. ReLU maps NaN to 0.0, so such a row
-    would otherwise get finite outputs and ordinary scores."""
+    would otherwise get finite outputs and ordinary scores. A finite array,
+    the common case, is told by ``all_finite`` with no (N, D) temporary; the
+    row search runs only on a non-finite one."""
+    if all_finite(rows):
+        return
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise NonFiniteError(f"{what} row {int(bad[0])} holds a NaN or infinite value")
@@ -310,8 +338,58 @@ def _forward_cached(model, x, boundary, train=False, rng=None):
     return acts, caches
 
 
-def _infer(layers, acts):
-    """Eval pass of feature-major (d, N), or (Kc, d, N), activations.
+def _widest(layers):
+    """The widest output of the Linear layers of ``layers``, 1 if none."""
+    return max((layer.weight.shape[-2] for layer in layers
+                if isinstance(layer, Linear)), default=1)
+
+
+def _block_count(layers, n):
+    """Blocks of an eval pass of ``n`` pool columns through ``layers``:
+    n // B, at least one, where B columns of the widest layer output fill
+    ``_PASS_ENTRIES`` entries. Such a column holds Kc times the layer's
+    width while a stack of Kc perturbations is applied. ``_infer`` splits
+    the columns evenly, so a block holds B to 2B - 1 columns and a pool under
+    2B runs whole: a block cut smaller pays numpy's per-call costs, D calls
+    per Linear, for too little work. The block's (D, columns) copy of the
+    input is not charged, so a wide input, such as 784 pixels, gets the
+    blocks its layers get, and a stack of two or more directions from
+    ``directions_per_pass`` always runs as one block."""
+    depth = max((layer.weight.shape[0] for layer in layers
+                 if isinstance(layer, Linear) and layer.weight.ndim == 3),
+                default=1)
+    return max(1, n // max(1, _PASS_ENTRIES // (depth * _widest(layers))))
+
+
+def directions_per_pass(layers, n_rows, n_params):
+    """Directions to stack per eval pass of ``n_rows`` rows through
+    ``layers`` when ``n_params`` parameters move: as many as fit in
+    ``_PASS_ENTRIES``, at least one, each charged its activations over the
+    rows, N times the widest layer, plus its copy of the parameters. A pool
+    of thousands gets one; about 600 rows at width 32 get three."""
+    return max(1, _PASS_ENTRIES // (n_rows * _widest(layers) + n_params))
+
+
+def row_blocks(n_rows, width):
+    """Slices of at most ``_PASS_ENTRIES // width`` rows (at least one) over
+    ``n_rows`` rows of ``width`` entries, so that a row-wise pass makes no
+    temporary the size of the whole array."""
+    step = max(1, _PASS_ENTRIES // width)
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _infer(layers, rows, stops):
+    """Eval pass of the (N, D) ``rows``: for each boundary s of ``stops``, in
+    increasing order, the feature-major activations after ``layers[:s]``,
+    (d, N), or (Kc, d, N) while a stack of Kc perturbations is applied.
+
+    The pass runs over ``_block_count`` blocks of consecutive columns. Each
+    block's rows are copied into a contiguous (D, columns) array, every layer
+    runs on it, and its activations at the stops are written into the results
+    before the next block starts, so no layer temporary spans the pool and no
+    (D, N) copy is made. A pool that runs as one block gets its activations
+    as the layers made them, with no copy. Each column is its own computation
+    (see ``forward_to``), so the bits do not depend on the blocks.
 
     The layers run with numpy's ufunc buffer at ``_INFER_BUFSIZE``, so their
     broadcasts take the unbuffered loops; every op here is elementwise or a
@@ -319,13 +397,30 @@ def _infer(layers, acts):
     restored on return and on raise, because a reduction outside this pass,
     such as a strided sum, could change bits under a different buffer.
     """
+    n = rows.shape[0]
+    blocks = _block_count(layers[:stops[-1]], n)
+    results = []
     previous = np.setbufsize(_INFER_BUFSIZE)
     try:
-        for layer in layers:
-            acts = layer.infer(acts)
+        for block in range(blocks):
+            start, end = block * n // blocks, (block + 1) * n // blocks
+            acts = rows[start:end].T.copy()
+            found = []
+            done = 0
+            for stop in stops:
+                for layer in layers[done:stop]:
+                    acts = layer.infer(acts)
+                found.append(acts)
+                done = stop
+            if blocks == 1:
+                return found
+            if not results:
+                results = [np.empty(a.shape[:-1] + (n,)) for a in found]
+            for result, a in zip(results, found):
+                result[..., start:end] = a
     finally:
         np.setbufsize(previous)
-    return acts
+    return results
 
 
 def forward(model, x):
@@ -336,8 +431,8 @@ def forward(model, x):
     ``InvalidStateError`` while a stack of perturbations is applied."""
     batch, squeeze = _as_batch(x)
     check_finite_rows(batch, "input")
-    feature = _infer(model.layers[:model.feature_tap], batch.T.copy())
-    out = _infer(model.layers[model.feature_tap:], feature)
+    feature, out = _infer(model.layers, batch,
+                          (model.feature_tap, len(model.layers)))
     if out.ndim == 3:
         raise _stacked_error("forward", out)
     if squeeze:
@@ -350,26 +445,28 @@ def forward_to(model, x, boundary):
     (Kc, N, d) while a stack of Kc perturbations is applied to a layer before
     the boundary, row k holding direction k's activations.
 
-    Inside the call the activations are feature-major: the (N, D) input is
-    copied once into a contiguous (D, N) array, every layer's ``infer`` takes
-    and returns (d, N), or (Kc, d, N) under a stack, and the result is swapped
-    back to the shapes above at the end.
+    Inside the call the activations are feature-major: ``_infer`` copies each
+    block of input rows into a contiguous (D, columns) array, every layer's
+    ``infer`` takes and returns (d, columns), or (Kc, d, columns) under a
+    stack, and the (d, N) or (Kc, d, N) result is returned as a transposed
+    view with the shapes above.
 
     Every row goes through the same floating-point operations whatever the
     batch holds: each Linear adds its products ``W[:, j] * a[j, :]`` to the
     bias one input feature at a time in a fixed order, the Softmax normalizer
     is summed one class at a time, and everything else is elementwise. A row's
     output therefore depends only on (parameters, row), bit for bit, never on
-    the batch size or the row's position (BLAS GEMM gives no such promise), so
-    a whole pool can be evaluated in one call. The same holds across a stack:
-    each direction's slice has the bits of a separate call with that direction
-    applied alone. ``forward`` runs the same pass; training and the other
-    ``Layer.forward`` callers use BLAS and agree with it to rounding.
+    the batch size, the row's position or the block it runs in (BLAS GEMM
+    gives no such promise), so a whole pool can be evaluated in one call. The
+    same holds across a stack: each direction's slice has the bits of a
+    separate call with that direction applied alone. ``forward`` runs the same
+    pass; training and the other ``Layer.forward`` callers use BLAS and agree
+    with it to rounding.
     """
     if not 0 < boundary <= len(model.layers):
         raise ConfigError(f"boundary {boundary} out of range")
     batch, squeeze = _as_batch(x)
-    acts = _infer(model.layers[:boundary], batch.T.copy()).swapaxes(-1, -2)
+    acts = _infer(model.layers, batch, (boundary,))[0].swapaxes(-1, -2)
     return acts[0] if squeeze else acts
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .exceptions import ConfigError, DimensionError, NonFiniteError
+from .exceptions import ConfigError, DimensionError, NonFiniteError, all_finite
 
 METHODS = ("k_center", "kmeans_pp", "top_magnitude", "k_center_normalized")
 
@@ -21,7 +21,8 @@ METHODS = ("k_center", "kmeans_pp", "top_magnitude", "k_center_normalized")
 @dataclass
 class SelectionRequest:
     """One selection call. Only ``k_center`` reads ``seeds_from_labeled``;
-    the other methods ignore it."""
+    the other methods ignore it. NaN or infinite embeddings raise
+    ``NonFiniteError``, found without an (N, L) temporary (``all_finite``)."""
 
     embeddings: np.ndarray  # (N, L)
     budget: int
@@ -33,7 +34,7 @@ class SelectionRequest:
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
         if self.embeddings.ndim != 2:
             raise DimensionError("embeddings must form an (N, L) matrix")
-        if not np.isfinite(self.embeddings).all():
+        if not all_finite(self.embeddings):
             raise NonFiniteError("embeddings contain NaN or infinite values")
         if self.seeds_from_labeled is not None:
             self.seeds_from_labeled = np.asarray(self.seeds_from_labeled, dtype=np.float64)
@@ -43,7 +44,7 @@ class SelectionRequest:
                 raise DimensionError("labeled embeddings must form an (M, L) matrix")
             elif self.seeds_from_labeled.shape[1] != self.embeddings.shape[1]:
                 raise DimensionError("labeled embeddings must match the pool embedding length")
-            elif not np.isfinite(self.seeds_from_labeled).all():
+            elif not all_finite(self.seeds_from_labeled):
                 raise NonFiniteError("labeled embeddings contain NaN or infinite values")
         if not 0 <= self.budget <= self.embeddings.shape[0]:
             raise ConfigError(
@@ -58,6 +59,22 @@ class SelectionRequest:
 # Counting entries, not rows, gives narrow and wide embeddings alike blocks of
 # that size.
 _BLOCK_ENTRIES = 32768
+
+
+def _row_norms(x):
+    """Every row's Euclidean norm, a block of ``_BLOCK_ENTRIES`` entries at a
+    time, with no (N, L) temporary. Each row is squared, summed with
+    ``np.add.reduce`` and square-rooted, the ops of
+    ``np.linalg.norm(x, axis=1)``, so the norms keep its bits."""
+    out = np.empty(x.shape[0])
+    step = max(1, _BLOCK_ENTRIES // max(1, x.shape[1]))
+    block = np.empty((min(step, x.shape[0]), x.shape[1]))
+    for start in range(0, x.shape[0], step):
+        rows = x[start:start + step]
+        d = block[:rows.shape[0]]
+        np.multiply(rows, rows, out=d)
+        np.add.reduce(d, axis=1, out=out[start:start + rows.shape[0]])
+    return np.sqrt(out, out=out)
 
 
 class _Distances:
@@ -211,7 +228,7 @@ def greedy_k_center(req: SelectionRequest):
     if req.seeds_from_labeled is not None:
         min_dist = _nearest_center_distances(dist, req.seeds_from_labeled)
     else:
-        first = int(np.argmax(np.linalg.norm(x, axis=1)))
+        first = int(np.argmax(_row_norms(x)))
         picks.append(first)
         min_dist = dist.to(x[first]).copy()
         min_dist[first] = -np.inf
@@ -271,7 +288,7 @@ def top_scores(scores, budget):
 def top_magnitude(req: SelectionRequest):
     """Indices of the largest embedding norms, descending (magnitude-only
     ablation)."""
-    return top_scores(np.linalg.norm(req.embeddings, axis=1), req.budget)
+    return top_scores(_row_norms(req.embeddings), req.budget)
 
 
 def k_center_normalized(req: SelectionRequest):
@@ -282,10 +299,10 @@ def k_center_normalized(req: SelectionRequest):
     x = req.embeddings
     if req.budget == 0:
         return []
-    norms = np.linalg.norm(x, axis=1)
+    norms = _row_norms(x)
     nonzero = np.flatnonzero(norms > 0.0)
     unit = np.zeros_like(x)
-    unit[nonzero] = x[nonzero] / norms[nonzero, None]
+    np.divide(x, norms[:, None], out=unit, where=norms[:, None] > 0.0)
     picks = []
     if nonzero.size:
         # the unit norms differ only by rounding: the first pick seeds the rest

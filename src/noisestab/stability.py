@@ -17,17 +17,6 @@ from .exceptions import (ConfigError, DimensionError, InvalidStateError,
 
 _TAPS = (nn.TAP_FEATURE, nn.TAP_PREDICTIVE)
 
-# entries one chunk of directions may take: each direction costs its
-# activations over the rows, N times the widest layer up to the tap, plus its
-# copy of the parameters before the tap. At 2^16 a chunk's stacked
-# activations, Kc x widest x N entries, stay within 512 KB, and stacking
-# directions amortizes the fixed cost of each pass: numpy's per-call overhead,
-# apply_perturbation / remove_perturbation and forward_to's transpose. A pool
-# of thousands runs one direction per pass, about 600 rows at width 32 run
-# three, and a single example runs hundreds. At 2^17 the stacks pass 1 MB and
-# leave the cache.
-_CHUNK_ENTRIES = 65536
-
 
 @dataclass
 class NoiseConfig:
@@ -97,7 +86,7 @@ def sample_directions(n, samplings, seed) -> np.ndarray:
     t = gen.standard_normal((samplings, n))
     # a row's norm has the same bits in a block as in the whole array
     norms = np.empty((samplings, 1))
-    for rows in _row_blocks(samplings, n):
+    for rows in nn.row_blocks(samplings, n):
         norms[rows] = np.linalg.norm(t[rows], axis=1, keepdims=True)
     # a zero draw has probability zero; resample defensively if it happens
     while np.any(norms == 0.0):
@@ -106,14 +95,6 @@ def sample_directions(n, samplings, seed) -> np.ndarray:
         norms[bad] = np.linalg.norm(t[bad], axis=1, keepdims=True)
     t /= norms
     return t
-
-
-def _row_blocks(n_rows, width):
-    """Slices of at most ``_CHUNK_ENTRIES // width`` rows (at least one) over
-    ``n_rows`` rows of ``width`` entries, so that a row-wise pass makes no
-    temporary the size of the whole array."""
-    step = max(1, _CHUNK_ENTRIES // width)
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def perturbation_set(model, cfg: NoiseConfig) -> PerturbationSet:
@@ -136,20 +117,12 @@ def perturbation_set(model, cfg: NoiseConfig) -> PerturbationSet:
         raise InvalidStateError("parameters before the tap have zero norm; cannot scale noise")
     pset = PerturbationSet(directions=directions, zeta=cfg.zeta,
                            theta_norm=theta_norm, tap=cfg.tap)
-    for rows in _row_blocks(cfg.samplings, n):
+    for rows in nn.row_blocks(cfg.samplings, n):
         moved = np.any(theta + pset.magnitude * directions[rows] != theta, axis=1)
         if not moved.all():
             raise pset.below_resolution(rows.start + int(np.argmin(moved)),
                                         "every parameter before the tap")
     return pset
-
-
-def _chunk_size(model, boundary, n_rows, n_params):
-    """Directions per pass: as many as fit in ``_CHUNK_ENTRIES``, at least one.
-    A pool of thousands gets one; about 600 rows at width 32 get three."""
-    widest = max((layer.weight.shape[-2] for layer in model.layers[:boundary]
-                  if isinstance(layer, nn.Linear)), default=1)
-    return max(1, _CHUNK_ENTRIES // (n_rows * widest + n_params))
 
 
 def _deviations(model, xs, pset, directions):
@@ -161,8 +134,10 @@ def _deviations(model, xs, pset, directions):
     directions: each chunk is applied as one (Kc, n) stack and removed,
     restoring the parameters bit-exactly, before the next. A pool of
     thousands runs one direction per pass, about 600 rows at width 32 run
-    three (``_chunk_size``). A row's deviation for a direction has the same
-    bits whatever the chunk size (see ``nn.forward_to``).
+    three (``nn.directions_per_pass``). A row's deviation for a direction has
+    the same bits whatever the chunk size (see ``nn.forward_to``). Each chunk's
+    ``perturbed - base`` and its division by m are written straight into the
+    chunk's slice of the result, with no temporary.
 
     Raises ``InvalidStateError`` naming zeta, ||theta|| and the direction if
     a direction's deviation is exactly 0 on every row and output while the
@@ -170,9 +145,8 @@ def _deviations(model, xs, pset, directions):
     nonzero): the noise is then below the outputs' float64 resolution. Where
     every row's Jacobian is zero (a bias-free map at the origin), the zero
     embedding is the exact one and is returned. The check reads each chunk's
-    deviations once more, about 3.5 us per direction at 1,980 rows and 4
-    outputs (0.1 ms of a 30-direction cycle); the Jacobians run only when a
-    direction reads all zero.
+    slice of the result once more; the Jacobians run only when a direction
+    reads all zero.
     """
     boundary = model.tap_boundary(pset.tap)
     base = nn.forward_to(model, xs, boundary)
@@ -180,7 +154,8 @@ def _deviations(model, xs, pset, directions):
     out = np.empty((base.shape[0], n_dirs, base.shape[1]))
     by_direction = out.swapaxes(0, 1)
     moved = np.empty(n_dirs, dtype=bool)
-    chunk = _chunk_size(model, boundary, base.shape[0], pset.n)
+    chunk = nn.directions_per_pass(model.layers[:boundary], base.shape[0],
+                                   pset.n)
     for start in range(0, n_dirs, chunk):
         stop = min(start + chunk, n_dirs)
         nn.apply_perturbation(model, pset.magnitude * directions[start:stop],
@@ -189,11 +164,10 @@ def _deviations(model, xs, pset, directions):
             perturbed = nn.forward_to(model, xs, boundary)
         finally:
             nn.remove_perturbation(model)
-        block = (perturbed - base) / pset.magnitude
-        by_direction[start:stop] = block
-        # each direction's rows and outputs as one line, a view if the block
-        # keeps forward_to's feature-major layout
-        moved[start:stop] = block.swapaxes(1, 2).reshape(stop - start, -1).any(axis=1)
+        block = by_direction[start:stop]
+        np.subtract(perturbed, base, out=block)
+        np.divide(block, pset.magnitude, out=block)
+        moved[start:stop] = block.any(axis=(1, 2))
     if not moved.all() and any(nn.jacobian(model, row, pset.tap).any()
                                for row in xs):
         raise pset.below_resolution(int(np.argmin(moved)), "every output at the tap")

@@ -5,6 +5,7 @@ self-test. The theory job, which runs worker processes, is run here too (a
 few seconds): its spans must record in this process and its workers must be
 gone when it returns."""
 
+import dataclasses
 import importlib
 import multiprocessing
 import sys
@@ -70,3 +71,35 @@ def test_theory_job_passes_and_records_its_spans_untraced_and_traced(
              if name.startswith("theory.")}
     assert calls and all(c > 0 for c in calls.values()), calls
     assert multiprocessing.active_children() == []
+
+
+def test_every_eval_pass_of_the_shipped_configs_and_workloads_is_one_block(
+        monkeypatch):
+    # each pass of the shipped configs and the workloads runs whole (under
+    # twice nn._PASS_ENTRIES), so their figures time the one-block pass. A
+    # run's first cycle holds its largest unlabeled pool, the test set and a
+    # coreset's labeled-plus-unlabeled pool keep their size, and the theory
+    # job's passes are the embeddings of its jacobian, distance and inner
+    # checks. About 0.2 s.
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    strategies = {}
+    for workload in workloads.WORKLOADS.values():
+        if workload.config:
+            strategies.setdefault(ROOT / workload.config, set()).update(
+                workload.strategies)
+    blocks = []
+    infer = noisestab.nn._infer
+
+    def counting(layers, rows, stops):
+        blocks.append(noisestab.nn._block_count(layers[:stops[-1]], rows.shape[0]))
+        return infer(layers, rows, stops)
+
+    monkeypatch.setattr(noisestab.nn, "_infer", counting)
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        cfg = noisestab.config.load_experiment_config(str(path))
+        for strategy in sorted(strategies.get(path, set()) | {cfg.strategy}):
+            noisestab.loop.run_single_seed(
+                dataclasses.replace(cfg, strategy=strategy, cycles=1), 0)
+    for suite in ("jacobian", "distance", "inner"):
+        noisestab.cli._parent_checks(suite, 0)
+    assert blocks and max(blocks) == 1

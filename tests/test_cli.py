@@ -592,6 +592,26 @@ class TestRuntimeFailure:
             "message": "seed 0, cycle 1, phase train: "
                        "loss or parameters are NaN or infinite"}
 
+    def test_out_of_memory_exits_1_naming_seed_cycle_and_phase(self, tmp_path,
+                                                               capsys):
+        # 10**12 directions load; numpy refuses the (K, n) array without
+        # allocating it, which used to end the run in a bare traceback
+        doc = json.loads((CONFIGS / "blobs_demo.json").read_text())
+        doc.update(seeds=[0], cycles=1)
+        doc["noise"]["samplings"] = 10 ** 12
+        path = tmp_path / "huge_k.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", str(path), "--out", str(tmp_path / "out")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "OutOfMemoryError"
+        assert error["message"].startswith(
+            "seed 0, cycle 1, phase embed: Unable to allocate ")
+        assert "(1000000000000, 316)" in error["message"]
+
     def test_csv_that_is_not_utf8_exits_1_before_any_output(self, tmp_path,
                                                             capsys):
         # the dataset check used to die with a bare UnicodeDecodeError

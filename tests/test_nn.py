@@ -156,8 +156,8 @@ def assert_same_bytes(got, expected):
 SPECIAL_VALUES = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
                            -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
                            -1.7976931348623157e308, 1.5, -2.5])
-# rows past what stability._CHUNK_ENTRIES gives one direction at width 4 or more
-_PAST_CHUNK_BUDGET_ROWS = stability._CHUNK_ENTRIES // 4 + 1
+# rows past what nn._PASS_ENTRIES gives one direction at width 4 or more
+_PAST_CHUNK_BUDGET_ROWS = nn._PASS_ENTRIES // 4 + 1
 
 
 class TestFeatureMajorForward:
@@ -311,6 +311,53 @@ class TestEvalBufferSize:
         nn.forward_to(model, np.ones((3, 2)), 3)
         nn.forward(model, np.ones((3, 2)))
         assert seen == [nn._INFER_BUFSIZE] * 4
+
+
+class TestBlockedPass:
+    # a 5 -> 7 -> 6 -> 3 classifier: its widest activation is 7 entries a
+    # column, 21 under a stack of 3 directions
+    @pytest.mark.parametrize("budget,blocks,stacked_blocks", [
+        (77, 4, 16),  # 50 rows: blocks of 12 and 13 columns; stacked, 3 and 4
+        (1, 50, 50)],  # one column a block
+        ids=["ragged", "one_column"])
+    def test_blocks_keep_the_bits_of_one_pass(self, monkeypatch, budget, blocks,
+                                              stacked_blocks):
+        model = nn.build_mlp(5, [7, 6], 3, dropout=0.3, seed=3)
+        pool = np.random.default_rng(3).normal(size=(50, 5))
+        stack = 0.1 * np.random.default_rng(4).normal(size=(3, model.n_params()))
+        boundaries = range(1, len(model.layers) + 1)
+
+        def passes():
+            """Every eval pass's output, and the block count under the stack."""
+            got = list(nn.forward(model, pool))
+            got += [nn.forward_to(model, pool, b) for b in boundaries]
+            nn.apply_perturbation(model, stack)
+            try:
+                got += [nn.forward_to(model, pool, b) for b in boundaries]
+                stacked = nn._block_count(model.layers, len(pool))
+            finally:
+                nn.remove_perturbation(model)
+            for tap in (nn.TAP_FEATURE, nn.TAP_PREDICTIVE):
+                got.append(stability.pool_embeddings(
+                    model, pool, stability.NoiseConfig(samplings=4, seed=5, tap=tap)))
+            return got, stacked
+
+        whole, stacked = passes()
+        assert stacked == 1
+        monkeypatch.setattr(nn, "_PASS_ENTRIES", budget)
+        blocked, stacked = passes()
+        assert (nn._block_count(model.layers, len(pool)), stacked) == (
+            blocks, stacked_blocks)
+        for got, expected in zip(blocked, whole, strict=True):
+            assert_same_bytes(got, expected)
+
+    def test_blocks_are_sized_by_the_layers_not_the_input(self):
+        # 1,024 columns of the 64-wide layer fill the budget; the 784-wide
+        # input, copied one block at a time, does not shrink them, and a
+        # pool under 2,048 columns runs whole
+        layers = nn.build_mlp(784, [64], 10, seed=0).layers
+        assert [nn._block_count(layers, n) for n in (0, 2047, 2048, 5000)] == [
+            1, 1, 2, 4]
 
 
 class TestSoftmax:

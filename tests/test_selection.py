@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,24 @@ def screen_case(draw):
     return points, seeds, entries
 
 
+class TestSelectionMemory:
+    # a 4,000 x 120 pool is 3.84 MB; np.linalg.norm's (N, L) square and
+    # isfinite's (N, L) mask used to take more than the pool again. Together
+    # these cases take about 0.1 s.
+    @pytest.mark.parametrize("method", ["k_center", "top_magnitude"])
+    def test_selection_allocates_under_a_quarter_of_the_pool(self, method):
+        pool = np.random.default_rng(0).normal(size=(4000, 120))
+        tracemalloc.start()
+        try:
+            picks = select(SelectionRequest(embeddings=pool, budget=50,
+                                            method=method))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(picks) == 50
+        assert peak < pool.nbytes / 4
+
+
 class TestSeedScreen:
     @given(case=screen_case(), budget_frac=st.floats(0.0, 1.0))
     @settings(max_examples=120)
@@ -543,6 +562,11 @@ class TestDispatch:
         assert select(req(points, 2, method="k_center")) == \
             greedy_k_center(req(points, 2))
 
+    @pytest.mark.parametrize("method", selection.METHODS)
+    def test_empty_pool_at_budget_zero_picks_nothing(self, method):
+        # top_magnitude's norms run their blocks over zero rows
+        assert select(req(np.zeros((0, 3)), 0, method=method)) == []
+
     def test_k_dpp_is_reserved_but_unsupported(self):
         with pytest.raises(ConfigError, match="k_dpp"):
             select(req([[1.0]], 1, method="k_dpp"))
@@ -559,6 +583,31 @@ class TestDispatch:
         with pytest.raises(DimensionError, match="labeled"):
             SelectionRequest(embeddings=np.ones((3, 2)), budget=1,
                              seeds_from_labeled=np.ones(2))
+
+    def test_finite_pool_whose_sum_overflows_is_accepted_and_picks_as_before(
+            self):
+        # the finiteness check sums every entry; +-1e308 rows overflow that
+        # sum, which must not count against a finite pool, also where the
+        # caller raises on overflow (as each phase of a cycle does)
+        pool = np.array([[1e308, 1e308], [1.0, 2.0], [-1e308, -1e308],
+                         [3.0, -4.0], [1e308, -1e308]])
+        with np.errstate(over="raise", invalid="raise"):
+            requests = {method: req(pool, 3, method=method, seed=1)
+                        for method in ("k_center", "k_center_normalized")}
+            req(pool[1:2], 1, seeds_from_labeled=pool)
+        # the traversal itself meets infinite distances, as it always did
+        with np.errstate(over="ignore", invalid="ignore"):
+            picks = {method: select(r) for method, r in requests.items()}
+        assert picks == {"k_center": [0, 1, 2], "k_center_normalized": [0, 3, 1]}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected_with_the_same_message(self, bad):
+        with pytest.raises(NonFiniteError,
+                           match="^embeddings contain NaN or infinite values$"):
+            req([[1.0, 0.0], [bad, 2.0]], 1)
+        with pytest.raises(NonFiniteError, match="^labeled embeddings contain "
+                                                 "NaN or infinite values$"):
+            req([[1.0, 0.0], [0.0, 2.0]], 1, seeds_from_labeled=[[bad, 0.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_embeddings_rejected(self, bad):

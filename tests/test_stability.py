@@ -275,9 +275,9 @@ class TestPoolEmbeddings:
                                         perturbation_set(trained_model, cfg),
                                         pool_size)
         if directions_per_chunk is None:  # the default budget
-            chunks = -(-7 // max(1, stability._CHUNK_ENTRIES // entries))
+            chunks = -(-7 // max(1, nn._PASS_ENTRIES // entries))
         else:
-            monkeypatch.setattr(stability, "_CHUNK_ENTRIES",
+            monkeypatch.setattr(nn, "_PASS_ENTRIES",
                                 directions_per_chunk * entries)
             chunks = -(-7 // directions_per_chunk)
         calls = []
@@ -292,6 +292,24 @@ class TestPoolEmbeddings:
         embs = pool_embeddings(trained_model, pool, cfg)
         assert len(embs) == pool_size
         assert calls == [(pool_size, 3)] * (1 + chunks)
+
+    def test_peak_memory_is_the_embedding_and_a_few_blocks(self):
+        # 8,192 rows at width 64 run in 8 blocks of 1,024 columns; an
+        # unblocked pass held two (64, N) layer temporaries, 8 MB, and copies
+        # of each chunk's deviations. What remains: the 2 MB embedding, the
+        # base and perturbed outputs (half a block each here) and one block's
+        # input, Linear output and product term. About 0.1 s.
+        model = nn.build_mlp(8, [64], 4, seed=1)
+        pool = np.random.default_rng(1).normal(size=(8192, 8))
+        block_bytes = 1024 * 64 * 8
+        tracemalloc.start()
+        try:
+            embs = pool_embeddings(model, pool, NoiseConfig(samplings=8, seed=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < embs.nbytes + 5 * block_bytes
+        assert nn._block_count(model.layers, len(pool)) == 8
 
     def test_model_parameters_untouched(self, trained_model):
         before = nn.flatten_params(trained_model)
@@ -368,15 +386,18 @@ class TestPoolEmbeddings:
         pset = perturbation_set(model, NoiseConfig(samplings=samplings, seed=seed,
                                                    tap=tap))
         # 6000 rows of width 6 are past the default budget on their own: one
-        # direction per pass; "few_rows" fits three single-row directions
-        patched = {"one": 1, "few_rows": 3 * (6 + pset.n),
+        # direction per pass; "one" is exactly one direction's charge, which
+        # keeps the pass in one block of columns (TestBlockedPass tests
+        # blocks); "few_rows" fits three single-row directions
+        patched = {"one": per_direction_entries(model, pset, pool_size),
+                   "few_rows": 3 * (6 + pset.n),
                    "all": samplings * per_direction_entries(model, pset, pool_size),
                    "default": None}[budget]
         before = nn.flatten_params(model)
         expected = reference_deviations(model, xs, pset, range(samplings))
         with pytest.MonkeyPatch.context() as mp:
             if patched is not None:
-                mp.setattr(stability, "_CHUNK_ENTRIES", patched)
+                mp.setattr(nn, "_PASS_ENTRIES", patched)
             chunked = stability._deviations(model, xs, pset, pset.directions)
         assert chunked.shape == expected.shape
         assert np.array_equal(chunked, expected)
@@ -388,15 +409,15 @@ class TestPoolEmbeddings:
         ids=["ns_regression", "ns_blobs"])
     def test_directions_per_pass_at_the_benchmark_shapes(self, model, tap, n_rows,
                                                          chunk):
-        assert stability._chunk_size(model, model.tap_boundary(tap), n_rows,
-                                     model.n_params(tap)) == chunk
+        assert nn.directions_per_pass(model.layers[:model.tap_boundary(tap)],
+                                      n_rows, model.n_params(tap)) == chunk
 
     def test_three_directions_per_pass_give_the_bytes_of_one(self, monkeypatch):
         model = nn.build_mlp(10, [32, 16], 1, task="regression", seed=3)
         pool = np.random.default_rng(4).normal(size=(583, 10))
         cfg = feature_cfg(samplings=30, seed=5)
         stacked = pool_embeddings(model, pool, cfg)
-        monkeypatch.setattr(stability, "_CHUNK_ENTRIES", per_direction_entries(
+        monkeypatch.setattr(nn, "_PASS_ENTRIES", per_direction_entries(
             model, perturbation_set(model, cfg), len(pool)))
         assert stacked.tobytes() == pool_embeddings(model, pool, cfg).tobytes()
 
