@@ -11,13 +11,13 @@ import numpy as np
 
 from . import nn, seeding
 from .exceptions import ConfigError, DataError
-from .selection import SelectionRequest, greedy_k_center, kmeans_pp, top_scores
+from .selection import (SelectionRequest, check_budget, greedy_k_center,
+                        kmeans_pp, top_scores)
 
 
 def select_random(pool_size, budget, seed):
     """Uniform sample without replacement, deterministic per seed."""
-    if budget > pool_size:
-        raise ConfigError(f"budget {budget} exceeds pool size {pool_size}")
+    check_budget(budget, pool_size)
     gen = seeding.rng(seed)
     return [int(i) for i in gen.choice(pool_size, size=budget, replace=False)]
 
@@ -41,8 +41,6 @@ def select_entropy(probs, budget):
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
     if bad.size:
         raise DataError(f"row {int(bad[0])} does not sum to 1 (sum={sums[bad[0]]!r})")
-    if budget > probs.shape[0]:
-        raise ConfigError(f"budget {budget} exceeds pool size {probs.shape[0]}")
     return top_scores(entropy_rows(probs), budget)
 
 
@@ -82,24 +80,24 @@ def bald_scores(mc_probs) -> np.ndarray:
         [entropy_rows(p) for p in mc_probs]).mean(axis=0)
 
 
-def select_bald_mcdropout(model, pool, mc_samples, budget, seed):
-    """BALD acquisition with seeded Monte Carlo dropout masks.
-
-    Runs ``mc_samples`` stochastic forward passes (dropout active, parameters
-    untouched) and ranks by mutual information. A pool row holding a NaN or
-    an infinity raises ``NonFiniteError`` naming it.
-    """
+def mc_dropout_probs(model, pool, mc_samples, seed):
+    """(T, N, C) predictive distributions of the pool from ``mc_samples``
+    stochastic forward passes (dropout active with seeded masks, parameters
+    untouched): the model passes of BALD. A pool row holding a NaN or an
+    infinity raises ``NonFiniteError`` naming it."""
     if not model.has_dropout():
         raise ConfigError("BALD via MC dropout needs a model with a dropout layer")
     if mc_samples < 2:
         raise ConfigError("mc_samples must be >= 2")
     pool = np.asarray(pool, dtype=np.float64)
     nn.check_finite_rows(pool, "pool")
-    if budget > pool.shape[0]:
-        raise ConfigError(f"budget {budget} exceeds pool size {pool.shape[0]}")
-    probs = []
-    for t in range(mc_samples):
-        gen = seeding.rng(seed, t)
-        out, _ = nn._forward_cached(model, pool, len(model.layers), True, gen)
-        probs.append(out)
-    return top_scores(bald_scores(np.stack(probs)), budget)
+    return np.stack([nn._forward_cached(model, pool, len(model.layers), True,
+                                        seeding.rng(seed, t))[0]
+                     for t in range(mc_samples)])
+
+
+def select_bald_mcdropout(model, pool, mc_samples, budget, seed):
+    """BALD acquisition: the pool's rows ranked by mutual information over
+    ``mc_dropout_probs``' passes."""
+    return top_scores(bald_scores(mc_dropout_probs(model, pool, mc_samples, seed)),
+                      budget)

@@ -21,7 +21,7 @@ from .exceptions import (ConfigError, DataError, InvalidStateError, NonFiniteErr
                          OutOfMemoryError, check_dimension, check_fields,
                          check_keys, check_type)
 from .seeding import derive_seed, rng
-from .selection import METHODS, SelectionRequest, select
+from .selection import METHODS, SelectionRequest, select, top_scores
 
 # the baselines, then the paper's method, whose picking rule is ``selector``
 STRATEGIES = ("random", "entropy", "coreset", "badge", "bald_mcdropout",
@@ -300,30 +300,35 @@ def evaluate(model, test: data.Dataset) -> float:
     return float(np.mean(np.abs(out[:, 0] - test.targets)))
 
 
-def _strategy_picks(cfg, model, train_pool, pool_state, budget, run_seed, cycle):
-    """The budget's picks as positions into ``pool_state.unlabeled``."""
+def _embed(cfg, model, train_pool, pool_state, budget, run_seed, cycle):
+    """Every model pass of the strategy over the unlabeled rows (phase embed):
+    the noise-stability embedding, one forward pass's features or
+    probabilities, or BALD's dropout passes; random runs none. Returns the
+    select step bound to those outputs, a call that runs no model and returns
+    the budget's picks as positions into ``pool_state.unlabeled``."""
     strategy_seed = derive_seed(run_seed, "strategy", cycle)
-    x_u = train_pool.inputs[pool_state.unlabeled]
     if cfg.strategy == "random":
-        return baselines.select_random(len(pool_state.unlabeled), budget, strategy_seed)
+        n = len(pool_state.unlabeled)
+        return lambda: baselines.select_random(n, budget, strategy_seed)
+    x_u = train_pool.inputs[pool_state.unlabeled]
     if cfg.strategy == "entropy":
         _, probs = nn.forward(model, x_u)
-        return baselines.select_entropy(probs, budget)
+        return lambda: baselines.select_entropy(probs, budget)
     if cfg.strategy == "coreset":
         x_l = train_pool.inputs[pool_state.labeled]
         feats, _ = nn.forward(model, np.vstack([x_u, x_l]))
         n = len(x_u)
-        return baselines.select_coreset(feats[:n], feats[n:], budget)
+        return lambda: baselines.select_coreset(feats[:n], feats[n:], budget)
     if cfg.strategy == "badge":
         feats, probs = nn.forward(model, x_u)
-        return baselines.select_badge(feats, probs, budget, strategy_seed)
+        return lambda: baselines.select_badge(feats, probs, budget, strategy_seed)
     if cfg.strategy == "bald_mcdropout":
-        return baselines.select_bald_mcdropout(model, x_u, BALD_SAMPLES,
-                                               budget, strategy_seed)
+        mc_probs = baselines.mc_dropout_probs(model, x_u, BALD_SAMPLES, strategy_seed)
+        return lambda: top_scores(baselines.bald_scores(mc_probs), budget)
     noise_cfg = replace(cfg.noise, seed=derive_seed(run_seed, "noise", cycle))
-    return select(SelectionRequest(
-        embeddings=stability.pool_embeddings(model, x_u, noise_cfg),
-        budget=budget, seed=strategy_seed, method=cfg.selector))
+    embeddings = stability.pool_embeddings(model, x_u, noise_cfg)
+    return lambda: select(SelectionRequest(embeddings=embeddings, budget=budget,
+                                           seed=strategy_seed, method=cfg.selector))
 
 
 # what a non-finite value in training means; the after-training check says
@@ -333,15 +338,16 @@ _TRAIN_NON_FINITE = "loss or parameters are NaN or infinite"
 
 @contextlib.contextmanager
 def _phase(run_seed, cycle, name, non_finite=None):
-    """Run one phase of a cycle with numpy's overflow, invalid-operation and
-    divide-by-zero raising, so a non-finite value stops the run where it
-    arises. A ``FloatingPointError`` becomes ``NonFiniteError`` (saying
-    ``non_finite`` if given, else numpy's message), a ``MemoryError``
-    becomes ``OutOfMemoryError`` with numpy's message, and a
-    ``NonFiniteError`` or ``InvalidStateError`` keeps its type; each is
-    prefixed with "seed S, cycle C, phase P: ". Underflow stays ignored, and
-    the selection screens and finiteness checks, which tolerate overflow by
-    design, set their own state."""
+    """Run one phase of a cycle (train, evaluate, embed: the strategy's model
+    passes, select: the picking on their outputs and ``acquire``) with
+    numpy's overflow, invalid-operation and divide-by-zero raising, so a
+    non-finite value stops the run where it arises. A ``FloatingPointError``
+    becomes ``NonFiniteError`` (saying ``non_finite`` if given, else numpy's
+    message), a ``MemoryError`` becomes ``OutOfMemoryError`` with numpy's
+    message, and a ``NonFiniteError`` or ``InvalidStateError`` keeps its
+    type; each is prefixed with "seed S, cycle C, phase P: ". Underflow
+    stays ignored, and the selection screens and finiteness checks, which
+    tolerate overflow by design, set their own state."""
     prefix = f"seed {run_seed}, cycle {cycle}, phase {name}: "
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -356,7 +362,9 @@ def _phase(run_seed, cycle, name, non_finite=None):
 
 def run_single_seed(cfg: ExperimentConfig, run_seed: int):
     """All cycles for one seed; returns the per-cycle reports, picks as pool
-    indices. Each phase runs under ``_phase``."""
+    indices. Each phase runs under ``_phase``; ``_embed`` runs in embed and
+    the select step it returns in select, so an error names the step it
+    arose in."""
     train_pool, test = build_dataset(cfg.dataset, run_seed)
     pool_state = PoolState.initial(len(train_pool), cfg.initial_labeled,
                                    rng(run_seed, "init-pool"))
@@ -383,13 +391,13 @@ def run_single_seed(cfg: ExperimentConfig, run_seed: int):
         if budget > len(pool_state.unlabeled):
             budget = len(pool_state.unlabeled)
             warnings.append(f"budget clamped to {budget} remaining unlabeled examples")
-        positions = []
+        pick = list  # a zero budget runs no model pass and picks nothing
         if budget > 0:
             with _phase(run_seed, cycle, "embed"):
-                positions = _strategy_picks(cfg, model, train_pool, pool_state,
-                                            budget, run_seed, cycle)
+                pick = _embed(cfg, model, train_pool, pool_state, budget,
+                              run_seed, cycle)
         with _phase(run_seed, cycle, "select"):
-            picks = pool_state.acquire(positions)
+            picks = pool_state.acquire(pick())
         reports.append(CycleReport(
             seed=run_seed, cycle=cycle, labeled_size=labeled_size, selected=picks,
             metric=metric, metric_kind=metric_kind, loss_curve=curve,

@@ -18,6 +18,13 @@ from .exceptions import ConfigError, DimensionError, NonFiniteError, all_finite
 METHODS = ("k_center", "kmeans_pp", "top_magnitude", "k_center_normalized")
 
 
+def check_budget(budget, pool_size):
+    """ConfigError unless 0 <= budget <= pool_size: the one budget rule of
+    every selector, a request's and the score and random pickers' alike."""
+    if not 0 <= budget <= pool_size:
+        raise ConfigError(f"budget {budget} outside [0, {pool_size}]")
+
+
 @dataclass
 class SelectionRequest:
     """One selection call. Only ``k_center`` reads ``seeds_from_labeled``;
@@ -46,10 +53,7 @@ class SelectionRequest:
                 raise DimensionError("labeled embeddings must match the pool embedding length")
             elif not all_finite(self.seeds_from_labeled):
                 raise NonFiniteError("labeled embeddings contain NaN or infinite values")
-        if not 0 <= self.budget <= self.embeddings.shape[0]:
-            raise ConfigError(
-                f"budget {self.budget} outside [0, {self.embeddings.shape[0]}]"
-            )
+        check_budget(self.budget, self.embeddings.shape[0])
         if self.method not in METHODS:
             raise ConfigError(f"unknown selection method {self.method!r}")
 
@@ -224,18 +228,23 @@ def greedy_k_center(req: SelectionRequest):
     if req.budget == 0:
         return []
     dist = _Distances(x)
-    picks = []
     if req.seeds_from_labeled is not None:
-        min_dist = _nearest_center_distances(dist, req.seeds_from_labeled)
-    else:
-        first = int(np.argmax(_row_norms(x)))
-        picks.append(first)
-        min_dist = dist.to(x[first]).copy()
-        min_dist[first] = -np.inf
-    while len(picks) < req.budget:
+        return _farthest_first(
+            dist, _nearest_center_distances(dist, req.seeds_from_labeled), [],
+            req.budget)
+    first = int(np.argmax(_row_norms(x)))
+    return _farthest_first(dist, dist.to(x[first]).copy(), [first], req.budget)
+
+
+def _farthest_first(dist, min_dist, picks, budget):
+    """``picks`` extended to ``budget`` rows of ``dist.points``, each farthest
+    from its nearest center (``min_dist``, updated in place; ties to the
+    lowest index). Picked rows, and rows the caller sets, sit at -inf."""
+    min_dist[picks] = -np.inf
+    while len(picks) < budget:
         nxt = int(np.argmax(min_dist))
         picks.append(nxt)
-        _nearest_center_distances(dist, x[nxt:nxt + 1], min_dist)
+        _nearest_center_distances(dist, dist.points[nxt:nxt + 1], min_dist)
         min_dist[nxt] = -np.inf
     return picks
 
@@ -277,7 +286,9 @@ def kmeans_pp(req: SelectionRequest):
 
 def top_scores(scores, budget):
     """Indices of the ``budget`` largest scores, descending; ties broken
-    toward the lowest index. A NaN or infinite score raises NonFiniteError."""
+    toward the lowest index. A budget outside [0, N] raises ConfigError
+    (``check_budget``), a NaN or infinite score NonFiniteError."""
+    check_budget(budget, scores.size)
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise NonFiniteError(f"score of row {int(bad[0])} is {scores[bad[0]]!r}")
@@ -295,26 +306,22 @@ def k_center_normalized(req: SelectionRequest):
     """Direction-only ablation: embeddings scaled to unit norm before the
     k-center traversal, which starts, unseeded, from the largest original
     norm. Zero-norm embeddings stay at the origin and are skipped until only
-    they remain, then appended in index order."""
+    they remain, then appended in index order: the traversal runs on the unit
+    rows, its one (N, L) array, with the zero rows at -inf from the start."""
     x = req.embeddings
-    if req.budget == 0:
-        return []
     norms = _row_norms(x)
-    nonzero = np.flatnonzero(norms > 0.0)
-    unit = np.zeros_like(x)
-    np.divide(x, norms[:, None], out=unit, where=norms[:, None] > 0.0)
-    picks = []
-    if nonzero.size:
-        # the unit norms differ only by rounding: the first pick seeds the rest
-        picks.append(int(np.argmax(norms)))
-        rest = nonzero[nonzero != picks[0]]
-        sub = SelectionRequest(embeddings=unit[rest],
-                               budget=min(req.budget - 1, rest.size),
-                               seeds_from_labeled=unit[picks], seed=req.seed)
-        picks += [int(rest[i]) for i in greedy_k_center(sub)]
     zeros = np.flatnonzero(norms == 0.0)
-    picks.extend(int(i) for i in zeros[: req.budget - len(picks)])
-    return picks
+    budget = min(req.budget, x.shape[0] - zeros.size)
+    picks = []
+    if budget:
+        unit = np.divide(x, norms[:, None], out=np.zeros_like(x),
+                         where=norms[:, None] > 0.0)
+        dist = _Distances(unit)
+        first = int(np.argmax(norms))
+        min_dist = dist.to(unit[first]).copy()
+        min_dist[zeros] = -np.inf
+        picks = _farthest_first(dist, min_dist, [first], budget)
+    return picks + zeros[:req.budget - len(picks)].tolist()
 
 
 def select(req: SelectionRequest):

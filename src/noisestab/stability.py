@@ -59,13 +59,6 @@ class PerturbationSet:
     def magnitude(self) -> float:
         return self.zeta * self.theta_norm
 
-    def below_resolution(self, k, unchanged):
-        """The InvalidStateError for direction k, which leaves ``unchanged``
-        (the parameters before the tap, or every output) as they were."""
-        return InvalidStateError(
-            f"noise.zeta {self.zeta!r} times ||theta|| {self.theta_norm!r} is "
-            f"below float64 resolution: direction {k} leaves {unchanged} unchanged")
-
     @property
     def n(self) -> int:
         return self.directions.shape[1]
@@ -101,28 +94,16 @@ def perturbation_set(model, cfg: NoiseConfig) -> PerturbationSet:
     """Sample the cycle's directions and attach the scale m = zeta * ||theta||
     from the current parameters before the tap.
 
-    Raises ``InvalidStateError`` if ||theta|| is zero, or if m is below
-    float64 resolution: a direction whose theta + m u_k, the sum
-    ``nn.apply_perturbation`` writes, equals theta in every entry would give
-    an all-zero deviation, and zero embeddings leave selection to index order.
-    The check is one (K, n) compare, made in blocks of rows. A parameter at
-    exactly 0 (an untrained bias) always moves, so ``_deviations`` checks the
-    outputs as well.
+    Raises ``InvalidStateError`` if ||theta|| is zero. A scale m below
+    float64 resolution is found where it matters, in the outputs
+    (``_deviations``), not here.
     """
-    n = model.n_params(cfg.tap)
-    directions = sample_directions(n, cfg.samplings, cfg.seed)
-    theta = nn.flatten_params(model, cfg.tap)
-    theta_norm = float(np.linalg.norm(theta))
+    directions = sample_directions(model.n_params(cfg.tap), cfg.samplings, cfg.seed)
+    theta_norm = float(np.linalg.norm(nn.flatten_params(model, cfg.tap)))
     if theta_norm == 0.0:
         raise InvalidStateError("parameters before the tap have zero norm; cannot scale noise")
-    pset = PerturbationSet(directions=directions, zeta=cfg.zeta,
+    return PerturbationSet(directions=directions, zeta=cfg.zeta,
                            theta_norm=theta_norm, tap=cfg.tap)
-    for rows in nn.row_blocks(cfg.samplings, n):
-        moved = np.any(theta + pset.magnitude * directions[rows] != theta, axis=1)
-        if not moved.all():
-            raise pset.below_resolution(rows.start + int(np.argmin(moved)),
-                                        "every parameter before the tap")
-    return pset
 
 
 def _deviations(model, xs, pset, directions):
@@ -139,14 +120,13 @@ def _deviations(model, xs, pset, directions):
     ``perturbed - base`` and its division by m are written straight into the
     chunk's slice of the result, with no temporary.
 
-    Raises ``InvalidStateError`` naming zeta, ||theta|| and the direction if
-    a direction's deviation is exactly 0 on every row and output while the
-    outputs do depend on the parameters (some row's ``nn.jacobian`` is
-    nonzero): the noise is then below the outputs' float64 resolution. Where
-    every row's Jacobian is zero (a bias-free map at the origin), the zero
-    embedding is the exact one and is returned. The check reads each chunk's
-    slice of the result once more; the Jacobians run only when a direction
-    reads all zero.
+    The one resolution check: ``InvalidStateError`` naming zeta, ||theta||
+    and the direction if a direction's deviation is exactly 0 on every row
+    and output while some row's ``nn.jacobian`` is nonzero (theta + m u_k
+    rounding back to theta is one such case). Where every Jacobian is zero
+    (a bias-free map at the origin), the zero embedding is exact and is
+    returned. The check reads each chunk's slice of the result once more;
+    the Jacobians run only when a direction reads all zero.
     """
     boundary = model.tap_boundary(pset.tap)
     base = nn.forward_to(model, xs, boundary)
@@ -170,7 +150,10 @@ def _deviations(model, xs, pset, directions):
         moved[start:stop] = block.any(axis=(1, 2))
     if not moved.all() and any(nn.jacobian(model, row, pset.tap).any()
                                for row in xs):
-        raise pset.below_resolution(int(np.argmin(moved)), "every output at the tap")
+        raise InvalidStateError(
+            f"noise.zeta {pset.zeta!r} times ||theta|| {pset.theta_norm!r} is below "
+            f"float64 resolution: direction {int(np.argmin(moved))} leaves every "
+            "output at the tap unchanged")
     return out
 
 

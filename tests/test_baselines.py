@@ -31,6 +31,11 @@ class TestSelectRandom:
         with pytest.raises(ConfigError):
             baselines.select_random(3, 4, seed=0)
 
+    def test_negative_budget_rejected(self):
+        # numpy's choice raised an untyped ValueError
+        with pytest.raises(ConfigError, match=r"^budget -1 outside \[0, 5\]$"):
+            baselines.select_random(5, -1, 0)
+
 
 class TestSelectEntropy:
     def test_one_hot_rows_rank_last(self):
@@ -52,6 +57,12 @@ class TestSelectEntropy:
             baselines.select_entropy(np.array([[0.5, 0.6]]), 1)
         with pytest.raises(DataError):
             baselines.select_entropy(np.array([[1.2, -0.2]]), 1)
+
+    def test_negative_budget_rejected(self):
+        # order[:-1] returned every row but the lowest-entropy one
+        probs = np.array([[0.5, 0.5], [0.9, 0.1], [0.7, 0.3]])
+        with pytest.raises(ConfigError, match=r"^budget -1 outside \[0, 3\]$"):
+            baselines.select_entropy(probs, -1)
 
     def test_nan_row_is_not_picked_quietly(self):
         # the row-sum check reads False for NaN, and the NaN row scored as
@@ -191,6 +202,13 @@ class TestBaldMcDropout:
         pool[5, 1] = bad
         with pytest.raises(NonFiniteError, match="pool row 5 "):
             baselines.select_bald_mcdropout(model, pool, 4, 2, seed=17)
+
+    def test_negative_budget_rejected(self):
+        # order[:-1] returned all but one of the 12 rows
+        model = nn.build_mlp(2, [8], 3, dropout=0.3, seed=11)
+        pool = np.random.default_rng(13).normal(size=(12, 2))
+        with pytest.raises(ConfigError, match=r"^budget -1 outside \[0, 12\]$"):
+            baselines.select_bald_mcdropout(model, pool, 4, -1, seed=17)
 
     def test_too_few_samples_rejected(self):
         model = nn.build_mlp(2, [4], 2, dropout=0.2, seed=5)

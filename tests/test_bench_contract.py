@@ -103,3 +103,25 @@ def test_every_eval_pass_of_the_shipped_configs_and_workloads_is_one_block(
     for suite in ("jacobian", "distance", "inner"):
         noisestab.cli._parent_checks(suite, 0)
     assert blocks and max(blocks) == 1
+
+
+def test_every_al_workload_records_calls_where_it_expects_them(monkeypatch):
+    # one cycle of each AL workload's strategies, run by the benchmark's own
+    # job under its tracer: a span the workload expects calls on records
+    # some, and a span it expects idle records none. The full self-test runs
+    # whole jobs; this catches a call moved away from a wrapped name. About
+    # 0.3 s.
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    spans = _perfbench_module(monkeypatch, "spans")
+    for name, workload in workloads.WORKLOADS.items():
+        if workload.config is None:
+            continue
+        cfg = workloads.JobRunner(noisestab, workload, ROOT).cfg
+        with spans.Tracer() as tracer:
+            job = workloads.run_al_job(noisestab, dataclasses.replace(cfg, cycles=1),
+                                       workload.strategies, 0)
+        assert job.ok, job.problems + job.failures
+        assert tracer.missing == []
+        calls = {span: stats.calls for span, stats in tracer.stats.items()}
+        assert [s for s in workload.expect_calls if calls[s] == 0] == [], name
+        assert [s for s in workload.expect_idle if calls[s] > 0] == [], name

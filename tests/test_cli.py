@@ -555,8 +555,8 @@ class TestRuntimeFailure:
         assert error["message"].startswith(
             "seed 0, cycle 1, phase embed: noise.zeta 1e-20 times ||theta|| ")
         assert error["message"].endswith(
-            " is below float64 resolution: direction 0 leaves every parameter "
-            "before the tap unchanged")
+            " is below float64 resolution: direction 0 leaves every output at "
+            "the tap unchanged")
 
     def test_untrained_zero_biases_below_output_resolution_exit_1(
             self, tmp_path, capsys):
@@ -885,14 +885,14 @@ class TestSweep:
                    seeds=[0], cycles=2)
         path = tmp_path / "d.json"
         path.write_text(json.dumps(doc))
-        bald = baselines.select_bald_mcdropout
+        passes = baselines.mc_dropout_probs
         mc_samples = []
 
-        def recording_bald(model, pool, samples, budget, seed):
+        def recording_passes(model, pool, samples, seed):
             mc_samples.append(samples)
-            return bald(model, pool, samples, budget, seed)
+            return passes(model, pool, samples, seed)
 
-        monkeypatch.setattr(baselines, "select_bald_mcdropout", recording_bald)
+        monkeypatch.setattr(baselines, "mc_dropout_probs", recording_passes)
         assert run_cli("sweep", str(path), "--param", "strategy",
                        "--values", "bald_mcdropout", "--out", str(tmp_path / "s")) == 0
         assert mc_samples == [loop.BALD_SAMPLES] * 2

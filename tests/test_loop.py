@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisestab import loop, nn, stability
+from noisestab import baselines, loop, nn, stability
 from noisestab.config import experiment_from_dict
 from noisestab.exceptions import (ConfigError, DataError, InvalidStateError,
                                   NonFiniteError)
@@ -419,17 +419,22 @@ class TestNonFiniteGuard:
         with pytest.raises(NonFiniteError, match="seed 0, cycle 1, phase train"):
             run_single_seed(self.diverging_config(strategy="random"), 0)
 
-    @pytest.mark.parametrize("phase,target", [("evaluate", "evaluate"),
-                                              ("embed", "_strategy_picks")])
+    @pytest.mark.parametrize("phase,module,target,strategy", [
+        ("evaluate", loop, "evaluate", "random"),
+        ("embed", stability, "pool_embeddings", "noise_stability"),
+        ("select", loop, "select", "noise_stability"),
+        ("select", baselines, "select_coreset", "coreset")],
+        ids=["evaluate", "embed", "select-k-center", "select-coreset"])
     def test_overflow_stops_the_phase_it_arises_in(self, monkeypatch, phase,
-                                                   target):
+                                                   module, target, strategy):
         # each phase runs with numpy's overflow raising, so the overflow stops
-        # the run instead of passing an infinity on
-        monkeypatch.setattr(loop, target,
+        # the run instead of passing an infinity on; a selector's overflow
+        # used to be reported as phase embed, which ran the strategy whole
+        monkeypatch.setattr(module, target,
                             lambda *args: np.float64(1e300) * np.float64(1e300))
         with pytest.raises(NonFiniteError, match=f"^seed 0, cycle 1, phase {phase}: "
                                                  "overflow encountered in"):
-            run_single_seed(blob_config(), 0)
+            run_single_seed(blob_config(strategy=strategy), 0)
 
     @pytest.mark.parametrize("strategy,dropout", [
         ("noise_stability", 0.0), ("entropy", 0.0), ("bald_mcdropout", 0.3)])
@@ -465,7 +470,7 @@ class TestSelectPhase:
         assert len(picks) == len(set(picks)) == 2 * cfg.budget
 
     def test_invalid_picks_name_seed_cycle_and_phase(self, monkeypatch):
-        monkeypatch.setattr(loop, "_strategy_picks", lambda *args: [0, 0])
+        monkeypatch.setattr(loop, "_embed", lambda *args: lambda: [0, 0])
         with pytest.raises(InvalidStateError,
                            match="seed 3, cycle 1, phase select: .*distinct"):
             run_single_seed(blob_config(), 3)
@@ -473,7 +478,7 @@ class TestSelectPhase:
     def test_negative_position_is_not_wrapped_to_the_last_row(self, monkeypatch):
         # positions used to be mapped with list indexing, so -1 labeled the
         # last unlabeled row
-        monkeypatch.setattr(loop, "_strategy_picks", lambda *args: [-1])
+        monkeypatch.setattr(loop, "_embed", lambda *args: lambda: [-1])
         with pytest.raises(InvalidStateError,
                            match="seed 3, cycle 1, phase select: .*unlabeled pool"):
             run_single_seed(blob_config(), 3)

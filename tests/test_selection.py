@@ -53,6 +53,29 @@ def distinct_reference_k_center(req):
     return picks + rest[:req.budget - len(picks)]
 
 
+def reference_k_center_normalized(req):
+    """The direction-only ablation as first written: the reference traversal
+    over the nonzero rows other than the largest-norm one, scaled to unit
+    norm and seeded from that row's unit vector; then the zero rows in index
+    order."""
+    x = req.embeddings
+    if req.budget == 0:
+        return []
+    norms = np.linalg.norm(x, axis=1)
+    unit = x / np.where(norms > 0.0, norms, 1.0)[:, None]
+    nonzero = np.flatnonzero(norms > 0.0)
+    picks = []
+    if nonzero.size:
+        picks.append(int(np.argmax(norms)))
+        rest = nonzero[nonzero != picks[0]]
+        sub = SelectionRequest(embeddings=unit[rest],
+                               budget=min(req.budget - 1, rest.size),
+                               seeds_from_labeled=unit[picks])
+        picks += [int(rest[i]) for i in distinct_reference_k_center(sub)]
+    zeros = np.flatnonzero(norms == 0.0)
+    return picks + zeros[:req.budget - len(picks)].tolist()
+
+
 def reference_kmeans_pp(req):
     """kmeans++ seeding as first written (see reference_greedy_k_center)."""
     x = req.embeddings
@@ -268,6 +291,13 @@ class TestTopScores:
         with pytest.raises(NonFiniteError, match="row 2"):
             selection.top_scores(scores, 2)
 
+    @pytest.mark.parametrize("budget", [-2, 5])
+    def test_budget_outside_the_pool_rejected(self, budget):
+        # -2 took order[:-2], all but the last two rows
+        scores = np.array([0.3, 0.1, 0.4, 0.2])
+        with pytest.raises(ConfigError, match=rf"^budget {budget} outside \[0, 4\]$"):
+            selection.top_scores(scores, budget)
+
 
 class TestTopMagnitude:
     def test_descending_norms_with_index_ties(self):
@@ -364,13 +394,11 @@ class TestBufferedDistances:
             assert np.array_equal(selection._Distances(points).to(center),
                                   reference_distances_to(points, center))
             picks = {m: select(r) for m, r in requests.items()}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(selection, "greedy_k_center", distinct_reference_k_center)
-            normalized = k_center_normalized(requests["k_center_normalized"])
         assert picks == {
             "k_center": distinct_reference_k_center(requests["k_center"]),
             "kmeans_pp": reference_kmeans_pp(requests["kmeans_pp"]),
-            "k_center_normalized": normalized,
+            "k_center_normalized": reference_k_center_normalized(
+                requests["k_center_normalized"]),
         }
 
 
@@ -413,7 +441,7 @@ def screen_case(draw):
 class TestSelectionMemory:
     # a 4,000 x 120 pool is 3.84 MB; np.linalg.norm's (N, L) square and
     # isfinite's (N, L) mask used to take more than the pool again. Together
-    # these cases take about 0.1 s.
+    # these cases take about 0.15 s.
     @pytest.mark.parametrize("method", ["k_center", "top_magnitude"])
     def test_selection_allocates_under_a_quarter_of_the_pool(self, method):
         pool = np.random.default_rng(0).normal(size=(4000, 120))
@@ -426,6 +454,21 @@ class TestSelectionMemory:
             tracemalloc.stop()
         assert len(picks) == 50
         assert peak < pool.nbytes / 4
+
+    def test_normalized_k_center_holds_one_copy_of_the_pool(self):
+        # the unit rows are the one (N, L) array; a fancy-indexed copy of
+        # them, handed to a sub-request, used to put the peak at 2.25x
+        pool = np.random.default_rng(0).normal(size=(4000, 120))
+        request = SelectionRequest(embeddings=pool, budget=50,
+                                   method="k_center_normalized")
+        tracemalloc.start()
+        try:
+            picks = select(request)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(picks) == 50
+        assert peak < 1.4 * pool.nbytes
 
 
 class TestSeedScreen:

@@ -147,15 +147,24 @@ class TestDeviationBlock:
 
     def test_scale_below_float64_resolution_rejected(self, linear_model):
         # at 1e-20 theta + m u_k rounds back to theta, so every deviation was
-        # exactly zero and every embedding too
+        # exactly zero and every embedding too; the outputs' check finds it
+        pool = np.random.default_rng(0).uniform(0.1, 0.3, size=(20, 4))
         norm = float(np.linalg.norm(nn.flatten_params(linear_model)))
         message = (f"noise.zeta 1e-20 times ||theta|| {norm!r} is below float64 "
-                   "resolution: direction 0 leaves every parameter before the "
-                   "tap unchanged")
+                   "resolution: direction 0 leaves every output at the tap "
+                   "unchanged")
         with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
-            perturbation_set(linear_model, feature_cfg(zeta=1e-20))
-        # a scale that moves one parameter of each direction passes
-        perturbation_set(linear_model, feature_cfg(zeta=1e-15, samplings=50))
+            pool_embeddings(linear_model, pool, feature_cfg(zeta=1e-20))
+        # a scale that moves the outputs along each direction passes
+        assert pool_embeddings(linear_model, pool,
+                               feature_cfg(zeta=1e-15, samplings=50)).any()
+
+    def test_scale_below_resolution_where_no_output_can_move_embeds_exactly(
+            self, linear_model):
+        # every Jacobian of a bias-free map is zero at the origin, so zero is
+        # the exact embedding at any scale; the parameter compare rejected it
+        emb = pool_embeddings(linear_model, np.zeros((3, 4)), feature_cfg(zeta=1e-20))
+        assert emb.shape == (3, 30) and not emb.any()
 
     def test_zero_biases_below_output_resolution_rejected(self):
         # an untrained model's biases are 0, so theta + m u_k moves them and the
