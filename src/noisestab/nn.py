@@ -134,20 +134,26 @@ class Linear:
         direction axis of the weight or of ``a`` is broadcast, so each
         direction's slice holds its own bits.
 
-        The column-by-row multiplies and the bias fill are broadcasts; at
-        pool sizes they fit numpy's default ufunc buffer and would run its
-        slow buffered loop. ``_infer`` shrinks the buffer for them; called
-        outside it, this method gives the same bits, only slower."""
+        The first product is added to the bias, or to 0.0 without one, straight
+        into the result, the bits of filling it with the bias and adding the
+        product; a zero-width input returns the bias. The column-by-row
+        multiplies and the bias add are broadcasts; at pool sizes they fit
+        numpy's default ufunc buffer and would run its slow buffered loop.
+        ``_infer`` shrinks the buffer for them; called outside it, this method
+        gives the same bits, only slower."""
         self._check_width(a.shape[-2])
         w = self.weight
         # at most one direction axis, on the weight, on a, or the same on both
         out = np.empty((w.shape[:-2] or a.shape[:-2]) + (w.shape[-2], a.shape[-1]))
-        out[...] = 0.0 if self.bias is None else self.bias[..., None]
         term = np.empty_like(out)
+        acc = 0.0 if self.bias is None else self.bias[..., None]
         for w_j, a_j in zip(_last_axis_first(w)[..., None],
                             a.swapaxes(0, -2)[..., None, :]):
             np.multiply(w_j, a_j, out=term)
-            out += term
+            np.add(acc, term, out=out)
+            acc = out
+        if acc is not out:
+            out[...] = acc
         return out
 
     def copy(self):
@@ -213,7 +219,7 @@ class Softmax:
         shifted = x - x.max(axis=axis, keepdims=True)
         # the bits of np.clip with no upper bound, without its Python wrapper
         np.maximum(shifted, _SOFTMAX_MIN_SHIFTED, out=shifted)
-        return np.exp(shifted)
+        return np.exp(shifted, out=shifted)
 
     def forward(self, x, train, rng):
         e = self._shifted_exp(x, -1)
@@ -223,13 +229,16 @@ class Softmax:
     def infer(self, x):
         """Eval softmax of feature-major logits: (C, N), or (Kc, C, N), with
         the classes on axis -2. The max over the classes is exact in any
-        order; the normalizer is summed class by class over contiguous rows."""
+        order; the normalizer is summed class by class over contiguous rows.
+        The shift, the exponential and the division run in place on one
+        temporary, which is returned."""
         e = self._shifted_exp(x, -2)
         rows = e.swapaxes(0, -2)
         total = rows[0].copy()
         for row in rows[1:]:
             total += row
-        return e / total[..., None, :]
+        e /= total[..., None, :]
+        return e
 
     def backward(self, grad, cache):
         p = cache
@@ -462,6 +471,10 @@ def forward_to(model, x, boundary):
     separate call with that direction applied alone. ``forward`` runs the same
     pass; training and the other ``Layer.forward`` callers use BLAS and agree
     with it to rounding.
+
+    The array under the returned view is made by the call: it shares no memory
+    with ``x`` or with any layer's weight or bias (nor does ``forward``'s), so
+    a caller may write into it.
     """
     if not 0 < boundary <= len(model.layers):
         raise ConfigError(f"boundary {boundary} out of range")

@@ -117,15 +117,17 @@ def _deviations(model, xs, pset, directions):
     thousands runs one direction per pass, about 600 rows at width 32 run
     three (``nn.directions_per_pass``). A row's deviation for a direction has
     the same bits whatever the chunk size (see ``nn.forward_to``). Each chunk's
-    ``perturbed - base`` and its division by m are written straight into the
-    chunk's slice of the result, with no temporary.
+    ``perturbed - base`` and its division by m run in place on the chunk's own
+    feature-major output, which shares no memory with anything else (see
+    ``nn.forward_to``), and one assignment writes it into the chunk's slice of
+    the result.
 
     The one resolution check: ``InvalidStateError`` naming zeta, ||theta||
     and the direction if a direction's deviation is exactly 0 on every row
     and output while some row's ``nn.jacobian`` is nonzero (theta + m u_k
     rounding back to theta is one such case). Where every Jacobian is zero
     (a bias-free map at the origin), the zero embedding is exact and is
-    returned. The check reads each chunk's slice of the result once more;
+    returned. The check reads each chunk's output before it is written out;
     the Jacobians run only when a direction reads all zero.
     """
     boundary = model.tap_boundary(pset.tap)
@@ -144,10 +146,12 @@ def _deviations(model, xs, pset, directions):
             perturbed = nn.forward_to(model, xs, boundary)
         finally:
             nn.remove_perturbation(model)
-        block = by_direction[start:stop]
-        np.subtract(perturbed, base, out=block)
+        # the fresh (Kc, d, N) array under forward_to's transposed view
+        block = perturbed.swapaxes(-1, -2)
+        np.subtract(block, base.T, out=block)
         np.divide(block, pset.magnitude, out=block)
         moved[start:stop] = block.any(axis=(1, 2))
+        by_direction[start:stop] = perturbed
     if not moved.all() and any(nn.jacobian(model, row, pset.tap).any()
                                for row in xs):
         raise InvalidStateError(

@@ -360,6 +360,120 @@ class TestBlockedPass:
             1, 1, 2, 4]
 
 
+def _parameter_arrays(model):
+    return [p for layer in model.layers if isinstance(layer, nn.Linear)
+            for p in (layer.weight, layer.bias) if p is not None]
+
+
+class TestOutputsOwnTheirMemory:
+    # stability._deviations writes each chunk's deviations into forward_to's
+    # output in place, which is safe only because of this property
+    def assert_fresh(self, outputs, model, rows):
+        for out in outputs:
+            for owner in [rows] + _parameter_arrays(model):
+                assert not np.shares_memory(out, owner)
+
+    def passes(self, model, rows):
+        """forward's two outputs and forward_to's at every boundary, for the
+        pool and for its first row alone."""
+        got = []
+        for x in (rows, rows[0]):
+            got += nn.forward(model, x)
+            got += [nn.forward_to(model, x, b)
+                    for b in range(1, len(model.layers) + 1)]
+        return got
+
+    # 30 rows whose widest activation is 6 entries a column, 18 under a
+    # stack of 3: whole, or cut into blocks of 3 columns and, stacked, of 1
+    BUDGETS = pytest.mark.parametrize("budget,blocks,stacked_blocks", [
+        (nn._PASS_ENTRIES, 1, 1), (20, 10, 30)], ids=["one_block", "blocked"])
+
+    @BUDGETS
+    def test_forward_and_forward_to(self, monkeypatch, budget, blocks,
+                                    stacked_blocks):
+        model = nn.build_mlp(4, [6, 5], 3, seed=2)
+        rows = np.random.default_rng(2).normal(size=(30, 4))
+        monkeypatch.setattr(nn, "_PASS_ENTRIES", budget)
+        assert nn._block_count(model.layers, len(rows)) == blocks
+        self.assert_fresh(self.passes(model, rows), model, rows)
+
+    @BUDGETS
+    def test_under_an_applied_stack(self, monkeypatch, budget, blocks,
+                                    stacked_blocks):
+        model = nn.build_mlp(4, [6], 3, seed=2)
+        rows = np.random.default_rng(2).normal(size=(30, 4))
+        monkeypatch.setattr(nn, "_PASS_ENTRIES", budget)
+        base = [nn.forward_to(model, rows, b) for b in (1, 2, 3, 4)]
+        nn.apply_perturbation(
+            model, 0.1 * np.random.default_rng(3).normal(size=(3, model.n_params())))
+        try:
+            assert nn._block_count(model.layers, len(rows)) == stacked_blocks
+            stacked = [nn.forward_to(model, rows, b) for b in (1, 2, 3, 4)]
+            self.assert_fresh(stacked, model, rows)
+        finally:
+            nn.remove_perturbation(model)
+        assert all(a.ndim == 3 for a in stacked)
+        for a, b in zip(stacked, base):
+            assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("layers", [
+        # the Dropout after the hidden ReLU is the last layer before the tap
+        lambda: nn.build_mlp(4, [6], 3, dropout=0.3, seed=2).layers,
+        # a Dropout first returns the pass's own copy of the rows
+        lambda: [nn.Dropout(0.3), nn.Linear(np.ones((2, 4)))]],
+        ids=["after_relu", "first"])
+    def test_a_dropout_before_the_tap(self, layers):
+        layers = layers()
+        tap = next(i for i in range(len(layers), 0, -1)
+                   if isinstance(layers[i - 1], nn.Dropout))
+        model = nn.MlpModel(layers, feature_tap=tap)
+        rows = np.random.default_rng(2).normal(size=(30, 4))
+        self.assert_fresh(self.passes(model, rows), model, rows)
+
+
+class TestLinearInferEdges:
+    # Linear.infer adds the first product to the bias straight into its
+    # result; _reference_linear fills the result with the bias, then adds
+    def assert_matches_reference(self, layer, x):
+        """``x`` is row-major, (N, in) or (Kc, N, in)."""
+        assert_same_bytes(layer.infer(x.swapaxes(-1, -2)),
+                          _reference_linear(layer, x).swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("bias", [None, np.array([0.5, -0.0, -2.0])],
+                             ids=["no_bias", "bias"])
+    def test_zero_width_layer_returns_the_bias(self, bias):
+        layer = nn.Linear(np.empty((3, 0)), bias)
+        x = np.empty((4, 0))
+        self.assert_matches_reference(layer, x)
+        expected = np.zeros(3) if bias is None else bias
+        assert_same_bytes(layer.infer(x.T), np.repeat(expected[:, None], 4, axis=1))
+
+    def test_zero_width_layer_under_a_stack(self):
+        layer = nn.Linear(np.empty((3, 0)), np.zeros(3))
+        layer.weight = np.empty((2, 3, 0))
+        layer.bias = np.array([[1.0, -0.0, 2.0], [-3.0, 4.0, -0.0]])
+        self.assert_matches_reference(layer, np.empty((2, 5, 0)))
+
+    def test_a_negative_zero_first_product_adds_to_a_positive_zero(self):
+        # 0.0 + (-0.0) is +0.0: the bias-free fill gave that, and writing the
+        # first product into the result would keep -0.0
+        layer = nn.Linear(np.array([[-1.0, 0.0], [-0.0, 1.0]]))
+        x = np.array([[0.0, -0.0], [0.0, 0.0], [2.0, -0.0]])
+        self.assert_matches_reference(layer, x)
+        out = layer.infer(x.T)
+        assert out[:, :2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert not np.signbit(out[:, :2]).any()
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_stacked_weight_and_bias_over_a_stacked_input(self, bias):
+        gen = np.random.default_rng(5)
+        layer = nn.Linear(gen.normal(size=(3, 4)), gen.normal(size=3) if bias else None)
+        layer.weight = gen.normal(size=(2, 3, 4))
+        if bias:
+            layer.bias = gen.normal(size=(2, 3))
+        self.assert_matches_reference(layer, gen.normal(size=(2, 7, 4)))
+
+
 class TestSoftmax:
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6))
     @settings(max_examples=50, deadline=None)
