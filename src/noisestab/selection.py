@@ -100,6 +100,7 @@ class _Distances:
         self.diff = np.empty((self.block, points.shape[1]))
         self.centers = np.empty_like(self.diff)
         self.out = np.empty(points.shape[0])
+        self.tol = 8.0 * (points.shape[1] + 8) * 2.0 ** -53
         with np.errstate(over="ignore"):
             self.sq = np.einsum("ij,ij->i", points, points)
 
@@ -134,42 +135,58 @@ class _Distances:
             np.add.reduce(d, axis=1, out=sq[p:p + len(d)])
         return sq
 
+    def estimate(self, rows, centers, center_sq, approx, margin):
+        """The Gram estimate D = (|x|² + |c|²) − 2·x·c of the exact squared
+        distance S from each of ``points[rows]`` to each row c of
+        ``centers`` (|c|² given as ``center_sq``), and its margin E, written
+        into the (rows, centers) arrays ``approx`` and ``margin``: one BLAS
+        product. D − E ≤ S ≤ D + E unless the estimate overflowed, which
+        leaves an infinity or a NaN in D or E (``greedy_k_center`` proves
+        both)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(self.sq[rows, None], center_sq, out=margin)
+            np.matmul(self.points[rows], centers.T, out=approx)
+            approx *= -2.0
+            approx += margin
+            margin *= self.tol
+            margin += 1e-300
+
 
 def _nearest_center_distances(dist, centers, min_dist=None):
     """Lower ``min_dist``, the distance from every row of ``dist.points`` to
     its nearest center so far (+inf by default), to the distance to its
     nearest row of ``centers`` where that is smaller; returns it, updated in
-    place. A pick is one center against the current minimum; seeding is M
-    centers against +inf.
+    place. Seeding is M centers against +inf, a kmeans++ pick one center
+    against the current minimum, and a farthest-first traversal's stale
+    rows (their own ``dist``) the picks they may lack against their caches.
 
-    Each block of rows takes one BLAS product with the centers, and keeps a
-    (row, center) pair only if the Gram estimate cannot rule the center out
-    (see ``greedy_k_center``). The kept pairs get exact squared distances
-    (``dist.squared``), the smallest per row is square-rooted, and ``sqrt``
-    is monotone, so each entry has the bits of the minimum of ``dist.to(c)``
-    over all centers c. No BLAS bit reaches the result. The screen's
-    (rows, centers) temporaries hold about max(N, ``_BLOCK_ENTRIES``)
-    entries: a pick screens every row at once, with (N,) temporaries like
-    ``min_dist``.
+    Each block of rows takes one BLAS product with the centers
+    (``dist.estimate``), and keeps a (row, center) pair only if the estimate
+    cannot rule the center out (see ``greedy_k_center``). The kept pairs get
+    exact squared distances (``dist.squared``), the smallest per row is
+    square-rooted, and ``sqrt`` is monotone, so each entry has the bits of
+    the minimum of ``dist.to(c)`` over all centers c. No BLAS bit reaches the
+    result. The screen's (rows, centers) temporaries hold about
+    max(N, ``_BLOCK_ENTRIES``) entries: one center screens every row at
+    once, with (N,) temporaries like ``min_dist``.
     """
-    x = dist.points
-    n, width = x.shape
+    n = dist.points.shape[0]
     if min_dist is None:
         min_dist = np.full(n, np.inf)
     block = max(1, max(n, _BLOCK_ENTRIES) // centers.shape[0])
-    tol = 8.0 * (width + 8) * 2.0 ** -53
     with np.errstate(over="ignore"):
         center_sq = np.einsum("ij,ij->i", centers, centers)
+    # the screen's (rows, centers) arrays, allocated once: a new pair per
+    # block made coreset's seeding about 20% slower (pages not reused)
+    approx_block = np.empty((min(block, n), centers.shape[0]))
+    margin_block = np.empty_like(approx_block)
     for start in range(0, n, block):
         current = min_dist[start:start + block]
+        approx, margin = approx_block[:current.size], margin_block[:current.size]
+        dist.estimate(slice(start, start + block), centers, center_sq, approx,
+                      margin)
         # overflow gives an infinity or a NaN, and such a pair is kept
         with np.errstate(over="ignore", invalid="ignore"):
-            margin = dist.sq[start:start + block, None] + center_sq
-            approx = x[start:start + block] @ centers.T
-            approx *= -2.0
-            approx += margin
-            margin *= tol
-            margin += 1e-300
             # the current minimum squared, rounded up; a picked row, at
             # -inf, gets -inf
             bound = np.abs(current)
@@ -201,7 +218,7 @@ def greedy_k_center(req: SelectionRequest):
     the lowest unpicked index. Returns distinct picks in selection order.
 
     The seeding and every pick screen their exact distances with a Gram
-    estimate (``_nearest_center_distances``). Let u = 2^-53,
+    estimate (``_Distances.estimate``). Let u = 2^-53,
     γ_n = n·u/(1 − n·u), L the embedding width, P = |x|² + |c|² and
     T = |x − c|² ≤ 2P. The exact squared distance S (subtract, square, sum)
     has |S − T| ≤ γ_{L+2}·T ≤ 2γ_{L+2}·P. The screen's estimate
@@ -213,7 +230,8 @@ def greedy_k_center(req: SelectionRequest):
     roundings of P, E and D ± E, and its absolute term covers underflow: at
     most 5L + 5 roundings of 2^-1075 each. So D − E ≤ S ≤ D + E.
 
-    A pair is skipped when D − E exceeds the row's bound, the smaller of:
+    Seeding (``_nearest_center_distances``) skips a pair when D − E exceeds
+    the row's bound, the smaller of:
     - min_c (D + E), at least the nearest center's S; a center above it is
       not the nearest;
     - the row's current minimum m, squared and rounded up: fl(m·m) is at
@@ -223,6 +241,31 @@ def greedy_k_center(req: SelectionRequest):
     An estimate that overflowed is an infinity or a NaN, never a finite
     value: a pair whose D − E is not finite is kept, and so is every pair of
     a row whose bound is a NaN or whose min_c (D + E) is -inf.
+
+    The picks (``_farthest_first``) keep bounds lo ≤ m ≤ hi on each row's
+    exact nearest-center distance m = min_c fl(sqrt(S)), the value the
+    argmax compares. fl∘sqrt is monotone, so a new center c gives
+    lo_c = fl(sqrt(max(D − E, 0))) ≤ fl(sqrt(S)) ≤ fl(sqrt(D + E)) = hi_c,
+    and min(lo, lo_c) ≤ min(m, fl(sqrt(S))) ≤ min(hi, hi_c). An overflowed
+    estimate bounds nothing: a D − E that is not finite gives lo_c = 0, and
+    a D + E that is a NaN or -inf leaves hi as it was, so no bound is ever a
+    NaN. A row whose hi is below the largest lo among live rows has
+    m ≤ hi < lo_r ≤ m_r for that row r, so it can neither win nor tie the
+    farthest row, and the tie to the lowest index is decided among the
+    others, the candidates, on exact values alone. Each row caches its exact
+    minimum over the first ``folded`` picks (and the seeds). The cache
+    survives a new center whose lo_c is at least the cached value e: then
+    e ≤ lo_c ≤ fl(sqrt(S)), so min(e, fl(sqrt(S))) = e. It is then still
+    e = lo = hi, while a center it does not survive leaves lo < e, so the
+    cache is current exactly where lo equals it. A candidate whose cache is
+    not current folds in only the picks since: pair by pair while those
+    pairs fit one block of differences, else screened as seeding is, over
+    the picks since the oldest stale cache (a pick a row already holds is at
+    least its cache and cannot lower it). Either way the exact distances use
+    ``dist.squared``'s ops, so the value has the bits of the minimum of
+    ``dist.to(c)``; no BLAS bit reaches an argmax. Without the cache, a pool
+    of few distinct rows, where every distance reaches 0 and every row is a
+    candidate, folded in every pick again at every pick.
     """
     x = req.embeddings
     if req.budget == 0:
@@ -230,34 +273,112 @@ def greedy_k_center(req: SelectionRequest):
     dist = _Distances(x)
     if req.seeds_from_labeled is not None:
         return _farthest_first(
-            dist, _nearest_center_distances(dist, req.seeds_from_labeled), [],
+            dist, _nearest_center_distances(dist, req.seeds_from_labeled), None,
             req.budget)
-    first = int(np.argmax(_row_norms(x)))
-    return _farthest_first(dist, dist.to(x[first]).copy(), [first], req.budget)
+    return _farthest_first(dist, np.full(x.shape[0], np.inf),
+                           int(np.argmax(_row_norms(x))), req.budget)
 
 
-def _farthest_first(dist, min_dist, picks, budget):
-    """``picks`` extended to ``budget`` rows of ``dist.points``, each farthest
-    from its nearest center (``min_dist``, updated in place; ties to the
-    lowest index). Picked rows, and rows the caller sets, sit at -inf."""
-    min_dist[picks] = -np.inf
-    while len(picks) < budget:
-        nxt = int(np.argmax(min_dist))
-        picks.append(nxt)
-        _nearest_center_distances(dist, dist.points[nxt:nxt + 1], min_dist)
-        min_dist[nxt] = -np.inf
-    return picks
+class _Traversal:
+    """A farthest-first traversal's state over the rows of ``dist.points``:
+    the picks so far, and per row the bounds ``lo`` ≤ m ≤ ``hi`` on its
+    exact nearest-center distance m and the cached exact minimum ``exact``
+    over the first ``folded`` picks (see ``greedy_k_center``). Picked rows,
+    and rows the caller sets, sit at -inf in all three and never enter the
+    argmax."""
+
+    def __init__(self, dist, min_dist, budget):
+        self.dist = dist
+        self.picks = []
+        self.order = np.empty(budget, dtype=np.intp)
+        self.exact = min_dist
+        self.folded = np.zeros(min_dist.size, dtype=np.intp)
+        self.lo = min_dist.copy()
+        self.hi = min_dist.copy()
+        # a pick's D, E and D + E, allocated once
+        self.d = np.empty((min_dist.size, 1))
+        self.e = np.empty_like(self.d)
+        self.hi_c = np.empty(min_dist.size)
+
+    def add(self, c):
+        """Pick row ``c``; unless that fills the budget, screen every row
+        against it: one BLAS product lowers ``lo`` and ``hi``, and a cache
+        whose value ``lo`` still equals has survived it."""
+        k = len(self.picks)
+        self.picks.append(c)
+        self.order[k] = c
+        self.lo[c] = self.hi[c] = self.exact[c] = -np.inf
+        if k + 1 == self.order.size:
+            return
+        self.dist.estimate(slice(None), self.dist.points[c:c + 1],
+                           self.dist.sq[c:c + 1], self.d, self.e)
+        d, e, hi_c = self.d[:, 0], self.e[:, 0], self.hi_c
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(d, e, out=hi_c)
+            d -= e
+            # fmin skips the NaN of a D + E that overflowed (or was -inf)
+            np.fmin(self.hi, np.sqrt(hi_c, out=hi_c), out=self.hi)
+        # fmax sends a NaN or -inf D - E to 0, and an infinite one bounds
+        # nothing either
+        np.fmax(d, 0.0, out=d)
+        d[d == np.inf] = 0.0
+        np.minimum(self.lo, np.sqrt(d, out=d), out=self.lo)
+        np.putmask(self.folded, self.lo == self.exact, k + 1)
+
+    def farthest(self):
+        """The next pick: the live row of largest m, the lowest index on
+        ties. Only the candidates, rows whose ``hi`` reaches the largest
+        ``lo``, can be it; those whose cache is stale fold in the picks
+        they lack, and then ``lo``, ``hi`` and ``exact`` all hold m."""
+        cand = np.flatnonzero(self.hi >= self.lo.max())
+        k = len(self.picks)
+        stale = cand[self.folded[cand] < k]
+        if stale.size:
+            since = self.folded[stale]
+            points = self.dist.points
+            if (k - since).sum() * points.shape[1] <= _BLOCK_ENTRIES:
+                # one block of differences: every pair a row lacks, exactly
+                row, at = np.nonzero(np.arange(k) >= since[:, None])
+                sq = self.dist.squared(stale[row], points, self.order[at])
+                np.minimum.at(self.exact, stale[row], np.sqrt(sq, out=sq))
+            else:
+                # more: screened as seeding is; a pick a row already holds
+                # cannot lower its cache
+                self.exact[stale] = _nearest_center_distances(
+                    _Distances(points[stale]), points[self.order[since.min():k]],
+                    self.exact[stale])
+            self.folded[stale] = k
+            self.lo[stale] = self.hi[stale] = self.exact[stale]
+        return int(cand[np.argmax(self.exact[cand])])
+
+
+def _farthest_first(dist, min_dist, first, budget):
+    """``budget`` distinct rows of ``dist.points``, each farthest from its
+    nearest center (ties to the lowest index). ``min_dist`` holds each row's
+    exact distance to the seeds (+inf without), or -inf for a row the caller
+    excludes; ``first``, if not None, is the first pick. Returns the picks in
+    selection order; ``min_dist`` becomes the traversal's cache."""
+    walk = _Traversal(dist, min_dist, budget)
+    if first is not None:
+        walk.add(first)
+    while len(walk.picks) < budget:
+        walk.add(walk.farthest())
+    return walk.picks
 
 
 def kmeans_pp(req: SelectionRequest):
     """Standard D^2 seeding: uniform first center, then each next center drawn
     with probability proportional to squared distance to the nearest chosen
     one. Degenerate all-zero distances fall back to a uniform draw over the
-    unchosen indices. Deterministic per seed.
+    unchosen indices. Deterministic per seed. A finite pool whose squared
+    distances overflow raises ``NonFiniteError`` before a draw: the draw
+    needs the sum of every row's squared distance.
 
-    The distances are kept as exact distances, screened as in
-    ``greedy_k_center``, and squared for each draw; squaring is monotone on
-    non-negatives, so the minimum of the squares has the same bits."""
+    The draw reads every row's distance, so each pick updates them all
+    exactly (``_nearest_center_distances``, screened as in
+    ``greedy_k_center``), and they are squared for each draw; squaring is
+    monotone on non-negatives, so the minimum of the squares has the same
+    bits."""
     x = req.embeddings
     if req.budget == 0:
         return []
@@ -273,6 +394,9 @@ def kmeans_pp(req: SelectionRequest):
         d2 = np.square(min_dist)
         d2[chosen] = 0.0
         total = d2.sum()
+        if not np.isfinite(total):
+            raise NonFiniteError(
+                f"kmeans_pp: the squared distances overflow (their sum is {total!r})")
         if total <= 0.0:
             candidates = np.flatnonzero(~chosen)
             nxt = int(candidates[gen.integers(candidates.size)])
@@ -316,11 +440,10 @@ def k_center_normalized(req: SelectionRequest):
     if budget:
         unit = np.divide(x, norms[:, None], out=np.zeros_like(x),
                          where=norms[:, None] > 0.0)
-        dist = _Distances(unit)
-        first = int(np.argmax(norms))
-        min_dist = dist.to(unit[first]).copy()
+        min_dist = np.full(x.shape[0], np.inf)
         min_dist[zeros] = -np.inf
-        picks = _farthest_first(dist, min_dist, [first], budget)
+        picks = _farthest_first(_Distances(unit), min_dist,
+                                int(np.argmax(norms)), budget)
     return picks + zeros[:req.budget - len(picks)].tolist()
 
 

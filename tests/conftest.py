@@ -2,12 +2,33 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from noisestab import nn
+from noisestab import nn, selection
 
 # property tests draw the same examples on every run, so the suite's verdict
 # does not change from run to run
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def exact_pairs(monkeypatch):
+    """A one-entry list counting the exact row-center distances that
+    ``selection._Distances.squared`` and ``selection._Distances.to`` compute
+    during the test."""
+    count = [0]
+    squared, to = selection._Distances.squared, selection._Distances.to
+
+    def counting_squared(dist, row_of, centers, center_of):
+        count[0] += row_of.size
+        return squared(dist, row_of, centers, center_of)
+
+    def counting_to(dist, center):
+        count[0] += dist.points.shape[0]
+        return to(dist, center)
+
+    monkeypatch.setattr(selection._Distances, "squared", counting_squared)
+    monkeypatch.setattr(selection._Distances, "to", counting_to)
+    return count
 
 
 @pytest.fixture

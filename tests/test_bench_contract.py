@@ -125,3 +125,21 @@ def test_every_al_workload_records_calls_where_it_expects_them(monkeypatch):
         calls = {span: stats.calls for span, stats in tracer.stats.items()}
         assert [s for s in workload.expect_calls if calls[s] == 0] == [], name
         assert [s for s in workload.expect_idle if calls[s] > 0] == [], name
+
+
+def test_noise_stability_workloads_compute_few_exact_distances(monkeypatch,
+                                                              exact_pairs):
+    # one cycle of each noise-stability workload counts the exact
+    # row-center distances its k-center picks compute. Before each row kept
+    # bounds (``selection._Traversal``), seed 0 computed 14,712 on ns_blobs
+    # and 2,412 on ns_regression; each now computes under a tenth of that
+    # (190 and 190). About 0.2 s.
+    workloads = _perfbench_module(monkeypatch, "workloads")
+    counts = {}
+    for name in ("ns_blobs", "ns_regression"):
+        cfg = workloads.JobRunner(noisestab, workloads.WORKLOADS[name], ROOT).cfg
+        exact_pairs[0] = 0
+        noisestab.loop.run_single_seed(dataclasses.replace(cfg, cycles=1), 0)
+        counts[name] = exact_pairs[0]
+    assert counts["ns_blobs"] < 14712 // 10 and \
+        counts["ns_regression"] < 2412 // 10, counts

@@ -283,6 +283,14 @@ class TestKmeansPP:
         with pytest.raises(ConfigError):
             req([[1.0]], 2, seed=0)
 
+    def test_squared_distances_that_overflow_raise_non_finite_error(self):
+        # a finite pool: the draw's probabilities would be NaN, which numpy
+        # reports as an untyped ValueError
+        pool = np.random.default_rng(0).standard_normal((50, 4)) * 1e160
+        with np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError, match="overflow"):
+            kmeans_pp(req(pool, 5))
+
 
 class TestTopScores:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -537,6 +545,67 @@ def near_tie_case(kind, seed):
     return base[:30], base[30:], None
 
 
+def traversal_steps(request):
+    """``select(request)`` and, for each farthest-first pick, the state the
+    traversal picked from: (points, picks so far, lo, hi, the pick, its
+    exact distance)."""
+    steps = []
+    farthest = selection._Traversal.farthest
+
+    def recording(walk):
+        before = (walk.dist.points, list(walk.picks), walk.lo.copy(),
+                  walk.hi.copy())
+        nxt = farthest(walk)
+        steps.append(before + (nxt, walk.exact[nxt]))
+        return nxt
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selection._Traversal, "farthest", recording)
+        picks = select(request)
+    return picks, steps
+
+
+def assert_steps_follow_the_reference(steps, seeds):
+    """Before each pick, every live row's bounds contain its reference
+    nearest-center distance (to ``seeds`` and the picks so far), no bound is
+    a NaN, the picks sit at -inf, and the pick is the lowest-index row of the
+    reference maximum, whose bits its exact distance has."""
+    expected, folded = None, 0
+    for points, picks, lo, hi, nxt, exact in steps:
+        if expected is None:
+            expected = (np.full(len(points), np.inf) if seeds is None
+                        else reference_nearest_seed_distances(points, seeds))
+        for center in picks[folded:]:
+            np.minimum(expected, reference_distances_to(points, points[center]),
+                       out=expected)
+        folded = len(picks)
+        assert not np.isnan(lo).any() and not np.isnan(hi).any()
+        assert (lo[picks] == -np.inf).all()
+        live = lo > -np.inf
+        assert (lo[live] <= expected[live]).all()
+        assert (expected[live] <= hi[live]).all()
+        reference = np.where(live, expected, -np.inf)
+        assert nxt == int(np.argmax(reference))
+        assert exact.tobytes() == reference.max().tobytes()
+
+
+@st.composite
+def few_distinct_case(draw):
+    """A screen_case value of a few distinct small-integer rows, repeated:
+    every distance reaches 0 long before a full traversal ends, with exact
+    ties throughout. At 1e154 with a 1e-9 spread the squared norms overflow
+    while the distances do not."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, width = draw(st.integers(1, 200)), draw(st.integers(1, 12))
+    base = gen.integers(-2, 3, size=(draw(st.integers(1, 8)), width)) * 1.0
+    if draw(st.booleans()):
+        base = 1e154 * (1.0 + 1e-9 * base)
+    points = base[gen.integers(len(base), size=n)]
+    seeds = base[gen.integers(len(base), size=draw(st.integers(1, 4)))]
+    entries = draw(st.sampled_from([1, width, None]))
+    return points, seeds, entries
+
+
 class TestScreenedTraversal:
     @given(case=screen_case(), budget_frac=st.floats(0.0, 1.0),
            seed=st.integers(0, 2**31 - 1))
@@ -554,27 +623,15 @@ class TestScreenedTraversal:
         budget = int(round(budget_frac * len(pool)))
         k_center = req(pool, budget)
         kmeans = req(pool, budget, seed=seed, method="kmeans_pp")
-        after_pick = []
-        screened = selection._nearest_center_distances
-
-        def recording(dist, centers, min_dist=None):
-            after_pick.append(screened(dist, centers, min_dist).copy())
-            return after_pick[-1]
-
         with pytest.MonkeyPatch.context() as mp:
             if entries is not None:
                 mp.setattr(selection, "_BLOCK_ENTRIES", entries)
-            mp.setattr(selection, "_nearest_center_distances", recording)
-            picks = greedy_k_center(k_center)
+            picks, steps = traversal_steps(k_center)
             assert kmeans_pp(kmeans) == reference_kmeans_pp(kmeans)
         assert picks == distinct_reference_k_center(k_center)
-        # the k-center calls come first; earlier picks sit at -inf
-        expected = reference_distances_to(pool, pool[picks[0]]) if picks else None
-        for i, nxt in enumerate(picks[1:], 1):
-            expected[picks[i - 1]] = -np.inf
-            np.minimum(expected, reference_distances_to(pool, pool[nxt]),
-                       out=expected)
-            assert after_pick[i - 1].tobytes() == expected.tobytes()
+        # after each pick the bounds hold the reference minimum, and the next
+        # pick's exact distance is the reference maximum, bit for bit
+        assert_steps_follow_the_reference(steps, None)
 
     def test_separated_picks_are_computed_exactly_for_few_rows(self,
                                                                monkeypatch):
@@ -596,6 +653,59 @@ class TestScreenedTraversal:
             # full passes would difference 40 * 500 rows; the screen keeps
             # about a tenth of them
             assert 500 <= sum(differences) < 40 * 500 // 4, request.method
+
+
+class TestBoundedTraversal:
+    @given(case=st.one_of(
+               screen_case(), few_distinct_case(),
+               st.builds(near_tie_case, st.sampled_from(["ulp", "offset"]),
+                         st.integers(0, 2**31 - 1))),
+           seeded=st.booleans(), budget_frac=st.floats(0.0, 1.0))
+    @settings(max_examples=60)
+    def test_bounds_contain_the_reference_after_every_pick(self, case, seeded,
+                                                           budget_frac):
+        # seeded and unseeded k-center and the normalized ablation, whose
+        # zero rows (tiny cases) sit at -inf from the start; the squared
+        # norms of huge rows overflow, which the reference's norms also meet
+        points, seeds, entries = case
+        pool = points if seeded else np.vstack([points, seeds])
+        budget = int(round(budget_frac * len(pool)))
+        k_center = req(pool, budget, seeds_from_labeled=seeds if seeded else None)
+        normalized = req(pool, budget, method="k_center_normalized")
+        with np.errstate(over="ignore"), pytest.MonkeyPatch.context() as mp:
+            references = [distinct_reference_k_center(k_center),
+                          reference_k_center_normalized(normalized)]
+            if entries is not None:
+                mp.setattr(selection, "_BLOCK_ENTRIES", entries)
+            picks, steps = traversal_steps(k_center)
+            normalized_picks, normalized_steps = traversal_steps(normalized)
+        assert [picks, normalized_picks] == references
+        assert_steps_follow_the_reference(steps, k_center.seeds_from_labeled)
+        assert_steps_follow_the_reference(normalized_steps, None)
+
+    def test_few_distinct_rows_cost_no_more_exact_pairs_than_before(
+            self, exact_pairs):
+        # 2,000 rows of 50 distinct at budget 300: after 50 picks every row
+        # ties at 0, and every row must hold its exact value for the tie to
+        # go to the lowest index. The traversal before the bounds computed
+        # 19,412 exact pairs here (each pick's screened full pass); without
+        # the cache of exact values every row folded in every pick again
+        gen = np.random.default_rng(0)
+        base = gen.normal(size=(50, 120))
+        request = req(base[gen.integers(50, size=2000)], 300)
+        reference = distinct_reference_k_center(request)
+        exact_pairs[0] = 0
+        assert greedy_k_center(request) == reference
+        assert exact_pairs[0] <= 19412
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_exact_distances_that_overflow_still_raise(self, seeded):
+        # phase select raises on overflow and turns this FloatingPointError
+        # into NonFiniteError; the bounds must not hide the overflow
+        pool = np.random.default_rng(0).standard_normal((50, 4)) * 1e160
+        seeds = pool[:3] * 2.0 if seeded else None
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            greedy_k_center(req(pool, 5, seeds_from_labeled=seeds))
 
 
 class TestDispatch:
