@@ -2,9 +2,10 @@
 
 Provides layered feed-forward models with a designated feature tap, one
 fixed-order eval forward, training with Adam (in place on one flat
-parameter vector), flattened parameter views, in-place perturbation with
-bit-exact restore (one direction, or a stack of directions evaluated in one
-eval forward), and the analytic Jacobian of a tap (backprop).
+parameter vector, each step run from a layout built once per call),
+flattened parameter views, perturbation with bit-exact restore (one
+direction, or a stack of directions evaluated in one eval forward), and the
+analytic Jacobian of a tap (backprop).
 
 A tap names both the output that is read and the parameters that move it:
 the parameters of ``layers[:model.tap_boundary(tap)]``. The predictive tap,
@@ -118,12 +119,15 @@ class Linear:
             )
 
     def forward(self, x, train, rng):
+        """``x @ W.T + b`` of a (B, in) batch by BLAS, the bias added in
+        place on the fresh product; returns it and ``x``, the cache the
+        weight gradient reads."""
         if self.weight.ndim != 2:
             raise _stacked_error("forward", self.weight)
         self._check_width(x.shape[-1])
         y = x @ self.weight.T
         if self.bias is not None:
-            y = y + self.bias
+            y += self.bias
         return y, x
 
     def infer(self, a):
@@ -166,8 +170,13 @@ class ReLU:
     n_params = 0
 
     def forward(self, x, train, rng):
-        mask = x > 0.0
-        return np.where(mask, x, 0.0), mask
+        """``infer``'s output and, as the cache ``backward`` reads, the mask
+        ``x > 0.0`` in float64 ones and zeros: ``np.sign`` of that output,
+        which is +0.0 wherever ``x > 0.0`` fails. A product with it has the
+        bits of one with the boolean mask, without numpy's buffered
+        bool-to-float cast."""
+        out = self.infer(x)
+        return out, np.sign(out)
 
     def infer(self, x):
         """Eval ReLU of activations in any layout, with the bits of
@@ -216,15 +225,20 @@ class Softmax:
 
     @staticmethod
     def _shifted_exp(x, axis):
-        shifted = x - x.max(axis=axis, keepdims=True)
+        # np.maximum.reduce and np.add.reduce (in forward) are what
+        # ndarray.max and ndarray.sum call, minus their Python wrappers
+        shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
         # the bits of np.clip with no upper bound, without its Python wrapper
         np.maximum(shifted, _SOFTMAX_MIN_SHIFTED, out=shifted)
         return np.exp(shifted, out=shifted)
 
     def forward(self, x, train, rng):
-        e = self._shifted_exp(x, -1)
-        p = e / e.sum(axis=1, keepdims=True)
-        return p, p
+        """Softmax of (B, C) logits, ``e / e.sum(axis=1, keepdims=True)``
+        of the clipped shifted exponential ``e``, run in place on one
+        temporary, which is both the output and the cache."""
+        e = self._shifted_exp(x, 1)
+        e /= np.add.reduce(e, axis=1, keepdims=True)
+        return e, e
 
     def infer(self, x):
         """Eval softmax of feature-major logits: (C, N), or (Kc, C, N), with
@@ -263,7 +277,9 @@ class MlpModel:
             )
         self.layers = list(layers)
         self.feature_tap = int(feature_tap)
-        self._pristine = None  # (tap, saved flat params) while a perturbation is applied
+        # (layer, weight, bias) of each layer a perturbation replaced, holding
+        # the arrays it replaced, while one is applied
+        self._pristine = None
 
     def n_params(self, tap=TAP_PREDICTIVE) -> int:
         """Parameters of the layers before the tap's boundary."""
@@ -531,37 +547,47 @@ def _write_params(model, vec, tap=TAP_PREDICTIVE):
 
 
 def apply_perturbation(model, delta, tap=TAP_PREDICTIVE):
-    """Add ``delta`` to the parameters before the tap, keeping a pristine copy.
+    """Add ``delta`` to the parameters before the tap, keeping the arrays it
+    replaces.
 
     ``delta`` is one direction, shape (n,), or a stack of Kc directions,
-    shape (Kc, n). A stack leaves each Linear before the tap holding
-    (Kc, out, in) weights, ``current + delta`` broadcast over the stack, so
-    row k has the bits a separate apply of ``delta[k]`` would give. Until the
-    matching ``remove_perturbation`` only ``forward_to`` evaluates such a
-    model.
+    shape (Kc, n), laid out as ``_param_views`` states. Each Linear before the
+    tap gets the new arrays ``weight + dW`` and ``bias + db``, its slices of
+    ``delta``, so its own arrays are neither copied nor written. A stack
+    leaves such a layer holding (Kc, out, in) weights, the sum broadcast over
+    the stack, so row k has the bits a separate apply of ``delta[k]`` would
+    give. Until the matching ``remove_perturbation`` only ``forward_to``
+    evaluates such a model.
 
-    Restoring from the saved copy (rather than subtracting) makes
-    apply/remove bit-exact under floating-point non-associativity.
+    A delta of any other shape raises ``DimensionError`` before the model is
+    touched.
     """
     if model._pristine is not None:
         raise InvalidStateError("a perturbation is already applied; remove it first")
     delta = np.asarray(delta, dtype=np.float64)
-    current = flatten_params(model, tap)
-    if delta.ndim not in (1, 2) or delta.shape[-1:] != current.shape:
+    n = model.n_params(tap)
+    if delta.ndim not in (1, 2) or delta.shape[-1] != n:
         raise DimensionError(
-            f"delta shape {delta.shape} is neither ({current.size},) nor a "
-            f"(Kc, {current.size}) stack of parameter vectors before the tap"
+            f"delta shape {delta.shape} is neither ({n},) nor a "
+            f"(Kc, {n}) stack of parameter vectors before the tap"
         )
-    model._pristine = (tap, current)
-    _write_params(model, current + delta, tap)
+    model._pristine = []
+    for i, (d_weight, d_bias) in _param_views(model, delta, tap).items():
+        layer = model.layers[i]
+        model._pristine.append((layer, layer.weight, layer.bias))
+        layer.weight = layer.weight + d_weight
+        if d_bias is not None:
+            layer.bias = layer.bias + d_bias
 
 
 def remove_perturbation(model):
-    """Restore the parameters saved by the matching apply_perturbation."""
+    """Put back the arrays the matching ``apply_perturbation`` replaced. They
+    were never written, so the restore is bit-exact by construction, with no
+    subtraction to round."""
     if model._pristine is None:
         raise InvalidStateError("no perturbation to remove")
-    tap, saved = model._pristine
-    _write_params(model, saved, tap)
+    for layer, weight, bias in model._pristine:
+        layer.weight, layer.bias = weight, bias
     model._pristine = None
 
 
@@ -630,6 +656,12 @@ class TrainConfig:
                               "the only optimizer is 'adam'")
 
 
+def _classes(model):
+    """C, the width of the last Linear layer, the classes of a Softmax head."""
+    return next(layer for layer in reversed(model.layers)
+                if layer.n_params).weight.shape[0]
+
+
 def _class_targets(model, y):
     """``y`` as int64 class indices when the model ends in a Softmax, else
     as given. DataError names the first row whose target is not an integer
@@ -637,8 +669,7 @@ def _class_targets(model, y):
     if not isinstance(model.layers[-1], Softmax):
         return y
     y = np.asarray(y)
-    classes = next(layer for layer in reversed(model.layers)
-                   if layer.n_params).weight.shape[0]
+    classes = _classes(model)
     bad = np.flatnonzero(~((y >= 0) & (y < classes) & (y == np.floor(y))))
     if bad.size:
         raise DataError(f"target row {bad[0]} ({y.flat[bad[0]]}) is not a "
@@ -646,91 +677,141 @@ def _class_targets(model, y):
     return y.astype(np.int64)
 
 
-def _loss_and_grad(model, output, y):
-    """Per-example losses and the gradient of their batch mean, and the index
-    of the top layer that gradient enters. After a Softmax the loss is
-    cross-entropy on the int64 class indices of ``_class_targets`` and the
-    gradient is taken at the logits, so the Softmax layer is skipped;
-    otherwise it is squared error at the model output.
+def _cross_entropy(output, labels):
+    """Per-example cross-entropy of the (B, C) Softmax ``output`` at
+    ``labels``, the flat positions of the true classes in it (see
+    ``_Schedule.label_offsets``), and the gradient of the batch mean at the
+    logits, so the step skips the Softmax layer. Flat positions gather and
+    scatter the labels with one index, where (row, class) pairs take two.
 
-    The logits gradient has the bits of the output gradient
-    ``-1/(b·p_true)`` at the label pushed through ``Softmax.backward``:
-    that row sum holds one nonzero term, ``v = (-1/(b·p_true))·p_true``, so
-    the gradient is ``0 - p·v`` off the label and ``v - p_true·v`` on it."""
+    The gradient has the bits of the output gradient ``-1/(b·p_true)`` at the
+    label pushed through ``Softmax.backward``: that row sum holds one nonzero
+    term, ``v = (-1/(b·p_true))·p_true``, so the gradient is ``0 - p·v`` off
+    the label and ``v - p_true·v`` on it."""
     b = output.shape[0]
-    top = len(model.layers) - 1
-    if isinstance(model.layers[-1], Softmax):
-        rows = np.arange(b)
-        p_true = output[rows, y]
-        v = (-1.0 / (b * p_true)) * p_true
-        grad = np.multiply(output, v[:, None])
-        np.subtract(0.0, grad, out=grad)
-        grad[rows, y] = v - p_true * v
-        return -np.log(p_true), grad, top - 1
+    p_true = output.reshape(-1)[labels]
+    v = (-1.0 / (b * p_true)) * p_true
+    grad = np.empty(output.shape)  # C-contiguous, so its reshape is a view
+    np.multiply(output, v[:, None], out=grad)
+    np.subtract(0.0, grad, out=grad)
+    grad.reshape(-1)[labels] = v - p_true * v
+    return -np.log(p_true), grad
+
+
+def _squared_error(output, y):
+    """Per-example squared error of the (B, d) ``output`` against ``y``, and
+    the gradient of the batch mean at the output."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
     diff = output - y
-    return (diff * diff).sum(axis=1), 2.0 * diff / b, top
+    return (diff * diff).sum(axis=1), 2.0 * diff / output.shape[0]
 
 
-def _backprop(model, x, y, grads, train, rng):
-    """Forward ``x`` through the whole model and backpropagate the batch-mean
-    loss, writing each parameter layer's gradient into its ``(weight, bias)``
-    views in ``grads`` (see ``_param_views``); returns the per-example losses.
+class _Schedule:
+    """A model's training step, laid out once per ``train`` call so that no
+    step re-derives it from the layer list:
 
-    The input gradient of the first parameter layer is not formed: no
+    * ``forwards``, each layer's bound ``forward``, bottom to top;
+    * ``loss``, ``_cross_entropy`` after a Softmax (whose gradient enters the
+      layer below it, and whose targets ``label_offsets`` gives), else
+      ``_squared_error`` (which enters the top layer);
+    * ``backwards``, ``(i, layer, views)`` from the layer the loss gradient
+      enters down to ``first``, the first parameter layer, ``views`` being
+      layer i's ``(weight, bias or None)`` views of the flat gradient
+      ``grad`` (see ``_param_views``), or None for a layer without
+      parameters;
+    * Adam's state, which ``adam`` steps.
+
+    The layers are read when a step runs, so their parameters may be rebound
+    after the schedule is built."""
+
+    def __init__(self, model, lr):
+        layers = model.layers
+        n = model.n_params()
+        self.grad = np.empty(n)
+        views = _param_views(model, self.grad)
+        softmax = isinstance(layers[-1], Softmax)
+        self.forwards = [layer.forward for layer in layers]
+        self.loss = _cross_entropy if softmax else _squared_error
+        self.classes = _classes(model) if softmax else None
+        self.first = min(views, default=len(layers))
+        self.backwards = [(i, layers[i], views.get(i))
+                          for i in range(len(layers) - 1 - softmax, self.first - 1, -1)]
+        self.t = 0
+        self.m, self.v = np.zeros(n), np.zeros(n)
+        self.step_buf, self.denom = np.empty(n), np.empty(n)
+        # Adam's constant operands as (n,) vectors of their values: each
+        # product or sum is the same, and an array operand skips the
+        # conversion a Python float costs every call
+        self.constants = [np.full(n, c) for c in (ADAM_BETA1, 1 - ADAM_BETA1, ADAM_BETA2,
+                                                  1 - ADAM_BETA2, lr, ADAM_EPS)]
+
+    def label_offsets(self, n, batch_size):
+        """What the class indices of ``n`` rows, taken in consecutive batches
+        of ``batch_size``, gain to become the labels ``_cross_entropy`` takes:
+        ``(row % batch_size) * C``, so each label is its flat position in its
+        batch's (B, C) output. None for squared error, whose targets a step
+        takes as they are."""
+        if self.classes is None:
+            return None
+        return np.arange(n) % batch_size * self.classes
+
+    def adam(self, theta):
+        """Adam (Kingma & Ba 2015), stepping θ in place with ``grad``. Each
+        step evaluates, elementwise and in this order,
+        ``m = β1·m + (1−β1)·g``, ``v = β2·v + ((1−β2)·g)·g`` and
+        ``θ = θ − (lr·(m/(1−β1ᵗ))) / (√(v/(1−β2ᵗ)) + eps)``, with β1, β2 and
+        eps the ``ADAM_*`` constants."""
+        grad, m, v, step, denom = self.grad, self.m, self.v, self.step_buf, self.denom
+        beta1, rest1, beta2, rest2, lr, eps = self.constants
+        self.t = t = self.t + 1
+        np.multiply(beta1, m, out=m)
+        np.multiply(rest1, grad, out=step)
+        np.add(m, step, out=m)
+        np.multiply(beta2, v, out=v)
+        np.multiply(rest2, grad, out=step)
+        np.multiply(step, grad, out=step)
+        np.add(v, step, out=v)
+        np.divide(m, 1 - ADAM_BETA1 ** t, out=step)
+        np.multiply(lr, step, out=step)
+        np.divide(v, 1 - ADAM_BETA2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, eps, out=denom)
+        np.divide(step, denom, out=step)
+        np.subtract(theta, step, out=theta)
+
+
+def _backprop(schedule, x, y, train, rng):
+    """One step of ``schedule``'s model on the batch ``x``: forward through
+    every layer, then backpropagate the batch-mean loss against the targets
+    ``y`` (in the form ``schedule.loss`` takes), writing each parameter
+    layer's gradient into its views of ``schedule.grad``; returns the
+    per-example losses.
+
+    Each layer's math is its ``forward`` and ``backward``, and a parameter
+    layer's gradients are one BLAS product and one ``np.add.reduce`` over the
+    batch. The input gradient of the first parameter layer is not formed: no
     parameter lies below it.
     """
-    out, caches = _forward_cached(model, x, len(model.layers), train, rng)
-    losses, grad, top = _loss_and_grad(model, out, y)
-    first = min(grads, default=len(model.layers))
-    for i in range(top, first - 1, -1):
-        layer = model.layers[i]
-        if i not in grads:
+    acts = x
+    caches = []
+    for forward in schedule.forwards:
+        acts, cache = forward(acts, train, rng)
+        caches.append(cache)
+    losses, grad = schedule.loss(acts, y)
+    first = schedule.first
+    for i, layer, views in schedule.backwards:
+        if views is None:
             grad = layer.backward(grad, caches[i])
             continue
-        grad_w, grad_b = grads[i]
+        grad_w, grad_b = views
         np.matmul(grad.T, caches[i], out=grad_w)
         if grad_b is not None:
             np.add.reduce(grad, axis=0, out=grad_b)
         if i > first:
             grad = grad @ layer.weight
     return losses
-
-
-class _AdamState:
-    """Adam (Kingma & Ba 2015), stepping θ in place. Each step evaluates,
-    elementwise and in this order, ``m = β1·m + (1−β1)·g``,
-    ``v = β2·v + ((1−β2)·g)·g`` and
-    ``θ = θ − (lr·(m/(1−β1ᵗ))) / (√(v/(1−β2ᵗ)) + eps)``, with β1, β2 and
-    eps the ``ADAM_*`` constants."""
-
-    def __init__(self, lr, n):
-        self.lr = lr
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self.t = 0
-        self.step_buf = np.empty(n)
-        self.denom = np.empty(n)
-
-    def step(self, theta, grad):
-        m, v, step, denom = self.m, self.v, self.step_buf, self.denom
-        self.t += 1
-        np.multiply(ADAM_BETA1, m, out=m)
-        np.multiply(1 - ADAM_BETA1, grad, out=step)
-        np.add(m, step, out=m)
-        np.multiply(ADAM_BETA2, v, out=v)
-        np.multiply(1 - ADAM_BETA2, grad, out=step)
-        np.multiply(step, grad, out=step)
-        np.add(v, step, out=v)
-        np.divide(m, 1 - ADAM_BETA1 ** self.t, out=step)
-        np.multiply(self.lr, step, out=step)
-        np.divide(v, 1 - ADAM_BETA2 ** self.t, out=denom)
-        np.sqrt(denom, out=denom)
-        np.add(denom, ADAM_EPS, out=denom)
-        np.divide(step, denom, out=step)
-        np.subtract(theta, step, out=theta)
 
 
 def train(model, labeled, cfg: TrainConfig):
@@ -748,10 +829,12 @@ def train(model, labeled, cfg: TrainConfig):
     When the call returns or raises, the layers get owned copies of θ again,
     and none of them aliases a buffer of the call.
 
-    Each epoch gathers its shuffled rows once and takes its batches as
-    slices of them. The call runs at numpy's ufunc buffer ``_INFER_BUFSIZE``
-    and restores the caller's size on return and on raise; its bits do not
-    depend on either size.
+    The step's layout (``_Schedule``), the batch slices and the labels'
+    offsets are built once per call; each step is one ``_backprop`` call
+    and one Adam update. Each epoch gathers its shuffled rows once and takes
+    its batches as slices of them. The call runs at numpy's ufunc buffer
+    ``_INFER_BUFSIZE`` and restores the caller's size on return and on raise;
+    its bits do not depend on either size.
 
     Identical seed + data + config reproduce bit-identical final parameters.
     """
@@ -769,9 +852,10 @@ def train(model, labeled, cfg: TrainConfig):
         return []
     gen = seeding.rng(cfg.seed)
     theta = flatten_params(model)
-    grad = np.empty_like(theta)
-    grads = _param_views(model, grad)
-    state = _AdamState(cfg.lr, theta.size)
+    schedule = _Schedule(model, cfg.lr)
+    batches = [slice(start, start + cfg.batch_size)
+               for start in range(0, n, cfg.batch_size)]
+    offsets = schedule.label_offsets(n, cfg.batch_size)
     shuffled_losses, epoch_losses = np.empty(n), np.empty(n)
     curve = []
     previous = np.setbufsize(_INFER_BUFSIZE)
@@ -781,15 +865,16 @@ def train(model, labeled, cfg: TrainConfig):
         for _ in range(cfg.epochs):
             order = gen.permutation(n)
             xs_epoch, ys_epoch = xs[order], ys[order]
-            for start in range(0, n, cfg.batch_size):
-                batch = slice(start, start + cfg.batch_size)
-                shuffled_losses[batch] = _backprop(model, xs_epoch[batch],
-                                                   ys_epoch[batch], grads, True, gen)
-                state.step(theta, grad)
+            if offsets is not None:
+                ys_epoch += offsets
+            for batch in batches:
+                shuffled_losses[batch] = _backprop(schedule, xs_epoch[batch],
+                                                   ys_epoch[batch], True, gen)
+                schedule.adam(theta)
             # scatter per-example losses back to canonical positions so the
             # epoch mean does not depend on the shuffle's summation order
             epoch_losses[order] = shuffled_losses
-            curve.append(float(epoch_losses.sum() / n))
+            curve.append(float(np.add.reduce(epoch_losses) / n))
     finally:
         np.setbufsize(previous)
         _write_params(model, theta)

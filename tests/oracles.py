@@ -59,10 +59,13 @@ def loss_gradient(model, x, y):
     per-example loss values: one eval-mode step of ``train``'s backprop, into
     a new vector."""
     batch, _ = nn._as_batch(x)
-    flat = np.empty(model.n_params())
-    losses = nn._backprop(model, batch, nn._class_targets(model, y),
-                          nn._param_views(model, flat), False, None)
-    return flat, losses
+    targets = nn._class_targets(model, y)
+    schedule = nn._Schedule(model, 0.0)
+    offsets = schedule.label_offsets(len(batch), len(batch))
+    if offsets is not None:
+        targets = targets + offsets
+    losses = nn._backprop(schedule, batch, targets, False, None)
+    return schedule.grad, losses
 
 
 def deviation_block(model, x, pset, k) -> np.ndarray:

@@ -588,6 +588,21 @@ class TestPerturbation:
         nn.remove_perturbation(model)
         assert np.array_equal(nn.flatten_params(model), before)
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_remove_puts_back_the_arrays_apply_replaced(self, lead):
+        # apply never writes into a layer's own arrays; remove rebinds them
+        model = nn.build_mlp(3, [5], 2, seed=7)
+        owned = [(layer, layer.weight, layer.bias, layer.weight.tobytes(),
+                  layer.bias.tobytes()) for layer in model.layers
+                 if isinstance(layer, nn.Linear)]
+        nn.apply_perturbation(model, np.ones(lead + (model.n_params(),)))
+        for layer, weight, bias, weight_bytes, bias_bytes in owned:
+            assert layer.weight is not weight and layer.bias is not bias
+            assert weight.tobytes() == weight_bytes and bias.tobytes() == bias_bytes
+        nn.remove_perturbation(model)
+        assert all(layer.weight is weight and layer.bias is bias
+                   for layer, weight, bias, _, _ in owned)
+
     def test_linear_output_shift_equals_delta_dot_x(self, scalar_linear_model):
         x = np.array([1.5, -0.5, 2.0, 0.25])
         delta = np.array([0.01, -0.02, 0.03, 0.04])
@@ -800,24 +815,53 @@ def reference_loss(model, out, y):
     return (diff * diff).sum(axis=1), 2.0 * diff / b
 
 
+def reference_forward(model, batch, mode, rng):
+    """Every layer's training-mode (``mode == "train"``) or eval-mode forward,
+    written out here rather than read from ``nn``, and what each layer's
+    backward needs: the output and one cache per layer."""
+    acts, caches = batch, []
+    for layer in model.layers:
+        if isinstance(layer, nn.Linear):
+            cache = acts
+            acts = acts @ layer.weight.T
+            if layer.bias is not None:
+                acts = acts + layer.bias
+        elif isinstance(layer, nn.ReLU):
+            cache = acts > 0.0
+            acts = np.where(cache, acts, 0.0)
+        elif isinstance(layer, nn.Dropout):
+            cache = None
+            if mode == "train" and layer.rate > 0.0:
+                cache = (rng.random(acts.shape) >= layer.rate) / (1.0 - layer.rate)
+                acts = acts * cache
+        else:
+            assert isinstance(layer, nn.Softmax)
+            e = np.exp(np.clip(acts - acts.max(axis=1, keepdims=True), -700.0, None))
+            acts = cache = e / e.sum(axis=1, keepdims=True)
+        caches.append(cache)
+    return acts, caches
+
+
 def reference_loss_gradient(model, x, y, mode="eval", rng=None):
-    """The loss gradient the in-place training step replaced: backprop through
-    every layer, including the input gradient of the first Linear, then one
-    concatenation. Kept as the oracle ``loss_gradient`` and the training
-    step must match bit for bit."""
+    """The loss gradient the in-place training step replaced, with every
+    layer's forward and backward written out here: backprop through every
+    layer, the Softmax included and the input gradient of the first Linear
+    too, then one concatenation. Kept as the oracle ``loss_gradient`` and
+    the training step must match bit for bit."""
     batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out, caches = nn._forward_cached(model, batch, len(model.layers),
-                                     train=(mode == "train"), rng=rng)
+    out, caches = reference_forward(model, batch, mode, rng)
     losses, grad = reference_loss(model, out, y)
     grads = {}
     for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
+        layer, cache = model.layers[i], caches[i]
         if isinstance(layer, nn.Linear):
-            grads[i] = (grad.T @ caches[i],
+            grads[i] = (grad.T @ cache,
                         None if layer.bias is None else grad.sum(axis=0))
             grad = grad @ layer.weight
-        else:
-            grad = layer.backward(grad, caches[i])
+        elif isinstance(layer, nn.Softmax):
+            grad = cache * grad - cache * (grad * cache).sum(axis=1, keepdims=True)
+        elif cache is not None:
+            grad = grad * cache
     parts = []
     for i in range(len(model.layers)):
         if model.layers[i].n_params == 0:
@@ -1174,6 +1218,17 @@ class TestTrainStep:
                      (gen.normal(size=(10, 2)), gen.integers(0, 2, size=10)),
                      nn.TrainConfig(epochs=2, batch_size=4))
         assert seen == [nn._INFER_BUFSIZE] * 6
+
+    def test_the_step_is_laid_out_once_per_call(self, monkeypatch):
+        built = []
+        schedule = nn._Schedule
+        monkeypatch.setattr(nn, "_Schedule", lambda *args: (
+            built.append(1), schedule(*args))[1])
+        gen = np.random.default_rng(2)
+        nn.train(nn.build_mlp(2, [4], 2, seed=5),
+                 (gen.normal(size=(10, 2)), gen.integers(0, 2, size=10)),
+                 nn.TrainConfig(epochs=3, batch_size=4))
+        assert built == [1]
 
     @pytest.mark.parametrize("size", TRAIN_CALLER_BUFSIZES)
     def test_callers_buffer_is_restored_when_training_raises(self, size):
